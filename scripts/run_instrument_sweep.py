@@ -18,12 +18,13 @@ from chaosinfer.sweep import SweepConfig, emit, emit_detail, run_sweep
 
 
 def main() -> None:
+    defaults = SweepConfig()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n", type=int, default=10_000)
-    parser.add_argument("--grid", type=int, default=200)
-    parser.add_argument("--sigma", type=float, default=1e-3)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--n", type=int, default=defaults.n)
+    parser.add_argument("--grid", type=int, default=defaults.grid)
+    parser.add_argument("--sigma", type=float, default=defaults.sigma)
     args = parser.parse_args()
 
     out = Path(args.out_dir)

@@ -6,36 +6,10 @@ Exit codes: 0 on success, 1 on configuration errors, 2 on runtime errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .sweep import (
-    FORMAT_CHOICES,
-    ORDER_PRIOR_CHOICES,
-    ConfigError,
-    SweepConfig,
-    emit,
-    emit_detail,
-    run_sweep,
-)
-
-# flag name (config-file key) -> SweepConfig field
-_FLAG_TO_FIELD = {
-    "family": "family",
-    "r": "r",
-    "sigma": "sigma",
-    "n": "n",
-    "transient": "transient",
-    "seed": "seed",
-    "grid": "grid",
-    "k-min": "k_min",
-    "k-max": "k_max",
-    "order-prior": "order_prior",
-    "alpha": "alpha",
-    "regenerate-per-d": "regenerate_per_d",
-    "format": "out_format",
-    "out": "out_path",
-    "detail": "detail_path",
-}
+from .sweep import ConfigError, SweepConfig, emit, emit_detail, run_sweep
 
 
 def _parse_bool(text: str) -> bool:
@@ -47,22 +21,22 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_FIELD_PARSERS = {
-    "family": str,
-    "r": float,
-    "sigma": float,
-    "n": int,
-    "transient": int,
-    "seed": int,
-    "grid": int,
-    "k_min": int,
-    "k_max": int,
-    "order_prior": str,
-    "alpha": float,
-    "regenerate_per_d": _parse_bool,
-    "out_format": str,
-    "out_path": str,
-    "detail_path": str,
+def _flag(field: dataclasses.Field) -> str:
+    return field.metadata["flag"] or field.name.replace("_", "-")
+
+
+def _value_parser(field: dataclasses.Field):
+    # A field takes values of its default's type; detail_path defaults to None but holds a path.
+    if isinstance(field.default, bool):
+        return _parse_bool
+    return str if field.default is None else type(field.default)
+
+
+# config-file key ("-" read as "_") -> SweepConfig field; its flag and its name both work
+_FILE_KEYS = {
+    key: field
+    for field in dataclasses.fields(SweepConfig)
+    for key in (_flag(field).replace("-", "_"), field.name)
 }
 
 
@@ -72,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per SweepConfig field; an unset flag parses to None and leaves the file's value."""
     parser = _Parser(
         prog="chaosinfer",
         description=(
@@ -81,26 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="FILE",
                         help="flat key=value file; command-line flags override it")
-    parser.add_argument("--family", choices=["logistic"], help="map family (default logistic)")
-    parser.add_argument("--r", type=float, help="map control parameter (default 4.0)")
-    parser.add_argument("--sigma", type=float, help="noise standard deviation (default 1e-3)")
-    parser.add_argument("--n", type=int, help="number of recorded states (default 10000)")
-    parser.add_argument("--transient", type=int, help="discarded warm-up steps (default 1000)")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
-    parser.add_argument("--grid", type=int,
-                        help="number of decision points spanning [0, 1] (default 200)")
-    parser.add_argument("--k-min", type=int, help="smallest Markov order (default 1)")
-    parser.add_argument("--k-max", type=int, help="largest Markov order (default 8)")
-    parser.add_argument("--order-prior", choices=list(ORDER_PRIOR_CHOICES),
-                        help="prior over orders (default size-penalty)")
-    parser.add_argument("--alpha", type=float,
-                        help="symmetric Dirichlet pseudo-count (default 1.0)")
-    parser.add_argument("--regenerate-per-d", action="store_true", default=None,
-                        help="fresh trajectory per decision point instead of one shared series")
-    parser.add_argument("--format", choices=list(FORMAT_CHOICES),
-                        help="summary output format (default csv)")
-    parser.add_argument("--out", help="summary output path (default sweep.csv)")
-    parser.add_argument("--detail", help="optional per-(d, k) estimates CSV path")
+    for field in dataclasses.fields(SweepConfig):
+        if isinstance(field.default, bool):
+            kind = {"action": "store_true"}
+        else:
+            kind = {"type": _value_parser(field), "choices": field.metadata["choices"]}
+        parser.add_argument(f"--{_flag(field)}", dest=field.name, default=None,
+                            help=f"{field.metadata['help']} (default {field.default})", **kind)
     return parser
 
 
@@ -119,15 +81,11 @@ def _read_config_file(path: str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, text = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        field = None
-        for flag, name in _FLAG_TO_FIELD.items():
-            if key in (flag.replace("-", "_"), name):
-                field = name
-                break
+        field = _FILE_KEYS.get(key)
         if field is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[field] = _FIELD_PARSERS[field](text.strip())
+            values[field.name] = _value_parser(field)(text.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -139,14 +97,10 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     Precedence: command-line flags override config-file values, which
     override the built-in defaults.
     """
-    ns = build_parser().parse_args(argv)
-    values: dict[str, object] = {}
-    if ns.config is not None:
-        values.update(_read_config_file(ns.config))
-    for flag, field in _FLAG_TO_FIELD.items():
-        arg = getattr(ns, flag.replace("-", "_"))
-        if arg is not None:
-            values[field] = arg
+    args = vars(build_parser().parse_args(argv))
+    path = args.pop("config")
+    values = _read_config_file(path) if path is not None else {}
+    values.update((name, arg) for name, arg in args.items() if arg is not None)
     config = SweepConfig(**values)
     config.validate()
     return config

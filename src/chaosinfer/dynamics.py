@@ -37,8 +37,9 @@ class NoiseSpec:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma={self.sigma} must be >= 0")
+        # An infinite sigma would never fold back into [0, 1].
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma={self.sigma} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

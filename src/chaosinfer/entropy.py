@@ -6,48 +6,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .counts import CountTable
 from .inference import DirichletPrior, _check_match
 
 _LN2 = math.log(2.0)
-_RECURRENCE_CUTOFF = 10.0
-# Coefficients c_j of the expansion psi(x) ~ ln x - 1/(2x) - sum_j c_j * x**(-2j);
-# truncation error at the cutoff is below 1e-14.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-)
 
 
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x) for x > 0, elementwise on arrays.
 
-    Arguments below the cutoff are shifted upward through the recurrence
-    psi(x) = psi(x + 1) - 1/x, then the asymptotic expansion is applied.
-    Absolute error stays near 1e-14 across the positive axis.
+    Evaluated by scipy.special.digamma.  Raises ValueError outside that
+    domain instead of returning inf or NaN.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    work = np.atleast_1d(arr).astype(float).copy()
-    if not np.all(np.isfinite(work)) or np.any(work <= 0.0):
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("digamma requires finite x > 0")
-    acc = np.zeros_like(work)
-    small = work < _RECURRENCE_CUTOFF
-    while small.any():
-        acc[small] -= 1.0 / work[small]
-        work[small] += 1.0
-        small = work < _RECURRENCE_CUTOFF
-    t = 1.0 / (work * work)
-    tail = np.zeros_like(work)
-    for c in reversed(_STIRLING):
-        tail = t * (c + tail)
-    out = acc + np.log(work) - 0.5 / work - tail
-    return float(out[0]) if scalar else out
+    out = special.digamma(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,10 @@ def order_log_prior(order: int, alphabet_size: int, kind: str = "size_penalty") 
     """Unnormalized natural-log prior weight of one order.
 
     size_penalty weights order k by exp(-model_size), uniform weights all
-    orders equally.  Normalization happens when orders are compared.
+    orders equally.  Normalization happens when orders are compared.  Kinds
+    may be spelled with a hyphen, as on the command line ("size-penalty").
     """
+    kind = kind.replace("-", "_")
     if kind == "uniform":
         return 0.0
     if kind == "size_penalty":

@@ -15,18 +15,25 @@ import os
 from dataclasses import dataclass
 
 from .counts import transition_counts
-from .dynamics import MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
+from .dynamics import MAP_FAMILIES, MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
 from .entropy import expected_info
 from .inference import log_evidence, uniform_prior
-from .order_select import order_log_prior, rank_orders
+from .order_select import ORDER_PRIOR_KINDS, order_log_prior, rank_orders
 from .symbolize import decision_grid, symbolize
 
-ORDER_PRIOR_CHOICES = ("uniform", "size-penalty")
 FORMAT_CHOICES = ("csv", "json")
 
 
 class ConfigError(ValueError):
     """Invalid sweep configuration."""
+
+
+def _setting(default, text: str, *, choices=None, flag=None):
+    """A SweepConfig field with its help text, allowed values and, where it
+    differs from the field name, its command-line flag (also a config-file key)."""
+    return dataclasses.field(
+        default=default, metadata={"help": text, "choices": choices, "flag": flag}
+    )
 
 
 @dataclass(frozen=True)
@@ -36,30 +43,46 @@ class SweepConfig:
     Defaults: fully chaotic logistic map with weak additive noise, one series
     of 10^4 states after 10^3 warm-up steps, 200 decision points, orders 1..8
     compared under the model-size penalty with a flat Dirichlet prior.
+
+    These fields are the whole config schema: the command line and the config
+    file derive their flags, keys, value types and help text from them.
     """
 
-    family: str = "logistic"
-    r: float = 4.0
-    sigma: float = 1e-3
-    n: int = 10_000
-    transient: int = 1_000
-    seed: int = 0
-    grid: int = 200
-    k_min: int = 1
-    k_max: int = 8
-    order_prior: str = "size-penalty"
-    alpha: float = 1.0
-    regenerate_per_d: bool = False
-    out_format: str = "csv"
-    out_path: str = "sweep.csv"
-    detail_path: str | None = None
+    family: str = _setting("logistic", "map family", choices=MAP_FAMILIES)
+    r: float = _setting(4.0, "map control parameter")
+    sigma: float = _setting(1e-3, "noise standard deviation")
+    n: int = _setting(10_000, "number of recorded states")
+    transient: int = _setting(1_000, "discarded warm-up steps")
+    seed: int = _setting(0, "random seed")
+    grid: int = _setting(200, "number of decision points spanning [0, 1]")
+    k_min: int = _setting(1, "smallest Markov order")
+    k_max: int = _setting(8, "largest Markov order")
+    order_prior: str = _setting(
+        "size-penalty", "prior over orders",
+        choices=tuple(kind.replace("_", "-") for kind in ORDER_PRIOR_KINDS),
+    )
+    alpha: float = _setting(1.0, "symmetric Dirichlet pseudo-count")
+    regenerate_per_d: bool = _setting(
+        False, "fresh trajectory per decision point instead of one shared series"
+    )
+    out_format: str = _setting("csv", "summary output format", choices=FORMAT_CHOICES,
+                               flag="format")
+    out_path: str = _setting("sweep.csv", "summary output path", flag="out")
+    detail_path: str | None = _setting(None, "optional per-(d, k) estimates CSV path",
+                                       flag="detail")
 
     def validate(self) -> None:
+        for field in dataclasses.fields(self):
+            choices, value = field.metadata["choices"], getattr(self, field.name)
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{field.name} {value!r} must be one of {choices}")
         try:
             MapSpec(self.family, self.r)
             NoiseSpec(self.sigma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
         if self.n < 1:
             raise ConfigError(f"n={self.n} must be >= 1")
         if self.transient < 0:
@@ -70,14 +93,8 @@ class SweepConfig:
             raise ConfigError(f"need 0 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if self.n <= self.k_max + 1:
             raise ConfigError(f"n={self.n} must exceed k_max + 1 = {self.k_max + 1}")
-        if self.order_prior not in ORDER_PRIOR_CHOICES:
-            raise ConfigError(
-                f"order_prior {self.order_prior!r} must be one of {ORDER_PRIOR_CHOICES}"
-            )
-        if not self.alpha > 0.0:
-            raise ConfigError(f"alpha={self.alpha} must be positive")
-        if self.out_format not in FORMAT_CHOICES:
-            raise ConfigError(f"format {self.out_format!r} must be one of {FORMAT_CHOICES}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha={self.alpha} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -129,8 +146,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     orders = tuple(range(config.k_min, config.k_max + 1))
     base = generate_trajectory(map_spec, noise, config.n, config.transient, config.seed)
     lam = lyapunov_exponent(map_spec, base)
-    kind = "size_penalty" if config.order_prior == "size-penalty" else "uniform"
-    log_priors = [order_log_prior(k, 2, kind) for k in orders]
+    log_priors = [order_log_prior(k, 2, config.order_prior) for k in orders]
     priors = {k: uniform_prior(k, 2, config.alpha) for k in orders}
     want_detail = config.detail_path is not None
 

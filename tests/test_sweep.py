@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,47 @@ def test_parse_config_rejects_bad_file_value(tmp_path):
         parse_config(["--config", str(f)])
 
 
+# field -> (documented flag, a valid value as text, or None for a switch)
+SCHEMA_CASES = {
+    "family": ("--family", "logistic"),  # the only family, so it cannot differ from the default
+    "r": ("--r", "3.9"),
+    "sigma": ("--sigma", "0.002"),
+    "n": ("--n", "5000"),
+    "transient": ("--transient", "10"),
+    "seed": ("--seed", "7"),
+    "grid": ("--grid", "17"),
+    "k_min": ("--k-min", "2"),
+    "k_max": ("--k-max", "5"),
+    "order_prior": ("--order-prior", "uniform"),
+    "alpha": ("--alpha", "0.5"),
+    "regenerate_per_d": ("--regenerate-per-d", None),
+    "out_format": ("--format", "json"),
+    "out_path": ("--out", "elsewhere.csv"),
+    "detail_path": ("--detail", "detail.csv"),
+}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(SweepConfig), ids=lambda f: f.name)
+def test_every_field_is_set_alike_by_flag_and_by_both_file_keys(tmp_path, field):
+    flag, text = SCHEMA_CASES[field.name]
+    by_flag = parse_config([flag] if text is None else [flag, text])
+    assert (by_flag != SweepConfig()) == (field.name != "family")
+    path = tmp_path / "sweep.cfg"
+    for key in (flag[2:], flag[2:].replace("-", "_"), field.name):
+        path.write_text(f"{key}={'true' if text is None else text}\n")
+        assert parse_config(["--config", str(path)]) == by_flag
+
+
+def test_config_file_booleans(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    for text, expected in (("yes", True), ("off", False)):
+        path.write_text(f"regenerate_per_d={text}\n")
+        assert parse_config(["--config", str(path)]).regenerate_per_d is expected
+    path.write_text("regenerate-per-d=maybe\n")
+    with pytest.raises(ConfigError):
+        parse_config(["--config", str(path)])
+
+
 def test_cli_end_to_end_and_determinism(tmp_path):
     args = ["--n", "1200", "--transient", "50", "--grid", "5", "--k-max", "3", "--seed", "4"]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -205,6 +248,9 @@ def test_cli_exit_code_on_config_errors(capsys):
     assert main(["--k-max", "0", "--k-min", "1"]) == 1
     assert main(["--no-such-flag"]) == 1
     assert main(["--n", "abc"]) == 1
+    assert main(["--sigma", "inf"]) == 1
+    assert main(["--alpha", "inf"]) == 1
+    assert main(["--seed", "-1"]) == 1
     assert "config error" in capsys.readouterr().err
 
 
