@@ -17,6 +17,7 @@ from .counts import (
     decode_context,
     encode_context,
     entropy_rate_L,
+    grid_transition_counts,
     transition_counts,
 )
 from .dynamics import (

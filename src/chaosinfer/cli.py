@@ -1,6 +1,7 @@
 """Command-line driver for the decision-point sweep.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 on runtime errors.
+Exit codes: 0 on success, 1 on configuration errors, 2 on runtime errors,
+including a sweep in which every row failed.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     failed = len(result.rows) - len(good)
     if failed:
         print(f"{failed} rows failed; see the error column", file=sys.stderr)
-    return 0
+    return 0 if good else 2
 
 
 if __name__ == "__main__":

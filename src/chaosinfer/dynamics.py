@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -69,9 +70,13 @@ def map_derivative(spec: MapSpec, x: float | np.ndarray) -> np.ndarray:
 
 
 def _reflect(x: float) -> float:
-    # Fold noise excursions back into [0, 1] without piling mass at the edges.
-    while x < 0.0 or x > 1.0:
-        x = -x if x < 0.0 else 2.0 - x
+    # Fold noise excursions back into [0, 1] without piling mass at the edges:
+    # the period-2 reflection |x| mod 2, folded at 1.  fmod and 2 - y are
+    # exact, so this equals bouncing off the edges one at a time, in O(1).
+    if x < 0.0 or x > 1.0:
+        x = math.fmod(abs(x), 2.0)
+        if x > 1.0:
+            x = 2.0 - x
     return x
 
 

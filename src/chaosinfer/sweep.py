@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .counts import transition_counts
+from .counts import MAX_TABLE_ENTRIES, CountTable, grid_transition_counts, transition_counts
 from .dynamics import MAP_FAMILIES, MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
 from .entropy import expected_info
 from .inference import log_evidence, uniform_prior
@@ -22,6 +22,10 @@ from .order_select import ORDER_PRIOR_KINDS, order_log_prior, rank_orders
 from .symbolize import decision_grid, symbolize
 
 FORMAT_CHOICES = ("csv", "json")
+
+# A shared series is counted for blocks of decision points at once; a block
+# holds at most this many order-k_max table entries.
+GRID_BLOCK_ENTRIES = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -91,6 +95,11 @@ class SweepConfig:
             raise ConfigError(f"grid={self.grid} must be >= 2")
         if not 0 <= self.k_min <= self.k_max:
             raise ConfigError(f"need 0 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
+        if 2 ** (self.k_max + 1) > MAX_TABLE_ENTRIES:
+            raise ConfigError(
+                f"k_max={self.k_max} needs {2 ** (self.k_max + 1)} table entries per decision "
+                f"point, over the limit of {MAX_TABLE_ENTRIES}"
+            )
         if self.n <= self.k_max + 1:
             raise ConfigError(f"n={self.n} must exceed k_max + 1 = {self.k_max + 1}")
         if not 0.0 < self.alpha < math.inf:
@@ -137,8 +146,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     One trajectory is shared across all decision points unless
     regenerate_per_d is set (then point i uses seed + 1 + i).  Rows are
-    independent: a failure at one decision point is recorded on its row and
-    does not abort the sweep.  Fully deterministic given the seed.
+    independent: a failure of the inference at one decision point is recorded
+    on its row and does not abort the sweep.  Fully deterministic given the
+    seed.
     """
     config.validate()
     map_spec = MapSpec(config.family, config.r)
@@ -152,32 +162,49 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     rows: list[SweepRow] = []
     detail: list[DetailRow] = []
-    for i, part in enumerate(decision_grid(config.grid)):
-        traj = base
-        if config.regenerate_per_d:
-            traj = generate_trajectory(
-                map_spec, noise, config.n, config.transient, config.seed + 1 + i
-            )
+    for d, tables in _count_tables(config, map_spec, noise, base, orders):
         try:
-            row, drows = _sweep_point(part, traj, orders, log_priors, priors, want_detail)
+            row, drows = _sweep_point(d, tables, orders, log_priors, priors, want_detail)
         except Exception as exc:
             nan = float("nan")
             blank = tuple(nan for _ in orders)
-            row = SweepRow(part.decision_point, None, nan, nan, nan, blank, blank, str(exc))
+            row = SweepRow(d, None, nan, nan, nan, blank, blank, str(exc))
             drows = []
         rows.append(row)
         detail.extend(drows)
     return SweepResult(config=config, lyapunov_bits=lam, rows=tuple(rows), detail=tuple(detail))
 
 
-def _sweep_point(part, traj, orders, log_priors, priors, want_detail):
-    seq = symbolize(traj, part)
-    tables = {k: transition_counts(seq, k) for k in orders}
+def _count_tables(config, map_spec, noise, base, orders):
+    """Yield (decision point, {k: CountTable}) in grid order.
+
+    A fresh series per point is symbolized and counted for its point alone.
+    The shared series is counted by grid_transition_counts for a block of
+    points at a time, whose rows are handed out before the next block starts.
+    """
+    parts = decision_grid(config.grid)
+    if config.regenerate_per_d:
+        for i, part in enumerate(parts):
+            traj = generate_trajectory(
+                map_spec, noise, config.n, config.transient, config.seed + 1 + i
+            )
+            seq = symbolize(traj, part)
+            yield part.decision_point, {k: transition_counts(seq, k) for k in orders}
+        return
+    block = max(1, GRID_BLOCK_ENTRIES >> (orders[-1] + 1))
+    for start in range(0, len(parts), block):
+        ds = [part.decision_point for part in parts[start:start + block]]
+        stacked = grid_transition_counts(base.states, ds, orders)
+        for i, d in enumerate(ds):
+            yield d, {k: CountTable(k, 2, stacked[k][i].reshape(-1, 2)) for k in orders}
+
+
+def _sweep_point(d, tables, orders, log_priors, priors, want_detail):
     les = [log_evidence(tables[k], priors[k]).value for k in orders]
     ranking = rank_orders(orders, les, log_priors)
     est = expected_info(tables[ranking.selected], priors[ranking.selected])
     row = SweepRow(
-        d=part.decision_point,
+        d=d,
         k_selected=ranking.selected,
         h_expected_bits=est.expected_info,
         h_rate_q_bits=est.h_rate_q,
@@ -190,8 +217,7 @@ def _sweep_point(part, traj, orders, log_priors, priors, want_detail):
         for k, le, p_k in zip(orders, ranking.log_evidence, ranking.posterior):
             e = expected_info(tables[k], priors[k])
             drows.append(
-                DetailRow(part.decision_point, k, e.expected_info, e.h_rate_q,
-                          e.kl_correction, le, p_k)
+                DetailRow(d, k, e.expected_info, e.h_rate_q, e.kl_correction, le, p_k)
             )
     return row, drows
 

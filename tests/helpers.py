@@ -3,7 +3,9 @@
 Every oracle here avoids the code path it checks: the digamma reference uses
 mpmath at high precision, the evidence oracles use only counting, division,
 and Monte-Carlo draws, and the information-rate oracle averages log
-probabilities over posterior samples.
+probabilities over posterior samples.  The sweep oracle symbolizes and
+counts every decision point on its own, as the sweep did before it shared
+one counting pass across the grid.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ import math
 import mpmath
 import numpy as np
 
-from chaosinfer.symbolize import SymbolSequence
+from chaosinfer.counts import transition_counts
+from chaosinfer.dynamics import MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
+from chaosinfer.entropy import expected_info
+from chaosinfer.inference import log_evidence, uniform_prior
+from chaosinfer.order_select import order_log_prior, rank_orders
+from chaosinfer.sweep import DetailRow, SweepConfig, SweepResult, SweepRow
+from chaosinfer.symbolize import SymbolSequence, decision_grid, symbolize
 
 
 def reference_digamma(x: float) -> float:
@@ -110,3 +118,40 @@ def sample_markov_sequence(probs: np.ndarray, order: int, n: int,
         out[t] = min(s, a - 1)
         ctx = (ctx * a + out[t]) % n_contexts
     return SymbolSequence(out, a)
+
+
+def per_d_sweep(config: SweepConfig) -> SweepResult:
+    """The sweep computed one decision point at a time.
+
+    Each point symbolizes its series and counts every order with
+    transition_counts; no row may fail.
+    """
+    map_spec, noise = MapSpec(config.family, config.r), NoiseSpec(config.sigma)
+    orders = tuple(range(config.k_min, config.k_max + 1))
+    base = generate_trajectory(map_spec, noise, config.n, config.transient, config.seed)
+    rows, detail = [], []
+    for i, part in enumerate(decision_grid(config.grid)):
+        traj = base
+        if config.regenerate_per_d:
+            traj = generate_trajectory(map_spec, noise, config.n, config.transient,
+                                       config.seed + 1 + i)
+        seq = symbolize(traj, part)
+        tables = {k: transition_counts(seq, k) for k in orders}
+        priors = {k: uniform_prior(k, 2, config.alpha) for k in orders}
+        ranking = rank_orders(
+            orders,
+            [log_evidence(tables[k], priors[k]).value for k in orders],
+            [order_log_prior(k, 2, config.order_prior) for k in orders],
+        )
+        ests = {k: expected_info(tables[k], priors[k]) for k in orders}
+        best = ests[ranking.selected]
+        d = part.decision_point
+        rows.append(SweepRow(d, ranking.selected, best.expected_info, best.h_rate_q,
+                             best.kl_correction, ranking.log_evidence, ranking.posterior))
+        if config.detail_path is not None:
+            detail.extend(
+                DetailRow(d, k, ests[k].expected_info, ests[k].h_rate_q, ests[k].kl_correction,
+                          le, p_k)
+                for k, le, p_k in zip(orders, ranking.log_evidence, ranking.posterior)
+            )
+    return SweepResult(config, lyapunov_exponent(map_spec, base), tuple(rows), tuple(detail))

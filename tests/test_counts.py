@@ -9,9 +9,10 @@ from chaosinfer.counts import (
     decode_context,
     encode_context,
     entropy_rate_L,
+    grid_transition_counts,
     transition_counts,
 )
-from chaosinfer.symbolize import SymbolSequence
+from chaosinfer.symbolize import PartitionSpec, SymbolSequence, symbolize
 
 
 def bits(text: str) -> SymbolSequence:
@@ -167,3 +168,72 @@ def test_block_entropy_monotone_on_circular_counts(data, length):
     h_short = block_entropy(count_words(SymbolSequence(shorter, 2), length - 1))
     assert h_long >= h_short - 1e-12
     assert h_short >= -1e-12
+
+
+def assert_grid_counts_match_per_threshold(states, thresholds, orders):
+    got = grid_transition_counts(states, thresholds, orders)
+    assert sorted(got) == sorted(set(orders))
+    for i, d in enumerate(thresholds):
+        seq = symbolize(np.asarray(states), PartitionSpec.binary(d))
+        for k in orders:
+            want = transition_counts(seq, k).table.ravel()
+            assert got[k].shape == (len(thresholds), 2 ** (k + 1))
+            assert got[k].dtype == np.int64
+            assert np.array_equal(got[k][i], want), (d, k)
+
+
+GRID = np.linspace(0.0, 1.0, 11)
+
+
+def test_grid_counts_with_states_on_the_thresholds():
+    # Ties: a state equal to d reads 1 at d, as in symbolize; d=0 reads all
+    # ones and d=1 all zeros but the states at exactly 1.
+    rng = np.random.default_rng(11)
+    states = np.concatenate([rng.choice(GRID, 150), rng.random(50), [0.0, 1.0, 1.0]])
+    rng.shuffle(states)
+    assert_grid_counts_match_per_threshold(states, GRID, range(0, 6))
+
+
+def test_grid_counts_order_zero_alone():
+    assert_grid_counts_match_per_threshold([0.0, 0.5, 1.0, 0.2, 0.5], GRID, [0])
+
+
+@pytest.mark.parametrize("k_max", range(0, 7))
+def test_grid_counts_at_the_shortest_sequence(k_max):
+    rng = np.random.default_rng(k_max)
+    states = rng.choice(GRID, k_max + 2)
+    assert_grid_counts_match_per_threshold(states, GRID, range(0, k_max + 1))
+
+
+def test_grid_counts_across_window_chunks(monkeypatch):
+    import chaosinfer.counts as counts_mod
+
+    monkeypatch.setattr(counts_mod, "_WINDOW_CHUNK", 7)
+    states = np.random.default_rng(5).random(100)
+    assert_grid_counts_match_per_threshold(states, [0.1, 0.3, 0.5, 0.9], [1, 2, 4])
+
+
+def test_grid_counts_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        grid_transition_counts([0.1, 0.2, 0.3], [0.5, 0.4], [1])
+    with pytest.raises(ValueError):
+        grid_transition_counts([0.1, 0.2], [0.5], [2])
+    with pytest.raises(ValueError):
+        grid_transition_counts([0.1, 0.2], [0.5], [-1])
+    with pytest.raises(ValueError):
+        grid_transition_counts([0.1, 0.2], [0.5], [])
+
+
+unit_states = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    states=st.lists(unit_states, min_size=1, max_size=80),
+    thresholds=st.lists(unit_states, min_size=1, max_size=12),
+    orders=st.sets(st.integers(0, 5), min_size=1, max_size=3),
+)
+def test_grid_counts_equal_per_threshold_counts(states, thresholds, orders):
+    if len(states) <= max(orders):
+        return
+    assert_grid_counts_match_per_threshold(states, sorted(thresholds), sorted(orders))

@@ -9,6 +9,7 @@ from chaosinfer.dynamics import (
     MapSpec,
     NoiseSpec,
     Trajectory,
+    _reflect,
     generate_trajectory,
     lyapunov_exponent,
     map_apply,
@@ -84,6 +85,30 @@ def test_states_stay_in_unit_interval(seed, sigma, r):
     traj = generate_trajectory(MapSpec(r=r), NoiseSpec(sigma), n=200, transient=10, seed=seed)
     assert np.all(traj.states >= 0.0)
     assert np.all(traj.states <= 1.0)
+
+
+def reflect_by_bounces(x: float) -> float:
+    """The edge-by-edge fold: one bounce per step until x lands in [0, 1]."""
+    while x < 0.0 or x > 1.0:
+        x = -x if x < 0.0 else 2.0 - x
+    return x
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_reflect_lands_in_unit_interval(x):
+    assert 0.0 <= _reflect(x) <= 1.0
+
+
+@given(x=st.floats(-1e4, 1e4))
+def test_reflect_equals_bouncing_fold(x):
+    # Below 2**53 every bounce is exact, and so are fmod and 2 - y: seeded
+    # trajectories stay the same bit for bit.
+    assert _reflect(x) == reflect_by_bounces(x)
+
+
+def test_huge_noise_stays_in_unit_interval():
+    traj = generate_trajectory(MapSpec(), NoiseSpec(1e17), n=200, transient=10, seed=3)
+    assert np.all((traj.states >= 0.0) & (traj.states <= 1.0))
 
 
 def test_lyapunov_chaotic_benchmark():

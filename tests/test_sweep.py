@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers import per_d_sweep
 
 from chaosinfer.cli import main, parse_config
 from chaosinfer.sweep import (
+    GRID_BLOCK_ENTRIES,
     ConfigError,
     SweepConfig,
     csv_header,
@@ -55,6 +57,32 @@ def test_regenerate_per_d_changes_rows_but_stays_deterministic():
     assert a == b
     shared = run_sweep(SweepConfig(n=800, transient=50, seed=5, grid=5, k_min=1, k_max=2))
     assert a.rows != shared.rows
+
+
+ORACLE_CASES = {
+    "small": SMALL,
+    "order_zero": SweepConfig(n=700, transient=30, seed=8, grid=13, k_min=0, k_max=4),
+    "shortest_series": SweepConfig(n=6, transient=30, seed=1, grid=9, k_min=0, k_max=4),
+    "per_d_series": SweepConfig(n=600, transient=30, seed=2, grid=6, k_min=1, k_max=3,
+                                regenerate_per_d=True),
+    # 131 points at k_max=8 span a full grid block and a partial one.
+    "partial_block": SweepConfig(n=600, transient=30, seed=4, grid=131, k_min=1, k_max=8),
+}
+
+
+@pytest.mark.parametrize("detail", [False, True], ids=["summary", "detail"])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_run_sweep_equals_per_d_oracle(case, detail):
+    cfg = ORACLE_CASES[case]
+    if detail:
+        cfg = dataclasses.replace(cfg, detail_path="detail.csv")
+    assert run_sweep(cfg) == per_d_sweep(cfg)
+
+
+def test_partial_block_case_spans_two_blocks():
+    cfg = ORACLE_CASES["partial_block"]
+    block = GRID_BLOCK_ENTRIES >> (cfg.k_max + 1)
+    assert block < cfg.grid < 2 * block
 
 
 def test_emit_csv_schema_and_row_count(tmp_path, small_result):
@@ -147,6 +175,8 @@ def test_config_validation_errors():
         SweepConfig(order_prior="flat").validate()
     with pytest.raises(ConfigError):
         SweepConfig(out_format="xml").validate()
+    with pytest.raises(ConfigError):
+        SweepConfig(n=100, k_max=26).validate()  # 2**27 entries per table
     SweepConfig(sigma=0.0).validate()
 
 
@@ -251,7 +281,22 @@ def test_cli_exit_code_on_config_errors(capsys):
     assert main(["--sigma", "inf"]) == 1
     assert main(["--alpha", "inf"]) == 1
     assert main(["--seed", "-1"]) == 1
+    assert main(["--k-max", "27", "--n", "100", "--grid", "3"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_exits_2_when_every_row_fails(monkeypatch, tmp_path, capsys):
+    import chaosinfer.sweep as sweep_mod
+
+    def sabotage(counts, prior):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
+    out = tmp_path / "out.csv"
+    assert main(["--n", "900", "--transient", "20", "--grid", "3", "--k-max", "2",
+                 "--out", str(out)]) == 2
+    assert "3 rows failed; see the error column" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_cli_exit_code_on_runtime_error(tmp_path):
