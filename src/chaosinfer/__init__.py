@@ -50,8 +50,10 @@ from .order_select import (
     OrderPosterior,
     OrderRange,
     model_size,
+    order_log_evidences,
     order_log_prior,
     order_posterior,
+    posterior_over_orders,
     rank_orders,
 )
 from .symbolize import PartitionSpec, SymbolSequence, decision_grid, symbolize

@@ -30,7 +30,8 @@ class CountTable:
 
     Rows index contexts encoded as base-`alphabet_size` integers with the
     oldest symbol most significant (see encode_context); columns index the
-    next symbol.
+    next symbol.  A stack of tables for several decision points carries a
+    leading grid axis, shape (G, alphabet_size**order, alphabet_size).
     """
 
     order: int
@@ -40,7 +41,7 @@ class CountTable:
     @property
     def context_totals(self) -> np.ndarray:
         """Occurrences of each context, n(context) = sum_s n(context -> s)."""
-        return self.table.sum(axis=1)
+        return self.table.sum(axis=-1)
 
     @property
     def total(self) -> int:

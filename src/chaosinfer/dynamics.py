@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 MAP_FAMILIES = ("logistic",)
+# Largest accepted noise standard deviation.  numpy's ziggurat normal draws
+# stay below 13.7 in magnitude (its tail draw is bounded by the smallest
+# uniform, 2**-53), so every shock and every map value plus a shock is finite.
+MAX_SIGMA = sys.float_info.max / 16
 
 
 @dataclass(frozen=True)
@@ -38,9 +43,9 @@ class NoiseSpec:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        # An infinite sigma would never fold back into [0, 1].
-        if not 0.0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma={self.sigma} must be finite and >= 0")
+        # A shock that overflowed to inf would never fold back into [0, 1].
+        if not 0.0 <= self.sigma <= MAX_SIGMA:
+            raise ValueError(f"sigma={self.sigma} must lie in [0, {MAX_SIGMA!r}]")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import special
 
 from .counts import CountTable
-from .inference import DirichletPrior, _check_match
+from .inference import DirichletPrior, _check_match, _scalar
 
 _LN2 = math.log(2.0)
 
@@ -21,7 +21,8 @@ def digamma(x):
     domain instead of returning inf or NaN.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    # min and max are NaN if any entry is, which fails both comparisons.
+    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):
         raise ValueError("digamma requires finite x > 0")
     out = special.digamma(arr)
     return float(out) if arr.ndim == 0 else out
@@ -55,7 +56,8 @@ class EntropyEstimate:
     rate of the estimated chain plus the divergence of the estimate from the
     sampled parameters.  h_rate_q is the plug-in conditional entropy of the
     posterior-mean chain and kl_correction the small-sample term that
-    reproduces expected_info once pseudo-counts are large.
+    reproduces expected_info once pseudo-counts are large.  For a stack of
+    count tables each estimate is an array, one entry per table.
     """
 
     expected_info: float
@@ -65,26 +67,34 @@ class EntropyEstimate:
 
 
 def _assemble(counts: CountTable, prior: DirichletPrior):
+    """Pseudo-counts, their context sums and total beta, then the shares of beta."""
     _check_match(counts, prior)
     post = counts.table + prior.alpha
-    context_mass = post.sum(axis=1)
-    beta = float(context_mass.sum())
-    return post, context_mass, beta
+    context_mass = post.sum(axis=-1)
+    beta = context_mass.sum(axis=-1)
+    q_ctx = context_mass / beta[..., None]
+    q_joint = post / beta[..., None, None]
+    return post, context_mass, beta, q_ctx, q_joint
 
 
-def _plugin_terms(post, context_mass, beta, alphabet_size):
-    q_ctx = context_mass / beta
-    q_joint = post / beta
-    h_joint = float(-(q_joint * np.log2(q_joint)).sum())
-    h_ctx = float(-(q_ctx * np.log2(q_ctx)).sum())
-    n_free = post.shape[0] * (alphabet_size - 1)
+def _cell_sum(x):
+    """Sum over the (context, symbol) cells of each table in a stack."""
+    return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _plugin_terms(q_ctx, q_joint, beta, alphabet_size):
+    log_q = np.log2(q_joint)
+    h_joint = -_cell_sum(np.multiply(q_joint, log_q, out=log_q))
+    h_ctx = -(q_ctx * np.log2(q_ctx)).sum(axis=-1)
+    n_free = q_joint.shape[-2] * (alphabet_size - 1)
     correction = n_free / (2.0 * beta * _LN2)
     return h_joint - h_ctx, correction
 
 
 def pme_distribution(counts: CountTable, prior: DirichletPrior) -> PMEDistribution:
     """Assemble the posterior-mean process from counts and pseudo-counts."""
-    post, context_mass, beta = _assemble(counts, prior)
+    post, context_mass, beta, _, _ = _assemble(counts, prior)
+    beta = float(beta)
     return PMEDistribution(
         order=counts.order,
         alphabet_size=counts.alphabet_size,
@@ -104,16 +114,20 @@ def expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
 
     where m are pseudo-counts (counts + prior) and q their shares of beta.
     All digamma arguments are positive because the prior is.
+
+    A table with a leading grid axis gives arrays of estimates, one per
+    table, each equal bit for bit to that table's own call.
     """
-    post, context_mass, beta = _assemble(counts, prior)
-    q_ctx = context_mass / beta
-    q_joint = post / beta
-    nats = float((q_ctx * digamma(context_mass)).sum() - (q_joint * digamma(post)).sum())
-    h_rate, correction = _plugin_terms(post, context_mass, beta, counts.alphabet_size)
+    post, context_mass, beta, q_ctx, q_joint = _assemble(counts, prior)
+    psi = digamma(post)
+    nats = (q_ctx * digamma(context_mass)).sum(axis=-1) - _cell_sum(
+        np.multiply(q_joint, psi, out=psi)
+    )
+    h_rate, correction = _plugin_terms(q_ctx, q_joint, beta, counts.alphabet_size)
     return EntropyEstimate(
-        expected_info=nats / _LN2,
-        h_rate_q=h_rate,
-        kl_correction=correction,
+        expected_info=_scalar(nats / _LN2),
+        h_rate_q=_scalar(h_rate),
+        kl_correction=_scalar(correction),
         order=counts.order,
     )
 
@@ -125,11 +139,11 @@ def asymptotic_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimat
     posterior-mean process; the bias term is n_free / (2 * beta * ln 2).
     Valid once pseudo-counts are large; reported regardless.
     """
-    post, context_mass, beta = _assemble(counts, prior)
-    h_rate, correction = _plugin_terms(post, context_mass, beta, counts.alphabet_size)
+    _, _, beta, q_ctx, q_joint = _assemble(counts, prior)
+    h_rate, correction = _plugin_terms(q_ctx, q_joint, beta, counts.alphabet_size)
     return EntropyEstimate(
-        expected_info=h_rate + correction,
-        h_rate_q=h_rate,
-        kl_correction=correction,
+        expected_info=_scalar(h_rate + correction),
+        h_rate_q=_scalar(h_rate),
+        kl_correction=_scalar(correction),
         order=counts.order,
     )

@@ -63,9 +63,12 @@ class MarkovChainParams:
 
 @dataclass(frozen=True)
 class LogEvidence:
-    """Natural-log marginal likelihood of a sample at one model order."""
+    """Natural-log marginal likelihood of a sample at one model order.
 
-    value: float
+    `value` is an array, one evidence per table, for a stack of tables.
+    """
+
+    value: float | np.ndarray
     order: int
 
 
@@ -83,6 +86,11 @@ def uniform_prior(order: int, alphabet_size: int, value: float = 1.0) -> Dirichl
         raise ValueError(f"value={value} must be positive")
     shape = (alphabet_size**order, alphabet_size)
     return DirichletPrior(order=order, alphabet_size=alphabet_size, alpha=np.full(shape, float(value)))
+
+
+def _scalar(value):
+    """A Python float for a 0-d result, the array itself for a stack."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _check_match(counts: CountTable, prior: DirichletPrior) -> None:
@@ -111,19 +119,21 @@ def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     Per visited context the contribution is
     lnGamma(alpha(ctx)) - sum_s lnGamma(alpha) + sum_s lnGamma(n + alpha)
     - lnGamma(n(ctx) + alpha(ctx)); unvisited contexts contribute exactly 0.
+
+    A table with a leading grid axis, (G, contexts, alphabet), gives an
+    array of G evidences, each equal bit for bit to that row's own call; a
+    single table gives a float.
     """
     _check_match(counts, prior)
-    n = counts.table
     a = prior.alpha
-    na = n + a
-    per_context = (
-        gammaln(a.sum(axis=1))
-        - gammaln(a).sum(axis=1)
-        + gammaln(na).sum(axis=1)
-        - gammaln(na.sum(axis=1))
-    )
+    na = counts.table + a
+    na_context = na.sum(axis=-1)
+    per_context = gammaln(a.sum(axis=-1)) - gammaln(a).sum(axis=-1)
+    per_context = per_context + gammaln(na, out=na).sum(axis=-1)
+    per_context -= gammaln(na_context, out=na_context)
     visited = counts.context_totals > 0
-    return LogEvidence(value=float(per_context[visited].sum()), order=counts.order)
+    value = np.where(visited, per_context, 0.0).sum(axis=-1)
+    return LogEvidence(value=_scalar(value), order=counts.order)
 
 
 def posterior_mean(counts: CountTable, prior: DirichletPrior) -> MarkovChainParams:

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .counts import transition_counts
+from .counts import CountTable, transition_counts
 from .inference import DirichletPrior, log_evidence, uniform_prior
 from .symbolize import SymbolSequence
 
@@ -67,6 +67,32 @@ def order_log_prior(order: int, alphabet_size: int, kind: str = "size_penalty") 
     raise ValueError(f"unknown order prior kind {kind!r}, expected one of {ORDER_PRIOR_KINDS}")
 
 
+def order_log_evidences(
+    tables: Mapping[int, CountTable], priors: Mapping[int, DirichletPrior]
+) -> np.ndarray:
+    """Log evidence of every order, orders along the last axis.
+
+    `tables` maps each order, ascending, to its count table or to a stack of
+    tables with a leading grid axis; the result then has shape (G, orders).
+    """
+    return np.stack(
+        [log_evidence(table, priors[k]).value for k, table in tables.items()],
+        axis=-1,
+    )
+
+
+def posterior_over_orders(log_evidences, log_priors) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized posterior over orders and the index of the winner, along the last axis.
+
+    Scores are log evidence plus log prior; ties break toward the smaller
+    index.  Any leading axes index independent rankings.
+    """
+    score = np.asarray(log_evidences, dtype=float) + np.asarray(log_priors, dtype=float)
+    post = np.exp(score - logsumexp(score, axis=-1, keepdims=True))
+    post /= post.sum(axis=-1, keepdims=True)
+    return post, np.argmax(score, axis=-1)
+
+
 def rank_orders(
     orders: Sequence[int],
     log_evidences: Sequence[float],
@@ -85,10 +111,8 @@ def rank_orders(
     lp = np.asarray(log_priors, dtype=float)
     if le.shape != (len(ks),) or lp.shape != (len(ks),):
         raise ValueError("log evidences and log priors must align with orders")
-    score = le + lp
-    post = np.exp(score - logsumexp(score))
-    post = post / post.sum()
-    selected = ks[int(np.argmax(score))]
+    post, best = posterior_over_orders(le, lp)
+    selected = ks[int(best)]
     if len(ks) > 1 and selected == ks[-1]:
         warnings.warn(
             f"selected order {selected} is the top of the range; "
@@ -123,10 +147,7 @@ def order_posterior(
             f"sequence of length {len(seq)} too short for k_max={order_range.k_max}"
         )
     ks = list(order_range.orders())
-    les = []
-    lps = []
-    for k in ks:
-        prior = priors[k] if priors is not None else uniform_prior(k, seq.alphabet_size, alpha)
-        les.append(log_evidence(transition_counts(seq, k), prior).value)
-        lps.append(order_log_prior(k, seq.alphabet_size, kind))
-    return rank_orders(ks, les, lps)
+    if priors is None:
+        priors = {k: uniform_prior(k, seq.alphabet_size, alpha) for k in ks}
+    les = order_log_evidences({k: transition_counts(seq, k) for k in ks}, priors)
+    return rank_orders(ks, les, [order_log_prior(k, seq.alphabet_size, kind) for k in ks])

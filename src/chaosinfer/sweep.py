@@ -12,20 +12,30 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .counts import MAX_TABLE_ENTRIES, CountTable, grid_transition_counts, transition_counts
 from .dynamics import MAP_FAMILIES, MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
 from .entropy import expected_info
-from .inference import log_evidence, uniform_prior
-from .order_select import ORDER_PRIOR_KINDS, order_log_prior, rank_orders
+from .inference import uniform_prior
+from .order_select import (
+    ORDER_PRIOR_KINDS,
+    order_log_evidences,
+    order_log_prior,
+    posterior_over_orders,
+)
 from .symbolize import decision_grid, symbolize
 
 FORMAT_CHOICES = ("csv", "json")
 
-# A shared series is counted for blocks of decision points at once; a block
-# holds at most this many order-k_max table entries.
+# Decision points are counted and scored a block at a time; a block holds at
+# most this many order-k_max table entries, which bounds its temporaries.
 GRID_BLOCK_ENTRIES = 1 << 16
+# The top-of-range warning names at most this many decision points.
+TOP_OF_RANGE_SHOWN = 5
 
 
 class ConfigError(ValueError):
@@ -145,10 +155,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full experiment described by `config`.
 
     One trajectory is shared across all decision points unless
-    regenerate_per_d is set (then point i uses seed + 1 + i).  Rows are
-    independent: a failure of the inference at one decision point is recorded
-    on its row and does not abort the sweep.  Fully deterministic given the
-    seed.
+    regenerate_per_d is set (then point i uses seed + 1 + i).  Decision points
+    are counted and scored a block at a time.  Rows are independent: a
+    failure of the inference at one decision point is recorded on its row and
+    does not abort the sweep.  Rows that select the top order of the range
+    are reported in one RuntimeWarning.  Fully deterministic given the seed.
     """
     config.validate()
     map_spec = MapSpec(config.family, config.r)
@@ -159,67 +170,102 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     log_priors = [order_log_prior(k, 2, config.order_prior) for k in orders]
     priors = {k: uniform_prior(k, 2, config.alpha) for k in orders}
     want_detail = config.detail_path is not None
+    parts = decision_grid(config.grid)
+    block = max(1, GRID_BLOCK_ENTRIES >> (orders[-1] + 1))
+    args = (orders, log_priors, priors, want_detail)
 
     rows: list[SweepRow] = []
     detail: list[DetailRow] = []
-    for d, tables in _count_tables(config, map_spec, noise, base, orders):
+    for start in range(0, len(parts), block):
+        block_parts = parts[start:start + block]
+        ds = [part.decision_point for part in block_parts]
+        tables = _block_counts(config, map_spec, noise, base, start, block_parts, orders)
         try:
-            row, drows = _sweep_point(d, tables, orders, log_priors, priors, want_detail)
-        except Exception as exc:
-            nan = float("nan")
-            blank = tuple(nan for _ in orders)
-            row = SweepRow(d, None, nan, nan, nan, blank, blank, str(exc))
-            drows = []
-        rows.append(row)
-        detail.extend(drows)
+            block_rows, block_detail = _score(ds, tables, *args)
+        except Exception:
+            block_rows, block_detail = _score_each(ds, tables, *args)
+        rows += block_rows
+        detail += block_detail
+    _warn_top_of_range(rows, orders)
     return SweepResult(config=config, lyapunov_bits=lam, rows=tuple(rows), detail=tuple(detail))
 
 
-def _count_tables(config, map_spec, noise, base, orders):
-    """Yield (decision point, {k: CountTable}) in grid order.
+def _block_counts(config, map_spec, noise, base, start, parts, orders):
+    """{k: CountTable stacking the order-k tables of a block of decision points}.
 
-    A fresh series per point is symbolized and counted for its point alone.
-    The shared series is counted by grid_transition_counts for a block of
-    points at a time, whose rows are handed out before the next block starts.
+    The shared series is counted by grid_transition_counts in one pass.  With
+    regenerate_per_d, point start + i gets its own series, symbolized and
+    counted for that point alone.
     """
-    parts = decision_grid(config.grid)
-    if config.regenerate_per_d:
-        for i, part in enumerate(parts):
-            traj = generate_trajectory(
-                map_spec, noise, config.n, config.transient, config.seed + 1 + i
-            )
-            seq = symbolize(traj, part)
-            yield part.decision_point, {k: transition_counts(seq, k) for k in orders}
-        return
-    block = max(1, GRID_BLOCK_ENTRIES >> (orders[-1] + 1))
-    for start in range(0, len(parts), block):
-        ds = [part.decision_point for part in parts[start:start + block]]
-        stacked = grid_transition_counts(base.states, ds, orders)
-        for i, d in enumerate(ds):
-            yield d, {k: CountTable(k, 2, stacked[k][i].reshape(-1, 2)) for k in orders}
+    if not config.regenerate_per_d:
+        stacked = grid_transition_counts(base.states, [p.decision_point for p in parts], orders)
+        return {k: CountTable(k, 2, stacked[k].reshape(len(parts), -1, 2)) for k in orders}
+    tables = {k: np.empty((len(parts), 2**k, 2), dtype=np.int64) for k in orders}
+    for i, part in enumerate(parts):
+        traj = generate_trajectory(
+            map_spec, noise, config.n, config.transient, config.seed + 1 + start + i
+        )
+        seq = symbolize(traj, part)
+        for k in orders:
+            tables[k][i] = transition_counts(seq, k).table
+    return {k: CountTable(k, 2, table) for k, table in tables.items()}
 
 
-def _sweep_point(d, tables, orders, log_priors, priors, want_detail):
-    les = [log_evidence(tables[k], priors[k]).value for k in orders]
-    ranking = rank_orders(orders, les, log_priors)
-    est = expected_info(tables[ranking.selected], priors[ranking.selected])
-    row = SweepRow(
-        d=d,
-        k_selected=ranking.selected,
-        h_expected_bits=est.expected_info,
-        h_rate_q_bits=est.h_rate_q,
-        kl_correction_bits=est.kl_correction,
-        log_evidence=ranking.log_evidence,
-        p_order=ranking.posterior,
-    )
-    drows = []
-    if want_detail:
-        for k, le, p_k in zip(orders, ranking.log_evidence, ranking.posterior):
-            e = expected_info(tables[k], priors[k])
-            drows.append(
-                DetailRow(d, k, e.expected_info, e.h_rate_q, e.kl_correction, le, p_k)
+def _score(ds, tables, orders, log_priors, priors, want_detail):
+    """Summary rows, and detail rows if wanted, of a block of decision points.
+
+    `tables` maps each order to the stacked count tables of the points `ds`.
+    Entropy is estimated at every order for detail rows, otherwise at the
+    orders some point selected, so that a summary row fails only when the
+    estimate at its own order does.
+    """
+    les = order_log_evidences(tables, priors)
+    post, best = posterior_over_orders(les, log_priors)
+    les, post, best = les.tolist(), post.tolist(), best.tolist()
+    # est[j][i]: (expected_info, h_rate_q, kl_correction) of point i at order orders[j]
+    est = {}
+    for j in range(len(orders)) if want_detail else sorted(set(best)):
+        e = expected_info(tables[orders[j]], priors[orders[j]])
+        est[j] = list(zip(e.expected_info.tolist(), e.h_rate_q.tolist(),
+                          e.kl_correction.tolist()))
+    rows, drows = [], []
+    for i, d in enumerate(ds):
+        sel = best[i]
+        rows.append(SweepRow(d, orders[sel], *est[sel][i], tuple(les[i]), tuple(post[i])))
+        if want_detail:
+            drows.extend(
+                DetailRow(d, k, *est[j][i], les[i][j], post[i][j]) for j, k in enumerate(orders)
             )
-    return row, drows
+    return rows, drows
+
+
+def _score_each(ds, tables, orders, *args):
+    """_score one point at a time; a point that fails gets a row carrying its error."""
+    rows, drows = [], []
+    for i, d in enumerate(ds):
+        one = {k: CountTable(k, 2, t.table[i:i + 1]) for k, t in tables.items()}
+        try:
+            row, more = _score([d], one, orders, *args)
+        except Exception as exc:
+            nan = float("nan")
+            blank = tuple(nan for _ in orders)
+            row, more = [SweepRow(d, None, nan, nan, nan, blank, blank, str(exc))], []
+        rows += row
+        drows += more
+    return rows, drows
+
+
+def _warn_top_of_range(rows, orders) -> None:
+    top = [row.d for row in rows if row.k_selected == orders[-1]]
+    if len(orders) > 1 and top:
+        shown = ", ".join(f"{d:g}" for d in top[:TOP_OF_RANGE_SHOWN])
+        more = ", ..." if len(top) > TOP_OF_RANGE_SHOWN else ""
+        warnings.warn(
+            f"{len(top)} of {len(rows)} decision points selected order {orders[-1]}, the top "
+            f"of the range (d = {shown}{more}); the range may be truncating the true order",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 def csv_header(config: SweepConfig) -> list[str]:
@@ -317,11 +363,13 @@ def _as_json(result: SweepResult) -> dict:
         }
         for row in result.rows
     ]
+    names = [field.name for field in dataclasses.fields(DetailRow)]
     return {
         "config": dataclasses.asdict(result.config),
         "lyapunov_bits": result.lyapunov_bits,
         "rows": rows,
-        "detail": [dataclasses.asdict(dr) for dr in result.detail],
+        # A shallow dict per row: dataclasses.asdict would deep-copy every field.
+        "detail": [{name: getattr(dr, name) for name in names} for dr in result.detail],
     }
 
 

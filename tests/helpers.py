@@ -3,9 +3,9 @@
 Every oracle here avoids the code path it checks: the digamma reference uses
 mpmath at high precision, the evidence oracles use only counting, division,
 and Monte-Carlo draws, and the information-rate oracle averages log
-probabilities over posterior samples.  The sweep oracle symbolizes and
-counts every decision point on its own, as the sweep did before it shared
-one counting pass across the grid.
+probabilities over posterior samples.  The sweep oracle symbolizes, counts
+and scores every decision point on its own, one table at a time, where the
+sweep counts and scores blocks of decision points at once.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ import math
 
 import mpmath
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import gammaln
 
 from chaosinfer.counts import transition_counts
 from chaosinfer.dynamics import MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
@@ -47,6 +50,34 @@ def sequential_log_evidence(symbols, order: int, alpha: float = 1.0, alphabet_si
         total += math.log((row[s] + alpha) / (sum(row) + alpha * alphabet_size))
         row[s] += 1.0
     return total
+
+
+def visited_log_evidence(table: np.ndarray, alpha: float) -> float:
+    """Closed-form log evidence of one table under a symmetric prior, summed
+    over the visited contexts alone (unvisited ones contribute exactly 0)."""
+    table = np.asarray(table)
+    a = np.full(table.shape, float(alpha))
+    na = table + a
+    per_context = (
+        gammaln(a.sum(axis=1))
+        - gammaln(a).sum(axis=1)
+        + gammaln(na).sum(axis=1)
+        - gammaln(na.sum(axis=1))
+    )
+    return float(per_context[table.sum(axis=1) > 0].sum())
+
+
+ALPHAS = st.sampled_from([0.5, 1.0, 2.7])
+
+
+def count_stack(order: int, rows: int):
+    """Strategy: int64 binary transition counts of shape (rows, 2**order, 2),
+    with a random set of contexts left unvisited."""
+    shape = (rows, 2**order, 2)
+    return st.tuples(
+        hnp.arrays(np.int64, shape, elements=st.integers(0, 60)),
+        hnp.arrays(np.bool_, shape[:2]),
+    ).map(lambda drawn: np.where(drawn[1][..., None], 0, drawn[0]))
 
 
 def mc_evidence(table: np.ndarray, alpha: float, n_samples: int,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosinfer.dynamics import (
+    MAX_SIGMA,
     MapSpec,
     NoiseSpec,
     Trajectory,
@@ -109,6 +110,16 @@ def test_reflect_equals_bouncing_fold(x):
 def test_huge_noise_stays_in_unit_interval():
     traj = generate_trajectory(MapSpec(), NoiseSpec(1e17), n=200, transient=10, seed=3)
     assert np.all((traj.states >= 0.0) & (traj.states <= 1.0))
+
+
+def test_largest_accepted_noise_stays_finite_and_in_unit_interval():
+    with np.errstate(over="raise", invalid="raise"):
+        for seed in range(5):
+            traj = generate_trajectory(MapSpec(), NoiseSpec(MAX_SIGMA), n=200, transient=10,
+                                       seed=seed)
+            assert np.all((traj.states >= 0.0) & (traj.states <= 1.0))
+    with pytest.raises(ValueError):
+        NoiseSpec(float(np.nextafter(MAX_SIGMA, np.inf)))
 
 
 def test_lyapunov_chaotic_benchmark():

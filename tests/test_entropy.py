@@ -14,7 +14,7 @@ from chaosinfer.entropy import (
 )
 from chaosinfer.inference import uniform_prior
 from chaosinfer.symbolize import SymbolSequence
-from helpers import mc_expected_info, reference_digamma
+from helpers import ALPHAS, count_stack, mc_expected_info, reference_digamma
 
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
@@ -52,6 +52,14 @@ def test_digamma_domain_error():
         digamma(float("nan"))
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_digamma_domain_error_anywhere_in_a_stack(bad):
+    xs = np.full((3, 4, 2), 2.5)
+    xs[1, 2, 1] = bad
+    with pytest.raises(ValueError):
+        digamma(xs)
+
+
 def test_digamma_vectorized():
     xs = np.array([0.5, 1.0, 2.0])
     out = digamma(xs)
@@ -83,6 +91,20 @@ def test_pme_beta_is_mass_plus_prior(data, order):
     assert q.beta == pytest.approx(len(data) - order + 2 ** (order + 1), abs=1e-9)
     assert abs(q.context_weights.sum() - 1.0) <= 1e-12
     assert np.all(np.abs(q.transition_probs.sum(axis=1) - 1.0) <= 1e-12)
+
+
+@given(data=st.data(), order=st.integers(0, 4), rows=st.integers(1, 5), alpha=ALPHAS)
+def test_stacked_estimates_equal_per_table_calls(data, order, rows, alpha):
+    table = data.draw(count_stack(order, rows))
+    prior = uniform_prior(order, 2, alpha)
+    for estimate in (expected_info, asymptotic_info):
+        stacked = estimate(CountTable(order, 2, table), prior)
+        singles = [estimate(CountTable(order, 2, t), prior) for t in table]
+        for name in ("expected_info", "h_rate_q", "kl_correction"):
+            column = getattr(stacked, name)
+            assert isinstance(column, np.ndarray) and column.shape == (rows,)
+            assert column.tolist() == [getattr(one, name) for one in singles]
+            assert all(isinstance(getattr(one, name), float) for one in singles)
 
 
 def test_expected_info_zero_data_analytic():

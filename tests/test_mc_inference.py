@@ -15,7 +15,13 @@ from chaosinfer.inference import (
     uniform_prior,
 )
 from chaosinfer.symbolize import SymbolSequence
-from helpers import mc_evidence, sequential_log_evidence
+from helpers import (
+    ALPHAS,
+    count_stack,
+    mc_evidence,
+    sequential_log_evidence,
+    visited_log_evidence,
+)
 
 
 def bits(text: str) -> SymbolSequence:
@@ -85,6 +91,20 @@ def test_log_evidence_constant_run():
 def test_log_evidence_order_one_unvisited_context_contributes_nothing():
     lev = log_evidence(transition_counts(bits("000"), 1), uniform_prior(1, 2))
     assert lev.value == pytest.approx(math.log(1.0 / 3.0), abs=1e-12)
+
+
+@given(data=st.data(), order=st.integers(0, 4), rows=st.integers(1, 5), alpha=ALPHAS)
+def test_stacked_log_evidence_equals_per_table_calls(data, order, rows, alpha):
+    table = data.draw(count_stack(order, rows))
+    prior = uniform_prior(order, 2, alpha)
+    stacked = log_evidence(CountTable(order, 2, table), prior)
+    singles = [log_evidence(CountTable(order, 2, t), prior).value for t in table]
+    assert stacked.order == order
+    assert isinstance(stacked.value, np.ndarray) and stacked.value.shape == (rows,)
+    assert all(isinstance(v, float) for v in singles)
+    assert stacked.value.tolist() == singles
+    for got, t in zip(singles, table):
+        assert math.isclose(got, visited_log_evidence(t, alpha), rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_log_evidence_mismatched_prior_rejected():

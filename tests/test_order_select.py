@@ -1,13 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
+from helpers import ALPHAS, count_stack
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chaosinfer.counts import CountTable
+from chaosinfer.inference import uniform_prior
 from chaosinfer.order_select import (
+    ORDER_PRIOR_KINDS,
     OrderRange,
     model_size,
+    order_log_evidences,
     order_log_prior,
     order_posterior,
+    posterior_over_orders,
     rank_orders,
 )
 from chaosinfer.symbolize import SymbolSequence
@@ -70,6 +78,32 @@ def test_rank_orders_posterior_normalized(scores, priors):
     ranking = rank_orders(range(m), scores[:m], priors[:m])
     assert abs(sum(ranking.posterior) - 1.0) <= 1e-12
     assert ranking.selected in ranking.orders
+
+
+@given(
+    data=st.data(),
+    k_max=st.integers(0, 4),
+    rows=st.integers(1, 5),
+    alpha=ALPHAS,
+    kind=st.sampled_from(ORDER_PRIOR_KINDS),
+)
+def test_stacked_order_scoring_equals_per_row_rankings(data, k_max, rows, alpha, kind):
+    orders = range(k_max + 1)
+    tables = {k: CountTable(k, 2, data.draw(count_stack(k, rows))) for k in orders}
+    priors = {k: uniform_prior(k, 2, alpha) for k in orders}
+    log_priors = [order_log_prior(k, 2, kind) for k in orders]
+    les = order_log_evidences(tables, priors)
+    post, best = posterior_over_orders(les, log_priors)
+    assert les.shape == post.shape == (rows, k_max + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for i in range(rows):
+            row = order_log_evidences({k: CountTable(k, 2, t.table[i]) for k, t in tables.items()},
+                                      priors)
+            ranking = rank_orders(orders, row, log_priors)
+            assert les[i].tolist() == list(ranking.log_evidence)
+            assert post[i].tolist() == list(ranking.posterior)
+            assert orders[best[i]] == ranking.selected
 
 
 def test_periodic_sequence_selects_order_one():

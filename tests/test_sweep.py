@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,20 @@ def test_partial_block_case_spans_two_blocks():
     cfg = ORACLE_CASES["partial_block"]
     block = GRID_BLOCK_ENTRIES >> (cfg.k_max + 1)
     assert block < cfg.grid < 2 * block
+
+
+def test_top_of_range_rows_are_reported_in_one_warning():
+    with pytest.warns(RuntimeWarning, match="top of the range") as record:
+        result = run_sweep(SMALL)
+    top = [row.d for row in result.rows if row.k_selected == SMALL.k_max]
+    assert top, "SMALL selects its top order at some decision points"
+    messages = [str(w.message) for w in record if "top of the range" in str(w.message)]
+    assert len(messages) == 1
+    assert messages[0].startswith(f"{len(top)} of {SMALL.grid} decision points selected order 3")
+    assert f"d = {top[0]:g}" in messages[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_sweep(dataclasses.replace(SMALL, k_min=SMALL.k_max))  # one order: no warning
 
 
 def test_emit_csv_schema_and_row_count(tmp_path, small_result):
@@ -282,6 +297,7 @@ def test_cli_exit_code_on_config_errors(capsys):
     assert main(["--alpha", "inf"]) == 1
     assert main(["--seed", "-1"]) == 1
     assert main(["--k-max", "27", "--n", "100", "--grid", "3"]) == 1
+    assert main(["--sigma", "1e308", "--n", "100", "--grid", "3"]) == 1
     assert "config error" in capsys.readouterr().err
 
 
