@@ -7,6 +7,7 @@ serialize to CSV or JSON; JSON round-trips losslessly back to SweepResult.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -14,6 +15,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from operator import getitem
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .entropy import expected_info
 from .inference import uniform_prior
 from .order_select import (
     ORDER_PRIOR_KINDS,
+    OrderRange,
     order_log_evidences,
     order_log_prior,
     posterior_over_orders,
@@ -93,6 +96,7 @@ class SweepConfig:
         try:
             MapSpec(self.family, self.r)
             NoiseSpec(self.sigma)
+            OrderRange(self.k_min, self.k_max)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.seed < 0:
@@ -103,8 +107,6 @@ class SweepConfig:
             raise ConfigError(f"transient={self.transient} must be >= 0")
         if self.grid < 2:
             raise ConfigError(f"grid={self.grid} must be >= 2")
-        if not 0 <= self.k_min <= self.k_max:
-            raise ConfigError(f"need 0 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if 2 ** (self.k_max + 1) > MAX_TABLE_ENTRIES:
             raise ConfigError(
                 f"k_max={self.k_max} needs {2 ** (self.k_max + 1)} table entries per decision "
@@ -164,7 +166,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     config.validate()
     map_spec = MapSpec(config.family, config.r)
     noise = NoiseSpec(config.sigma)
-    orders = tuple(range(config.k_min, config.k_max + 1))
+    orders = tuple(OrderRange(config.k_min, config.k_max).orders())
     base = generate_trajectory(map_spec, noise, config.n, config.transient, config.seed)
     lam = lyapunov_exponent(map_spec, base)
     log_priors = [order_log_prior(k, 2, config.order_prior) for k in orders]
@@ -268,133 +270,137 @@ def _warn_top_of_range(rows, orders) -> None:
         )
 
 
+# (name, per_order, is_float) of each field, read from its annotation: a
+# tuple[float, ...] field holds one float per order, a float field one float.
+_FIELDS = {
+    cls: [(f.name, f.type.startswith("tuple["), f.type == "float") for f in dataclasses.fields(cls)]
+    for cls in (SweepConfig, SweepRow, DetailRow)
+}
+
+
+def _header(cls, orders=()) -> list[str]:
+    """CSV column names of `cls`: a per-order field is one column {name}_k{k} per order."""
+    header = []
+    for name, per_order, _ in _FIELDS[cls]:
+        header += [f"{name}_k{k}" for k in orders] if per_order else [name]
+    return header
+
+
 def csv_header(config: SweepConfig) -> list[str]:
-    ks = range(config.k_min, config.k_max + 1)
-    return (
-        ["d", "k_selected", "h_expected_bits", "h_rate_q_bits", "kl_correction_bits"]
-        + [f"log_evidence_k{k}" for k in ks]
-        + [f"p_order_k{k}" for k in ks]
-        + ["error"]
-    )
+    return _header(SweepRow, OrderRange(config.k_min, config.k_max).orders())
 
 
-def _fmt(value) -> str:
-    # repr of a float is the shortest string that parses back exactly.
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    return str(value)
+def _json_float(value: float):
+    """A float as strict JSON: itself if finite, None for NaN, "inf" or "-inf" otherwise."""
+    if math.isfinite(value):
+        return value
+    return None if math.isnan(value) else str(value)
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+def _read_float(value) -> float:
+    return math.nan if value is None else float(value)
+
+
+def _values(cls, source, get, convert) -> dict:
+    """{field: get(source, field)} of `cls`, with `convert` applied to each
+    float; a per-order field becomes a tuple (a list in JSON)."""
+    values = {}
+    for name, per_order, is_float in _FIELDS[cls]:
+        value = get(source, name)
+        if per_order:
+            value = tuple(map(convert, value))
+        elif is_float:
+            value = convert(value)
+        values[name] = value
+    return values
+
+
+def _cells(row) -> list:
+    """A row's CSV cells: its fields in field order, each float by _json_float
+    and a per-order tuple spread over one cell per order.  Not built from
+    _values, whose dict would have to be spread again for every detail row."""
+    cells = []
+    for name, per_order, is_float in _FIELDS[type(row)]:
+        value = getattr(row, name)
+        if per_order:
+            cells += map(_json_float, value)
+        elif is_float:
+            cells.append(_json_float(value))
+        else:
+            cells.append(value)
+    return cells
+
+
+def _write_csv(fh, header: list[str], rows) -> None:
+    # csv.writer writes None as an empty cell and a float as its repr.
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_cells, rows))
+
+
+def _dump_json(result: SweepResult, fh) -> None:
+    obj = {
+        "config": _values(SweepConfig, result.config, getattr, _json_float),
+        "lyapunov_bits": _json_float(result.lyapunov_bits),
+        "rows": [_values(SweepRow, row, getattr, _json_float) for row in result.rows],
+        "detail": [_values(DetailRow, dr, getattr, _json_float) for dr in result.detail],
+    }
+    json.dump(obj, fh, indent=2, allow_nan=False)
+    fh.write("\n")
+
+
+def _write_file(path: str, write) -> None:
+    """Create `path` with write(fh) in a temporary file beside it that replaces
+    `path` only once complete, so a failure never leaves a truncated file.  It
+    keeps the permission bits open(path, "w") gives: those of a replaced file.
+    As with open(), a symlink is written through, and a device or pipe such as
+    /dev/null, which cannot be replaced, is written to in place."""
+    try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        target = os.path.realpath(path)
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+            return
+        tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+        try:
+            with open(tmp, "x", encoding="utf-8", newline="") as fh:
+                with contextlib.suppress(FileNotFoundError):
+                    os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+                write(fh)
+            os.replace(tmp, target)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)  # only left when something failed
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc}") from exc
 
 
 def emit(result: SweepResult, out_format: str, path: str) -> None:
     """Write the sweep summary as CSV or JSON at `path`."""
     if out_format not in FORMAT_CHOICES:
         raise ConfigError(f"format {out_format!r} must be one of {FORMAT_CHOICES}")
-    try:
-        _ensure_parent(path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if out_format == "csv":
-                _write_csv(result, fh)
-            else:
-                json.dump(_as_json(result), fh, indent=2)
-                fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path!r}: {exc}") from exc
+    if out_format == "csv":
+        _write_file(path, lambda fh: _write_csv(fh, csv_header(result.config), result.rows))
+    else:
+        _write_file(path, lambda fh: _dump_json(result, fh))
 
 
 def emit_detail(result: SweepResult, path: str) -> None:
     """Write per-(decision point, order) entropy estimates as CSV at `path`."""
-    try:
-        _ensure_parent(path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["d", "k", "h_expected_bits", "h_rate_q_bits", "kl_correction_bits",
-                 "log_evidence", "p_order"]
-            )
-            for dr in result.detail:
-                writer.writerow(
-                    [_fmt(dr.d), _fmt(dr.k), _fmt(dr.h_expected_bits), _fmt(dr.h_rate_q_bits),
-                     _fmt(dr.kl_correction_bits), _fmt(dr.log_evidence), _fmt(dr.p_order)]
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write {path!r}: {exc}") from exc
-
-
-def _write_csv(result: SweepResult, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(csv_header(result.config))
-    for row in result.rows:
-        writer.writerow(
-            [_fmt(row.d), _fmt(row.k_selected), _fmt(row.h_expected_bits),
-             _fmt(row.h_rate_q_bits), _fmt(row.kl_correction_bits)]
-            + [_fmt(v) for v in row.log_evidence]
-            + [_fmt(v) for v in row.p_order]
-            + [row.error or ""]
-        )
-
-
-def _none_if_nan(value: float):
-    return None if math.isnan(value) else value
-
-
-def _nan_if_none(value) -> float:
-    return float("nan") if value is None else float(value)
-
-
-def _as_json(result: SweepResult) -> dict:
-    rows = [
-        {
-            "d": row.d,
-            "k_selected": row.k_selected,
-            "h_expected_bits": _none_if_nan(row.h_expected_bits),
-            "h_rate_q_bits": _none_if_nan(row.h_rate_q_bits),
-            "kl_correction_bits": _none_if_nan(row.kl_correction_bits),
-            "log_evidence": [_none_if_nan(v) for v in row.log_evidence],
-            "p_order": [_none_if_nan(v) for v in row.p_order],
-            "error": row.error,
-        }
-        for row in result.rows
-    ]
-    names = [field.name for field in dataclasses.fields(DetailRow)]
-    return {
-        "config": dataclasses.asdict(result.config),
-        "lyapunov_bits": result.lyapunov_bits,
-        "rows": rows,
-        # A shallow dict per row: dataclasses.asdict would deep-copy every field.
-        "detail": [{name: getattr(dr, name) for name in names} for dr in result.detail],
-    }
+    _write_file(path, lambda fh: _write_csv(fh, _header(DetailRow), result.detail))
 
 
 def load_sweep_json(path: str) -> SweepResult:
     """Reload a JSON summary written by emit()."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    config = SweepConfig(**obj["config"])
-    rows = tuple(
-        SweepRow(
-            d=float(row["d"]),
-            k_selected=row["k_selected"],
-            h_expected_bits=_nan_if_none(row["h_expected_bits"]),
-            h_rate_q_bits=_nan_if_none(row["h_rate_q_bits"]),
-            kl_correction_bits=_nan_if_none(row["kl_correction_bits"]),
-            log_evidence=tuple(_nan_if_none(v) for v in row["log_evidence"]),
-            p_order=tuple(_nan_if_none(v) for v in row["p_order"]),
-            error=row["error"],
-        )
-        for row in obj["rows"]
-    )
-    detail = tuple(DetailRow(**dr) for dr in obj["detail"])
     return SweepResult(
-        config=config,
-        lyapunov_bits=float(obj["lyapunov_bits"]),
-        rows=rows,
-        detail=detail,
+        config=SweepConfig(**_values(SweepConfig, obj["config"], getitem, _read_float)),
+        lyapunov_bits=_read_float(obj["lyapunov_bits"]),
+        rows=tuple(SweepRow(**_values(SweepRow, r, getitem, _read_float)) for r in obj["rows"]),
+        detail=tuple(DetailRow(**_values(DetailRow, r, getitem, _read_float))
+                     for r in obj["detail"]),
     )

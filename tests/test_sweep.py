@@ -1,5 +1,14 @@
+import csv
 import dataclasses
+import json
+import math
+import os
+import runpy
+import stat
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +27,29 @@ from chaosinfer.sweep import (
 )
 
 SMALL = SweepConfig(n=1500, transient=100, seed=5, grid=11, k_min=1, k_max=3)
+DETAIL_HEADER = ["d", "k", "h_expected_bits", "h_rate_q_bits", "kl_correction_bits",
+                 "log_evidence", "p_order"]
+
+
+def assert_csv_holds(path, header, rows):
+    """Every cell of the CSV at `path` equals its row's field exactly; a blank
+    cell stands for None or NaN, and a per-order tuple spans its columns."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == header
+    assert len(table) == len(rows) + 1
+    for cells, row in zip(table[1:], rows):
+        values = []
+        for field in dataclasses.fields(row):
+            value = getattr(row, field.name)
+            values += value if isinstance(value, tuple) else [value]
+        assert len(cells) == len(values) == len(header)
+        for cell, value in zip(cells, values):
+            if cell == "":
+                assert value is None or (isinstance(value, float) and math.isnan(value))
+            else:
+                assert type(value)(cell) == value, (cell, value)
+    return table
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +146,11 @@ def test_emit_csv_schema_and_row_count(tmp_path, small_result):
 def test_emit_csv_floats_round_trip(tmp_path, small_result):
     path = tmp_path / "out.csv"
     emit(small_result, "csv", str(path))
-    line = path.read_text().splitlines()[6]
-    cells = line.split(",")
-    row = small_result.rows[5]
-    assert float(cells[0]) == row.d
-    assert float(cells[2]) == row.h_expected_bits
-    assert float(cells[5]) == row.log_evidence[0]
+    header = ["d", "k_selected", "h_expected_bits", "h_rate_q_bits", "kl_correction_bits",
+              "log_evidence_k1", "log_evidence_k2", "log_evidence_k3",
+              "p_order_k1", "p_order_k2", "p_order_k3", "error"]
+    assert csv_header(SMALL) == header
+    assert_csv_holds(path, header, small_result.rows)
 
 
 def test_emit_json_round_trip(tmp_path, small_result):
@@ -127,6 +158,129 @@ def test_emit_json_round_trip(tmp_path, small_result):
     emit(small_result, "json", str(path))
     loaded = load_sweep_json(str(path))
     assert loaded == small_result
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_json_is_strict_and_keeps_infinite_values(tmp_path):
+    # A superstable fixed point makes the Lyapunov estimate -inf.
+    path = tmp_path / "out.json"
+    argv = ["--r", "2", "--sigma", "0", "--n", "500", "--grid", "5", "--k-max", "2",
+            "--format", "json", "--out", str(path)]
+    assert main(argv) == 0
+    obj = json.loads(path.read_text(), parse_constant=_no_constants)
+    assert obj["lyapunov_bits"] == "-inf"
+    loaded = load_sweep_json(str(path))
+    assert loaded.lyapunov_bits == -math.inf
+    assert loaded.rows == run_sweep(parse_config(argv)).rows
+
+
+def test_json_reemits_non_finite_values_to_the_same_bytes(tmp_path):
+    cfg = SweepConfig(n=900, transient=50, seed=2, grid=4, k_min=1, k_max=3,
+                      detail_path="detail.csv")
+    result = run_sweep(cfg)
+    nan = math.nan
+    detail = list(result.detail)
+    detail[0] = dataclasses.replace(detail[0], h_expected_bits=nan, log_evidence=-math.inf)
+    detail[5] = dataclasses.replace(detail[5], p_order=nan, h_rate_q_bits=math.inf)
+    rows = list(result.rows)
+    rows[1] = dataclasses.replace(rows[1], kl_correction_bits=nan, p_order=(nan, math.inf, 0.5))
+    result = dataclasses.replace(result, rows=tuple(rows), detail=tuple(detail))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    emit(result, "json", str(first))
+    text = first.read_text()
+    json.loads(text, parse_constant=_no_constants)
+    # four NaNs, plus the error of each row
+    assert text.count("null") == 4 + len(rows)
+    assert text.count('"inf"') == 2 and text.count('"-inf"') == 1
+    loaded = load_sweep_json(str(first))
+    assert math.isnan(loaded.detail[0].h_expected_bits)
+    assert loaded.detail[0].log_evidence == -math.inf
+    assert loaded.rows[1].p_order[1] == math.inf
+    emit(loaded, "json", str(second))
+    assert second.read_bytes() == first.read_bytes()
+    emit_detail(result, str(tmp_path / "detail.csv"))
+    assert_csv_holds(tmp_path / "detail.csv", DETAIL_HEADER, result.detail)
+
+
+WRITES = {
+    "csv": lambda result, path: emit(result, "csv", path),
+    "json": lambda result, path: emit(result, "json", path),
+    "detail": emit_detail,
+}
+
+
+class Unwritable:
+    """A cell value that neither csv nor json can write."""
+
+    def __str__(self):
+        raise RuntimeError("failed part way")
+
+    __repr__ = __str__
+
+
+@pytest.mark.parametrize("write", WRITES)
+def test_failed_write_leaves_the_previous_file(tmp_path, write):
+    result = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
+    rows, detail = list(result.rows), list(result.detail)
+    rows[5] = dataclasses.replace(rows[5], error=Unwritable())
+    detail[5] = dataclasses.replace(detail[5], k=Unwritable())
+    result = dataclasses.replace(result, rows=tuple(rows), detail=tuple(detail))
+    path = tmp_path / "out"
+    path.write_text("previous\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        WRITES[write](result, str(path))
+    assert path.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_emit_keeps_the_permission_bits_of_open(tmp_path, small_result):
+    def mode(path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+
+    with open(tmp_path / "plain.csv", "w"):
+        pass
+    path = tmp_path / "out.csv"
+    emit(small_result, "csv", str(path))
+    assert mode(path) == mode(tmp_path / "plain.csv")
+    os.chmod(path, 0o640)
+    emit(small_result, "json", str(path))
+    assert mode(path) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "plain.csv"]
+
+
+def test_emit_writes_through_a_symlink_and_into_a_pipe(tmp_path, small_result):
+    emit(small_result, "csv", str(tmp_path / "expected.csv"))
+    expected = (tmp_path / "expected.csv").read_text()
+    link, pipe = tmp_path / "link.csv", tmp_path / "pipe"
+    link.symlink_to("real.csv")
+    emit(small_result, "csv", str(link))
+    assert link.is_symlink() and (tmp_path / "real.csv").read_text() == expected
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    emit(small_result, "csv", str(pipe))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [expected] and stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["expected.csv", "link.csv", "pipe", "real.csv"]
+
+
+def test_instrument_sweep_script(monkeypatch, tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_instrument_sweep.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--n", "600", "--grid", "5",
+                                      "--out-dir", str(tmp_path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_path(str(script), run_name="__main__")
+    assert sorted(os.listdir(tmp_path)) == ["sweep.csv", "sweep.json", "sweep_detail.csv"]
+    loaded = load_sweep_json(str(tmp_path / "sweep.json"))
+    assert len(loaded.rows) == 5 and loaded.config.n == 600
+    assert len(loaded.detail) == 5 * len(range(loaded.config.k_min, loaded.config.k_max + 1))
+    assert "wrote 5 rows" in capsys.readouterr().out
 
 
 def test_emit_rejects_unknown_format(tmp_path, small_result):
@@ -143,6 +297,13 @@ def test_emit_detail_rows(tmp_path):
     lines = (tmp_path / "detail.csv").read_text().splitlines()
     assert len(lines) == 4 * 3 + 1
     assert lines[0].split(",")[:2] == ["d", "k"]
+    table = assert_csv_holds(tmp_path / "detail.csv", DETAIL_HEADER, result.detail)
+    emit(result, "json", str(tmp_path / "out.json"))
+    detail = json.loads((tmp_path / "out.json").read_text())["detail"]
+    assert [list(dr) for dr in detail] == [DETAIL_HEADER] * len(result.detail)
+    assert [[float(v) for v in dr.values()] for dr in detail] == [
+        [float(cell) for cell in cells] for cells in table[1:]
+    ]
 
 
 def test_failed_rows_are_marked_without_aborting(monkeypatch, tmp_path):
@@ -173,11 +334,20 @@ def test_failed_rows_are_marked_without_aborting(monkeypatch, tmp_path):
     cells = lines[1].split(",")
     assert cells[1] == ""  # k_selected blank on failure
     assert cells[-1] == "forced failure"
+    assert_csv_holds(path, csv_header(cfg), result.rows)
+    emit(result, "json", str(tmp_path / "failed.json"))
+    loaded = load_sweep_json(str(tmp_path / "failed.json"))
+    assert loaded.rows[1:-1] == result.rows[1:-1]
+    assert loaded.rows[0].error == "forced failure" and loaded.rows[0].k_selected is None
+    assert math.isnan(loaded.rows[0].h_expected_bits)
+    assert all(math.isnan(v) for v in loaded.rows[0].log_evidence + loaded.rows[0].p_order)
 
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         SweepConfig(k_min=2, k_max=1).validate()
+    with pytest.raises(ConfigError, match="k_min"):
+        SweepConfig(k_min=-1, k_max=1).validate()
     with pytest.raises(ConfigError):
         SweepConfig(grid=1).validate()
     with pytest.raises(ConfigError):
