@@ -10,6 +10,7 @@ Products (under --out-dir, default results/):
 """
 
 import argparse
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,9 @@ def main() -> None:
     )
     result = run_sweep(config)
     emit(result, "csv", config.out_path)
-    emit(result, "json", str(out / "sweep.json"))
+    # The JSON echoes the config, so it names its own format and path.
+    json_config = dataclasses.replace(config, out_format="json", out_path=str(out / "sweep.json"))
+    emit(dataclasses.replace(result, config=json_config), "json", json_config.out_path)
     emit_detail(result, config.detail_path)
 
     hs = np.array([row.h_expected_bits for row in result.rows])

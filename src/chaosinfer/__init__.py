@@ -3,20 +3,13 @@
 Two-step workflow: pick the binary measurement partition of the unit interval
 that maximizes the information rate of the symbol stream, then infer the most
 compact Markov chain that explains that stream.  Building blocks: noisy map
-simulation with a Lyapunov benchmark, threshold symbolization, word and
-transition counts, closed-form Dirichlet-multinomial evidence, order
-selection under a model-size penalty, and digamma-based entropy-rate
-estimates.
+simulation with a Lyapunov benchmark, threshold symbolization, transition
+counts, closed-form Dirichlet-multinomial evidence, order selection under a
+model-size penalty, and digamma-based entropy-rate estimates.
 """
 
 from .counts import (
     CountTable,
-    WordCounts,
-    block_entropy,
-    count_words,
-    decode_context,
-    encode_context,
-    entropy_rate_L,
     grid_transition_counts,
     transition_counts,
 )
@@ -26,24 +19,18 @@ from .dynamics import (
     Trajectory,
     generate_trajectory,
     lyapunov_exponent,
-    map_apply,
     map_derivative,
 )
 from .entropy import (
     EntropyEstimate,
-    PMEDistribution,
     asymptotic_info,
     digamma,
     expected_info,
-    pme_distribution,
 )
 from .inference import (
     DirichletPrior,
     LogEvidence,
-    MarkovChainParams,
     log_evidence,
-    log_likelihood,
-    posterior_mean,
     uniform_prior,
 )
 from .order_select import (

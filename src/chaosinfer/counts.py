@@ -1,4 +1,4 @@
-"""Sliding-window word statistics, block entropies, and Markov transition counts."""
+"""Markov transition counts, of one symbol sequence or of a whole decision-point grid."""
 
 from __future__ import annotations
 
@@ -16,22 +16,13 @@ _WINDOW_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
-class WordCounts:
-    """Counts of overlapping fixed-length words, keyed by symbol tuple."""
-
-    length: int
-    counts: dict[tuple[int, ...], int]
-    total: int
-
-
-@dataclass(frozen=True)
 class CountTable:
     """Transition counts n(context -> symbol) for one memory length.
 
     Rows index contexts encoded as base-`alphabet_size` integers with the
-    oldest symbol most significant (see encode_context); columns index the
-    next symbol.  A stack of tables for several decision points carries a
-    leading grid axis, shape (G, alphabet_size**order, alphabet_size).
+    oldest symbol most significant; columns index the next symbol.  A stack
+    of tables for several decision points carries a leading grid axis, shape
+    (G, alphabet_size**order, alphabet_size).
     """
 
     order: int
@@ -46,60 +37,6 @@ class CountTable:
     @property
     def total(self) -> int:
         return int(self.table.sum())
-
-
-def encode_context(word, alphabet_size: int) -> int:
-    """Row index of a context word, oldest symbol most significant."""
-    idx = 0
-    for s in word:
-        idx = idx * alphabet_size + int(s)
-    return idx
-
-
-def decode_context(index: int, order: int, alphabet_size: int) -> tuple[int, ...]:
-    """Inverse of encode_context."""
-    word = []
-    for _ in range(order):
-        index, s = divmod(index, alphabet_size)
-        word.append(s)
-    return tuple(reversed(word))
-
-
-def count_words(seq: SymbolSequence, length: int) -> WordCounts:
-    """Count overlapping windows of the given length.
-
-    The empirical probability of a word is its count divided by the window
-    total len(seq) - length + 1.
-    """
-    if length < 1:
-        raise ValueError(f"length={length} must be >= 1")
-    n = len(seq)
-    if n < length:
-        raise ValueError(f"sequence of length {n} too short for words of length {length}")
-    windows = np.lib.stride_tricks.sliding_window_view(seq.symbols, length)
-    uniq, cnt = np.unique(windows, axis=0, return_counts=True)
-    counts = {tuple(int(s) for s in row): int(c) for row, c in zip(uniq, cnt)}
-    return WordCounts(length=length, counts=counts, total=n - length + 1)
-
-
-def block_entropy(wc: WordCounts) -> float:
-    """Shannon entropy (bits) of the empirical word distribution."""
-    if wc.total <= 0:
-        raise ValueError("no words counted")
-    p = np.fromiter(wc.counts.values(), dtype=float) / wc.total
-    return float(-(p * np.log2(p)).sum())
-
-
-def entropy_rate_L(seq: SymbolSequence, length: int) -> float:
-    """Finite-length entropy-rate estimate H_L - H_{L-1}, in bits per symbol.
-
-    H_0 is taken as 0, so length 1 returns the single-symbol entropy.  Both
-    block entropies use windows of the same sequence, whose populations
-    differ at the boundary, so slightly negative values are possible on
-    short samples.
-    """
-    h_prev = block_entropy(count_words(seq, length - 1)) if length > 1 else 0.0
-    return block_entropy(count_words(seq, length)) - h_prev
 
 
 def transition_counts(seq: SymbolSequence, order: int) -> CountTable:

@@ -62,13 +62,6 @@ class Trajectory:
         return len(self.states)
 
 
-def map_apply(spec: MapSpec, x: float) -> float:
-    """Evaluate the map at a single state x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"state x={x} outside [0, 1]")
-    return spec.r * x * (1.0 - x)
-
-
 def map_derivative(spec: MapSpec, x: float | np.ndarray) -> np.ndarray:
     """Slope f'(x) = r - 2*r*x, vectorized over states."""
     return spec.r - 2.0 * spec.r * np.asarray(x, dtype=float)

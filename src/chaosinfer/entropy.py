@@ -29,26 +29,6 @@ def digamma(x):
 
 
 @dataclass(frozen=True)
-class PMEDistribution:
-    """Posterior-mean process estimate.
-
-    Context weights are pseudo-count shares (counts plus prior mass over
-    beta); transition rows are the posterior means; beta is the total
-    posterior pseudo-count mass.
-    """
-
-    order: int
-    alphabet_size: int
-    context_weights: np.ndarray
-    transition_probs: np.ndarray
-    beta: float
-
-    def joint(self) -> np.ndarray:
-        """Joint weight of each (context, next symbol) cell."""
-        return self.context_weights[:, None] * self.transition_probs
-
-
-@dataclass(frozen=True)
 class EntropyEstimate:
     """Entropy-rate estimate in bits per symbol, with its decomposition.
 
@@ -89,19 +69,6 @@ def _plugin_terms(q_ctx, q_joint, beta, alphabet_size):
     n_free = q_joint.shape[-2] * (alphabet_size - 1)
     correction = n_free / (2.0 * beta * _LN2)
     return h_joint - h_ctx, correction
-
-
-def pme_distribution(counts: CountTable, prior: DirichletPrior) -> PMEDistribution:
-    """Assemble the posterior-mean process from counts and pseudo-counts."""
-    post, context_mass, beta, _, _ = _assemble(counts, prior)
-    beta = float(beta)
-    return PMEDistribution(
-        order=counts.order,
-        alphabet_size=counts.alphabet_size,
-        context_weights=context_mass / beta,
-        transition_probs=post / context_mass[:, None],
-        beta=beta,
-    )
 
 
 def expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:

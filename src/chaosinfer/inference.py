@@ -2,8 +2,7 @@
 
 Each context carries an independent Dirichlet prior over its transition row,
 so the likelihood integrates in closed form: the log evidence is a sum of
-Dirichlet-multinomial normalization ratios and the posterior mean is counts
-plus pseudo-counts, normalized per row.
+Dirichlet-multinomial normalization ratios.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .counts import CountTable
-
-_ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,26 +36,6 @@ class DirichletPrior:
     def context_alpha(self) -> np.ndarray:
         """Total prior mass per context, alpha(context) = sum_s alpha(context -> s)."""
         return self.alpha.sum(axis=1)
-
-
-@dataclass(frozen=True)
-class MarkovChainParams:
-    """Transition probabilities p(symbol | context), one row per context."""
-
-    order: int
-    alphabet_size: int
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        expected = (self.alphabet_size**self.order, self.alphabet_size)
-        if probs.shape != expected:
-            raise ValueError(f"probs shape {probs.shape} does not match {expected}")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        if np.any(np.abs(probs.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
-            raise ValueError("each context row must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -101,18 +78,6 @@ def _check_match(counts: CountTable, prior: DirichletPrior) -> None:
         )
 
 
-def log_likelihood(params: MarkovChainParams, counts: CountTable) -> float:
-    """Natural-log probability of the counted transitions under fixed parameters."""
-    if counts.order != params.order or counts.alphabet_size != params.alphabet_size:
-        raise ValueError("count table does not match parameters")
-    n = counts.table
-    observed = n > 0
-    p = params.probs[observed]
-    if np.any(p == 0.0):
-        raise ValueError("observed transition has zero probability under the model")
-    return float((n[observed] * np.log(p)).sum())
-
-
 def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     """Closed-form log marginal likelihood with the rows integrated out.
 
@@ -135,13 +100,3 @@ def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     value = np.where(visited, per_context, 0.0).sum(axis=-1)
     return LogEvidence(value=_scalar(value), order=counts.order)
 
-
-def posterior_mean(counts: CountTable, prior: DirichletPrior) -> MarkovChainParams:
-    """Posterior-mean transition rows, (n + alpha) normalized per context.
-
-    Defined for every context; unvisited ones fall back to the prior mean.
-    """
-    _check_match(counts, prior)
-    na = counts.table + prior.alpha
-    probs = na / na.sum(axis=1, keepdims=True)
-    return MarkovChainParams(order=counts.order, alphabet_size=counts.alphabet_size, probs=probs)

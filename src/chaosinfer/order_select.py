@@ -134,20 +134,17 @@ def order_posterior(
     order_range: OrderRange,
     kind: str = "size_penalty",
     alpha: float = 1.0,
-    priors: Mapping[int, DirichletPrior] | None = None,
 ) -> OrderPosterior:
     """Posterior over Markov orders for one symbol sequence.
 
-    Evidence comes from the closed-form marginal likelihood at each order;
-    `alpha` sets the symmetric Dirichlet pseudo-count unless explicit priors
-    are supplied per order.
+    Evidence comes from the closed-form marginal likelihood at each order
+    under the symmetric Dirichlet prior with pseudo-count `alpha`.
     """
     if len(seq) <= order_range.k_max:
         raise ValueError(
             f"sequence of length {len(seq)} too short for k_max={order_range.k_max}"
         )
     ks = list(order_range.orders())
-    if priors is None:
-        priors = {k: uniform_prior(k, seq.alphabet_size, alpha) for k in ks}
+    priors = {k: uniform_prior(k, seq.alphabet_size, alpha) for k in ks}
     les = order_log_evidences({k: transition_counts(seq, k) for k in ks}, priors)
     return rank_orders(ks, les, [order_log_prior(k, seq.alphabet_size, kind) for k in ks])

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from operator import getitem
@@ -39,6 +40,15 @@ FORMAT_CHOICES = ("csv", "json")
 GRID_BLOCK_ENTRIES = 1 << 16
 # The top-of-range warning names at most this many decision points.
 TOP_OF_RANGE_SHOWN = 5
+# Accepted Dirichlet pseudo-counts.  gammaln and digamma take 1/alpha, which
+# overflows to inf below the smallest normal float.  At the top, the largest
+# table (MAX_TABLE_ENTRIES cells, k_max = 25) has posterior mass
+# n + MAX_TABLE_ENTRIES * alpha of about half the largest float, so it and
+# twice it (the bias term's denominator) stay finite.  Every gammaln and
+# digamma argument is at most n + 2 * alpha, far below gammaln's own overflow
+# near 2.5e305.
+MIN_ALPHA = sys.float_info.min
+MAX_ALPHA = sys.float_info.max / (2 * MAX_TABLE_ENTRIES)
 
 
 class ConfigError(ValueError):
@@ -114,8 +124,8 @@ class SweepConfig:
             )
         if self.n <= self.k_max + 1:
             raise ConfigError(f"n={self.n} must exceed k_max + 1 = {self.k_max + 1}")
-        if not 0.0 < self.alpha < math.inf:
-            raise ConfigError(f"alpha={self.alpha} must be positive and finite")
+        if not MIN_ALPHA <= self.alpha <= MAX_ALPHA:
+            raise ConfigError(f"alpha={self.alpha} must lie in [{MIN_ALPHA!r}, {MAX_ALPHA!r}]")
 
 
 @dataclass(frozen=True)

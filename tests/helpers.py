@@ -5,12 +5,16 @@ mpmath at high precision, the evidence oracles use only counting, division,
 and Monte-Carlo draws, and the information-rate oracle averages log
 probabilities over posterior samples.  The sweep oracle symbolizes, counts
 and scores every decision point on its own, one table at a time, where the
-sweep counts and scores blocks of decision points at once.
+sweep counts and scores blocks of decision points at once.  Word counts, the
+context codec, posterior means and the map itself are small restatements
+that check the library's counts, prior and trajectories.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -18,10 +22,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import gammaln
 
-from chaosinfer.counts import transition_counts
+from chaosinfer.counts import CountTable, transition_counts
 from chaosinfer.dynamics import MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
 from chaosinfer.entropy import expected_info
-from chaosinfer.inference import log_evidence, uniform_prior
+from chaosinfer.inference import DirichletPrior, log_evidence, uniform_prior
 from chaosinfer.order_select import order_log_prior, rank_orders
 from chaosinfer.sweep import DetailRow, SweepConfig, SweepResult, SweepRow
 from chaosinfer.symbolize import SymbolSequence, decision_grid, symbolize
@@ -31,6 +35,36 @@ def reference_digamma(x: float) -> float:
     """Digamma evaluated with 50 decimal digits, rounded to float."""
     with mpmath.workdps(50):
         return float(mpmath.digamma(mpmath.mpf(x)))
+
+
+def count_words(seq: SymbolSequence, length: int) -> SimpleNamespace:
+    """The overlapping words of a given length: `.counts` maps each word, a
+    tuple of symbols, to its count, and `.total` is the number of windows."""
+    windows = np.lib.stride_tricks.sliding_window_view(seq.symbols, length).tolist()
+    return SimpleNamespace(counts=dict(Counter(map(tuple, windows))), total=len(windows))
+
+
+def encode_context(word, alphabet_size: int) -> int:
+    """Row index of a context word, oldest symbol most significant."""
+    return sum(int(s) * alphabet_size**i for i, s in enumerate(reversed(word)))
+
+
+def decode_context(index: int, order: int, alphabet_size: int) -> tuple[int, ...]:
+    """Inverse of encode_context."""
+    return tuple(index // alphabet_size**i % alphabet_size for i in range(order - 1, -1, -1))
+
+
+def posterior_mean(counts: CountTable, prior: DirichletPrior) -> SimpleNamespace:
+    """Posterior-mean transition rows, (n + alpha) normalized per context, as `.probs`."""
+    na = counts.table + prior.alpha
+    return SimpleNamespace(probs=na / na.sum(axis=1, keepdims=True))
+
+
+def map_apply(spec: MapSpec, x: float) -> float:
+    """The map at one state x in [0, 1]."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"state x={x} outside [0, 1]")
+    return spec.r * x * (1.0 - x)
 
 
 def sequential_log_evidence(symbols, order: int, alpha: float = 1.0, alphabet_size: int = 2) -> float:

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosinfer.counts import (
-    block_entropy,
-    count_words,
-    decode_context,
-    encode_context,
-    entropy_rate_L,
-    grid_transition_counts,
-    transition_counts,
-)
+from chaosinfer.counts import grid_transition_counts, transition_counts
 from chaosinfer.symbolize import PartitionSpec, SymbolSequence, symbolize
+from helpers import count_words, decode_context, encode_context
 
 
 def bits(text: str) -> SymbolSequence:
@@ -42,45 +35,6 @@ def test_count_words_single_window():
 def test_count_words_too_short():
     with pytest.raises(ValueError):
         count_words(bits("01"), 3)
-
-
-def test_block_entropy_constant_sequence_is_zero():
-    for length in (1, 2, 3):
-        assert block_entropy(count_words(bits("000000"), length)) == 0.0
-
-
-def test_block_entropy_alternating_one_bit():
-    seq = bits("01" * 500)
-    assert block_entropy(count_words(seq, 1)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_block_entropy_four_words_two_bits():
-    seq = bits("0011" * 250)
-    assert block_entropy(count_words(seq, 2)) == pytest.approx(2.0, abs=1e-4)
-
-
-def test_entropy_rate_alternating_is_zero():
-    seq = bits("01" * 2000)
-    assert abs(entropy_rate_L(seq, 2)) < 1e-6
-
-
-def test_entropy_rate_iid_coin_near_one():
-    rng = np.random.default_rng(4)
-    seq = SymbolSequence(rng.integers(0, 2, 20_000), 2)
-    assert entropy_rate_L(seq, 1) == pytest.approx(1.0, abs=0.01)
-
-
-def test_entropy_rate_constant_is_zero():
-    seq = bits("1" * 500)
-    for length in (1, 2, 3):
-        assert entropy_rate_L(seq, length) == 0.0
-
-
-def test_entropy_rate_nonnegative_on_long_random_samples():
-    rng = np.random.default_rng(8)
-    seq = SymbolSequence(rng.integers(0, 2, 4096), 2)
-    for length in (1, 2, 3, 4):
-        assert entropy_rate_L(seq, length) > -1e-4
 
 
 def test_transition_counts_hand_enumerated():
@@ -153,21 +107,6 @@ def test_circular_counts_match_word_counts(data, order):
             row_sums[decode_context(idx, order, 2)] = total
     circ_words = np.concatenate([s, s[: order - 1]]) if order > 1 else s
     assert row_sums == count_words(SymbolSequence(circ_words, 2), order).counts
-
-
-@settings(max_examples=50)
-@given(data=bit_lists, length=st.integers(2, 4))
-def test_block_entropy_monotone_on_circular_counts(data, length):
-    # Circular window counts are marginal-consistent across lengths, so the
-    # block entropy cannot decrease with word length.
-    if len(data) < length:
-        return
-    s = np.array(data)
-    h_long = block_entropy(count_words(SymbolSequence(np.concatenate([s, s[: length - 1]]), 2), length))
-    shorter = np.concatenate([s, s[: length - 2]]) if length > 2 else s
-    h_short = block_entropy(count_words(SymbolSequence(shorter, 2), length - 1))
-    assert h_long >= h_short - 1e-12
-    assert h_short >= -1e-12
 
 
 def assert_grid_counts_match_per_threshold(states, thresholds, orders):

@@ -13,9 +13,9 @@ from chaosinfer.dynamics import (
     _reflect,
     generate_trajectory,
     lyapunov_exponent,
-    map_apply,
     map_derivative,
 )
+from helpers import map_apply
 
 
 def test_map_apply_parabola_peak():

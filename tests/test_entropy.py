@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosinfer.counts import CountTable, transition_counts
-from chaosinfer.entropy import (
-    asymptotic_info,
-    digamma,
-    expected_info,
-    pme_distribution,
-)
+from chaosinfer.entropy import asymptotic_info, digamma, expected_info
 from chaosinfer.inference import uniform_prior
 from chaosinfer.symbolize import SymbolSequence
 from helpers import ALPHAS, count_stack, mc_expected_info, reference_digamma
@@ -65,32 +60,6 @@ def test_digamma_vectorized():
     out = digamma(xs)
     assert out.shape == (3,)
     assert out[1] == digamma(1.0)
-
-
-def test_pme_zero_counts_is_uniform():
-    q = pme_distribution(zeros_table(1), uniform_prior(1, 2))
-    assert q.context_weights.tolist() == [0.5, 0.5]
-    assert np.all(q.transition_probs == 0.5)
-    assert q.beta == 4.0
-    assert np.allclose(q.joint(), 0.25)
-
-
-def test_pme_constant_run_weights():
-    m = 20
-    seq = SymbolSequence(np.zeros(m + 1, dtype=int), 2)
-    q = pme_distribution(transition_counts(seq, 1), uniform_prior(1, 2))
-    assert q.context_weights[0] == pytest.approx((m + 2) / (m + 4), abs=1e-15)
-
-
-@given(data=st.lists(st.integers(0, 1), min_size=3, max_size=64), order=st.integers(0, 3))
-def test_pme_beta_is_mass_plus_prior(data, order):
-    if len(data) < order + 1:
-        return
-    seq = SymbolSequence(np.array(data), 2)
-    q = pme_distribution(transition_counts(seq, order), uniform_prior(order, 2))
-    assert q.beta == pytest.approx(len(data) - order + 2 ** (order + 1), abs=1e-9)
-    assert abs(q.context_weights.sum() - 1.0) <= 1e-12
-    assert np.all(np.abs(q.transition_probs.sum(axis=1) - 1.0) <= 1e-12)
 
 
 @given(data=st.data(), order=st.integers(0, 4), rows=st.integers(1, 5), alpha=ALPHAS)

@@ -2,23 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from chaosinfer.counts import CountTable, transition_counts
-from chaosinfer.inference import (
-    DirichletPrior,
-    MarkovChainParams,
-    log_evidence,
-    log_likelihood,
-    posterior_mean,
-    uniform_prior,
-)
+from chaosinfer.inference import DirichletPrior, log_evidence, uniform_prior
 from chaosinfer.symbolize import SymbolSequence
 from helpers import (
     ALPHAS,
     count_stack,
     mc_evidence,
+    posterior_mean,
     sequential_log_evidence,
     visited_log_evidence,
 )
@@ -49,32 +43,6 @@ def test_uniform_prior_mean_is_inverse_alphabet():
 def test_prior_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         DirichletPrior(order=0, alphabet_size=2, alpha=np.array([[1.0, 0.0]]))
-
-
-def test_log_likelihood_fair_coin():
-    params = MarkovChainParams(1, 2, np.full((2, 2), 0.5))
-    counts = transition_counts(bits("0110"), 1)
-    assert log_likelihood(params, counts) == pytest.approx(3 * math.log(0.5), abs=1e-12)
-
-
-def test_log_likelihood_deterministic_sequence_is_zero():
-    params = MarkovChainParams(1, 2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    counts = transition_counts(bits("010101"), 1)
-    assert log_likelihood(params, counts) == 0.0
-
-
-def test_log_likelihood_direct_substitution():
-    params = MarkovChainParams(1, 2, np.array([[1.0 / 3.0, 2.0 / 3.0], [0.5, 0.5]]))
-    counts = CountTable(order=1, alphabet_size=2, table=np.array([[1, 2], [0, 0]]))
-    expected = 2 * math.log(2.0 / 3.0) + math.log(1.0 / 3.0)
-    assert log_likelihood(params, counts) == pytest.approx(expected, abs=1e-12)
-
-
-def test_log_likelihood_zero_probability_observed():
-    params = MarkovChainParams(1, 2, np.array([[1.0, 0.0], [0.5, 0.5]]))
-    counts = CountTable(order=1, alphabet_size=2, table=np.array([[0, 1], [0, 0]]))
-    with pytest.raises(ValueError):
-        log_likelihood(params, counts)
 
 
 def test_log_evidence_two_symbols():

@@ -6,6 +6,7 @@ import os
 import runpy
 import stat
 import sys
+import tempfile
 import threading
 import warnings
 from pathlib import Path
@@ -13,10 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import per_d_sweep
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaosinfer.cli import main, parse_config
 from chaosinfer.sweep import (
     GRID_BLOCK_ENTRIES,
+    MAX_ALPHA,
+    MIN_ALPHA,
     ConfigError,
     SweepConfig,
     csv_header,
@@ -279,6 +284,8 @@ def test_instrument_sweep_script(monkeypatch, tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["sweep.csv", "sweep.json", "sweep_detail.csv"]
     loaded = load_sweep_json(str(tmp_path / "sweep.json"))
     assert len(loaded.rows) == 5 and loaded.config.n == 600
+    assert loaded.config.out_format == "json"
+    assert loaded.config.out_path == str(tmp_path / "sweep.json")
     assert len(loaded.detail) == 5 * len(range(loaded.config.k_min, loaded.config.k_max + 1))
     assert "wrote 5 rows" in capsys.readouterr().out
 
@@ -468,7 +475,75 @@ def test_cli_exit_code_on_config_errors(capsys):
     assert main(["--seed", "-1"]) == 1
     assert main(["--k-max", "27", "--n", "100", "--grid", "3"]) == 1
     assert main(["--sigma", "1e308", "--n", "100", "--grid", "3"]) == 1
+    # Outside [MIN_ALPHA, MAX_ALPHA]; at 1e306 and 1e-320 gammaln overflowed
+    # to inf and every evidence became NaN.
+    for alpha in (1e306, 1e-320, math.nextafter(MAX_ALPHA, math.inf),
+                  math.nextafter(MIN_ALPHA, 0.0)):
+        assert main([f"--alpha={alpha!r}", "--n", "100", "--grid", "3"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [MIN_ALPHA, MAX_ALPHA], ids=["min", "max"])
+def test_extreme_accepted_alpha_gives_finite_rows(alpha):
+    # A detail path makes run_sweep estimate every order; nothing is written.
+    config = SweepConfig(n=2000, transient=50, grid=5, k_min=0, k_max=3, alpha=alpha,
+                         detail_path="unused.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = run_sweep(config)
+    for row in result.rows:
+        assert row.error is None
+        assert all(map(math.isfinite, (row.h_expected_bits, *row.log_evidence, *row.p_order)))
+    assert all(math.isfinite(dr.h_expected_bits) for dr in result.detail)
+
+
+# Any float, including subnormal, huge, infinite and NaN ones, with extra
+# weight on non-negative ones and on the edges of the accepted alpha range.
+ANY_FLOAT = st.one_of(
+    st.sampled_from([MIN_ALPHA, MAX_ALPHA, 1e306, 1e-320, 5e-324]),
+    st.floats(min_value=0.0),
+    st.floats(),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@example(n=400, grid=5, k_min=1, k_max=3, alpha=1e306, sigma=1e-3, transient=10)
+@example(n=400, grid=5, k_min=1, k_max=3, alpha=1e-320, sigma=1e-3, transient=10)
+@given(
+    n=st.integers(0, 400),
+    grid=st.integers(0, 6),
+    k_min=st.integers(0, 3),
+    k_max=st.integers(0, 3),
+    alpha=ANY_FLOAT,
+    sigma=ANY_FLOAT,
+    transient=st.integers(0, 50),
+)
+def test_cli_rejects_or_writes_well_formed_rows(n, grid, k_min, k_max, alpha, sigma, transient):
+    # Exit 1 writes nothing; exit 0 has a row without an error; exit 2 is a
+    # runtime failure.  A written CSV has one row per decision point, and a
+    # row without an error has every estimate.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = os.path.join(tmp, "out.csv")
+        code = main(["--n", str(n), "--grid", str(grid), "--k-min", str(k_min),
+                     "--k-max", str(k_max), f"--alpha={alpha!r}", f"--sigma={sigma!r}",
+                     "--transient", str(transient), "--out", out])
+        assert code in (0, 1, 2)
+        written = os.path.exists(out)
+        if code == 0:
+            assert written
+        if code == 1:
+            assert not written
+        if not written:
+            return
+        with open(out, encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+    assert len(rows) == grid
+    estimates = [i for i, name in enumerate(header)
+                 if name == "h_expected_bits" or name.startswith(("log_evidence_k", "p_order_k"))]
+    good = [row for row in rows if row[header.index("error")] == ""]
+    assert all(row[i] != "" for row in good for i in estimates)
+    assert good or code == 2
 
 
 def test_cli_exits_2_when_every_row_fails(monkeypatch, tmp_path, capsys):
