@@ -55,14 +55,10 @@ def transition_counts(seq: SymbolSequence, order: int) -> CountTable:
     if n_cells > MAX_TABLE_ENTRIES:
         raise ValueError(f"dense table with {n_cells} entries is too large")
     symbols = seq.symbols
-    if order == 0:
-        ctx = np.zeros(n, dtype=np.int64)
-        nxt = symbols
-    else:
-        powers = a ** np.arange(order - 1, -1, -1, dtype=np.int64)
-        ctx = np.lib.stride_tricks.sliding_window_view(symbols, order)[:-1] @ powers
-        nxt = symbols[order:]
-    flat = np.bincount(ctx * a + nxt, minlength=n_cells)
+    # At order 0 the windows are empty and every context code is 0.
+    powers = a ** np.arange(order - 1, -1, -1, dtype=np.int64)
+    ctx = sliding_window_view(symbols, order)[:-1] @ powers
+    flat = np.bincount(ctx * a + symbols[order:], minlength=n_cells)
     return CountTable(order=order, alphabet_size=a, table=flat.reshape(a**order, a))
 
 

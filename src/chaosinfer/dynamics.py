@@ -84,29 +84,23 @@ def generate_trajectory(
     n: int,
     transient: int = 0,
     seed: int | None = None,
-    x0: float | None = None,
 ) -> Trajectory:
     """Iterate the noisy map and record n states.
 
-    Starts from a uniform draw in (0, 1) (or from x0 when given), discards
-    `transient` steps, then records the current state followed by n-1 further
-    steps of x' = f(x) + xi with xi ~ N(0, sigma^2).  States pushed outside
-    [0, 1] by noise are reflected back at the edges.  The output is fully
-    determined by (map_spec, noise, n, transient, seed, x0).
+    Starts from a uniform draw in (0, 1), discards `transient` steps, then
+    records the current state followed by n-1 further steps of
+    x' = f(x) + xi with xi ~ N(0, sigma^2).  States pushed outside [0, 1] by
+    noise are reflected back at the edges.  The output is fully determined
+    by (map_spec, noise, n, transient, seed).
     """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     if transient < 0:
         raise ValueError(f"transient={transient} must be >= 0")
     rng = np.random.default_rng(seed)
-    if x0 is None:
+    x = float(rng.random())
+    while x == 0.0:
         x = float(rng.random())
-        while x == 0.0:
-            x = float(rng.random())
-    else:
-        if not 0.0 <= x0 <= 1.0:
-            raise ValueError(f"x0={x0} outside [0, 1]")
-        x = float(x0)
     r = map_spec.r
     shocks = noise.sigma * rng.standard_normal(transient + n - 1)
     states = np.empty(n, dtype=float)

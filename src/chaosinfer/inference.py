@@ -7,6 +7,8 @@ Dirichlet-multinomial normalization ratios.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,25 +19,23 @@ from .counts import CountTable
 
 @dataclass(frozen=True)
 class DirichletPrior:
-    """Positive pseudo-counts alpha(context -> symbol), one row per context."""
+    """Symmetric Dirichlet prior: pseudo-count alpha on every (context, symbol) cell."""
 
     order: int
     alphabet_size: int
-    alpha: np.ndarray
+    alpha: float
 
     def __post_init__(self) -> None:
-        alpha = np.asarray(self.alpha, dtype=float)
+        if self.order < 0:
+            raise ValueError(f"order={self.order} must be >= 0")
+        if self.alphabet_size < 2:
+            raise ValueError(f"alphabet_size={self.alphabet_size} must be >= 2")
+        if not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha={self.alpha!r} must be a single number")
+        alpha = float(self.alpha)
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha={alpha} must be positive and finite")
         object.__setattr__(self, "alpha", alpha)
-        expected = (self.alphabet_size**self.order, self.alphabet_size)
-        if alpha.shape != expected:
-            raise ValueError(f"alpha shape {alpha.shape} does not match {expected}")
-        if not np.all(alpha > 0.0):
-            raise ValueError("all Dirichlet parameters must be positive")
-
-    @property
-    def context_alpha(self) -> np.ndarray:
-        """Total prior mass per context, alpha(context) = sum_s alpha(context -> s)."""
-        return self.alpha.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,7 @@ def uniform_prior(order: int, alphabet_size: int, value: float = 1.0) -> Dirichl
     The default value 1 is flat over each transition row; the prior mean of
     every transition probability is then 1/alphabet_size.
     """
-    if order < 0:
-        raise ValueError(f"order={order} must be >= 0")
-    if alphabet_size < 2:
-        raise ValueError(f"alphabet_size={alphabet_size} must be >= 2")
-    if not value > 0.0:
-        raise ValueError(f"value={value} must be positive")
-    shape = (alphabet_size**order, alphabet_size)
-    return DirichletPrior(order=order, alphabet_size=alphabet_size, alpha=np.full(shape, float(value)))
+    return DirichletPrior(order=order, alphabet_size=alphabet_size, alpha=value)
 
 
 def _scalar(value):
@@ -82,19 +75,19 @@ def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     """Closed-form log marginal likelihood with the rows integrated out.
 
     Per visited context the contribution is
-    lnGamma(alpha(ctx)) - sum_s lnGamma(alpha) + sum_s lnGamma(n + alpha)
-    - lnGamma(n(ctx) + alpha(ctx)); unvisited contexts contribute exactly 0.
+    lnGamma(m alpha) - m lnGamma(alpha) + sum_s lnGamma(n + alpha)
+    - lnGamma(n(ctx) + m alpha), m the alphabet size; unvisited contexts
+    contribute exactly 0.
 
     A table with a leading grid axis, (G, contexts, alphabet), gives an
     array of G evidences, each equal bit for bit to that row's own call; a
     single table gives a float.
     """
     _check_match(counts, prior)
-    a = prior.alpha
+    a, m = prior.alpha, prior.alphabet_size
     na = counts.table + a
     na_context = na.sum(axis=-1)
-    per_context = gammaln(a.sum(axis=-1)) - gammaln(a).sum(axis=-1)
-    per_context = per_context + gammaln(na, out=na).sum(axis=-1)
+    per_context = gammaln(m * a) - m * gammaln(a) + gammaln(na, out=na).sum(axis=-1)
     per_context -= gammaln(na_context, out=na_context)
     visited = counts.context_totals > 0
     value = np.where(visited, per_context, 0.0).sum(axis=-1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -100,9 +99,9 @@ def rank_orders(
 ) -> OrderPosterior:
     """Normalize evidence plus prior across orders and pick the winner.
 
-    Ties break toward the smaller order.  A warning is emitted when the
-    winner sits at the top of the range, since the range may then be
-    truncating the true memory length.
+    Ties break toward the smaller order.  A winner at the top of the range,
+    selected == orders[-1], may mean the range truncates the true memory
+    length.
     """
     ks = tuple(int(k) for k in orders)
     if not ks or len(set(ks)) != len(ks) or list(ks) != sorted(ks):
@@ -112,20 +111,12 @@ def rank_orders(
     if le.shape != (len(ks),) or lp.shape != (len(ks),):
         raise ValueError("log evidences and log priors must align with orders")
     post, best = posterior_over_orders(le, lp)
-    selected = ks[int(best)]
-    if len(ks) > 1 and selected == ks[-1]:
-        warnings.warn(
-            f"selected order {selected} is the top of the range; "
-            "the range may be truncating the true order",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return OrderPosterior(
         orders=ks,
         log_prior=tuple(float(v) for v in lp),
         log_evidence=tuple(float(v) for v in le),
         posterior=tuple(float(v) for v in post),
-        selected=selected,
+        selected=ks[int(best)],
     )
 
 

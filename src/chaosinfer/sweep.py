@@ -126,6 +126,11 @@ class SweepConfig:
             raise ConfigError(f"n={self.n} must exceed k_max + 1 = {self.k_max + 1}")
         if not MIN_ALPHA <= self.alpha <= MAX_ALPHA:
             raise ConfigError(f"alpha={self.alpha} must lie in [{MIN_ALPHA!r}, {MAX_ALPHA!r}]")
+        for name in ("out_path", "detail_path"):
+            path = getattr(self, name)
+            # An empty name, or one ending in a separator, has no file part.
+            if path is not None and (not os.path.basename(path) or os.path.isdir(path)):
+                raise ConfigError(f"{name}={path!r} does not name a file")
 
 
 @dataclass(frozen=True)

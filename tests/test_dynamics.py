@@ -51,11 +51,6 @@ def test_noise_spec_rejects_negative_sigma():
         NoiseSpec(-1e-3)
 
 
-def test_forced_start_noiseless_iteration():
-    traj = generate_trajectory(MapSpec(r=4.0), NoiseSpec(0.0), n=3, transient=0, seed=7, x0=0.5)
-    assert traj.states.tolist() == [0.5, 1.0, 0.0]
-
-
 def test_noiseless_consistency_with_map_apply():
     spec = MapSpec(r=3.7)
     traj = generate_trajectory(spec, NoiseSpec(0.0), n=60, transient=5, seed=123)

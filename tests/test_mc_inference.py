@@ -26,12 +26,16 @@ bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=12)
 
 
 def test_uniform_prior_flat_and_shaped():
-    prior = uniform_prior(1, 2)
-    assert prior.alpha.shape == (2, 2)
-    assert np.all(prior.alpha == 1.0)
-    assert prior.context_alpha.tolist() == [2.0, 2.0]
-    assert uniform_prior(0, 2).alpha.shape == (1, 2)
-    assert uniform_prior(3, 2).alpha.size == 16
+    # One pseudo-count for every cell, a Python float whatever number it was given.
+    prior = uniform_prior(8, 2, 1.0)
+    assert type(prior.alpha) is float and prior.alpha == 1.0
+    assert (prior.order, prior.alphabet_size) == (8, 2)
+    for value in (2, np.float32(0.5), np.int64(3)):
+        assert type(uniform_prior(0, 3, value).alpha) is float
+    assert uniform_prior(0, 2).alpha == 1.0
+    for order, alphabet in ((-1, 2), (1, 1)):
+        with pytest.raises(ValueError):
+            uniform_prior(order, alphabet)
 
 
 def test_uniform_prior_mean_is_inverse_alphabet():
@@ -41,8 +45,13 @@ def test_uniform_prior_mean_is_inverse_alphabet():
 
 
 def test_prior_rejects_nonpositive_alpha():
-    with pytest.raises(ValueError):
-        DirichletPrior(order=0, alphabet_size=2, alpha=np.array([[1.0, 0.0]]))
+    # Zero, negative, NaN and infinite pseudo-counts, and an array of them,
+    # are rejected by both constructors.
+    for alpha in (0.0, -1.0, math.nan, math.inf, np.array([[1.0, 1.0]])):
+        with pytest.raises(ValueError):
+            DirichletPrior(order=0, alphabet_size=2, alpha=alpha)
+        with pytest.raises(ValueError):
+            uniform_prior(0, 2, alpha)
 
 
 def test_log_evidence_two_symbols():
@@ -121,14 +130,6 @@ def test_posterior_mean_direct_substitution():
     params = posterior_mean(counts, uniform_prior(1, 2))
     assert params.probs[0, 1] == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert params.probs[1].tolist() == [0.5, 0.5]
-
-
-def test_posterior_mean_no_data_equals_prior_mean():
-    alpha = np.array([[1.0, 3.0], [2.0, 2.0]])
-    prior = DirichletPrior(order=1, alphabet_size=2, alpha=alpha)
-    zero = CountTable(order=1, alphabet_size=2, table=np.zeros((2, 2), dtype=int))
-    params = posterior_mean(zero, prior)
-    assert np.allclose(params.probs, alpha / alpha.sum(axis=1, keepdims=True), atol=1e-15)
 
 
 @given(

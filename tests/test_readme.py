@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from chaosinfer.cli import build_parser
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -11,3 +13,12 @@ def test_library_use_example_runs(capsys):
     exec(compile(block.group(1), str(README), "exec"), {})
     selected, rate = capsys.readouterr().out.split()
     assert selected == "1" and abs(float(rate) - 1.0) < 0.01
+
+
+def test_flag_list_matches_the_parser():
+    # The hand-written "Flags:" list names every option of the parser, and no other.
+    paragraph = re.search(r"^Flags: `(.*?)`", README.read_text(), re.S | re.M)
+    assert paragraph is not None
+    listed = set(re.findall(r"--[a-z][a-z-]*", paragraph.group(1)))
+    parsed = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert listed == parsed - {"-h", "--help"}

@@ -466,7 +466,7 @@ def test_cli_json_output(tmp_path):
     assert loaded.config.n == 900
 
 
-def test_cli_exit_code_on_config_errors(capsys):
+def test_cli_exit_code_on_config_errors(capsys, tmp_path):
     assert main(["--k-max", "0", "--k-min", "1"]) == 1
     assert main(["--no-such-flag"]) == 1
     assert main(["--n", "abc"]) == 1
@@ -480,6 +480,13 @@ def test_cli_exit_code_on_config_errors(capsys):
     for alpha in (1e306, 1e-320, math.nextafter(MAX_ALPHA, math.inf),
                   math.nextafter(MIN_ALPHA, 0.0)):
         assert main([f"--alpha={alpha!r}", "--n", "100", "--grid", "3"]) == 1
+    # An output path that is empty, ends in a separator or names a directory
+    # is rejected before the sweep runs, so nothing is written.
+    out = str(tmp_path / "out.csv")
+    for paths in (["--out="], [f"--out={tmp_path}"], [f"--out={tmp_path / 'new'}{os.sep}"],
+                  ["--out", out, "--detail="], ["--out", out, f"--detail={tmp_path}"]):
+        assert main(["--n", "100", "--grid", "3", *paths]) == 1
+    assert list(tmp_path.iterdir()) == []
     assert "config error" in capsys.readouterr().err
 
 
