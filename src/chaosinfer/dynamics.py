@@ -103,18 +103,16 @@ def generate_trajectory(
         x = float(rng.random())
     r = map_spec.r
     shocks = noise.sigma * rng.standard_normal(transient + n - 1)
-    states = np.empty(n, dtype=float)
-    step = 0
-    for _ in range(transient):
-        x = _reflect(r * x * (1.0 - x) + shocks[step])
-        step += 1
-    states[0] = x
-    for i in range(1, n):
-        x = _reflect(r * x * (1.0 - x) + shocks[step])
-        step += 1
-        states[i] = x
+    path = np.empty(transient + n, dtype=float)
+    # A memoryview yields each double as a Python float, so a step is the same
+    # IEEE arithmetic as numpy's without a numpy scalar per step.
+    out = memoryview(path)
+    out[0] = x
+    for i, shock in enumerate(memoryview(shocks), 1):
+        x = _reflect(r * x * (1.0 - x) + shock)
+        out[i] = x
     return Trajectory(
-        states=states,
+        states=path[transient:],
         map_spec=map_spec,
         noise=noise,
         seed=None if seed is None else int(seed),

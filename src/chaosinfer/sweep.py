@@ -128,9 +128,23 @@ class SweepConfig:
             raise ConfigError(f"alpha={self.alpha} must lie in [{MIN_ALPHA!r}, {MAX_ALPHA!r}]")
         for name in ("out_path", "detail_path"):
             path = getattr(self, name)
+            if path is None:
+                continue
             # An empty name, or one ending in a separator, has no file part.
-            if path is not None and (not os.path.basename(path) or os.path.isdir(path)):
+            if not os.path.basename(path) or os.path.isdir(path):
                 raise ConfigError(f"{name}={path!r} does not name a file")
+            # The writer creates missing directories, which fails under a file.
+            parent = os.path.dirname(os.path.abspath(path))
+            while not os.path.lexists(parent):
+                parent = os.path.dirname(parent)
+            if not os.path.isdir(parent):
+                raise ConfigError(f"{name}={path!r} cannot be created: {parent!r} is not a "
+                                  "directory")
+        if self.detail_path is not None and (
+            os.path.realpath(self.detail_path) == os.path.realpath(self.out_path)
+        ):
+            raise ConfigError(f"out_path and detail_path both name {self.out_path!r}; "
+                              "the detail file would replace the summary")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ probabilities over posterior samples.  The sweep oracle symbolizes, counts
 and scores every decision point on its own, one table at a time, where the
 sweep counts and scores blocks of decision points at once.  Word counts, the
 context codec, posterior means and the map itself are small restatements
-that check the library's counts, prior and trajectories.
+that check the library's counts, prior and trajectories; the trajectory
+reference restates the simulator with separate warm-up and recording loops.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import gammaln
 
 from chaosinfer.counts import CountTable, transition_counts
-from chaosinfer.dynamics import MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
+from chaosinfer.dynamics import (
+    MapSpec,
+    NoiseSpec,
+    _reflect,
+    generate_trajectory,
+    lyapunov_exponent,
+)
 from chaosinfer.entropy import expected_info
 from chaosinfer.inference import DirichletPrior, log_evidence, uniform_prior
 from chaosinfer.order_select import order_log_prior, rank_orders
@@ -65,6 +72,30 @@ def map_apply(spec: MapSpec, x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"state x={x} outside [0, 1]")
     return spec.r * x * (1.0 - x)
+
+
+def reference_trajectory(map_spec: MapSpec, noise: NoiseSpec, n: int, transient: int,
+                         seed: int | None) -> np.ndarray:
+    """The recorded states of generate_trajectory, from a frozen two-loop copy:
+    the same start and shock draws, `transient` discarded steps, then n states,
+    each step indexing the shock array with its own counter."""
+    rng = np.random.default_rng(seed)
+    x = float(rng.random())
+    while x == 0.0:
+        x = float(rng.random())
+    r = map_spec.r
+    shocks = noise.sigma * rng.standard_normal(transient + n - 1)
+    states = np.empty(n, dtype=float)
+    step = 0
+    for _ in range(transient):
+        x = _reflect(r * x * (1.0 - x) + shocks[step])
+        step += 1
+    states[0] = x
+    for i in range(1, n):
+        x = _reflect(r * x * (1.0 - x) + shocks[step])
+        step += 1
+        states[i] = x
+    return states
 
 
 def sequential_log_evidence(symbols, order: int, alpha: float = 1.0, alphabet_size: int = 2) -> float:

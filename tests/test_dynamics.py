@@ -1,8 +1,12 @@
 import math
+import re
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosinfer.dynamics import (
@@ -15,7 +19,7 @@ from chaosinfer.dynamics import (
     lyapunov_exponent,
     map_derivative,
 )
-from helpers import map_apply
+from helpers import map_apply, reference_trajectory
 
 
 def test_map_apply_parabola_peak():
@@ -83,6 +87,21 @@ def test_states_stay_in_unit_interval(seed, sigma, r):
     assert np.all(traj.states <= 1.0)
 
 
+@settings(deadline=None)
+@example(seed=0, r=4.0, sigma=1e-3, n=1, transient=0)
+@given(
+    seed=st.integers(min_value=0),
+    r=st.floats(0.0, 4.0, exclude_min=True),
+    sigma=st.one_of(st.sampled_from([0.0, 1e-3, 0.7, 1e17, MAX_SIGMA]), st.floats(0.0, 1.0)),
+    n=st.integers(1, 300),
+    transient=st.integers(0, 50),
+)
+def test_trajectory_equals_two_loop_reference(seed, r, sigma, n, transient):
+    spec, noise = MapSpec(r=r), NoiseSpec(sigma)
+    got = generate_trajectory(spec, noise, n, transient, seed).states
+    assert got.tobytes() == reference_trajectory(spec, noise, n, transient, seed).tobytes()
+
+
 def reflect_by_bounces(x: float) -> float:
     """The edge-by-edge fold: one bounce per step until x lands in [0, 1]."""
     while x < 0.0 or x > 1.0:
@@ -121,6 +140,17 @@ def test_lyapunov_chaotic_benchmark():
     spec = MapSpec(r=4.0)
     traj = generate_trajectory(spec, NoiseSpec(0.0), n=100_000, transient=1_000, seed=3)
     assert abs(lyapunov_exponent(spec, traj) - 1.0) < 0.02
+
+
+def test_lyapunov_benchmark_script(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "lyapunov_benchmark.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--n", "20000"])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    lam = float(re.search(r"lambda = (\S+) bits/step", out).group(1))
+    gap = float(re.search(r"gap to the exact value 1\.0: (\S+)", out).group(1))
+    assert abs(lam - 1.0) < 0.05
+    assert gap == pytest.approx(abs(lam - 1.0), abs=1e-6)
 
 
 def test_lyapunov_period_two_matches_closed_form():

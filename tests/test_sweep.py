@@ -484,10 +484,29 @@ def test_cli_exit_code_on_config_errors(capsys, tmp_path):
     # is rejected before the sweep runs, so nothing is written.
     out = str(tmp_path / "out.csv")
     for paths in (["--out="], [f"--out={tmp_path}"], [f"--out={tmp_path / 'new'}{os.sep}"],
-                  ["--out", out, "--detail="], ["--out", out, f"--detail={tmp_path}"]):
+                  ["--out", out, "--detail="], ["--out", out, f"--detail={tmp_path}"],
+                  # The detail file would replace the summary.
+                  ["--out", out, "--detail", out],
+                  ["--out", out, f"--detail={tmp_path}{os.sep}.{os.sep}out.csv"],
+                  ["--out", out, f"--detail={tmp_path / 'new' / '..' / 'out.csv'}"]):
         assert main(["--n", "100", "--grid", "3", *paths]) == 1
     assert list(tmp_path.iterdir()) == []
     assert "config error" in capsys.readouterr().err
+    # A path under a regular file cannot be created; this needs a directory
+    # that holds the file.
+    with tempfile.TemporaryDirectory() as tmp:
+        afile = os.path.join(tmp, "afile")
+        with open(afile, "w", encoding="utf-8") as fh:
+            fh.write("a file, not a directory")
+        for paths in (["--out", os.path.join(afile, "x.csv")],
+                      ["--out", os.path.join(afile, "sub", "x.csv")],
+                      ["--out", out, "--detail", os.path.join(afile, "x.csv")]):
+            assert main(["--n", "100", "--grid", "3", *paths]) == 1
+        assert os.listdir(tmp) == ["afile"]
+        with open(afile, encoding="utf-8") as fh:
+            assert fh.read() == "a file, not a directory"
+    assert list(tmp_path.iterdir()) == []
+    assert "is not a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha", [MIN_ALPHA, MAX_ALPHA], ids=["min", "max"])
@@ -513,9 +532,35 @@ ANY_FLOAT = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=60)
-@example(n=400, grid=5, k_min=1, k_max=3, alpha=1e306, sigma=1e-3, transient=10)
-@example(n=400, grid=5, k_min=1, k_max=3, alpha=1e-320, sigma=1e-3, transient=10)
+ORDER_PRIORS = next(f for f in dataclasses.fields(SweepConfig)
+                    if f.name == "order_prior").metadata["choices"]
+
+
+def written_rows(out, out_format):
+    """(error, estimates) of each row of a written summary; a NaN estimate
+    reads as None, as a blank CSV cell does."""
+    if out_format == "json":
+        rows = load_sweep_json(out).rows
+        return [(row.error, [None if math.isnan(v) else v
+                             for v in (row.h_expected_bits, *row.log_evidence, *row.p_order)])
+                for row in rows]
+    with open(out, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    estimates = [i for i, name in enumerate(header)
+                 if name == "h_expected_bits" or name.startswith(("log_evidence_k", "p_order_k"))]
+    return [(row[header.index("error")] or None, [row[i] or None for i in estimates])
+            for row in rows]
+
+
+# More examples than the other properties: most drawn configs are rejected.
+@settings(deadline=None, max_examples=300)
+@example(n=400, grid=5, k_min=1, k_max=3, alpha=1e306, sigma=1e-3, transient=10, r=4.0,
+         seed=0, order_prior="size-penalty", regenerate=False, out_format="csv", detail=None)
+@example(n=400, grid=5, k_min=1, k_max=3, alpha=1e-320, sigma=1e-3, transient=10, r=4.0,
+         seed=0, order_prior="size-penalty", regenerate=False, out_format="csv", detail=None)
+@example(n=400, grid=5, k_min=1, k_max=3, alpha=1.0, sigma=0.7, transient=10, r=3.7,
+         seed=2**64 + 1, order_prior=ORDER_PRIORS[-1], regenerate=True, out_format="json",
+         detail="detail.csv")
 @given(
     n=st.integers(0, 400),
     grid=st.integers(0, 6),
@@ -524,32 +569,50 @@ ANY_FLOAT = st.one_of(
     alpha=ANY_FLOAT,
     sigma=ANY_FLOAT,
     transient=st.integers(0, 50),
+    r=st.one_of(st.sampled_from([4.0, 3.7]), st.floats(0.0, 4.0, exclude_min=True), st.floats()),
+    seed=st.one_of(st.integers(0, 2**32), st.integers(), st.integers(2**64 - 2, 2**80)),
+    order_prior=st.sampled_from(ORDER_PRIORS),
+    regenerate=st.booleans(),
+    out_format=st.sampled_from(["csv", "json"]),
+    detail=st.sampled_from([None, "detail.csv", "out"]),
 )
-def test_cli_rejects_or_writes_well_formed_rows(n, grid, k_min, k_max, alpha, sigma, transient):
-    # Exit 1 writes nothing; exit 0 has a row without an error; exit 2 is a
-    # runtime failure.  A written CSV has one row per decision point, and a
-    # row without an error has every estimate.
+def test_cli_rejects_or_writes_well_formed_rows(n, grid, k_min, k_max, alpha, sigma, transient,
+                                                r, seed, order_prior, regenerate, out_format,
+                                                detail):
+    # Exit 1 writes nothing; exit 0 writes every requested file and has a row
+    # without an error; exit 2 is a runtime failure.  A written summary has
+    # one row per decision point, and a row without an error has every
+    # estimate.  A detail path of "out" names the summary file itself.
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        out = os.path.join(tmp, "out.csv")
-        code = main(["--n", str(n), "--grid", str(grid), "--k-min", str(k_min),
-                     "--k-max", str(k_max), f"--alpha={alpha!r}", f"--sigma={sigma!r}",
-                     "--transient", str(transient), "--out", out])
+        out = os.path.join(tmp, "out")
+        argv = ["--n", str(n), "--grid", str(grid), "--k-min", str(k_min),
+                "--k-max", str(k_max), f"--alpha={alpha!r}", f"--sigma={sigma!r}",
+                "--transient", str(transient), f"--r={r!r}", f"--seed={seed}",
+                "--order-prior", order_prior, "--format", out_format, "--out", out]
+        argv += ["--regenerate-per-d"] if regenerate else []
+        argv += ["--detail", os.path.join(tmp, detail)] if detail else []
+        code = main(argv)
         assert code in (0, 1, 2)
         written = os.path.exists(out)
         if code == 0:
             assert written
+            assert detail is None or os.path.exists(os.path.join(tmp, detail))
         if code == 1:
-            assert not written
+            assert os.listdir(tmp) == []
         if not written:
             return
-        with open(out, encoding="utf-8", newline="") as fh:
-            header, *rows = list(csv.reader(fh))
+        rows = written_rows(out, out_format)
+        if out_format == "json":
+            assert load_sweep_json(out).config == parse_config(argv)
+        good = [estimates for error, estimates in rows if error is None]
+        if detail is not None:
+            with open(os.path.join(tmp, detail), encoding="utf-8", newline="") as fh:
+                header, *detail_rows = list(csv.reader(fh))
+            assert header == DETAIL_HEADER
+            assert len(detail_rows) == len(good) * (k_max - k_min + 1)
     assert len(rows) == grid
-    estimates = [i for i, name in enumerate(header)
-                 if name == "h_expected_bits" or name.startswith(("log_evidence_k", "p_order_k"))]
-    good = [row for row in rows if row[header.index("error")] == ""]
-    assert all(row[i] != "" for row in good for i in estimates)
+    assert all(value is not None for estimates in good for value in estimates)
     assert good or code == 2
 
 
@@ -568,9 +631,9 @@ def test_cli_exits_2_when_every_row_fails(monkeypatch, tmp_path, capsys):
 
 
 def test_cli_exit_code_on_runtime_error(tmp_path):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("a file, not a directory")
-    out = blocker / "sub" / "out.csv"
+    # A file name longer than the file system allows passes validation and
+    # fails only when the summary is written.
+    out = tmp_path / ("x" * 300 + ".csv")
     assert main(["--n", "900", "--transient", "20", "--grid", "3", "--k-max", "2",
                  "--out", str(out)]) == 2
 
