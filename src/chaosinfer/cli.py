@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from .sweep import ConfigError, SweepConfig, emit, emit_detail, run_sweep
@@ -39,6 +40,11 @@ _FILE_KEYS = {
     for field in dataclasses.fields(SweepConfig)
     for key in (_flag(field).replace("-", "_"), field.name)
 }
+
+
+# A config-file comment starts with "#" at the start of a line or after
+# whitespace; a "#" inside a value, as in out=run#1.csv, is part of it.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +81,7 @@ def _read_config_file(path: str) -> dict[str, object]:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     values: dict[str, object] = {}
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -117,14 +117,22 @@ def grid_transition_counts(states, thresholds, orders) -> dict[int, np.ndarray]:
         windows += bit
         diff -= np.bincount(windows.ravel(), minlength=size)
     diff = diff.reshape(grid + 1, n_patterns)
-    table = np.cumsum(diff, axis=0, out=diff)[:grid]
+    return _lower_orders(np.cumsum(diff, axis=0, out=diff)[:grid], reads_one, orders)
 
-    # Order k counts the order-(k+1) windows without their oldest symbol plus
-    # the window of the first k+1 states.
+
+def _lower_orders(table, first, orders) -> dict[int, np.ndarray]:
+    """{k: (G, 2**(k+1)) binary tables} for each k in the ascending `orders`,
+    from G stacked order-k_max tables of shape (G, 2**(k_max+1)), k_max =
+    orders[-1], and the first k_max symbols of each series, shape (G, k_max).
+
+    Order k counts the order-(k+1) windows without their oldest symbol plus
+    the window of the first k+1 symbols.
+    """
+    k_max = orders[-1]
     tables = {k_max: table}
-    rows = np.arange(grid)
+    rows = np.arange(len(table))
     for k in range(k_max - 1, orders[0] - 1, -1):
-        table = table.reshape(grid, 2, 1 << (k + 1)).sum(axis=1)
-        table[rows, reads_one[:, :k + 1] @ (1 << np.arange(k, -1, -1))] += 1
+        table = table.reshape(len(rows), 2, 1 << (k + 1)).sum(axis=1)
+        table[rows, first[:, :k + 1] @ (1 << np.arange(k, -1, -1))] += 1
         tables[k] = table
     return {k: tables[k] for k in orders}

@@ -102,13 +102,16 @@ def generate_trajectory(
     while x == 0.0:
         x = float(rng.random())
     r = map_spec.r
-    shocks = noise.sigma * rng.standard_normal(transient + n - 1)
+    # The shocks are drawn into the state array: step i reads its shock from
+    # slot i and then overwrites it with the state.
     path = np.empty(transient + n, dtype=float)
+    rng.standard_normal(out=path[1:])
+    path[1:] *= noise.sigma
     # A memoryview yields each double as a Python float, so a step is the same
     # IEEE arithmetic as numpy's without a numpy scalar per step.
     out = memoryview(path)
     out[0] = x
-    for i, shock in enumerate(memoryview(shocks), 1):
+    for i, shock in enumerate(out[1:], 1):
         x = _reflect(r * x * (1.0 - x) + shock)
         out[i] = x
     return Trajectory(

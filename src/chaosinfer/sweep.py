@@ -20,7 +20,13 @@ from operator import getitem
 
 import numpy as np
 
-from .counts import MAX_TABLE_ENTRIES, CountTable, grid_transition_counts, transition_counts
+from .counts import (
+    MAX_TABLE_ENTRIES,
+    CountTable,
+    _lower_orders,
+    grid_transition_counts,
+    transition_counts,
+)
 from .dynamics import MAP_FAMILIES, MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
 from .entropy import expected_info
 from .inference import uniform_prior
@@ -226,20 +232,24 @@ def _block_counts(config, map_spec, noise, base, start, parts, orders):
 
     The shared series is counted by grid_transition_counts in one pass.  With
     regenerate_per_d, point start + i gets its own series, symbolized and
-    counted for that point alone.
+    counted at k_max for that point alone; the lower orders of the block are
+    derived from those tables as for the shared series.
     """
-    if not config.regenerate_per_d:
+    if config.regenerate_per_d:
+        k_max = orders[-1]
+        top = np.empty((len(parts), 2 ** (k_max + 1)), dtype=np.int64)
+        first = np.empty((len(parts), k_max), dtype=np.int64)
+        for i, part in enumerate(parts):
+            traj = generate_trajectory(
+                map_spec, noise, config.n, config.transient, config.seed + 1 + start + i
+            )
+            seq = symbolize(traj, part)
+            top[i] = transition_counts(seq, k_max).table.ravel()
+            first[i] = seq.symbols[:k_max]
+        stacked = _lower_orders(top, first, orders)
+    else:
         stacked = grid_transition_counts(base.states, [p.decision_point for p in parts], orders)
-        return {k: CountTable(k, 2, stacked[k].reshape(len(parts), -1, 2)) for k in orders}
-    tables = {k: np.empty((len(parts), 2**k, 2), dtype=np.int64) for k in orders}
-    for i, part in enumerate(parts):
-        traj = generate_trajectory(
-            map_spec, noise, config.n, config.transient, config.seed + 1 + start + i
-        )
-        seq = symbolize(traj, part)
-        for k in orders:
-            tables[k][i] = transition_counts(seq, k).table
-    return {k: CountTable(k, 2, table) for k, table in tables.items()}
+    return {k: CountTable(k, 2, stacked[k].reshape(len(parts), -1, 2)) for k in orders}
 
 
 def _score(ds, tables, orders, log_priors, priors, want_detail):

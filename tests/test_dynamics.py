@@ -2,6 +2,7 @@ import math
 import re
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,19 @@ def test_trajectory_equals_two_loop_reference(seed, r, sigma, n, transient):
     spec, noise = MapSpec(r=r), NoiseSpec(sigma)
     got = generate_trajectory(spec, noise, n, transient, seed).states
     assert got.tobytes() == reference_trajectory(spec, noise, n, transient, seed).tobytes()
+
+
+def test_trajectory_holds_one_array_of_states():
+    # The shocks are drawn into the state array, so the peak is one array of
+    # transient + n doubles, not that plus the shocks.
+    n, transient = 40_000, 10_000
+    tracemalloc.start()
+    try:
+        generate_trajectory(MapSpec(), NoiseSpec(1e-3), n, transient, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * (n + transient)
 
 
 def reflect_by_bounces(x: float) -> float:

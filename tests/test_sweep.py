@@ -105,6 +105,8 @@ ORACLE_CASES = {
                                 regenerate_per_d=True),
     # 131 points at k_max=8 span a full grid block and a partial one.
     "partial_block": SweepConfig(n=600, transient=30, seed=4, grid=131, k_min=1, k_max=8),
+    "per_d_partial_block": SweepConfig(n=600, transient=30, seed=6, grid=131, k_min=0,
+                                       k_max=8, regenerate_per_d=True),
 }
 
 
@@ -121,6 +123,23 @@ def test_partial_block_case_spans_two_blocks():
     cfg = ORACLE_CASES["partial_block"]
     block = GRID_BLOCK_ENTRIES >> (cfg.k_max + 1)
     assert block < cfg.grid < 2 * block
+
+
+@pytest.mark.parametrize("k_max", [0, 4])
+def test_regenerate_per_d_counts_each_series_once(monkeypatch, k_max):
+    import chaosinfer.sweep as sweep_mod
+
+    orders_counted = []
+    real = sweep_mod.transition_counts
+
+    def counted(seq, order):
+        orders_counted.append(order)
+        return real(seq, order)
+
+    monkeypatch.setattr(sweep_mod, "transition_counts", counted)
+    cfg = SweepConfig(n=400, grid=7, k_min=0, k_max=k_max, regenerate_per_d=True)
+    sweep_mod.run_sweep(cfg)
+    assert orders_counted == [k_max] * cfg.grid
 
 
 def test_top_of_range_rows_are_reported_in_one_warning():
@@ -391,6 +410,17 @@ def test_parse_config_flags_override_file(tmp_path):
     assert cfg.k_max == 2
     assert cfg.out_path == "file.csv"
     assert cfg.out_format == "json"
+
+
+def test_config_file_comments_need_a_line_start_or_whitespace(tmp_path):
+    f = tmp_path / "sweep.cfg"
+    f.write_text("# full-line comment\nout=dir/run#1.csv\nk-max=2  # two\n")
+    cfg = parse_config(["--config", str(f)])
+    assert cfg.out_path == "dir/run#1.csv"
+    assert cfg.k_max == 2
+    f.write_text("k_max=2#x\n")
+    with pytest.raises(ConfigError, match="bad value for k_max"):
+        parse_config(["--config", str(f)])
 
 
 def test_parse_config_rejects_unknown_file_key(tmp_path):
