@@ -117,10 +117,10 @@ def grid_transition_counts(states, thresholds, orders) -> dict[int, np.ndarray]:
         windows += bit
         diff -= np.bincount(windows.ravel(), minlength=size)
     diff = diff.reshape(grid + 1, n_patterns)
-    return _lower_orders(np.cumsum(diff, axis=0, out=diff)[:grid], reads_one, orders)
+    return lower_orders(np.cumsum(diff, axis=0, out=diff)[:grid], reads_one, orders)
 
 
-def _lower_orders(table, first, orders) -> dict[int, np.ndarray]:
+def lower_orders(table, first, orders) -> dict[int, np.ndarray]:
     """{k: (G, 2**(k+1)) binary tables} for each k in the ascending `orders`,
     from G stacked order-k_max tables of shape (G, 2**(k_max+1)), k_max =
     orders[-1], and the first k_max symbols of each series, shape (G, k_max).

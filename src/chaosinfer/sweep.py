@@ -16,15 +16,15 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from operator import getitem
+from operator import attrgetter, getitem
 
 import numpy as np
 
 from .counts import (
     MAX_TABLE_ENTRIES,
     CountTable,
-    _lower_orders,
     grid_transition_counts,
+    lower_orders,
     transition_counts,
 )
 from .dynamics import MAP_FAMILIES, MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
@@ -44,6 +44,8 @@ FORMAT_CHOICES = ("csv", "json")
 # Decision points are counted and scored a block at a time; a block holds at
 # most this many order-k_max table entries, which bounds its temporaries.
 GRID_BLOCK_ENTRIES = 1 << 16
+# Output rows are formatted and written this many at a time.
+EMIT_CHUNK_ROWS = 64
 # The top-of-range warning names at most this many decision points.
 TOP_OF_RANGE_SHOWN = 5
 # Accepted Dirichlet pseudo-counts.  gammaln and digamma take 1/alpha, which
@@ -246,7 +248,7 @@ def _block_counts(config, map_spec, noise, base, start, parts, orders):
             seq = symbolize(traj, part)
             top[i] = transition_counts(seq, k_max).table.ravel()
             first[i] = seq.symbols[:k_max]
-        stacked = _lower_orders(top, first, orders)
+        stacked = lower_orders(top, first, orders)
     else:
         stacked = grid_transition_counts(base.states, [p.decision_point for p in parts], orders)
     return {k: CountTable(k, 2, stacked[k].reshape(len(parts), -1, 2)) for k in orders}
@@ -370,22 +372,76 @@ def _cells(row) -> list:
     return cells
 
 
+def _cell_tuples(rows):
+    """The cells of each of `rows`, all of one class, as one flat tuple per row
+    in _cells' order, gathered a field at a time rather than a cell at a time."""
+    columns = []
+    for name, per_order, _ in _FIELDS[type(rows[0])]:
+        column = map(attrgetter(name), rows)
+        if per_order:
+            columns += zip(*column)
+        else:
+            columns.append(column)
+    return zip(*columns)
+
+
 def _write_csv(fh, header: list[str], rows) -> None:
-    # csv.writer writes None as an empty cell and a float as its repr.
+    """Write `header`, then the _cells of each row as csv.writer writes them.
+
+    A chunk of rows is formatted by one template with a %r per cell.  The
+    repr of an int or a float is what csv.writer writes for it, and the only
+    cells csv.writer leaves blank, None and NaN, come out as "None" and
+    "nan", which no number's repr contains.  A text cell may need quoting,
+    and its repr has a quote mark, so a chunk with one goes through
+    csv.writer instead."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(map(_cells, rows))
+    template = ",".join(["%r"] * len(header)) + "\n"
+    for start in range(0, len(rows), EMIT_CHUNK_ROWS):
+        chunk = rows[start:start + EMIT_CHUNK_ROWS]
+        text = "".join(map(template.__mod__, _cell_tuples(chunk)))
+        if "'" in text or '"' in text:
+            writer.writerows(map(_cells, chunk))
+        else:
+            fh.write(text.replace("None", "").replace("nan", ""))
+
+
+def _json_chunks(rows, encode):
+    """The JSON objects of `rows`, one per line, as one text per chunk of rows.
+
+    A row object is the row's instance dict, which holds its fields in
+    _FIELDS order: the frozen dataclass's __init__ sets each field in that
+    order and nothing else.  The encoder rejects NaN and infinite floats; a
+    chunk that has one is encoded again from _values, with every float
+    passed through _json_float.  A chunk is encoded as one list, which puts
+    ", " between its objects.  Only there can ', {"' occur, since a row holds
+    no nested object and a quote inside a string is escaped, so each one is
+    where a line starts."""
+    for start in range(0, len(rows), EMIT_CHUNK_ROWS):
+        chunk = rows[start:start + EMIT_CHUNK_ROWS]
+        try:
+            text = encode(list(map(vars, chunk)))
+        except ValueError:
+            text = encode([_values(type(row), row, getattr, _json_float) for row in chunk])
+        yield text[1:-1].replace(', {"', ',\n    {"')
 
 
 def _dump_json(result: SweepResult, fh) -> None:
-    obj = {
-        "config": _values(SweepConfig, result.config, getattr, _json_float),
-        "lyapunov_bits": _json_float(result.lyapunov_bits),
-        "rows": [_values(SweepRow, row, getattr, _json_float) for row in result.rows],
-        "detail": [_values(DetailRow, dr, getattr, _json_float) for dr in result.detail],
-    }
-    json.dump(obj, fh, indent=2, allow_nan=False)
-    fh.write("\n")
+    """The result as strict JSON with one row object per line, written a
+    chunk of rows at a time, so the whole document is never held in memory."""
+    encode = json.JSONEncoder(allow_nan=False).encode
+    fh.write('{\n  "config": %s,\n  "lyapunov_bits": %s,\n' % (
+        encode(_values(SweepConfig, result.config, getattr, _json_float)),
+        encode(_json_float(result.lyapunov_bits)),
+    ))
+    for key, rows, end in (("rows", result.rows, ",\n"), ("detail", result.detail, "\n}\n")):
+        fh.write(f'  "{key}": [')
+        separator = "\n    "
+        for text in _json_chunks(rows, encode):
+            fh.write(separator)
+            fh.write(text)
+            separator = ",\n    "
+        fh.write(("\n  ]" if rows else "]") + end)
 
 
 def _write_file(path: str, write) -> None:

@@ -8,6 +8,7 @@ import stat
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,10 @@ from chaosinfer.sweep import (
     MAX_ALPHA,
     MIN_ALPHA,
     ConfigError,
+    DetailRow,
     SweepConfig,
+    SweepResult,
+    SweepRow,
     csv_header,
     emit,
     emit_detail,
@@ -227,6 +231,143 @@ def test_json_reemits_non_finite_values_to_the_same_bytes(tmp_path):
     assert second.read_bytes() == first.read_bytes()
     emit_detail(result, str(tmp_path / "detail.csv"))
     assert_csv_holds(tmp_path / "detail.csv", DETAIL_HEADER, result.detail)
+
+
+# A hand-built result with every kind of cell: NaN (math.nan itself, so that
+# the reloaded rows compare equal), infinities, a failed row with no order and
+# an error text holding a quote, a newline, a brace, a comma and a non-ASCII
+# character.
+TINY = SweepResult(
+    config=SweepConfig(n=100, grid=2, k_min=1, k_max=2, alpha=0.5, out_format="json",
+                       out_path="out.json", detail_path="detail.csv"),
+    lyapunov_bits=0.9791235781734471,
+    rows=(
+        SweepRow(0.0, 2, 0.25, 0.125, math.inf, (-1.5, -math.inf), (0.1, 0.9)),
+        SweepRow(1.0, None, math.nan, math.nan, math.nan, (math.nan, math.nan),
+                 (math.nan, math.nan), 'bad "x", {"d": 1},\n} é'),
+    ),
+    detail=(
+        DetailRow(0.0, 1, 0.5, 0.375, 1e-05, -1.5, 0.1),
+        DetailRow(0.0, 2, math.nan, -math.inf, math.inf, -math.inf, 0.9),
+    ),
+)
+# No detail rows and no error text; the failed row's blank cells are None and NaN.
+TINY_BARE = dataclasses.replace(
+    TINY, lyapunov_bits=-math.inf, detail=(),
+    rows=(TINY.rows[0], dataclasses.replace(TINY.rows[1], error=None)),
+)
+TINY_CONFIG_JSON = (
+    '{"family": "logistic", "r": 4.0, "sigma": 0.001, "n": 100, "transient": 1000, '
+    '"seed": 0, "grid": 2, "k_min": 1, "k_max": 2, "order_prior": "size-penalty", '
+    '"alpha": 0.5, "regenerate_per_d": false, "out_format": "json", "out_path": "out.json", '
+    '"detail_path": "detail.csv"}'
+)
+TINY_ROW_JSON = (
+    '{"d": 0.0, "k_selected": 2, "h_expected_bits": 0.25, "h_rate_q_bits": 0.125, '
+    '"kl_correction_bits": "inf", "log_evidence": [-1.5, "-inf"], "p_order": [0.1, 0.9], '
+    '"error": null}'
+)
+TINY_DETAIL_JSON = (
+    '{"d": 0.0, "k": 1, "h_expected_bits": 0.5, "h_rate_q_bits": 0.375, '
+    '"kl_correction_bits": 1e-05, "log_evidence": -1.5, "p_order": 0.1}'
+)
+# ensure_ascii escapes the non-ASCII character.
+TINY_ERROR_JSON = r'"bad \"x\", {\"d\": 1},\n} \u00e9"'
+
+
+def failed_row_json(error):
+    return ('{"d": 1.0, "k_selected": null, "h_expected_bits": null, "h_rate_q_bits": null, '
+            '"kl_correction_bits": null, "log_evidence": [null, null], "p_order": [null, null], '
+            f'"error": {error}}}')
+
+
+@pytest.mark.parametrize("result, expected", [
+    (TINY,
+     '{\n'
+     f'  "config": {TINY_CONFIG_JSON},\n'
+     '  "lyapunov_bits": 0.9791235781734471,\n'
+     '  "rows": [\n'
+     f'    {TINY_ROW_JSON},\n'
+     f'    {failed_row_json(TINY_ERROR_JSON)}\n'
+     '  ],\n'
+     '  "detail": [\n'
+     f'    {TINY_DETAIL_JSON},\n'
+     '    {"d": 0.0, "k": 2, "h_expected_bits": null, "h_rate_q_bits": "-inf", '
+     '"kl_correction_bits": "inf", "log_evidence": "-inf", "p_order": 0.9}\n'
+     '  ]\n'
+     '}\n'),
+    (TINY_BARE,
+     '{\n'
+     f'  "config": {TINY_CONFIG_JSON},\n'
+     '  "lyapunov_bits": "-inf",\n'
+     '  "rows": [\n'
+     f'    {TINY_ROW_JSON},\n'
+     f'    {failed_row_json("null")}\n'
+     '  ],\n'
+     '  "detail": []\n'
+     '}\n'),
+    # No rows, and only finite floats, which the encoder takes as they are.
+    (dataclasses.replace(TINY, rows=(), detail=TINY.detail[:1]),
+     '{\n'
+     f'  "config": {TINY_CONFIG_JSON},\n'
+     '  "lyapunov_bits": 0.9791235781734471,\n'
+     '  "rows": [],\n'
+     '  "detail": [\n'
+     f'    {TINY_DETAIL_JSON}\n'
+     '  ]\n'
+     '}\n'),
+], ids=["detail", "no-detail", "finite"])
+def test_json_layout_is_frozen(tmp_path, result, expected):
+    # One row object per line inside a fixed outer layout; still strict JSON.
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    emit(result, "json", str(first))
+    assert first.read_text(encoding="utf-8") == expected
+    json.loads(expected, parse_constant=_no_constants)
+    loaded = load_sweep_json(str(first))
+    assert loaded == result
+    emit(loaded, "json", str(second))
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("write, result, expected", [
+    ("csv", TINY,
+     "d,k_selected,h_expected_bits,h_rate_q_bits,kl_correction_bits,log_evidence_k1,"
+     "log_evidence_k2,p_order_k1,p_order_k2,error\n"
+     "0.0,2,0.25,0.125,inf,-1.5,-inf,0.1,0.9,\n"
+     '1.0,,,,,,,,,"bad ""x"", {""d"": 1},\n} é"\n'),
+    ("csv", TINY_BARE,
+     "d,k_selected,h_expected_bits,h_rate_q_bits,kl_correction_bits,log_evidence_k1,"
+     "log_evidence_k2,p_order_k1,p_order_k2,error\n"
+     "0.0,2,0.25,0.125,inf,-1.5,-inf,0.1,0.9,\n"
+     "1.0,,,,,,,,,\n"),
+    ("detail", TINY,
+     "d,k,h_expected_bits,h_rate_q_bits,kl_correction_bits,log_evidence,p_order\n"
+     "0.0,1,0.5,0.375,1e-05,-1.5,0.1\n"
+     "0.0,2,,-inf,inf,-inf,0.9\n"),
+], ids=["summary", "summary-no-text", "detail"])
+def test_csv_bytes_are_frozen(tmp_path, write, result, expected):
+    # Blank cells for None and NaN, inf and -inf, repr floats, csv quoting of text.
+    path = tmp_path / "out.csv"
+    WRITES[write](result, str(path))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_emit_streams_rows_in_bounded_memory(tmp_path):
+    # Neither writer holds the whole file: peak traced memory stays under half its size.
+    base = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
+    result = dataclasses.replace(base, detail=base.detail * 300)
+    for write, name in (("json", "out.json"), ("detail", "detail.csv")):
+        path = tmp_path / name
+        tracemalloc.start()
+        try:
+            WRITES[write](result, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        if write == "json":
+            assert size >= 2_000_000
+        assert peak <= 0.5 * size, (write, peak, size)
 
 
 WRITES = {
