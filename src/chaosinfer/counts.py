@@ -34,10 +34,6 @@ class CountTable:
         """Occurrences of each context, n(context) = sum_s n(context -> s)."""
         return self.table.sum(axis=-1)
 
-    @property
-    def total(self) -> int:
-        return int(self.table.sum())
-
 
 def transition_counts(seq: SymbolSequence, order: int) -> CountTable:
     """Count next-symbol occurrences for every length-`order` context.

@@ -32,10 +32,9 @@ class OrderRange:
 
 @dataclass(frozen=True)
 class OrderPosterior:
-    """Per-order log priors and evidences plus the normalized posterior."""
+    """Per-order log evidences plus the normalized posterior."""
 
     orders: tuple[int, ...]
-    log_prior: tuple[float, ...]
     log_evidence: tuple[float, ...]
     posterior: tuple[float, ...]
     selected: int
@@ -113,7 +112,6 @@ def rank_orders(
     post, best = posterior_over_orders(le, lp)
     return OrderPosterior(
         orders=ks,
-        log_prior=tuple(float(v) for v in lp),
         log_evidence=tuple(float(v) for v in le),
         posterior=tuple(float(v) for v in post),
         selected=ks[int(best)],

@@ -356,25 +356,10 @@ def _values(cls, source, get, convert) -> dict:
     return values
 
 
-def _cells(row) -> list:
-    """A row's CSV cells: its fields in field order, each float by _json_float
-    and a per-order tuple spread over one cell per order.  Not built from
-    _values, whose dict would have to be spread again for every detail row."""
-    cells = []
-    for name, per_order, is_float in _FIELDS[type(row)]:
-        value = getattr(row, name)
-        if per_order:
-            cells += map(_json_float, value)
-        elif is_float:
-            cells.append(_json_float(value))
-        else:
-            cells.append(value)
-    return cells
-
-
 def _cell_tuples(rows):
-    """The cells of each of `rows`, all of one class, as one flat tuple per row
-    in _cells' order, gathered a field at a time rather than a cell at a time."""
+    """The CSV cells of each of `rows`, all of one class, as one flat tuple per
+    row: its fields in field order, a per-order tuple spread over one cell per
+    order, gathered a field at a time rather than a cell at a time."""
     columns = []
     for name, per_order, _ in _FIELDS[type(rows[0])]:
         column = map(attrgetter(name), rows)
@@ -386,14 +371,14 @@ def _cell_tuples(rows):
 
 
 def _write_csv(fh, header: list[str], rows) -> None:
-    """Write `header`, then the _cells of each row as csv.writer writes them.
+    """Write `header`, then the _cell_tuples of each row, None and NaN as empty cells.
 
     A chunk of rows is formatted by one template with a %r per cell.  The
-    repr of an int or a float is what csv.writer writes for it, and the only
-    cells csv.writer leaves blank, None and NaN, come out as "None" and
-    "nan", which no number's repr contains.  A text cell may need quoting,
-    and its repr has a quote mark, so a chunk with one goes through
-    csv.writer instead."""
+    repr of an int or a float is what csv.writer writes for it, and None and
+    NaN come out as "None" and "nan", which no number's repr contains, so two
+    replacements blank them.  A text cell may need quoting, and its repr has
+    a quote mark, so a chunk with one goes through csv.writer instead, with
+    each NaN made None, which csv.writer leaves blank."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     template = ",".join(["%r"] * len(header)) + "\n"
@@ -401,7 +386,8 @@ def _write_csv(fh, header: list[str], rows) -> None:
         chunk = rows[start:start + EMIT_CHUNK_ROWS]
         text = "".join(map(template.__mod__, _cell_tuples(chunk)))
         if "'" in text or '"' in text:
-            writer.writerows(map(_cells, chunk))
+            writer.writerows([None if c != c else c for c in cells]
+                             for cells in _cell_tuples(chunk))
         else:
             fh.write(text.replace("None", "").replace("nan", ""))
 

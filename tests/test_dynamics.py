@@ -1,9 +1,5 @@
 import math
-import re
-import runpy
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,17 +150,6 @@ def test_lyapunov_chaotic_benchmark():
     spec = MapSpec(r=4.0)
     traj = generate_trajectory(spec, NoiseSpec(0.0), n=100_000, transient=1_000, seed=3)
     assert abs(lyapunov_exponent(spec, traj) - 1.0) < 0.02
-
-
-def test_lyapunov_benchmark_script(monkeypatch, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "lyapunov_benchmark.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--n", "20000"])
-    runpy.run_path(str(script), run_name="__main__")
-    out = capsys.readouterr().out
-    lam = float(re.search(r"lambda = (\S+) bits/step", out).group(1))
-    gap = float(re.search(r"gap to the exact value 1\.0: (\S+)", out).group(1))
-    assert abs(lam - 1.0) < 0.05
-    assert gap == pytest.approx(abs(lam - 1.0), abs=1e-6)
 
 
 def test_lyapunov_period_two_matches_closed_form():

@@ -1,4 +1,5 @@
 import re
+import shlex
 from pathlib import Path
 
 from chaosinfer.cli import build_parser
@@ -22,3 +23,13 @@ def test_flag_list_matches_the_parser():
     listed = set(re.findall(r"--[a-z][a-z-]*", paragraph.group(1)))
     parsed = {opt for action in build_parser()._actions for opt in action.option_strings}
     assert listed == parsed - {"-h", "--help"}
+
+
+def test_running_commands_parse():
+    # Every command of "Running the experiment" is one the CLI accepts.
+    block = re.search(r"## Running the experiment\n+```sh\n(.*?)```", README.read_text(), re.S)
+    assert block is not None
+    commands = [line for line in block.group(1).splitlines() if line.startswith("chaosinfer ")]
+    assert commands
+    for command in commands:
+        build_parser().parse_args(shlex.split(command, comments=True)[1:])

@@ -3,14 +3,11 @@ import dataclasses
 import json
 import math
 import os
-import runpy
 import stat
-import sys
 import tempfile
 import threading
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +35,8 @@ from chaosinfer.sweep import (
 SMALL = SweepConfig(n=1500, transient=100, seed=5, grid=11, k_min=1, k_max=3)
 DETAIL_HEADER = ["d", "k", "h_expected_bits", "h_rate_q_bits", "kl_correction_bits",
                  "log_evidence", "p_order"]
+ORDER_PRIORS = next(f for f in dataclasses.fields(SweepConfig)
+                    if f.name == "order_prior").metadata["choices"]
 
 
 def assert_csv_holds(path, header, rows):
@@ -121,6 +120,46 @@ def test_run_sweep_equals_per_d_oracle(case, detail):
     if detail:
         cfg = dataclasses.replace(cfg, detail_path="detail.csv")
     assert run_sweep(cfg) == per_d_sweep(cfg)
+
+
+@st.composite
+def accepted_configs(draw):
+    """A SweepConfig that validate() accepts, with a short series.  At k_max
+    9 a grid block is 64 points, and the grid is one point short of a block,
+    one full block or one or two points over it.  The last point, d = 1,
+    gives every series the same symbols, so only two points over put a
+    series-dependent point in the second block."""
+    k_max = draw(st.sampled_from(range(10)))
+    block = GRID_BLOCK_ENTRIES >> (k_max + 1)
+    if block <= 64:
+        grid = block + draw(st.sampled_from([-1, 0, 1, 2]))
+    else:
+        grid = draw(st.integers(2, 7))
+    return SweepConfig(
+        r=draw(st.sampled_from([4.0, 3.7])),
+        sigma=draw(st.sampled_from([0.0, 1e-3, 0.3, 5.0])),
+        n=draw(st.integers(k_max + 2, 300)),
+        transient=draw(st.integers(0, 50)),
+        seed=draw(st.integers(0, 2**32)),
+        grid=grid,
+        k_min=draw(st.integers(0, k_max)),
+        k_max=k_max,
+        order_prior=draw(st.sampled_from(ORDER_PRIORS)),
+        alpha=draw(st.sampled_from([1.0, 0.5, 0.3, 1e-3, 7.1])),
+        regenerate_per_d=draw(st.booleans()),
+        detail_path=draw(st.sampled_from([None, "detail.csv"])),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+# Regenerated series past the first block, which the draws may not reach.
+@example(cfg=SweepConfig(n=300, transient=0, seed=1, grid=66, k_min=0, k_max=9, sigma=0.3,
+                         alpha=0.3, regenerate_per_d=True, detail_path="detail.csv"))
+@given(cfg=accepted_configs())
+def test_run_sweep_equals_per_d_oracle_on_accepted_configs(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_sweep(cfg) == per_d_sweep(cfg)
 
 
 def test_partial_block_case_spans_two_blocks():
@@ -434,22 +473,6 @@ def test_emit_writes_through_a_symlink_and_into_a_pipe(tmp_path, small_result):
     assert sorted(os.listdir(tmp_path)) == ["expected.csv", "link.csv", "pipe", "real.csv"]
 
 
-def test_instrument_sweep_script(monkeypatch, tmp_path, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_instrument_sweep.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--n", "600", "--grid", "5",
-                                      "--out-dir", str(tmp_path)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        runpy.run_path(str(script), run_name="__main__")
-    assert sorted(os.listdir(tmp_path)) == ["sweep.csv", "sweep.json", "sweep_detail.csv"]
-    loaded = load_sweep_json(str(tmp_path / "sweep.json"))
-    assert len(loaded.rows) == 5 and loaded.config.n == 600
-    assert loaded.config.out_format == "json"
-    assert loaded.config.out_path == str(tmp_path / "sweep.json")
-    assert len(loaded.detail) == 5 * len(range(loaded.config.k_min, loaded.config.k_max + 1))
-    assert "wrote 5 rows" in capsys.readouterr().out
-
-
 def test_emit_rejects_unknown_format(tmp_path, small_result):
     with pytest.raises(ConfigError):
         emit(small_result, "xml", str(tmp_path / "out.xml"))
@@ -628,13 +651,18 @@ def test_cli_end_to_end_and_determinism(tmp_path):
 
 
 def test_cli_json_output(tmp_path):
-    path = tmp_path / "out.json"
+    # One run writes the summary, detail rows, config echo and λ as JSON, plus
+    # the detail CSV, into a directory it creates.
+    path, detail = tmp_path / "results" / "sweep.json", tmp_path / "results" / "detail.csv"
     code = main(["--n", "900", "--transient", "20", "--grid", "3", "--k-max", "2",
-                 "--format", "json", "--out", str(path)])
+                 "--format", "json", "--out", str(path), "--detail", str(detail)])
     assert code == 0
     loaded = load_sweep_json(str(path))
     assert len(loaded.rows) == 3
-    assert loaded.config.n == 900
+    assert loaded.config.n == 900 and loaded.config.out_format == "json"
+    assert math.isfinite(loaded.lyapunov_bits)
+    assert len(loaded.detail) == 3 * 2
+    assert_csv_holds(detail, DETAIL_HEADER, loaded.detail)
 
 
 def test_cli_exit_code_on_config_errors(capsys, tmp_path):
@@ -701,10 +729,6 @@ ANY_FLOAT = st.one_of(
     st.floats(min_value=0.0),
     st.floats(),
 )
-
-
-ORDER_PRIORS = next(f for f in dataclasses.fields(SweepConfig)
-                    if f.name == "order_prior").metadata["choices"]
 
 
 def written_rows(out, out_format):
