@@ -23,7 +23,6 @@ from .dynamics import (
 )
 from .entropy import (
     EntropyEstimate,
-    asymptotic_info,
     digamma,
     expected_info,
 )

@@ -75,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict[str, object]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which editors may write.
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc

@@ -50,12 +50,9 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated states in [0, 1] plus the settings that produced them."""
+    """Simulated states in [0, 1] and the number of warm-up steps before them."""
 
     states: np.ndarray
-    map_spec: MapSpec
-    noise: NoiseSpec
-    seed: int | None
     transient: int
 
     def __len__(self) -> int:
@@ -114,13 +111,7 @@ def generate_trajectory(
     for i, shock in enumerate(out[1:], 1):
         x = _reflect(r * x * (1.0 - x) + shock)
         out[i] = x
-    return Trajectory(
-        states=path[transient:],
-        map_spec=map_spec,
-        noise=noise,
-        seed=None if seed is None else int(seed),
-        transient=int(transient),
-    )
+    return Trajectory(states=path[transient:], transient=int(transient))
 
 
 def lyapunov_exponent(map_spec: MapSpec, traj: Trajectory) -> float:

@@ -35,7 +35,8 @@ class EntropyEstimate:
     expected_info is the posterior-expected information rate: the entropy
     rate of the estimated chain plus the divergence of the estimate from the
     sampled parameters.  h_rate_q is the plug-in conditional entropy of the
-    posterior-mean chain and kl_correction the small-sample term that
+    posterior-mean chain and kl_correction the small-sample term; their sum
+    h_rate_q + kl_correction is the large-sample (asymptotic) estimate, which
     reproduces expected_info once pseudo-counts are large.  For a stack of
     count tables each estimate is an array, one entry per table.
     """
@@ -43,32 +44,11 @@ class EntropyEstimate:
     expected_info: float
     h_rate_q: float
     kl_correction: float
-    order: int
-
-
-def _assemble(counts: CountTable, prior: DirichletPrior):
-    """Pseudo-counts, their context sums and total beta, then the shares of beta."""
-    _check_match(counts, prior)
-    post = counts.table + prior.alpha
-    context_mass = post.sum(axis=-1)
-    beta = context_mass.sum(axis=-1)
-    q_ctx = context_mass / beta[..., None]
-    q_joint = post / beta[..., None, None]
-    return post, context_mass, beta, q_ctx, q_joint
 
 
 def _cell_sum(x):
     """Sum over the (context, symbol) cells of each table in a stack."""
     return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
-
-
-def _plugin_terms(q_ctx, q_joint, beta, alphabet_size):
-    log_q = np.log2(q_joint)
-    h_joint = -_cell_sum(np.multiply(q_joint, log_q, out=log_q))
-    h_ctx = -(q_ctx * np.log2(q_ctx)).sum(axis=-1)
-    n_free = q_joint.shape[-2] * (alphabet_size - 1)
-    correction = n_free / (2.0 * beta * _LN2)
-    return h_joint - h_ctx, correction
 
 
 def expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
@@ -82,35 +62,30 @@ def expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
     where m are pseudo-counts (counts + prior) and q their shares of beta.
     All digamma arguments are positive because the prior is.
 
+    h_rate_q is the block-entropy difference H_{k+1} - H_k of the
+    posterior-mean process and kl_correction the bias term
+    n_free / (2 * beta * ln 2); their sum is the large-sample form, valid
+    once pseudo-counts are large and reported regardless.
+
     A table with a leading grid axis gives arrays of estimates, one per
     table, each equal bit for bit to that table's own call.
     """
-    post, context_mass, beta, q_ctx, q_joint = _assemble(counts, prior)
+    _check_match(counts, prior)
+    post = counts.table + prior.alpha
+    context_mass = post.sum(axis=-1)
+    beta = context_mass.sum(axis=-1)
+    q_ctx = context_mass / beta[..., None]
+    q_joint = post / beta[..., None, None]
     psi = digamma(post)
     nats = (q_ctx * digamma(context_mass)).sum(axis=-1) - _cell_sum(
         np.multiply(q_joint, psi, out=psi)
     )
-    h_rate, correction = _plugin_terms(q_ctx, q_joint, beta, counts.alphabet_size)
+    log_q = np.log2(q_joint)
+    h_joint = -_cell_sum(np.multiply(q_joint, log_q, out=log_q))
+    h_ctx = -(q_ctx * np.log2(q_ctx)).sum(axis=-1)
+    n_free = q_joint.shape[-2] * (counts.alphabet_size - 1)
     return EntropyEstimate(
         expected_info=_scalar(nats / _LN2),
-        h_rate_q=_scalar(h_rate),
-        kl_correction=_scalar(correction),
-        order=counts.order,
-    )
-
-
-def asymptotic_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
-    """Large-sample form: plug-in conditional entropy plus the bias term.
-
-    The plug-in rate is the block-entropy difference H_{k+1} - H_k of the
-    posterior-mean process; the bias term is n_free / (2 * beta * ln 2).
-    Valid once pseudo-counts are large; reported regardless.
-    """
-    _, _, beta, q_ctx, q_joint = _assemble(counts, prior)
-    h_rate, correction = _plugin_terms(q_ctx, q_joint, beta, counts.alphabet_size)
-    return EntropyEstimate(
-        expected_info=_scalar(h_rate + correction),
-        h_rate_q=_scalar(h_rate),
-        kl_correction=_scalar(correction),
-        order=counts.order,
+        h_rate_q=_scalar(h_joint - h_ctx),
+        kl_correction=_scalar(n_free / (2.0 * beta * _LN2)),
     )

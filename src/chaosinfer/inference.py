@@ -46,7 +46,6 @@ class LogEvidence:
     """
 
     value: float | np.ndarray
-    order: int
 
 
 def uniform_prior(order: int, alphabet_size: int, value: float = 1.0) -> DirichletPrior:
@@ -91,5 +90,5 @@ def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     per_context -= gammaln(na_context, out=na_context)
     visited = counts.context_totals > 0
     value = np.where(visited, per_context, 0.0).sum(axis=-1)
-    return LogEvidence(value=_scalar(value), order=counts.order)
+    return LogEvidence(value=_scalar(value))
 

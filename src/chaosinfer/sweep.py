@@ -41,8 +41,10 @@ from .symbolize import decision_grid, symbolize
 
 FORMAT_CHOICES = ("csv", "json")
 
-# Decision points are counted and scored a block at a time; a block holds at
-# most this many order-k_max table entries, which bounds its temporaries.
+# Decision points are counted and scored a block at a time; a block holds as
+# many points as keep its order-k_max table entries at or under this, which
+# bounds its temporaries.  A block always holds at least one point, so from
+# k_max = 16 on it is one point whose table alone exceeds this.
 GRID_BLOCK_ENTRIES = 1 << 16
 # Output rows are formatted and written this many at a time.
 EMIT_CHUNK_ROWS = 64

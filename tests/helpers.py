@@ -145,13 +145,13 @@ def count_stack(order: int, rows: int):
     ).map(lambda drawn: np.where(drawn[1][..., None], 0, drawn[0]))
 
 
-def mc_evidence(table: np.ndarray, alpha: float, n_samples: int,
+def mc_evidence(table: np.ndarray, n_samples: int,
                 rng: np.random.Generator, chunk: int = 250_000) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the prior-averaged likelihood.
 
-    Binary alphabet: each context's success probability is drawn from
-    Beta(alpha, alpha) and the likelihood of the counted transitions is
-    averaged in probability space.
+    Binary alphabet under the flat prior (alpha = 1): each context's success
+    probability is drawn uniformly, which is Beta(1, 1), and the likelihood
+    of the counted transitions is averaged in probability space.
     """
     n0 = table[:, 0].astype(float)
     n1 = table[:, 1].astype(float)
@@ -159,7 +159,7 @@ def mc_evidence(table: np.ndarray, alpha: float, n_samples: int,
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        p = rng.beta(alpha, alpha, size=(m, table.shape[0]))
+        p = rng.random(size=(m, table.shape[0]))
         assert np.all((p > 0.0) & (p < 1.0))
         ll = (n1 * np.log(p) + n0 * np.log1p(-p)).sum(axis=1)
         like[done : done + m] = np.exp(ll)

@@ -65,6 +65,10 @@ def test_transition_counts_order_zero():
 def test_transition_counts_too_short():
     with pytest.raises(ValueError):
         transition_counts(bits("0"), 1)
+    with pytest.raises(ValueError, match="order=-1"):
+        transition_counts(bits("01"), -1)
+    with pytest.raises(ValueError, match="too large"):
+        transition_counts(bits("0" * 30), 26)  # 2**27 entries
 
 
 def test_context_codec_round_trip():
@@ -161,6 +165,8 @@ def test_grid_counts_rejects_bad_arguments():
         grid_transition_counts([0.1, 0.2], [0.5], [-1])
     with pytest.raises(ValueError):
         grid_transition_counts([0.1, 0.2], [0.5], [])
+    with pytest.raises(ValueError, match="too large"):
+        grid_transition_counts([0.1, 0.2], [0.5], [26])
 
 
 unit_states = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))

@@ -70,6 +70,10 @@ def test_same_seed_reproduces_exactly():
 def test_requested_length():
     traj = generate_trajectory(MapSpec(), NoiseSpec(1e-3), 257, 10, seed=0)
     assert len(traj) == 257
+    with pytest.raises(ValueError, match="n=0"):
+        generate_trajectory(MapSpec(), NoiseSpec(1e-3), 0, 10, seed=0)
+    with pytest.raises(ValueError, match="transient=-1"):
+        generate_trajectory(MapSpec(), NoiseSpec(1e-3), 257, -1, seed=0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -168,15 +172,17 @@ def test_lyapunov_period_two_matches_closed_form():
 
 def test_lyapunov_constant_slope_is_exactly_one():
     spec = MapSpec(r=4.0)
-    traj = Trajectory(np.full(100, 0.25), spec, NoiseSpec(0.0), seed=None, transient=0)
+    traj = Trajectory(np.full(100, 0.25), transient=0)
     assert lyapunov_exponent(spec, traj) == 1.0
 
 
 def test_lyapunov_degenerate_derivative_reported():
     spec = MapSpec(r=4.0)
-    traj = Trajectory(np.array([0.3, 0.5]), spec, NoiseSpec(0.0), seed=None, transient=0)
+    traj = Trajectory(np.array([0.3, 0.5]), transient=0)
     with pytest.warns(RuntimeWarning):
         assert lyapunov_exponent(spec, traj) == float("-inf")
+    with pytest.raises(ValueError, match="empty"):
+        lyapunov_exponent(spec, Trajectory(np.empty(0), transient=0))
 
 
 def test_map_derivative_vectorized():

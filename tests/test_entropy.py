@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosinfer.counts import CountTable, transition_counts
-from chaosinfer.entropy import asymptotic_info, digamma, expected_info
+from chaosinfer.entropy import digamma, expected_info
 from chaosinfer.inference import uniform_prior
 from chaosinfer.symbolize import SymbolSequence
 from helpers import ALPHAS, count_stack, mc_expected_info, reference_digamma
@@ -66,14 +66,13 @@ def test_digamma_vectorized():
 def test_stacked_estimates_equal_per_table_calls(data, order, rows, alpha):
     table = data.draw(count_stack(order, rows))
     prior = uniform_prior(order, 2, alpha)
-    for estimate in (expected_info, asymptotic_info):
-        stacked = estimate(CountTable(order, 2, table), prior)
-        singles = [estimate(CountTable(order, 2, t), prior) for t in table]
-        for name in ("expected_info", "h_rate_q", "kl_correction"):
-            column = getattr(stacked, name)
-            assert isinstance(column, np.ndarray) and column.shape == (rows,)
-            assert column.tolist() == [getattr(one, name) for one in singles]
-            assert all(isinstance(getattr(one, name), float) for one in singles)
+    stacked = expected_info(CountTable(order, 2, table), prior)
+    singles = [expected_info(CountTable(order, 2, t), prior) for t in table]
+    for name in ("expected_info", "h_rate_q", "kl_correction"):
+        column = getattr(stacked, name)
+        assert isinstance(column, np.ndarray) and column.shape == (rows,)
+        assert column.tolist() == [getattr(one, name) for one in singles]
+        assert all(isinstance(getattr(one, name), float) for one in singles)
 
 
 def test_expected_info_zero_data_analytic():
@@ -93,18 +92,14 @@ def test_fair_coin_large_sample_info_near_one_bit():
     seq = SymbolSequence(rng.integers(0, 2, 50_000), 2)
     est = expected_info(transition_counts(seq, 1), uniform_prior(1, 2))
     assert est.expected_info == pytest.approx(1.0, abs=0.01)
-    corr = asymptotic_info(transition_counts(seq, 1), uniform_prior(1, 2))
-    assert corr.kl_correction == pytest.approx(2.0 / (2.0 * (50_000 - 1 + 4) * LN2), abs=1e-12)
+    assert est.kl_correction == pytest.approx(2.0 / (2.0 * (50_000 - 1 + 4) * LN2), abs=1e-12)
 
 
 def test_expected_and_asymptotic_agree_on_large_samples():
     rng = np.random.default_rng(13)
     seq = SymbolSequence(rng.integers(0, 2, 50_000), 2)
-    full = expected_info(transition_counts(seq, 1), uniform_prior(1, 2))
-    approx = asymptotic_info(transition_counts(seq, 1), uniform_prior(1, 2))
-    assert abs(full.expected_info - approx.expected_info) < 1e-3
-    assert full.h_rate_q == approx.h_rate_q
-    assert full.kl_correction == approx.kl_correction
+    est = expected_info(transition_counts(seq, 1), uniform_prior(1, 2))
+    assert abs(est.expected_info - (est.h_rate_q + est.kl_correction)) < 1e-3
 
 
 def test_unit_coherence_info_decomposition():

@@ -57,7 +57,6 @@ def test_prior_rejects_nonpositive_alpha():
 def test_log_evidence_two_symbols():
     lev = log_evidence(transition_counts(bits("01"), 0), uniform_prior(0, 2))
     assert lev.value == pytest.approx(math.log(1.0 / 6.0), abs=1e-12)
-    assert lev.order == 0
 
 
 def test_log_evidence_constant_run():
@@ -76,7 +75,6 @@ def test_stacked_log_evidence_equals_per_table_calls(data, order, rows, alpha):
     prior = uniform_prior(order, 2, alpha)
     stacked = log_evidence(CountTable(order, 2, table), prior)
     singles = [log_evidence(CountTable(order, 2, t), prior).value for t in table]
-    assert stacked.order == order
     assert isinstance(stacked.value, np.ndarray) and stacked.value.shape == (rows,)
     assert all(isinstance(v, float) for v in singles)
     assert stacked.value.tolist() == singles
@@ -151,5 +149,5 @@ def test_log_evidence_matches_monte_carlo_smoke():
         seq = SymbolSequence(rng.integers(0, 2, n), 2)
         counts = transition_counts(seq, order)
         exact = math.exp(log_evidence(counts, uniform_prior(order, 2)).value)
-        mean, se = mc_evidence(counts.table, 1.0, 200_000, mc_rng)
+        mean, se = mc_evidence(counts.table, 200_000, mc_rng)
         assert abs(exact - mean) <= 3.0 * se

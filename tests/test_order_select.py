@@ -25,6 +25,9 @@ def test_model_size_values():
     assert model_size(3, 2) == 8
     assert model_size(0, 2) == 1
     assert model_size(2, 3) == 18
+    for order, alphabet in ((-1, 2), (1, 1)):
+        with pytest.raises(ValueError):
+            model_size(order, alphabet)
 
 
 def test_order_log_prior_values():
@@ -61,6 +64,11 @@ def test_rank_orders_uniform_tie_breaks_toward_small_k():
     ranking = rank_orders((2, 3), [-5.0, -5.0], [0.0, 0.0])
     assert ranking.selected == 2
     assert ranking.posterior == pytest.approx((0.5, 0.5), abs=1e-12)
+    for orders in ((3, 2), (2, 2)):
+        with pytest.raises(ValueError, match="ascending"):
+            rank_orders(orders, [-5.0, -5.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="align"):
+        rank_orders((2, 3), [-5.0], [0.0, 0.0])
 
 
 def test_rank_orders_selects_top_of_range_without_warning():

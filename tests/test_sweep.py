@@ -552,6 +552,8 @@ def test_config_validation_errors():
         SweepConfig(out_format="xml").validate()
     with pytest.raises(ConfigError):
         SweepConfig(n=100, k_max=26).validate()  # 2**27 entries per table
+    with pytest.raises(ConfigError, match="transient"):
+        SweepConfig(transient=-1).validate()
     SweepConfig(sigma=0.0).validate()
 
 
@@ -599,6 +601,17 @@ def test_parse_config_rejects_bad_file_value(tmp_path):
     f.write_text("n=abc\n")
     with pytest.raises(ConfigError):
         parse_config(["--config", str(f)])
+    f.write_text("grid=5\nk_max\n")
+    with pytest.raises(ConfigError, match=":2: expected key=value"):
+        parse_config(["--config", str(f)])
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        parse_config(["--config", str(tmp_path / "missing.cfg")])
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    f = tmp_path / "sweep.cfg"
+    f.write_bytes(b"\xef\xbb\xbfk_max=3\n")
+    assert parse_config(["--config", str(f)]).k_max == 3
 
 
 # field -> (documented flag, a valid value as text, or None for a switch)

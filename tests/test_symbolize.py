@@ -74,6 +74,8 @@ def test_partition_spec_validation():
 def test_symbol_sequence_validates_alphabet():
     with pytest.raises(ValueError):
         SymbolSequence(np.array([0, 2]), alphabet_size=2)
+    with pytest.raises(ValueError, match="alphabet_size=0"):
+        SymbolSequence(np.array([], dtype=int), alphabet_size=0)
 
 
 @given(x=unit_floats, d=unit_floats)
