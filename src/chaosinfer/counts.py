@@ -89,19 +89,20 @@ def grid_transition_counts(states, thresholds, orders) -> dict[int, np.ndarray]:
     n, grid = len(states), len(thresholds)
     if n < width:
         raise ValueError(f"sequence of length {n} too short for order {k_max}")
-    cut = np.searchsorted(thresholds, states, side="right")
-    reads_one = np.arange(grid)[:, None] < cut[None, :k_max]
+    head = np.searchsorted(thresholds, states[:k_max], side="right")
+    reads_one = np.arange(grid)[:, None] < head[None, :]
     # Sort key: cut in the high bits, k_max - position in the low bits, so
     # the low bits of a sorted key give the weight of its state's bit.
     shift = width.bit_length()
-    cut <<= shift
     weight_exp = np.arange(k_max, -1, -1)
     size = (grid + 1) * n_patterns
     diff = np.zeros(size, dtype=np.int64)
     diff[n_patterns - 1] = n - k_max  # below every cut all window bits read 1
     for start in range(0, n - k_max, _WINDOW_CHUNK):
         stop = min(start + _WINDOW_CHUNK, n - k_max)
-        windows = sliding_window_view(cut[start:stop + k_max], width) + weight_exp
+        cut = np.searchsorted(thresholds, states[start:stop + k_max], side="right")
+        cut <<= shift
+        windows = sliding_window_view(cut, width) + weight_exp
         windows.sort(axis=1)
         bit = np.left_shift(1, windows & ((1 << shift) - 1))
         # Passing the m-th smallest cut clears the bit of that state.
@@ -114,6 +115,35 @@ def grid_transition_counts(states, thresholds, orders) -> dict[int, np.ndarray]:
         diff -= np.bincount(windows.ravel(), minlength=size)
     diff = diff.reshape(grid + 1, n_patterns)
     return lower_orders(np.cumsum(diff, axis=0, out=diff)[:grid], reads_one, orders)
+
+
+def count_windows(table, states, thresholds, history) -> np.ndarray:
+    """Add the order-k windows that end in a chunk of G series to their tables.
+
+    `table`, shape (G, 2**(k+1)), is incremented in place: row g counts the
+    windows of series g as transition_counts(..., k).table flattened does.
+    `states`, shape (L, G), holds the next L states of each series, and
+    series g reads 1 at or above thresholds[g], the left-closed rule of
+    symbolize.  `history`, shape (m, G), holds the symbols that precede the
+    chunk, at most k of them, so the windows that span the chunk edge are
+    counted too.  Returns the symbols of history and chunk together, shape
+    (m + L, G): the caller keeps the last k as the next chunk's history.
+
+    A window's code is built from k + 1 shifted ORs, oldest symbol most
+    significant, and offset by g << (k + 1), so one bincount counts them all.
+    """
+    size = table.shape[1]
+    k = size.bit_length() - 2
+    symbols = np.concatenate([history, states >= thresholds])
+    n_windows = len(symbols) - k
+    if n_windows > 0:
+        codes = symbols[:n_windows].astype(np.intp)
+        for j in range(1, k + 1):
+            codes <<= 1
+            codes |= symbols[j:j + n_windows]
+        codes += np.arange(0, table.size, size)
+        table += np.bincount(codes.ravel(), minlength=table.size).reshape(table.shape)
+    return symbols
 
 
 def lower_orders(table, first, orders) -> dict[int, np.ndarray]:

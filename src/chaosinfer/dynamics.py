@@ -75,6 +75,15 @@ def _reflect(x: float) -> float:
     return x
 
 
+def _start(seed: int | None) -> tuple[np.random.Generator, float]:
+    """The generator of one series and its starting state, a uniform draw in (0, 1)."""
+    rng = np.random.default_rng(seed)
+    x = float(rng.random())
+    while x == 0.0:
+        x = float(rng.random())
+    return rng, x
+
+
 def generate_trajectory(
     map_spec: MapSpec,
     noise: NoiseSpec,
@@ -94,10 +103,7 @@ def generate_trajectory(
         raise ValueError(f"n={n} must be >= 1")
     if transient < 0:
         raise ValueError(f"transient={transient} must be >= 0")
-    rng = np.random.default_rng(seed)
-    x = float(rng.random())
-    while x == 0.0:
-        x = float(rng.random())
+    rng, x = _start(seed)
     r = map_spec.r
     # The shocks are drawn into the state array: step i reads its shock from
     # slot i and then overwrites it with the state.
@@ -114,6 +120,53 @@ def generate_trajectory(
     return Trajectory(states=path[transient:], transient=int(transient))
 
 
+def start_lockstep(seeds) -> tuple[list[np.random.Generator], np.ndarray]:
+    """The generator and starting state of each of G series, one per seed,
+    drawn as generate_trajectory draws them: ([rng, ...], states of shape (G,))."""
+    rngs, x = zip(*map(_start, seeds))
+    return list(rngs), np.array(x)
+
+
+def step_lockstep(map_spec: MapSpec, noise: NoiseSpec, rngs, x: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Advance G series together by len(out) steps of generate_trajectory's map.
+
+    `x`, shape (G,), holds the current states and is left holding the last
+    ones; row j of `out`, shape (L, G), receives the states after j + 1
+    steps.  Series g draws its L shocks from rngs[g] in one piece, which
+    continues its stream exactly as one longer draw would, and every step is
+    the same IEEE arithmetic as generate_trajectory's, a few numpy calls
+    across all G series.  The fold |y| mod 2, then min(y, 2 - y), changes no
+    state already in [0, 1], so it is applied to every entry and equals
+    _reflect bit for bit.  f maps [0, 1] into itself, so while every shock
+    lies within 1/2 of 0, |y| stays under 2 and the mod, which would leave
+    it as it is, is skipped.
+    """
+    if not len(out):
+        return
+    shocks = np.empty(out.shape[::-1])
+    for rng, row in zip(rngs, shocks):
+        rng.standard_normal(out=row)
+    np.multiply(shocks.T, noise.sigma, out=out)
+    wrap = not -0.5 <= out.min() <= out.max() <= 0.5
+    # Array operands and positional outputs keep each numpy call cheap.
+    one, two, r = (np.full_like(x, c) for c in (1.0, 2.0, map_spec.r))
+    prev, fx, mirror = x, np.empty_like(x), np.empty_like(x)
+    for y in out:
+        # y = f(prev) + shock = r * prev * (1 - prev) + shock
+        np.subtract(one, prev, mirror)
+        np.multiply(prev, r, fx)
+        np.multiply(fx, mirror, fx)
+        np.add(y, fx, y)
+        np.absolute(y, y)
+        if wrap:
+            np.fmod(y, two, y)
+        np.subtract(two, y, mirror)
+        np.minimum(y, mirror, out=y)
+        prev = y
+    x[:] = prev
+
+
 def lyapunov_exponent(map_spec: MapSpec, traj: Trajectory) -> float:
     """Mean log2 |f'(x_t)| along the trajectory, in bits per step.
 
@@ -124,12 +177,15 @@ def lyapunov_exponent(map_spec: MapSpec, traj: Trajectory) -> float:
     states = np.asarray(traj.states, dtype=float)
     if states.size == 0:
         raise ValueError("trajectory is empty")
-    slopes = np.abs(map_derivative(map_spec, states))
-    if np.any(slopes == 0.0):
+    # |f'(x)| = |r - 2r*x|, computed in one buffer.
+    slopes = np.multiply(states, 2.0 * map_spec.r)
+    np.subtract(map_spec.r, slopes, out=slopes)
+    np.abs(slopes, out=slopes)
+    if not slopes.all():
         warnings.warn(
             "map derivative vanishes on the trajectory; returning -inf",
             RuntimeWarning,
             stacklevel=2,
         )
         return float("-inf")
-    return float(np.mean(np.log2(slopes)))
+    return float(np.mean(np.log2(slopes, out=slopes)))

@@ -20,14 +20,25 @@ from operator import attrgetter, getitem
 
 import numpy as np
 
+# transition_counts is no longer called here, but this module still binds
+# it: perfbench's tracer tests check that installing the tracer rebinds it.
 from .counts import (
     MAX_TABLE_ENTRIES,
     CountTable,
+    count_windows,
     grid_transition_counts,
     lower_orders,
     transition_counts,
 )
-from .dynamics import MAP_FAMILIES, MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
+from .dynamics import (
+    MAP_FAMILIES,
+    MapSpec,
+    NoiseSpec,
+    generate_trajectory,
+    lyapunov_exponent,
+    start_lockstep,
+    step_lockstep,
+)
 from .entropy import expected_info
 from .inference import uniform_prior
 from .order_select import (
@@ -37,15 +48,25 @@ from .order_select import (
     order_log_prior,
     posterior_over_orders,
 )
-from .symbolize import decision_grid, symbolize
+from .symbolize import decision_grid
 
 FORMAT_CHOICES = ("csv", "json")
 
 # Decision points are counted and scored a block at a time; a block holds as
 # many points as keep its order-k_max table entries at or under this, which
-# bounds its temporaries.  A block always holds at least one point, so from
-# k_max = 16 on it is one point whose table alone exceeds this.
+# bounds its temporaries, including the regenerated series' per-chunk
+# bincount.  A block always holds at least one point, so from k_max = 16 on
+# it is one point whose table alone exceeds this.
 GRID_BLOCK_ENTRIES = 1 << 16
+# With regenerate_per_d, a block of at least LOCKSTEP_MIN_POINTS points steps
+# its series in lockstep.  A lockstep step costs a few numpy calls whatever
+# the width, so narrower blocks simulate each series on its own (on a 2-vCPU
+# Xeon host the two break even near 24 points, and lockstep is 1.35x as fast
+# at 32).  A lockstep block advances a chunk of time steps at a time whose
+# states take LOCKSTEP_CHUNK_BYTES; its shocks and window codes take as much
+# again each.
+LOCKSTEP_MIN_POINTS = 32
+LOCKSTEP_CHUNK_BYTES = 1 << 18
 # Output rows are formatted and written this many at a time.
 EMIT_CHUNK_ROWS = 64
 # The top-of-range warning names at most this many decision points.
@@ -196,10 +217,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full experiment described by `config`.
 
     One trajectory is shared across all decision points unless
-    regenerate_per_d is set (then point i uses seed + 1 + i).  Decision points
-    are counted and scored a block at a time.  Rows are independent: a
-    failure of the inference at one decision point is recorded on its row and
-    does not abort the sweep.  Rows that select the top order of the range
+    regenerate_per_d is set (then point i uses seed + 1 + i, and its series
+    equals generate_trajectory's with that seed).  Decision points are
+    counted and scored a block at a time; a wide enough block of regenerated
+    series is stepped in lockstep and counted a chunk of time at a time, so
+    its memory is bounded by LOCKSTEP_CHUNK_BYTES rather than by n.  Rows are
+    independent: a failure of the inference at one decision point is
+    recorded on its row and does not abort the sweep.  Rows that select the top order of the range
     are reported in one RuntimeWarning.  Fully deterministic given the seed.
     """
     config.validate()
@@ -235,25 +259,59 @@ def _block_counts(config, map_spec, noise, base, start, parts, orders):
     """{k: CountTable stacking the order-k tables of a block of decision points}.
 
     The shared series is counted by grid_transition_counts in one pass.  With
-    regenerate_per_d, point start + i gets its own series, symbolized and
-    counted at k_max for that point alone; the lower orders of the block are
-    derived from those tables as for the shared series.
+    regenerate_per_d, point start + i gets its own series, counted at k_max
+    by _regenerated_counts; the lower orders of the block are derived from
+    those tables as for the shared series.
     """
+    ds = np.array([part.decision_point for part in parts])
     if config.regenerate_per_d:
-        k_max = orders[-1]
-        top = np.empty((len(parts), 2 ** (k_max + 1)), dtype=np.int64)
-        first = np.empty((len(parts), k_max), dtype=np.int64)
-        for i, part in enumerate(parts):
-            traj = generate_trajectory(
-                map_spec, noise, config.n, config.transient, config.seed + 1 + start + i
-            )
-            seq = symbolize(traj, part)
-            top[i] = transition_counts(seq, k_max).table.ravel()
-            first[i] = seq.symbols[:k_max]
-        stacked = lower_orders(top, first, orders)
+        seeds = range(config.seed + 1 + start, config.seed + 1 + start + len(parts))
+        stacked = lower_orders(*_regenerated_counts(map_spec, noise, config.n, config.transient,
+                                                    seeds, ds, orders[-1]), orders)
     else:
-        stacked = grid_transition_counts(base.states, [p.decision_point for p in parts], orders)
+        stacked = grid_transition_counts(base.states, ds, orders)
     return {k: CountTable(k, 2, stacked[k].reshape(len(parts), -1, 2)) for k in orders}
+
+
+def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
+    """The order-k_max tables, shape (G, 2**(k_max+1)), and the first k_max
+    symbols, shape (G, k_max), of the series of G decision points: series g
+    is generate_trajectory(map_spec, noise, n, transient, seeds[g])
+    symbolized at ds[g].
+
+    A block of at least LOCKSTEP_MIN_POINTS points steps its series in
+    lockstep, a chunk of LOCKSTEP_CHUNK_BYTES of states at a time, and counts
+    each chunk as it goes, so its memory does not grow with n.  A narrower
+    block simulates each series on its own and counts it as one chunk.
+    """
+    top = np.zeros((len(ds), 2 << k_max), dtype=np.int64)
+    history = np.zeros((0, len(ds)), dtype=bool)
+    if len(ds) < LOCKSTEP_MIN_POINTS:
+        first = np.empty((len(ds), k_max), dtype=bool)
+        for g, seed in enumerate(seeds):
+            traj = generate_trajectory(map_spec, noise, n, transient, seed)
+            symbols = count_windows(top[g:g + 1], traj.states[:, None], ds[g:g + 1],
+                                    history[:, g:g + 1])
+            first[g] = symbols[:k_max, 0]
+        return top, first
+    rngs, x = start_lockstep(seeds)
+    total = transient + n
+    rows = np.empty((max(1, LOCKSTEP_CHUNK_BYTES // x.nbytes), len(ds)))
+    first = None
+    for at in range(0, total, len(rows)):
+        chunk = rows[:total - at]
+        if at:
+            step_lockstep(map_spec, noise, rngs, x, chunk)
+        else:
+            chunk[0] = x
+            step_lockstep(map_spec, noise, rngs, x, chunk[1:])
+        if at + len(chunk) <= transient:
+            continue
+        symbols = count_windows(top, chunk[max(0, transient - at):], ds, history)
+        if first is None and len(symbols) >= k_max:
+            first = symbols[:k_max].T
+        history = symbols[max(0, len(symbols) - k_max):]
+    return top, first
 
 
 def _score(ds, tables, orders, log_priors, priors, want_detail):

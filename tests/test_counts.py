@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaosinfer.sweep as sweep_mod
 from chaosinfer.counts import grid_transition_counts, transition_counts
+from chaosinfer.dynamics import MAX_SIGMA, MapSpec, NoiseSpec, generate_trajectory
 from chaosinfer.symbolize import PartitionSpec, SymbolSequence, symbolize
 from helpers import count_words, decode_context, encode_context
 
@@ -182,3 +186,67 @@ def test_grid_counts_equal_per_threshold_counts(states, thresholds, orders):
     if len(states) <= max(orders):
         return
     assert_grid_counts_match_per_threshold(states, sorted(thresholds), sorted(orders))
+
+
+def test_grid_counts_memory_does_not_grow_with_the_series():
+    def peak(n):
+        states = np.random.default_rng(3).random(n)
+        tracemalloc.start()
+        try:
+            grid_transition_counts(states, [0.2, 0.5, 0.7], [1, 2])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Only the window chunks are held, not a search result per state.
+    assert peak(400_000) <= 1.1 * peak(100_000)
+
+
+def per_point_counts(spec, noise, n, transient, seeds, ds, k_max):
+    """Order-k_max tables and first k_max symbols of each regenerated series,
+    from its own trajectory, symbolize and transition_counts."""
+    top, first = [], []
+    for seed, d in zip(seeds, ds):
+        seq = symbolize(generate_trajectory(spec, noise, n, transient, seed),
+                        PartitionSpec.binary(d))
+        top.append(transition_counts(seq, k_max).table.ravel())
+        first.append(seq.symbols[:k_max])
+    return np.array(top), np.array(first).reshape(len(ds), k_max)
+
+
+def assert_regenerated_counts_match(spec, noise, n, transient, points, k_max):
+    seeds = range(11, 11 + points)
+    ds = (np.arange(points) + 0.5) / points
+    top, first = sweep_mod._regenerated_counts(spec, noise, n, transient, seeds, ds, k_max)
+    want_top, want_first = per_point_counts(spec, noise, n, transient, seeds, ds, k_max)
+    assert top.dtype == np.int64 and np.array_equal(top, want_top)
+    assert first.shape == want_first.shape and np.array_equal(first, want_first)
+
+
+# (transient, n, k_max, steps per chunk, points).  Path step 0 is the start.
+LOCKSTEP_CASES = {
+    # edges at steps 3 and 6 inside the transient, 9 inside the first k_max symbols
+    "edges_in_transient_and_head": (7, 40, 4, 3, 5),
+    "edge_at_first_record": (6, 40, 4, 3, 5),
+    "no_transient": (0, 40, 4, 3, 5),
+    "shortest_series": (5, 6, 4, 2, 3),
+    "order_zero": (5, 30, 0, 4, 3),
+    "one_point_one_step_chunks": (9, 30, 3, 1, 1),
+    "one_chunk": (13, 50, 8, 100, 4),
+}
+
+
+@pytest.mark.parametrize("r", [4.0, 3.7])
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.3, 5.0, MAX_SIGMA])
+@pytest.mark.parametrize("case", LOCKSTEP_CASES)
+def test_lockstep_counts_equal_per_point_counts(monkeypatch, case, sigma, r):
+    transient, n, k_max, steps, points = LOCKSTEP_CASES[case]
+    monkeypatch.setattr(sweep_mod, "LOCKSTEP_MIN_POINTS", 1)
+    monkeypatch.setattr(sweep_mod, "LOCKSTEP_CHUNK_BYTES", steps * 8 * points)
+    assert_regenerated_counts_match(MapSpec(r=r), NoiseSpec(sigma), n, transient, points, k_max)
+
+
+@pytest.mark.parametrize("below", [1, 0], ids=["per_point", "lockstep"])
+def test_blocks_on_both_sides_of_the_lockstep_width_count_alike(below):
+    points = sweep_mod.LOCKSTEP_MIN_POINTS - below
+    assert_regenerated_counts_match(MapSpec(), NoiseSpec(0.3), 60, 13, points, 5)

@@ -15,6 +15,8 @@ from chaosinfer.dynamics import (
     generate_trajectory,
     lyapunov_exponent,
     map_derivative,
+    start_lockstep,
+    step_lockstep,
 )
 from helpers import map_apply, reference_trajectory
 
@@ -116,6 +118,27 @@ def test_trajectory_holds_one_array_of_states():
     assert peak <= 1.25 * 8 * (n + transient)
 
 
+@pytest.mark.parametrize("r", [4.0, 3.7])
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.3, 0.7, 5.0, 1e17, MAX_SIGMA])
+def test_lockstep_states_equal_per_series_trajectories(sigma, r):
+    # Uneven chunks, an empty one among them, continue each seed's shock
+    # stream as a trajectory's one draw does; at sigma 0.3 some chunks have
+    # a shock past 1/2 and some do not, so both folds are taken.
+    spec, noise, seeds = MapSpec(r=r), NoiseSpec(sigma), [3, 0, 2**40, 17]
+    rngs, x = start_lockstep(seeds)
+    states = [x[None].copy()]
+    with np.errstate(over="raise", invalid="raise"):
+        for length in (1, 0, 2, 7, 50, 139):
+            out = np.empty((length, len(seeds)))
+            step_lockstep(spec, noise, rngs, x, out)
+            states.append(out)
+    states = np.concatenate(states)
+    assert x.tobytes() == states[-1].tobytes()
+    for g, seed in enumerate(seeds):
+        want = generate_trajectory(spec, noise, len(states), 0, seed).states
+        assert states[:, g].tobytes() == want.tobytes(), seed
+
+
 def reflect_by_bounces(x: float) -> float:
     """The edge-by-edge fold: one bounce per step until x lands in [0, 1]."""
     while x < 0.0 or x > 1.0:
@@ -148,6 +171,17 @@ def test_largest_accepted_noise_stays_finite_and_in_unit_interval():
             assert np.all((traj.states >= 0.0) & (traj.states <= 1.0))
     with pytest.raises(ValueError):
         NoiseSpec(float(np.nextafter(MAX_SIGMA, np.inf)))
+
+
+def test_lyapunov_holds_one_buffer_of_slopes():
+    traj = generate_trajectory(MapSpec(), NoiseSpec(1e-3), 100_000, 0, seed=2)
+    tracemalloc.start()
+    try:
+        lyapunov_exponent(MapSpec(), traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * traj.states.nbytes
 
 
 def test_lyapunov_chaotic_benchmark():

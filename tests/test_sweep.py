@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from chaosinfer.cli import main, parse_config
 from chaosinfer.sweep import (
     GRID_BLOCK_ENTRIES,
+    LOCKSTEP_MIN_POINTS,
     MAX_ALPHA,
     MIN_ALPHA,
     ConfigError,
@@ -124,12 +125,15 @@ def test_run_sweep_equals_per_d_oracle(case, detail):
 
 @st.composite
 def accepted_configs(draw):
-    """A SweepConfig that validate() accepts, with a short series.  At k_max
-    9 a grid block is 64 points, and the grid is one point short of a block,
-    one full block or one or two points over it.  The last point, d = 1,
-    gives every series the same symbols, so only two points over put a
-    series-dependent point in the second block."""
-    k_max = draw(st.sampled_from(range(10)))
+    """A SweepConfig that validate() accepts, with a short series.  From k_max
+    9 on a grid block holds at most 64 points, and the grid is one point
+    short of a block, one full block or one or two points over it.  At k_max
+    10 a block is LOCKSTEP_MIN_POINTS points wide, so a grid one short of it
+    simulates each regenerated series on its own, and one or two over it
+    steps a full block in lockstep and its last one or two points on their
+    own.  The last point, d = 1, gives every series the same symbols, so
+    only two points over put a series-dependent point in the second block."""
+    k_max = draw(st.sampled_from(range(12)))
     block = GRID_BLOCK_ENTRIES >> (k_max + 1)
     if block <= 64:
         grid = block + draw(st.sampled_from([-1, 0, 1, 2]))
@@ -169,20 +173,42 @@ def test_partial_block_case_spans_two_blocks():
 
 
 @pytest.mark.parametrize("k_max", [0, 4])
-def test_regenerate_per_d_counts_each_series_once(monkeypatch, k_max):
+def test_wide_regenerated_block_steps_its_series_in_lockstep(monkeypatch, k_max):
+    # A block of LOCKSTEP_MIN_POINTS points steps its series together, so the
+    # only trajectory generated on its own is the shared one, for lambda.
     import chaosinfer.sweep as sweep_mod
 
-    orders_counted = []
-    real = sweep_mod.transition_counts
+    seeds = []
+    real = sweep_mod.generate_trajectory
 
-    def counted(seq, order):
-        orders_counted.append(order)
-        return real(seq, order)
+    def counted(map_spec, noise, n, transient, seed):
+        seeds.append(seed)
+        return real(map_spec, noise, n, transient, seed)
 
-    monkeypatch.setattr(sweep_mod, "transition_counts", counted)
-    cfg = SweepConfig(n=400, grid=7, k_min=0, k_max=k_max, regenerate_per_d=True)
-    sweep_mod.run_sweep(cfg)
-    assert orders_counted == [k_max] * cfg.grid
+    monkeypatch.setattr(sweep_mod, "generate_trajectory", counted)
+    cfg = SweepConfig(n=400, grid=LOCKSTEP_MIN_POINTS, k_min=0, k_max=k_max,
+                      regenerate_per_d=True)
+    result = sweep_mod.run_sweep(cfg)
+    assert seeds == [cfg.seed]
+    assert result == per_d_sweep(cfg)
+
+
+def test_regenerated_block_memory_does_not_grow_with_n():
+    def peak(n):
+        cfg = SweepConfig(n=n, transient=0, grid=64, k_min=1, k_max=2, regenerate_per_d=True)
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 5_000
+    peak(n)  # first-call allocations
+    # Only the shared series, kept for lambda, grows with n: its states and
+    # lambda's one buffer of slopes, 16 bytes a state.  Counting the
+    # regenerated series one whole trajectory at a time would add about 50.
+    assert peak(4 * n) - peak(n) <= 16 * 3 * n
 
 
 def test_top_of_range_rows_are_reported_in_one_warning():
