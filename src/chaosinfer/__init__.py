@@ -19,7 +19,6 @@ from .dynamics import (
     Trajectory,
     generate_trajectory,
     lyapunov_exponent,
-    map_derivative,
 )
 from .entropy import (
     EntropyEstimate,

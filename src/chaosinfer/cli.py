@@ -11,7 +11,7 @@ import dataclasses
 import re
 import sys
 
-from .sweep import ConfigError, SweepConfig, emit, emit_detail, run_sweep
+from .sweep import ConfigError, SweepConfig, emit, run_sweep
 
 
 def _parse_bool(text: str) -> bool:
@@ -122,9 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         result = run_sweep(config)
-        emit(result, config.out_format, config.out_path)
-        if config.detail_path is not None:
-            emit_detail(result, config.detail_path)
+        emit(result, config.out_format, config.out_path, config.detail_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

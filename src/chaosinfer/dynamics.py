@@ -59,11 +59,6 @@ class Trajectory:
         return len(self.states)
 
 
-def map_derivative(spec: MapSpec, x: float | np.ndarray) -> np.ndarray:
-    """Slope f'(x) = r - 2*r*x, vectorized over states."""
-    return spec.r - 2.0 * spec.r * np.asarray(x, dtype=float)
-
-
 def _reflect(x: float) -> float:
     # Fold noise excursions back into [0, 1] without piling mass at the edges:
     # the period-2 reflection |x| mod 2, folded at 1.  fmod and 2 - y are
@@ -111,11 +106,14 @@ def generate_trajectory(
     rng.standard_normal(out=path[1:])
     path[1:] *= noise.sigma
     # A memoryview yields each double as a Python float, so a step is the same
-    # IEEE arithmetic as numpy's without a numpy scalar per step.
+    # IEEE arithmetic as numpy's without a numpy scalar per step.  Only a step
+    # that leaves [0, 1] calls _reflect; a NaN fails the test and goes too.
     out = memoryview(path)
     out[0] = x
     for i, shock in enumerate(out[1:], 1):
-        x = _reflect(r * x * (1.0 - x) + shock)
+        x = r * x * (1.0 - x) + shock
+        if not 0.0 <= x <= 1.0:
+            x = _reflect(x)
         out[i] = x
     return Trajectory(states=path[transient:], transient=int(transient))
 

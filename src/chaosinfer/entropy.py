@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .counts import CountTable
-from .inference import DirichletPrior, _check_match, _scalar
+from .counts import CountTable, _symbol_sum
+from .inference import DirichletPrior, _cell_terms, _check_match, _scalar
 
 _LN2 = math.log(2.0)
 
@@ -72,11 +72,11 @@ def expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
     """
     _check_match(counts, prior)
     post = counts.table + prior.alpha
-    context_mass = post.sum(axis=-1)
+    context_mass = _symbol_sum(post)
     beta = context_mass.sum(axis=-1)
     q_ctx = context_mass / beta[..., None]
     q_joint = post / beta[..., None, None]
-    psi = digamma(post)
+    psi = _cell_terms(digamma, counts.table, prior.alpha)
     nats = (q_ctx * digamma(context_mass)).sum(axis=-1) - _cell_sum(
         np.multiply(q_joint, psi, out=psi)
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .counts import CountTable
+from .counts import CountTable, _symbol_sum
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,22 @@ def _scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _cell_terms(f, table: np.ndarray, alpha: float) -> np.ndarray:
+    """f(table + alpha), f applied to every cell.
+
+    When the table holds integer counts from 0 up to a largest count `top`
+    below table.size, each term is gathered from f(alpha + arange(top + 1)),
+    which evaluates f fewer times than there are cells.  alpha + n is the
+    same float either way, so the terms are the same.  Otherwise f is
+    evaluated on every cell.
+    """
+    if table.dtype.kind in "iu" and table.size:
+        top = int(table.max())
+        if top < table.size and table.min() >= 0:
+            return f(alpha + np.arange(top + 1)).take(table)
+    return f(table + alpha)
+
+
 def _check_match(counts: CountTable, prior: DirichletPrior) -> None:
     if counts.order != prior.order or counts.alphabet_size != prior.alphabet_size:
         raise ValueError(
@@ -84,9 +100,9 @@ def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     """
     _check_match(counts, prior)
     a, m = prior.alpha, prior.alphabet_size
-    na = counts.table + a
-    na_context = na.sum(axis=-1)
-    per_context = gammaln(m * a) - m * gammaln(a) + gammaln(na, out=na).sum(axis=-1)
+    na_context = _symbol_sum(counts.table + a)
+    cells = _symbol_sum(_cell_terms(gammaln, counts.table, a))
+    per_context = gammaln(m * a) - m * gammaln(a) + cells
     per_context -= gammaln(na_context, out=na_context)
     visited = counts.context_totals > 0
     value = np.where(visited, per_context, 0.0).sum(axis=-1)

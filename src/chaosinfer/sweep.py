@@ -10,12 +10,15 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter, getitem
 
 import numpy as np
@@ -430,30 +433,42 @@ def _cell_tuples(rows):
     return zip(*columns)
 
 
-def _write_csv(fh, header: list[str], rows) -> None:
-    """Write `header`, then the _cell_tuples of each row, None and NaN as empty cells.
+def _chunks(rows):
+    """`rows` EMIT_CHUNK_ROWS at a time."""
+    for start in range(0, len(rows), EMIT_CHUNK_ROWS):
+        yield rows[start:start + EMIT_CHUNK_ROWS]
 
-    A chunk of rows is formatted by one template with a %r per cell.  The
-    repr of an int or a float is what csv.writer writes for it, and None and
-    NaN come out as "None" and "nan", which no number's repr contains, so two
+
+def _csv_text(chunk) -> str:
+    """The CSV lines of a chunk of rows, None and NaN as empty cells.
+
+    The chunk is formatted by one template with a %r per cell.  The repr of
+    an int or a float is what csv.writer writes for it, and None and NaN
+    come out as "None" and "nan", which no number's repr contains, so two
     replacements blank them.  A text cell may need quoting, and its repr has
     a quote mark, so a chunk with one goes through csv.writer instead, with
     each NaN made None, which csv.writer leaves blank."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    template = ",".join(["%r"] * len(header)) + "\n"
-    for start in range(0, len(rows), EMIT_CHUNK_ROWS):
-        chunk = rows[start:start + EMIT_CHUNK_ROWS]
-        text = "".join(map(template.__mod__, _cell_tuples(chunk)))
-        if "'" in text or '"' in text:
-            writer.writerows([None if c != c else c for c in cells]
-                             for cells in _cell_tuples(chunk))
-        else:
-            fh.write(text.replace("None", "").replace("nan", ""))
+    cells = list(_cell_tuples(chunk))
+    template = ",".join(["%r"] * len(cells[0])) + "\n"
+    text = "".join(map(template.__mod__, cells))
+    if "'" not in text and '"' not in text:
+        return text.replace("None", "").replace("nan", "")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [None if c != c else c for c in row] for row in cells
+    )
+    return buf.getvalue()
 
 
-def _json_chunks(rows, encode):
-    """The JSON objects of `rows`, one per line, as one text per chunk of rows.
+def _write_csv(fh, header: list[str], rows) -> None:
+    """Write `header`, then the _cell_tuples of each row, a chunk at a time."""
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    for chunk in _chunks(rows):
+        fh.write(_csv_text(chunk))
+
+
+def _json_text(chunk, encode) -> str:
+    """The JSON objects of a chunk of rows, one per line.
 
     A row object is the row's instance dict, which holds its fields in
     _FIELDS order: the frozen dataclass's __init__ sets each field in that
@@ -463,75 +478,125 @@ def _json_chunks(rows, encode):
     ", " between its objects.  Only there can ', {"' occur, since a row holds
     no nested object and a quote inside a string is escaped, so each one is
     where a line starts."""
-    for start in range(0, len(rows), EMIT_CHUNK_ROWS):
-        chunk = rows[start:start + EMIT_CHUNK_ROWS]
-        try:
-            text = encode(list(map(vars, chunk)))
-        except ValueError:
-            text = encode([_values(type(row), row, getattr, _json_float) for row in chunk])
-        yield text[1:-1].replace(', {"', ',\n    {"')
+    try:
+        text = encode(list(map(vars, chunk)))
+    except ValueError:
+        text = encode([_values(type(row), row, getattr, _json_float) for row in chunk])
+    return text[1:-1].replace(', {"', ',\n    {"')
 
 
-def _dump_json(result: SweepResult, fh) -> None:
+# A detail row as a CSV line and as a JSON object, with a %s per cell.
+_DETAIL_LINE = ",".join(["%s"] * len(_FIELDS[DetailRow])) + "\n"
+_DETAIL_OBJECT = "{" + ", ".join(f'"{name}": %s' for name, _, _ in _FIELDS[DetailRow]) + "}"
+# The repr of an int or a finite float, and the commas and newlines of CSV lines.
+_PLAIN_NUMBERS = re.compile(r"[-+.e0-9,\n]*")
+
+
+def _detail_texts(chunk, encode) -> tuple[str, str]:
+    """The detail CSV lines and the JSON detail objects of a chunk of detail
+    rows, formatting each cell once.
+
+    The repr of each cell fills both templates.  Where every cell is an int
+    or a finite float, its repr is what both writers write for it, and the
+    CSV text then holds only digits, signs, "." and "e" between its commas.
+    Any other chunk goes through _csv_text and _json_text."""
+    cells = tuple(map(repr, chain.from_iterable(_cell_tuples(chunk))))
+    lines = (_DETAIL_LINE * len(chunk)) % cells
+    if _PLAIN_NUMBERS.fullmatch(lines):
+        return lines, ",\n    ".join([_DETAIL_OBJECT] * len(chunk)) % cells
+    return _csv_text(chunk), _json_text(chunk, encode)
+
+
+def _shared_detail(rows, encode, fh):
+    """The JSON texts of the detail rows, a chunk at a time, each chunk's
+    CSV lines written to `fh` as its text is made, after the CSV header."""
+    csv.writer(fh, lineterminator="\n").writerow(_header(DetailRow))
+    for chunk in _chunks(rows):
+        lines, objects = _detail_texts(chunk, encode)
+        fh.write(lines)
+        yield objects
+
+
+def _dump_json(result: SweepResult, fh, detail_fh=None) -> None:
     """The result as strict JSON with one row object per line, written a
-    chunk of rows at a time, so the whole document is never held in memory."""
+    chunk of rows at a time, so the whole document is never held in memory.
+    Given `detail_fh`, the detail CSV is written to it in the same pass."""
     encode = json.JSONEncoder(allow_nan=False).encode
     fh.write('{\n  "config": %s,\n  "lyapunov_bits": %s,\n' % (
         encode(_values(SweepConfig, result.config, getattr, _json_float)),
         encode(_json_float(result.lyapunov_bits)),
     ))
-    for key, rows, end in (("rows", result.rows, ",\n"), ("detail", result.detail, "\n}\n")):
+    if detail_fh is None:
+        detail = (_json_text(chunk, encode) for chunk in _chunks(result.detail))
+    else:
+        detail = _shared_detail(result.detail, encode, detail_fh)
+    rows = (_json_text(chunk, encode) for chunk in _chunks(result.rows))
+    for key, texts, empty, end in (("rows", rows, not result.rows, ",\n"),
+                                   ("detail", detail, not result.detail, "\n}\n")):
         fh.write(f'  "{key}": [')
         separator = "\n    "
-        for text in _json_chunks(rows, encode):
+        for text in texts:
             fh.write(separator)
             fh.write(text)
             separator = ",\n    "
-        fh.write(("\n  ]" if rows else "]") + end)
+        fh.write(("]" if empty else "\n  ]") + end)
 
 
-def _write_file(path: str, write) -> None:
-    """Create `path` with write(fh) in a temporary file beside it that replaces
-    `path` only once complete, so a failure never leaves a truncated file.  It
-    keeps the permission bits open(path, "w") gives: those of a replaced file.
-    As with open(), a symlink is written through, and a device or pipe such as
-    /dev/null, which cannot be replaced, is written to in place."""
+def _write_files(write, *paths: str) -> None:
+    """Create each of `paths` with write(fh, ...), one file per path, each
+    written to a temporary file beside its target.  The targets are replaced
+    only once write has returned, so a failure never leaves a truncated
+    file.  Each file keeps the permission bits open(path, "w") gives: those
+    of a replaced file.  As with open(), a symlink is written through, and a
+    device or pipe such as /dev/null, which cannot be replaced, is written
+    to in place."""
+    pending = []  # (temporary file, target) of each file to replace
     try:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        target = os.path.realpath(path)
-        if os.path.exists(target) and not os.path.isfile(target):
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                write(fh)
-            return
-        tmp = f"{target}.{os.urandom(4).hex()}.tmp"
-        try:
-            with open(tmp, "x", encoding="utf-8", newline="") as fh:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                parent = os.path.dirname(path)
+                if parent:
+                    os.makedirs(parent, exist_ok=True)
+                target = os.path.realpath(path)
+                if os.path.exists(target) and not os.path.isfile(target):
+                    files.append(stack.enter_context(
+                        open(target, "w", encoding="utf-8", newline="")))
+                    continue
+                tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+                files.append(stack.enter_context(open(tmp, "x", encoding="utf-8", newline="")))
+                pending.append((tmp, target))
                 with contextlib.suppress(FileNotFoundError):
                     os.chmod(tmp, os.stat(target).st_mode & 0o7777)
-                write(fh)
+            write(*files)
+        for tmp, target in pending:
             os.replace(tmp, target)
-        finally:
+    except OSError as exc:
+        raise OSError(f"cannot write {' and '.join(map(repr, paths))}: {exc}") from exc
+    finally:
+        for tmp, _ in pending:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)  # only left when something failed
-    except OSError as exc:
-        raise OSError(f"cannot write {path!r}: {exc}") from exc
 
 
-def emit(result: SweepResult, out_format: str, path: str) -> None:
-    """Write the sweep summary as CSV or JSON at `path`."""
+def emit(result: SweepResult, out_format: str, path: str, detail_path: str | None = None) -> None:
+    """Write the sweep summary as CSV or JSON at `path`, and the detail CSV
+    at `detail_path` if one is given.  With a JSON summary both files are
+    written in one pass, each detail cell formatted once for both."""
     if out_format not in FORMAT_CHOICES:
         raise ConfigError(f"format {out_format!r} must be one of {FORMAT_CHOICES}")
-    if out_format == "csv":
-        _write_file(path, lambda fh: _write_csv(fh, csv_header(result.config), result.rows))
-    else:
-        _write_file(path, lambda fh: _dump_json(result, fh))
+    if out_format == "json":
+        paths = [path] if detail_path is None else [path, detail_path]
+        _write_files(lambda *files: _dump_json(result, *files), *paths)
+        return
+    _write_files(lambda fh: _write_csv(fh, csv_header(result.config), result.rows), path)
+    if detail_path is not None:
+        emit_detail(result, detail_path)
 
 
 def emit_detail(result: SweepResult, path: str) -> None:
     """Write per-(decision point, order) entropy estimates as CSV at `path`."""
-    _write_file(path, lambda fh: _write_csv(fh, _header(DetailRow), result.detail))
+    _write_files(lambda fh: _write_csv(fh, _header(DetailRow), result.detail), path)
 
 
 def load_sweep_json(path: str) -> SweepResult:

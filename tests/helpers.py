@@ -9,6 +9,9 @@ sweep counts and scores blocks of decision points at once.  Word counts, the
 context codec, posterior means and the map itself are small restatements
 that check the library's counts, prior and trajectories; the trajectory
 reference restates the simulator with separate warm-up and recording loops.
+The kernel references are frozen copies of log_evidence and expected_info
+that evaluate gammaln and digamma on every cell and sum each context with
+numpy's sum, the form the library's kernels must match bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from chaosinfer.counts import CountTable, transition_counts
 from chaosinfer.dynamics import (
@@ -31,8 +34,8 @@ from chaosinfer.dynamics import (
     generate_trajectory,
     lyapunov_exponent,
 )
-from chaosinfer.entropy import expected_info
-from chaosinfer.inference import DirichletPrior, log_evidence, uniform_prior
+from chaosinfer.entropy import EntropyEstimate, expected_info
+from chaosinfer.inference import DirichletPrior, LogEvidence, log_evidence, uniform_prior
 from chaosinfer.order_select import order_log_prior, rank_orders
 from chaosinfer.sweep import DetailRow, SweepConfig, SweepResult, SweepRow
 from chaosinfer.symbolize import SymbolSequence, decision_grid, symbolize
@@ -130,6 +133,50 @@ def visited_log_evidence(table: np.ndarray, alpha: float) -> float:
         - gammaln(na.sum(axis=1))
     )
     return float(per_context[table.sum(axis=1) > 0].sum())
+
+
+def _scalar(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def reference_log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
+    """log_evidence as it was before its cell terms were gathered from a
+    lookup table and its context sums became one add: gammaln of every cell."""
+    a, m = prior.alpha, prior.alphabet_size
+    na = counts.table + a
+    na_context = na.sum(axis=-1)
+    per_context = gammaln(m * a) - m * gammaln(a) + gammaln(na, out=na).sum(axis=-1)
+    per_context -= gammaln(na_context, out=na_context)
+    visited = counts.table.sum(axis=-1) > 0
+    value = np.where(visited, per_context, 0.0).sum(axis=-1)
+    return LogEvidence(value=_scalar(value))
+
+
+def reference_expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
+    """expected_info as it was before its cell terms were gathered from a
+    lookup table and its context sums became one add: digamma of every cell."""
+    def cell_sum(x):
+        return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
+
+    post = counts.table + prior.alpha
+    context_mass = post.sum(axis=-1)
+    beta = context_mass.sum(axis=-1)
+    q_ctx = context_mass / beta[..., None]
+    q_joint = post / beta[..., None, None]
+    psi = digamma(post)
+    nats = (q_ctx * digamma(context_mass)).sum(axis=-1) - cell_sum(
+        np.multiply(q_joint, psi, out=psi)
+    )
+    log_q = np.log2(q_joint)
+    h_joint = -cell_sum(np.multiply(q_joint, log_q, out=log_q))
+    h_ctx = -(q_ctx * np.log2(q_ctx)).sum(axis=-1)
+    n_free = q_joint.shape[-2] * (counts.alphabet_size - 1)
+    ln2 = math.log(2.0)
+    return EntropyEstimate(
+        expected_info=_scalar(nats / ln2),
+        h_rate_q=_scalar(h_joint - h_ctx),
+        kl_correction=_scalar(n_free / (2.0 * beta * ln2)),
+    )
 
 
 ALPHAS = st.sampled_from([0.5, 1.0, 2.7])

@@ -14,7 +14,6 @@ from chaosinfer.dynamics import (
     _reflect,
     generate_trajectory,
     lyapunov_exponent,
-    map_derivative,
     start_lockstep,
     step_lockstep,
 )
@@ -217,9 +216,3 @@ def test_lyapunov_degenerate_derivative_reported():
         assert lyapunov_exponent(spec, traj) == float("-inf")
     with pytest.raises(ValueError, match="empty"):
         lyapunov_exponent(spec, Trajectory(np.empty(0), transient=0))
-
-
-def test_map_derivative_vectorized():
-    spec = MapSpec(r=4.0)
-    got = map_derivative(spec, np.array([0.0, 0.25, 0.5, 1.0]))
-    assert got.tolist() == [4.0, 2.0, 0.0, -4.0]

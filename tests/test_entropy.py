@@ -7,9 +7,17 @@ from hypothesis import strategies as st
 
 from chaosinfer.counts import CountTable, transition_counts
 from chaosinfer.entropy import digamma, expected_info
-from chaosinfer.inference import uniform_prior
+from chaosinfer.inference import log_evidence, uniform_prior
+from chaosinfer.sweep import MAX_ALPHA, MIN_ALPHA
 from chaosinfer.symbolize import SymbolSequence
-from helpers import ALPHAS, count_stack, mc_expected_info, reference_digamma
+from helpers import (
+    ALPHAS,
+    count_stack,
+    mc_expected_info,
+    reference_digamma,
+    reference_expected_info,
+    reference_log_evidence,
+)
 
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
@@ -73,6 +81,37 @@ def test_stacked_estimates_equal_per_table_calls(data, order, rows, alpha):
         assert isinstance(column, np.ndarray) and column.shape == (rows,)
         assert column.tolist() == [getattr(one, name) for one in singles]
         assert all(isinstance(getattr(one, name), float) for one in singles)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    rows=st.integers(1, 6),
+    order=st.integers(0, 10),
+    # The largest count as a share of the table's size: 0 leaves every cell
+    # empty, below 1 the cell terms are gathered, from 1 on evaluated directly.
+    top_share=st.sampled_from([0.0, 0.001, 0.5, 0.999, 1.0, 1.5, 40.0]),
+    alpha=st.one_of(
+        st.sampled_from([1.0, 0.5, 0.3, 1e-3, 7.1, MIN_ALPHA, MAX_ALPHA]),
+        st.floats(MIN_ALPHA, MAX_ALPHA),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_match_frozen_references(rows, order, top_share, alpha, seed):
+    # Bit for bit, for a stack of tables and for each table on its own.
+    rng = np.random.default_rng(seed)
+    shape = (rows, 2**order, 2)
+    top = int(top_share * np.prod(shape))
+    table = rng.integers(0, top + 1, size=shape)
+    table[rng.random(shape[:2]) < 0.3] = 0
+    table.flat[rng.integers(table.size)] = top
+    prior = uniform_prior(order, 2, alpha)
+    for counts in [CountTable(order, 2, table)] + [CountTable(order, 2, t) for t in table]:
+        assert (np.asarray(log_evidence(counts, prior).value).tobytes()
+                == np.asarray(reference_log_evidence(counts, prior).value).tobytes())
+        got, want = expected_info(counts, prior), reference_expected_info(counts, prior)
+        for name in ("expected_info", "h_rate_q", "kl_correction"):
+            assert (np.asarray(getattr(got, name)).tobytes()
+                    == np.asarray(getattr(want, name)).tobytes()), name
 
 
 def test_expected_info_zero_data_analytic():

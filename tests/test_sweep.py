@@ -442,6 +442,51 @@ WRITES = {
 }
 
 
+def test_json_and_detail_csv_in_one_pass_equal_separate_writes(tmp_path):
+    # One detail chunk of plain numbers, one with NaN and infinities, and the
+    # hand-built results with every kind of cell.
+    base = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
+    detail = list(base.detail * 4)
+    detail[70] = dataclasses.replace(detail[70], h_expected_bits=math.nan,
+                                     log_evidence=-math.inf, p_order=math.inf)
+    mixed = dataclasses.replace(base, detail=tuple(detail))
+    for result in (base, mixed, TINY, TINY_BARE):
+        one, two = tmp_path / "one", tmp_path / "two"
+        emit(result, "json", str(one / "out.json"), str(one / "detail.csv"))
+        emit(result, "json", str(two / "out.json"))
+        emit_detail(result, str(two / "detail.csv"))
+        for name in ("out.json", "detail.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def test_json_and_detail_csv_in_one_pass_stream_in_bounded_memory(tmp_path):
+    base = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
+    result = dataclasses.replace(base, detail=base.detail * 300)
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        emit(result, "json", str(path), str(tmp_path / "detail.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * path.stat().st_size
+
+
+def test_failed_one_pass_write_leaves_both_previous_files(tmp_path):
+    result = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
+    detail = list(result.detail)
+    detail[-1] = dataclasses.replace(detail[-1], k=Unwritable())
+    result = dataclasses.replace(result, detail=tuple(detail))
+    out, detail_csv = tmp_path / "out.json", tmp_path / "detail.csv"
+    out.write_text("previous\n")
+    detail_csv.write_text("previous detail\n")
+    with pytest.raises(RuntimeError):
+        emit(result, "json", str(out), str(detail_csv))
+    assert out.read_text() == "previous\n"
+    assert detail_csv.read_text() == "previous detail\n"
+    assert sorted(os.listdir(tmp_path)) == ["detail.csv", "out.json"]
+
+
 class Unwritable:
     """A cell value that neither csv nor json can write."""
 
