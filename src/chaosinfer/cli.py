@@ -129,21 +129,19 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    good = [row for row in result.rows if row.error is None]
-    print(f"wrote {len(result.rows)} rows to {config.out_path}")
+    rows, failed, detail, peak = result.tally()
+    print(f"wrote {rows} rows to {config.out_path}")
     if config.detail_path is not None:
-        print(f"wrote {len(result.detail)} detail rows to {config.detail_path}")
+        print(f"wrote {detail} detail rows to {config.detail_path}")
     print(f"lyapunov estimate: {result.lyapunov_bits:.4f} bits/step")
-    if good:
-        best = max(good, key=lambda row: row.h_expected_bits)
+    if peak is not None:
         print(
-            f"max expected information rate: {best.h_expected_bits:.4f} bits/symbol "
-            f"at d={best.d:.6f} (k={best.k_selected})"
+            f"max expected information rate: {peak.h_expected_bits:.4f} bits/symbol "
+            f"at d={peak.d:.6f} (k={peak.k_selected})"
         )
-    failed = len(result.rows) - len(good)
     if failed:
         print(f"{failed} rows failed; see the error column", file=sys.stderr)
-    return 0 if good else 2
+    return 0 if peak is not None else 2
 
 
 if __name__ == "__main__":

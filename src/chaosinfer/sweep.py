@@ -14,12 +14,14 @@ import io
 import json
 import math
 import os
-import re
+import shutil
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter, getitem
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .order_select import (
     order_log_prior,
     posterior_over_orders,
 )
-from .symbolize import decision_grid
+from .symbolize import decision_points
 
 FORMAT_CHOICES = ("csv", "json")
 
@@ -70,7 +72,8 @@ GRID_BLOCK_ENTRIES = 1 << 16
 # again each.
 LOCKSTEP_MIN_POINTS = 32
 LOCKSTEP_CHUNK_BYTES = 1 << 18
-# Output rows are formatted and written this many at a time.
+# Output rows are formatted and written this many at a time; from scored
+# columns, the detail rows of this many points are written together.
 EMIT_CHUNK_ROWS = 64
 # The top-of-range warning names at most this many decision points.
 TOP_OF_RANGE_SHOWN = 5
@@ -208,12 +211,85 @@ class DetailRow:
     p_order: float
 
 
+class _Block(NamedTuple):
+    """The scores of a block of decision points, as the kernels return them."""
+
+    d: np.ndarray  # (points,)
+    best: np.ndarray  # (points,) index in the order range of each selected order, -1 if failed
+    # (5, points, orders): the float fields of DetailRow, in field order.  Without
+    # detail, entropy is NaN at the orders no point of the block selected.
+    values: np.ndarray
+    errors: tuple = ()  # the error text or None of each point; empty if none failed
+
+    def take(self, points: slice) -> "_Block":
+        return _Block(self.d[points], self.best[points], self.values[:, points],
+                      self.errors[points])
+
+
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's config, Lyapunov estimate, summary rows and detail rows.
+
+    A result of run_sweep keeps its scored blocks as arrays and builds `rows`
+    and `detail` from them on first read; emit and tally read the blocks.
+    dataclasses.replace drops the blocks, so its result holds rows alone.
+    """
+
     config: SweepConfig
     lyapunov_bits: float
     rows: tuple[SweepRow, ...]
-    detail: tuple[DetailRow, ...] = ()
+    # A default factory leaves no class attribute, which would hide __getattr__.
+    detail: tuple[DetailRow, ...] = dataclasses.field(default_factory=tuple)
+    _blocks: tuple[_Block, ...] = dataclasses.field(default=(), init=False, repr=False,
+                                                    compare=False)
+
+    @classmethod
+    def _of_blocks(cls, config, lyapunov_bits, blocks) -> "SweepResult":
+        result = object.__new__(cls)
+        for name, value in (("config", config), ("lyapunov_bits", lyapunov_bits),
+                            ("_blocks", blocks)):
+            object.__setattr__(result, name, value)
+        return result
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: rows and detail of a
+        # result of run_sweep until their first read.  Threads reading at once
+        # may each build the tuple; they build equal ones.
+        if name not in ("rows", "detail") or not self._blocks:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        orders = _orders(self.config)
+        if name == "rows":
+            value = tuple(chain.from_iterable(_rows(block, orders) for block in self._blocks))
+        elif self.config.detail_path is None:
+            value = ()
+        else:
+            value = tuple(chain.from_iterable(_detail(block, orders) for block in self._blocks))
+        object.__setattr__(self, name, value)
+        return value
+
+    def tally(self) -> tuple[int, int, int, SweepRow | None]:
+        """(rows, failed rows, detail rows, peak), where the peak is the first
+        row without an error of the largest h_expected_bits, None if every
+        row failed.  A result of run_sweep counts its blocks and builds no row
+        but the peak."""
+        if not self._blocks:
+            good = [row for row in self.rows if row.error is None]
+            peak = max(good, key=attrgetter("h_expected_bits"), default=None)
+            return len(self.rows), len(self.rows) - len(good), len(self.detail), peak
+        orders = _orders(self.config)
+        rows = failed = 0
+        top = None  # (h_expected_bits, block, point) of the peak so far
+        for block in self._blocks:
+            h = np.take_along_axis(block.values[0], block.best[:, None], axis=1)[:, 0].tolist()
+            for i, (value, error) in enumerate(zip(h, block.errors or repeat(None))):
+                if error is not None:
+                    failed += 1
+                elif top is None or value > top[0]:
+                    top = value, block, i
+            rows += len(h)
+        detail = (rows - failed) * len(orders) if self.config.detail_path is not None else 0
+        peak = None if top is None else _rows(top[1].take(slice(top[2], top[2] + 1)), orders)[0]
+        return rows, failed, detail, peak
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -224,56 +300,56 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     equals generate_trajectory's with that seed).  Decision points are
     counted and scored a block at a time; a wide enough block of regenerated
     series is stepped in lockstep and counted a chunk of time at a time, so
-    its memory is bounded by LOCKSTEP_CHUNK_BYTES rather than by n.  Rows are
-    independent: a failure of the inference at one decision point is
-    recorded on its row and does not abort the sweep.  Rows that select the top order of the range
-    are reported in one RuntimeWarning.  Fully deterministic given the seed.
+    its memory is bounded by LOCKSTEP_CHUNK_BYTES rather than by n.  The
+    result keeps each block's scores as arrays.  Rows are independent: a
+    failure of the inference at one decision point is recorded on its row
+    and does not abort the sweep.  Rows that select the top order of the
+    range are reported in one RuntimeWarning.  Fully deterministic given the
+    seed.
     """
     config.validate()
     map_spec = MapSpec(config.family, config.r)
     noise = NoiseSpec(config.sigma)
-    orders = tuple(OrderRange(config.k_min, config.k_max).orders())
+    orders = tuple(_orders(config))
     base = generate_trajectory(map_spec, noise, config.n, config.transient, config.seed)
     lam = lyapunov_exponent(map_spec, base)
     log_priors = [order_log_prior(k, 2, config.order_prior) for k in orders]
     priors = {k: uniform_prior(k, 2, config.alpha) for k in orders}
-    want_detail = config.detail_path is not None
-    parts = decision_grid(config.grid)
-    block = max(1, GRID_BLOCK_ENTRIES >> (orders[-1] + 1))
-    args = (orders, log_priors, priors, want_detail)
+    points = decision_points(config.grid)
+    width = max(1, GRID_BLOCK_ENTRIES >> (orders[-1] + 1))
+    args = (orders, log_priors, priors, config.detail_path is not None)
 
-    rows: list[SweepRow] = []
-    detail: list[DetailRow] = []
-    for start in range(0, len(parts), block):
-        block_parts = parts[start:start + block]
-        ds = [part.decision_point for part in block_parts]
-        tables = _block_counts(config, map_spec, noise, base, start, block_parts, orders)
+    blocks: list[_Block] = []
+    for start in range(0, config.grid, width):
+        ds = points[start:start + width]
+        tables = _block_counts(config, map_spec, noise, base, start, ds, orders)
         try:
-            block_rows, block_detail = _score(ds, tables, *args)
+            blocks.append(_score(ds, tables, *args))
         except Exception:
-            block_rows, block_detail = _score_each(ds, tables, *args)
-        rows += block_rows
-        detail += block_detail
-    _warn_top_of_range(rows, orders)
-    return SweepResult(config=config, lyapunov_bits=lam, rows=tuple(rows), detail=tuple(detail))
+            blocks += _score_each(ds, tables, *args)
+    _warn_top_of_range(blocks, orders)
+    return SweepResult._of_blocks(config, lam, tuple(blocks))
 
 
-def _block_counts(config, map_spec, noise, base, start, parts, orders):
-    """{k: CountTable stacking the order-k tables of a block of decision points}.
+def _orders(config: SweepConfig) -> range:
+    return OrderRange(config.k_min, config.k_max).orders()
+
+
+def _block_counts(config, map_spec, noise, base, start, ds, orders):
+    """{k: CountTable stacking the order-k tables of the decision points ds}.
 
     The shared series is counted by grid_transition_counts in one pass.  With
     regenerate_per_d, point start + i gets its own series, counted at k_max
     by _regenerated_counts; the lower orders of the block are derived from
     those tables as for the shared series.
     """
-    ds = np.array([part.decision_point for part in parts])
     if config.regenerate_per_d:
-        seeds = range(config.seed + 1 + start, config.seed + 1 + start + len(parts))
+        seeds = range(config.seed + 1 + start, config.seed + 1 + start + len(ds))
         stacked = lower_orders(*_regenerated_counts(map_spec, noise, config.n, config.transient,
                                                     seeds, ds, orders[-1]), orders)
     else:
         stacked = grid_transition_counts(base.states, ds, orders)
-    return {k: CountTable(k, 2, stacked[k].reshape(len(parts), -1, 2)) for k in orders}
+    return {k: CountTable(k, 2, stacked[k].reshape(len(ds), -1, 2)) for k in orders}
 
 
 def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
@@ -317,8 +393,8 @@ def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
     return top, first
 
 
-def _score(ds, tables, orders, log_priors, priors, want_detail):
-    """Summary rows, and detail rows if wanted, of a block of decision points.
+def _score(ds, tables, orders, log_priors, priors, want_detail) -> _Block:
+    """The scores of a block of decision points.
 
     `tables` maps each order to the stacked count tables of the points `ds`.
     Entropy is estimated at every order for detail rows, otherwise at the
@@ -327,47 +403,57 @@ def _score(ds, tables, orders, log_priors, priors, want_detail):
     """
     les = order_log_evidences(tables, priors)
     post, best = posterior_over_orders(les, log_priors)
-    les, post, best = les.tolist(), post.tolist(), best.tolist()
-    # est[j][i]: (expected_info, h_rate_q, kl_correction) of point i at order orders[j]
-    est = {}
-    for j in range(len(orders)) if want_detail else sorted(set(best)):
+    values = np.full((5, len(ds), len(orders)), np.nan)
+    values[3], values[4] = les, post
+    for j in range(len(orders)) if want_detail else np.unique(best).tolist():
         e = expected_info(tables[orders[j]], priors[orders[j]])
-        est[j] = list(zip(e.expected_info.tolist(), e.h_rate_q.tolist(),
-                          e.kl_correction.tolist()))
-    rows, drows = [], []
-    for i, d in enumerate(ds):
-        sel = best[i]
-        rows.append(SweepRow(d, orders[sel], *est[sel][i], tuple(les[i]), tuple(post[i])))
-        if want_detail:
-            drows.extend(
-                DetailRow(d, k, *est[j][i], les[i][j], post[i][j]) for j, k in enumerate(orders)
-            )
-    return rows, drows
+        values[:3, :, j] = e.expected_info, e.h_rate_q, e.kl_correction
+    return _Block(ds, best, values)
 
 
-def _score_each(ds, tables, orders, *args):
-    """_score one point at a time; a point that fails gets a row carrying its error."""
-    rows, drows = [], []
-    for i, d in enumerate(ds):
+def _score_each(ds, tables, orders, *args) -> list[_Block]:
+    """_score one point at a time, a block each; a point that fails gets a
+    block of NaNs carrying its error."""
+    blocks = []
+    for i in range(len(ds)):
         one = {k: CountTable(k, 2, t.table[i:i + 1]) for k, t in tables.items()}
         try:
-            row, more = _score([d], one, orders, *args)
+            blocks.append(_score(ds[i:i + 1], one, orders, *args))
         except Exception as exc:
-            nan = float("nan")
-            blank = tuple(nan for _ in orders)
-            row, more = [SweepRow(d, None, nan, nan, nan, blank, blank, str(exc))], []
-        rows += row
-        drows += more
-    return rows, drows
+            blank = np.full((5, 1, len(orders)), np.nan)
+            blocks.append(_Block(ds[i:i + 1], np.array([-1]), blank, (str(exc),)))
+    return blocks
 
 
-def _warn_top_of_range(rows, orders) -> None:
-    top = [row.d for row in rows if row.k_selected == orders[-1]]
+def _rows(block, orders) -> list[SweepRow]:
+    """The SweepRows of a block."""
+    return [
+        SweepRow(d, orders[b] if error is None else None, e[b], r[b], c[b], tuple(le),
+                 tuple(p), error)
+        for d, b, e, r, c, le, p, error in zip(block.d.tolist(), block.best.tolist(),
+                                                *block.values.tolist(),
+                                                block.errors or repeat(None))
+    ]
+
+
+def _detail(block, orders) -> list[DetailRow]:
+    """The DetailRows of the points of a block that did not fail."""
+    detail = []
+    for d, e, r, c, le, p, error in zip(block.d.tolist(), *block.values.tolist(),
+                                        block.errors or repeat(None)):
+        if error is None:
+            detail += map(DetailRow, repeat(d), orders, e, r, c, le, p)
+    return detail
+
+
+def _warn_top_of_range(blocks, orders) -> None:
+    top = np.concatenate([block.d[block.best == len(orders) - 1] for block in blocks]).tolist()
     if len(orders) > 1 and top:
         shown = ", ".join(f"{d:g}" for d in top[:TOP_OF_RANGE_SHOWN])
         more = ", ..." if len(top) > TOP_OF_RANGE_SHOWN else ""
+        points = sum(len(block.d) for block in blocks)
         warnings.warn(
-            f"{len(top)} of {len(rows)} decision points selected order {orders[-1]}, the top "
+            f"{len(top)} of {points} decision points selected order {orders[-1]}, the top "
             f"of the range (d = {shown}{more}); the range may be truncating the true order",
             RuntimeWarning,
             stacklevel=3,
@@ -391,7 +477,7 @@ def _header(cls, orders=()) -> list[str]:
 
 
 def csv_header(config: SweepConfig) -> list[str]:
-    return _header(SweepRow, OrderRange(config.k_min, config.k_max).orders())
+    return _header(SweepRow, _orders(config))
 
 
 def _json_float(value: float):
@@ -460,13 +546,6 @@ def _csv_text(chunk) -> str:
     return buf.getvalue()
 
 
-def _write_csv(fh, header: list[str], rows) -> None:
-    """Write `header`, then the _cell_tuples of each row, a chunk at a time."""
-    csv.writer(fh, lineterminator="\n").writerow(header)
-    for chunk in _chunks(rows):
-        fh.write(_csv_text(chunk))
-
-
 def _json_text(chunk, encode) -> str:
     """The JSON objects of a chunk of rows, one per line.
 
@@ -485,61 +564,132 @@ def _json_text(chunk, encode) -> str:
     return text[1:-1].replace(', {"', ',\n    {"')
 
 
-# A detail row as a CSV line and as a JSON object, with a %s per cell.
-_DETAIL_LINE = ",".join(["%s"] * len(_FIELDS[DetailRow])) + "\n"
-_DETAIL_OBJECT = "{" + ", ".join(f'"{name}": %s' for name, _, _ in _FIELDS[DetailRow]) + "}"
-# The repr of an int or a finite float, and the commas and newlines of CSV lines.
-_PLAIN_NUMBERS = re.compile(r"[-+.e0-9,\n]*")
+def _templates(cls, width: int) -> tuple[str, str]:
+    """A row of `cls` without an error as a CSV line and as a JSON object,
+    with a %s per cell and `width` cells per per-order field; the error is a
+    blank cell and null."""
+    cells, members = [], []
+    for name, per_order, _ in _FIELDS[cls]:
+        if name == "error":
+            cell, member = "", "null"
+        elif per_order:
+            cell, member = ",".join(["%s"] * width), "[" + ", ".join(["%s"] * width) + "]"
+        else:
+            cell = member = "%s"
+        cells.append(cell)
+        members.append(f'"{name}": {member}')
+    return ",".join(cells) + "\n", "{" + ", ".join(members) + "}"
 
 
-def _detail_texts(chunk, encode) -> tuple[str, str]:
-    """The detail CSV lines and the JSON detail objects of a chunk of detail
-    rows, formatting each cell once.
+def _block_cells(block, orders, detail: bool):
+    """The cells of a block's summary rows and, if `detail`, of its detail
+    rows, each as one flat tuple of repr strings in template order.
 
-    The repr of each cell fills both templates.  Where every cell is an int
-    or a finite float, its repr is what both writers write for it, and the
-    CSV text then holds only digits, signs, "." and "e" between its commas.
-    Any other chunk goes through _csv_text and _json_text."""
-    cells = tuple(map(repr, chain.from_iterable(_cell_tuples(chunk))))
-    lines = (_DETAIL_LINE * len(chunk)) % cells
-    if _PLAIN_NUMBERS.fullmatch(lines):
-        return lines, ",\n    ".join([_DETAIL_OBJECT] * len(chunk)) % cells
-    return _csv_text(chunk), _json_text(chunk, encode)
+    Each float is formatted once: d once per point, every other float once
+    per (point, order) cell.  A summary row's estimates are its cells at
+    the selected order, and its per-order lists are its cells at every
+    order.  None if a point failed or a written float is not finite."""
+    width = len(orders)
+    if block.errors:
+        return None
+    at = (np.arange(len(block.d)) * width + block.best).tolist()  # each selected cell
+    values = block.values.reshape(5, -1)
+    estimates = values[:3] if detail else values[:3, at]
+    if not (np.isfinite(estimates).all() and np.isfinite(values[3:]).all()):
+        return None
+    d = list(map(repr, block.d.tolist()))
+    ks = list(map(repr, orders))
+    estimates = [list(map(repr, column)) for column in estimates.tolist()]
+    les, post = ([*map(repr, column)] for column in values[3:].tolist())
+    chosen = [list(map(column.__getitem__, at)) for column in estimates] if detail else estimates
+    rows = tuple(chain.from_iterable(zip(
+        d, map(ks.__getitem__, block.best.tolist()), *chosen,
+        *(les[j::width] for j in range(width)), *(post[j::width] for j in range(width)),
+    )))
+    if not detail:
+        return rows, ()
+    points = [text for text in d for _ in orders]
+    return rows, tuple(chain.from_iterable(zip(points, ks * len(d), *estimates, les, post)))
 
 
-def _shared_detail(rows, encode, fh):
-    """The JSON texts of the detail rows, a chunk at a time, each chunk's
-    CSV lines written to `fh` as its text is made, after the CSV header."""
-    csv.writer(fh, lineterminator="\n").writerow(_header(DetailRow))
-    for chunk in _chunks(rows):
-        lines, objects = _detail_texts(chunk, encode)
-        fh.write(lines)
-        yield objects
+def _texts(result: SweepResult, summary, detail_csv: bool, detail_json: bool, encode):
+    """(summary text, detail CSV lines, JSON detail objects) of the result, a
+    piece at a time, with "" for a text not asked for.
+
+    A result of run_sweep is written EMIT_CHUNK_ROWS points of a block at a
+    time: their _block_cells fill the templates of every text.  Points with
+    a failed one or a non-finite float among them, and a result built from
+    rows, go through _csv_text and _json_text, a chunk of rows at a time."""
+    if not result._blocks:
+        for chunk in _chunks(result.rows) if summary else ():
+            yield _csv_text(chunk) if summary == "csv" else _json_text(chunk, encode), "", ""
+        for chunk in _chunks(result.detail) if detail_csv or detail_json else ():
+            yield ("", _csv_text(chunk) if detail_csv else "",
+                   _json_text(chunk, encode) if detail_json else "")
+        return
+    orders = _orders(result.config)
+    detail = (detail_csv or detail_json) and result.config.detail_path is not None
+    row_line, row_object = _templates(SweepRow, len(orders))
+    detail_line, detail_object = _templates(DetailRow, 1)
+    pieces = (block.take(slice(start, start + EMIT_CHUNK_ROWS))
+              for block in result._blocks for start in range(0, len(block.d), EMIT_CHUNK_ROWS))
+    for block in pieces:
+        cells = _block_cells(block, orders, detail)
+        if cells is None:
+            rows = tuple(_rows(block, orders))
+            one = SweepResult(result.config, result.lyapunov_bits, rows,
+                              tuple(_detail(block, orders)) if detail else ())
+            yield from _texts(one, summary, detail_csv, detail_json, encode)
+            continue
+        rows, detail_cells = cells
+        points, count = len(block.d), len(detail_cells) // len(_FIELDS[DetailRow])
+        text = ""
+        if summary == "csv":
+            text = row_line * points % rows
+        elif summary == "json":
+            text = ",\n    ".join([row_object] * points) % rows
+        yield (text, detail_line * count % detail_cells if detail_csv else "",
+               ",\n    ".join([detail_object] * count) % detail_cells if detail_json else "")
 
 
-def _dump_json(result: SweepResult, fh, detail_fh=None) -> None:
-    """The result as strict JSON with one row object per line, written a
-    chunk of rows at a time, so the whole document is never held in memory.
-    Given `detail_fh`, the detail CSV is written to it in the same pass."""
+def _dump(result: SweepResult, summary, fh, detail_fh=None) -> None:
+    """Write the summary of the result to `fh` as `summary`, "csv" or "json"
+    (None writes no summary), and its detail CSV to `detail_fh` if one is
+    given, in one pass over _texts.  No file is held whole in memory: the
+    JSON's detail objects, which follow all of its rows, wait in a temporary
+    file until the rows are written."""
     encode = json.JSONEncoder(allow_nan=False).encode
-    fh.write('{\n  "config": %s,\n  "lyapunov_bits": %s,\n' % (
-        encode(_values(SweepConfig, result.config, getattr, _json_float)),
-        encode(_json_float(result.lyapunov_bits)),
-    ))
-    if detail_fh is None:
-        detail = (_json_text(chunk, encode) for chunk in _chunks(result.detail))
-    else:
-        detail = _shared_detail(result.detail, encode, detail_fh)
-    rows = (_json_text(chunk, encode) for chunk in _chunks(result.rows))
-    for key, texts, empty, end in (("rows", rows, not result.rows, ",\n"),
-                                   ("detail", detail, not result.detail, "\n}\n")):
-        fh.write(f'  "{key}": [')
-        separator = "\n    "
-        for text in texts:
-            fh.write(separator)
-            fh.write(text)
-            separator = ",\n    "
-        fh.write(("]" if empty else "\n  ]") + end)
+    if summary == "csv":
+        csv.writer(fh, lineterminator="\n").writerow(csv_header(result.config))
+    elif summary == "json":
+        fh.write('{\n  "config": %s,\n  "lyapunov_bits": %s,\n  "rows": [' % (
+            encode(_values(SweepConfig, result.config, getattr, _json_float)),
+            encode(_json_float(result.lyapunov_bits)),
+        ))
+    if detail_fh is not None:
+        csv.writer(detail_fh, lineterminator="\n").writerow(_header(DetailRow))
+    spool = (tempfile.TemporaryFile("w+", encoding="utf-8", newline="") if summary == "json"
+             else contextlib.nullcontext())
+    with spool:
+        rows = objects = 0
+        for text, lines, more in _texts(result, summary, detail_fh is not None,
+                                        summary == "json", encode):
+            if text:
+                if summary == "json":
+                    fh.write(",\n    " if rows else "\n    ")
+                    rows += 1
+                fh.write(text)
+            if lines:
+                detail_fh.write(lines)
+            if more:
+                spool.write(",\n    " if objects else "\n    ")
+                spool.write(more)
+                objects += 1
+        if summary == "json":
+            fh.write(("\n  ]" if rows else "]") + ',\n  "detail": [')
+            spool.seek(0)
+            shutil.copyfileobj(spool, fh)
+            fh.write(("\n  ]" if objects else "]") + "\n}\n")
 
 
 def _write_files(write, *paths: str) -> None:
@@ -581,22 +731,17 @@ def _write_files(write, *paths: str) -> None:
 
 def emit(result: SweepResult, out_format: str, path: str, detail_path: str | None = None) -> None:
     """Write the sweep summary as CSV or JSON at `path`, and the detail CSV
-    at `detail_path` if one is given.  With a JSON summary both files are
-    written in one pass, each detail cell formatted once for both."""
+    at `detail_path` if one is given.  Both files are written in one pass,
+    and replaced only once both are written."""
     if out_format not in FORMAT_CHOICES:
         raise ConfigError(f"format {out_format!r} must be one of {FORMAT_CHOICES}")
-    if out_format == "json":
-        paths = [path] if detail_path is None else [path, detail_path]
-        _write_files(lambda *files: _dump_json(result, *files), *paths)
-        return
-    _write_files(lambda fh: _write_csv(fh, csv_header(result.config), result.rows), path)
-    if detail_path is not None:
-        emit_detail(result, detail_path)
+    paths = [path] if detail_path is None else [path, detail_path]
+    _write_files(lambda *files: _dump(result, out_format, *files), *paths)
 
 
 def emit_detail(result: SweepResult, path: str) -> None:
     """Write per-(decision point, order) entropy estimates as CSV at `path`."""
-    _write_files(lambda fh: _write_csv(fh, _header(DetailRow), result.detail), path)
+    _write_files(lambda fh: _dump(result, None, None, fh), path)
 
 
 def load_sweep_json(path: str) -> SweepResult:

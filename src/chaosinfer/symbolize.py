@@ -78,8 +78,13 @@ def symbolize(traj: Trajectory | np.ndarray, part: PartitionSpec) -> SymbolSeque
     return SymbolSequence(symbols=symbols.astype(np.int64), alphabet_size=part.alphabet_size)
 
 
-def decision_grid(count: int) -> list[PartitionSpec]:
-    """Binary partitions at `count` evenly spaced decision points spanning [0, 1]."""
+def decision_points(count: int) -> np.ndarray:
+    """`count` evenly spaced decision points spanning [0, 1]."""
     if count < 2:
         raise ValueError(f"count={count} must be >= 2")
-    return [PartitionSpec.binary(float(d)) for d in np.linspace(0.0, 1.0, count)]
+    return np.linspace(0.0, 1.0, count)
+
+
+def decision_grid(count: int) -> list[PartitionSpec]:
+    """Binary partitions at the decision_points(count)."""
+    return [PartitionSpec.binary(d) for d in decision_points(count).tolist()]

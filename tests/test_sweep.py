@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosinfer.cli import main, parse_config
+from chaosinfer.entropy import EntropyEstimate
 from chaosinfer.sweep import (
     GRID_BLOCK_ENTRIES,
     LOCKSTEP_MIN_POINTS,
@@ -164,6 +165,41 @@ def test_run_sweep_equals_per_d_oracle_on_accepted_configs(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert run_sweep(cfg) == per_d_sweep(cfg)
+
+
+def written(result, tmp, out_format, detail):
+    """The bytes of the files emit writes for `result` in directory `tmp`:
+    the summary, and the detail CSV if `detail`."""
+    names = ["out", "detail.csv"] if detail else ["out"]
+    paths = [os.path.join(tmp, name) for name in names]
+    emit(result, out_format, *paths)
+    files = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            files.append(fh.read())
+    return files
+
+
+def rebuilt(result):
+    """`result` built from its rows, which the row writers write."""
+    return SweepResult(result.config, result.lyapunov_bits, result.rows, result.detail)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example(cfg=SweepConfig(n=300, transient=0, seed=1, grid=66, k_min=0, k_max=9, sigma=0.3,
+                         alpha=0.3, regenerate_per_d=True, detail_path="detail.csv"))
+@given(cfg=accepted_configs())
+def test_columns_write_the_bytes_of_their_rows_on_accepted_configs(cfg):
+    # A result of run_sweep is written from its scored columns, the same
+    # result rebuilt from its rows by the row writers: the bytes agree.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = run_sweep(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        for out_format, detail in (("json", False), ("json", True), ("csv", True)):
+            columns = written(result, tmp, out_format, detail)
+            assert written(rebuilt(result), tmp, out_format, detail) == columns
+    assert result.tally() == rebuilt(result).tally()
 
 
 def test_partial_block_case_spans_two_blocks():
@@ -487,6 +523,28 @@ def test_failed_one_pass_write_leaves_both_previous_files(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["detail.csv", "out.json"]
 
 
+def test_failed_csv_and_detail_write_leaves_both_previous_files(tmp_path):
+    # A CSV summary and its detail CSV are replaced together too.
+    result = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
+    detail = list(result.detail)
+    detail[-1] = dataclasses.replace(detail[-1], k=Unwritable())
+    result = dataclasses.replace(result, detail=tuple(detail))
+    out, detail_csv = tmp_path / "out.csv", tmp_path / "detail.csv"
+    out.write_text("previous\n")
+    detail_csv.write_text("previous detail\n")
+    with pytest.raises(RuntimeError):
+        emit(result, "csv", str(out), str(detail_csv))
+    assert out.read_text() == "previous\n"
+    assert detail_csv.read_text() == "previous detail\n"
+    assert sorted(os.listdir(tmp_path)) == ["detail.csv", "out.csv"]
+    if os.path.exists("/dev/full"):
+        # A detail file on a full device: the run fails and writes no summary.
+        summary = tmp_path / "s.csv"
+        assert main(["--n", "500", "--grid", "3", "--k-max", "2", "--format", "csv",
+                     "--out", str(summary), "--detail", "/dev/full"]) == 2
+        assert not summary.exists()
+
+
 class Unwritable:
     """A cell value that neither csv nor json can write."""
 
@@ -602,6 +660,43 @@ def test_failed_rows_are_marked_without_aborting(monkeypatch, tmp_path):
     assert loaded.rows[0].error == "forced failure" and loaded.rows[0].k_selected is None
     assert math.isnan(loaded.rows[0].h_expected_bits)
     assert all(math.isnan(v) for v in loaded.rows[0].log_evidence + loaded.rows[0].p_order)
+    # With detail too: the failed points go through the row writers and the
+    # others are written from columns, giving the row writers' bytes.
+    detailed = sweep_mod.run_sweep(dataclasses.replace(cfg, detail_path="detail.csv"))
+    good = [row.error is None for row in detailed.rows]
+    assert good[0] is good[-1] is False and any(good)
+    for out_format in ("json", "csv"):
+        columns = written(detailed, tmp_path, out_format, True)
+        assert written(rebuilt(detailed), tmp_path, out_format, True) == columns
+    assert len(detailed.detail) == sum(good) * 2
+    assert detailed.tally() == rebuilt(detailed).tally()
+    assert detailed.tally()[:3] == (5, 5 - sum(good), sum(good) * 2)
+
+
+def test_non_finite_cells_go_through_the_row_writers(monkeypatch, tmp_path):
+    import chaosinfer.sweep as sweep_mod
+
+    real = sweep_mod.expected_info
+
+    def skew(counts, prior):
+        # Infinities and NaNs in some cells of the order-2 estimates.
+        e = real(counts, prior)
+        if counts.order != 2:
+            return e
+        return EntropyEstimate(e.expected_info, np.where(e.h_rate_q > 0.9, np.inf, e.h_rate_q),
+                               np.where(e.kl_correction > 0.0, np.nan, e.kl_correction))
+
+    monkeypatch.setattr(sweep_mod, "expected_info", skew)
+    cfg = SweepConfig(n=1200, transient=50, seed=3, grid=200, k_min=1, k_max=2,
+                      detail_path="detail.csv")
+    result = sweep_mod.run_sweep(cfg)
+    files = {}
+    for out_format in ("json", "csv"):
+        files[out_format] = written(result, tmp_path, out_format, True)
+        assert written(rebuilt(result), tmp_path, out_format, True) == files[out_format]
+    summary, detail = files["json"][0], files["csv"][1]
+    assert b'"h_rate_q_bits": "inf"' in summary and b'"kl_correction_bits": null' in summary
+    assert b",inf,," in detail
 
 
 def test_config_validation_errors():
@@ -747,6 +842,40 @@ def test_cli_json_output(tmp_path):
     assert math.isfinite(loaded.lyapunov_bits)
     assert len(loaded.detail) == 3 * 2
     assert_csv_holds(detail, DETAIL_HEADER, loaded.detail)
+
+
+def test_cli_json_and_detail_run_builds_no_detail_row(monkeypatch, tmp_path):
+    # The writers and the printed counts read the scored columns: no
+    # DetailRow is built until something reads SweepResult.detail.
+    built = []
+    real = DetailRow.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DetailRow, "__init__", counted)
+    out, detail = tmp_path / "out.json", tmp_path / "detail.csv"
+    assert main(["--n", "900", "--transient", "20", "--grid", "300", "--k-max", "3",
+                 "--format", "json", "--out", str(out), "--detail", str(detail)]) == 0
+    assert built == []
+    assert len(load_sweep_json(str(out)).detail) == len(built) == 300 * 3
+
+
+def test_column_writer_streams_in_bounded_memory(tmp_path):
+    # Written from columns, the JSON's detail objects wait in a temporary
+    # file: peak traced memory stays under half the JSON's size.
+    result = run_sweep(SweepConfig(n=300, transient=10, grid=1024, detail_path="detail.csv"))
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        emit(result, "json", str(path), str(tmp_path / "detail.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 2_000_000
+    assert peak <= 0.5 * size, (peak, size)
 
 
 def test_cli_exit_code_on_config_errors(capsys, tmp_path):

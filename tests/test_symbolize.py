@@ -4,7 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaosinfer.dynamics import MapSpec, NoiseSpec, generate_trajectory
-from chaosinfer.symbolize import PartitionSpec, SymbolSequence, decision_grid, symbolize
+from chaosinfer.symbolize import (
+    PartitionSpec,
+    SymbolSequence,
+    decision_grid,
+    decision_points,
+    symbolize,
+)
 
 unit_floats = st.floats(0.0, 1.0)
 
@@ -51,6 +57,15 @@ def test_decision_grid_two_hundred_points():
 def test_decision_grid_rejects_tiny_count():
     with pytest.raises(ValueError):
         decision_grid(1)
+    with pytest.raises(ValueError):
+        decision_points(1)
+
+
+@pytest.mark.parametrize("count", [2, 3, 7, 200, 2000])
+def test_decision_points_are_the_grid_thresholds(count):
+    points = decision_points(count)
+    assert points.tolist() == [float(d) for d in np.linspace(0.0, 1.0, count)]
+    assert points.tolist() == [p.decision_point for p in decision_grid(count)]
 
 
 def test_multicell_partition():
