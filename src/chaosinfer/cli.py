@@ -135,10 +135,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {detail} detail rows to {config.detail_path}")
     print(f"lyapunov estimate: {result.lyapunov_bits:.4f} bits/step")
     if peak is not None:
-        print(
-            f"max expected information rate: {peak.h_expected_bits:.4f} bits/symbol "
-            f"at d={peak.d:.6f} (k={peak.k_selected})"
-        )
+        d, k, h = peak
+        print(f"max expected information rate: {h:.4f} bits/symbol at d={d:.6f} (k={k})")
     if failed:
         print(f"{failed} rows failed; see the error column", file=sys.stderr)
     return 0 if peak is not None else 2

@@ -19,8 +19,8 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import attrgetter, getitem
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -154,11 +154,12 @@ class SweepConfig:
             raise ConfigError(f"transient={self.transient} must be >= 0")
         if self.grid < 2:
             raise ConfigError(f"grid={self.grid} must be >= 2")
-        if 2 ** (self.k_max + 1) > MAX_TABLE_ENTRIES:
-            raise ConfigError(
-                f"k_max={self.k_max} needs {2 ** (self.k_max + 1)} table entries per decision "
-                f"point, over the limit of {MAX_TABLE_ENTRIES}"
-            )
+        # Exponents are compared: for a huge k_max, 2 ** (k_max + 1) is too long to print.
+        top = MAX_TABLE_ENTRIES.bit_length() - 2  # the largest k_max whose table fits
+        if self.k_max > top:
+            raise ConfigError(f"k_max={self.k_max} needs 2**{self.k_max + 1} table entries per "
+                              f"decision point, over the limit of {MAX_TABLE_ENTRIES}; the "
+                              f"largest accepted k_max is {top}")
         if self.n <= self.k_max + 1:
             raise ConfigError(f"n={self.n} must exceed k_max + 1 = {self.k_max + 1}")
         if not MIN_ALPHA <= self.alpha <= MAX_ALPHA:
@@ -177,11 +178,14 @@ class SweepConfig:
             if not os.path.isdir(parent):
                 raise ConfigError(f"{name}={path!r} cannot be created: {parent!r} is not a "
                                   "directory")
-        if self.detail_path is not None and (
-            os.path.realpath(self.detail_path) == os.path.realpath(self.out_path)
-        ):
-            raise ConfigError(f"out_path and detail_path both name {self.out_path!r}; "
-                              "the detail file would replace the summary")
+        _check_distinct(self.out_path, self.detail_path)
+
+
+def _check_distinct(out_path: str, detail_path: str | None) -> None:
+    """Reject a detail path that resolves to the summary's, which it would replace."""
+    if detail_path is not None and os.path.realpath(detail_path) == os.path.realpath(out_path):
+        raise ConfigError(f"out_path and detail_path both name {out_path!r}; "
+                          "the detail file would replace the summary")
 
 
 @dataclass(frozen=True)
@@ -216,14 +220,11 @@ class _Block(NamedTuple):
 
     d: np.ndarray  # (points,)
     best: np.ndarray  # (points,) index in the order range of each selected order, -1 if failed
-    # (5, points, orders): the float fields of DetailRow, in field order.  Without
-    # detail, entropy is NaN at the orders no point of the block selected.
+    # (5, points, orders): the float fields of DetailRow, in field order, all NaN
+    # at a failed point.  Without detail, entropy is NaN at the orders no point
+    # of the block selected.
     values: np.ndarray
     errors: tuple = ()  # the error text or None of each point; empty if none failed
-
-    def take(self, points: slice) -> "_Block":
-        return _Block(self.d[points], self.best[points], self.values[:, points],
-                      self.errors[points])
 
 
 @dataclass(frozen=True)
@@ -267,28 +268,29 @@ class SweepResult:
         object.__setattr__(self, name, value)
         return value
 
-    def tally(self) -> tuple[int, int, int, SweepRow | None]:
-        """(rows, failed rows, detail rows, peak), where the peak is the first
-        row without an error of the largest h_expected_bits, None if every
-        row failed.  A result of run_sweep counts its blocks and builds no row
-        but the peak."""
+    def tally(self) -> tuple[int, int, int, tuple[float, int, float] | None]:
+        """(rows, failed rows, detail rows, peak), where the peak is (d,
+        k_selected, h_expected_bits) of the first row without an error of the
+        largest h_expected_bits, None if every row failed.  A result of
+        run_sweep counts its blocks and builds no row."""
         if not self._blocks:
-            good = [row for row in self.rows if row.error is None]
-            peak = max(good, key=attrgetter("h_expected_bits"), default=None)
+            good = [(row.d, row.k_selected, row.h_expected_bits)
+                    for row in self.rows if row.error is None]
+            peak = max(good, key=itemgetter(2), default=None)
             return len(self.rows), len(self.rows) - len(good), len(self.detail), peak
         orders = _orders(self.config)
         rows = failed = 0
-        top = None  # (h_expected_bits, block, point) of the peak so far
+        peak = None
         for block in self._blocks:
             h = np.take_along_axis(block.values[0], block.best[:, None], axis=1)[:, 0].tolist()
-            for i, (value, error) in enumerate(zip(h, block.errors or repeat(None))):
+            for d, b, value, error in zip(block.d.tolist(), block.best.tolist(), h,
+                                          block.errors or repeat(None)):
                 if error is not None:
                     failed += 1
-                elif top is None or value > top[0]:
-                    top = value, block, i
+                elif peak is None or value > peak[2]:
+                    peak = d, orders[b], value
             rows += len(h)
         detail = (rows - failed) * len(orders) if self.config.detail_path is not None else 0
-        peak = None if top is None else _rows(top[1].take(slice(top[2], top[2] + 1)), orders)[0]
         return rows, failed, detail, peak
 
 
@@ -421,7 +423,8 @@ def _score_each(ds, tables, orders, *args) -> list[_Block]:
             blocks.append(_score(ds[i:i + 1], one, orders, *args))
         except Exception as exc:
             blank = np.full((5, 1, len(orders)), np.nan)
-            blocks.append(_Block(ds[i:i + 1], np.array([-1]), blank, (str(exc),)))
+            error = str(exc) or type(exc).__name__  # the type names an exception without text
+            blocks.append(_Block(ds[i:i + 1], np.array([-1]), blank, (error,)))
     return blocks
 
 
@@ -480,176 +483,170 @@ def csv_header(config: SweepConfig) -> list[str]:
     return _header(SweepRow, _orders(config))
 
 
-def _json_float(value: float):
-    """A float as strict JSON: itself if finite, None for NaN, "inf" or "-inf" otherwise."""
-    if math.isfinite(value):
-        return value
-    return None if math.isnan(value) else str(value)
-
-
 def _read_float(value) -> float:
     return math.nan if value is None else float(value)
 
 
-def _values(cls, source, get, convert) -> dict:
-    """{field: get(source, field)} of `cls`, with `convert` applied to each
-    float; a per-order field becomes a tuple (a list in JSON)."""
+def _loaded(cls, obj):
+    """The `cls` of a JSON object written by emit: a per-order list becomes a
+    tuple, and null in a float field NaN."""
     values = {}
     for name, per_order, is_float in _FIELDS[cls]:
-        value = get(source, name)
+        value = obj[name]
         if per_order:
-            value = tuple(map(convert, value))
+            value = tuple(map(_read_float, value))
         elif is_float:
-            value = convert(value)
+            value = _read_float(value)
         values[name] = value
-    return values
+    return cls(**values)
 
 
-def _cell_tuples(rows):
-    """The CSV cells of each of `rows`, all of one class, as one flat tuple per
-    row: its fields in field order, a per-order tuple spread over one cell per
-    order, gathered a field at a time rather than a cell at a time."""
-    columns = []
-    for name, per_order, _ in _FIELDS[type(rows[0])]:
-        column = map(attrgetter(name), rows)
-        if per_order:
-            columns += zip(*column)
-        else:
-            columns.append(column)
-    return zip(*columns)
-
-
-def _chunks(rows):
-    """`rows` EMIT_CHUNK_ROWS at a time."""
-    for start in range(0, len(rows), EMIT_CHUNK_ROWS):
-        yield rows[start:start + EMIT_CHUNK_ROWS]
-
-
-def _csv_text(chunk) -> str:
-    """The CSV lines of a chunk of rows, None and NaN as empty cells.
-
-    The chunk is formatted by one template with a %r per cell.  The repr of
-    an int or a float is what csv.writer writes for it, and None and NaN
-    come out as "None" and "nan", which no number's repr contains, so two
-    replacements blank them.  A text cell may need quoting, and its repr has
-    a quote mark, so a chunk with one goes through csv.writer instead, with
-    each NaN made None, which csv.writer leaves blank."""
-    cells = list(_cell_tuples(chunk))
-    template = ",".join(["%r"] * len(cells[0])) + "\n"
-    text = "".join(map(template.__mod__, cells))
-    if "'" not in text and '"' not in text:
-        return text.replace("None", "").replace("nan", "")
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        [None if c != c else c for c in row] for row in cells
-    )
-    return buf.getvalue()
-
-
-def _json_text(chunk, encode) -> str:
-    """The JSON objects of a chunk of rows, one per line.
-
-    A row object is the row's instance dict, which holds its fields in
-    _FIELDS order: the frozen dataclass's __init__ sets each field in that
-    order and nothing else.  The encoder rejects NaN and infinite floats; a
-    chunk that has one is encoded again from _values, with every float
-    passed through _json_float.  A chunk is encoded as one list, which puts
-    ", " between its objects.  Only there can ', {"' occur, since a row holds
-    no nested object and a quote inside a string is escaped, so each one is
-    where a line starts."""
-    try:
-        text = encode(list(map(vars, chunk)))
-    except ValueError:
-        text = encode([_values(type(row), row, getattr, _json_float) for row in chunk])
-    return text[1:-1].replace(', {"', ',\n    {"')
-
-
-def _templates(cls, width: int) -> tuple[str, str]:
-    """A row of `cls` without an error as a CSV line and as a JSON object,
-    with a %s per cell and `width` cells per per-order field; the error is a
-    blank cell and null."""
+def _templates(cls, width: int = 0) -> tuple[str, str]:
+    """A row of `cls` as a CSV line and as a JSON object, with a %s per cell
+    and `width` cells per per-order field."""
     cells, members = [], []
     for name, per_order, _ in _FIELDS[cls]:
-        if name == "error":
-            cell, member = "", "null"
-        elif per_order:
-            cell, member = ",".join(["%s"] * width), "[" + ", ".join(["%s"] * width) + "]"
-        else:
-            cell = member = "%s"
-        cells.append(cell)
-        members.append(f'"{name}": {member}')
+        cells.append(",".join(["%s"] * width) if per_order else "%s")
+        members.append(f'"{name}": ' + (f"[{', '.join(['%s'] * width)}]" if per_order else "%s"))
     return ",".join(cells) + "\n", "{" + ", ".join(members) + "}"
 
 
-def _block_cells(block, orders, detail: bool):
-    """The cells of a block's summary rows and, if `detail`, of its detail
-    rows, each as one flat tuple of repr strings in template order.
+def _spell(value, csv_cell: bool) -> str:
+    """A cell whose repr does not end in a digit, as CSV if `csv_cell`, else
+    as JSON: None and NaN as a blank cell and null, an infinity as inf and
+    "inf", and anything else, such as a text, as csv.writer writes it in a
+    row of several cells and as the JSON encoder encodes it."""
+    if isinstance(value, float):  # numpy's floats too, whose repr names their type
+        text = float.__repr__(value)
+        if math.isfinite(value):
+            return text
+        value = None if math.isnan(value) else text
+    if not csv_cell:
+        return json.dumps(value)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
 
-    Each float is formatted once: d once per point, every other float once
-    per (point, order) cell.  A summary row's estimates are its cells at
-    the selected order, and its per-order lists are its cells at every
-    order.  None if a point failed or a written float is not finite."""
+
+def _filled(template: str, piece, csv_cell: bool) -> str:
+    """`template`, a CSV line if `csv_cell` else a JSON object, once per row
+    of `piece`, filled with its cells.
+
+    A piece is (rows, texts, odd): the repr of each of its cells, row after
+    row, and {position: value} of the cells whose repr is not what is
+    written.  The repr of a finite number ends in a digit, and CSV and JSON
+    both write it as it is; _spell writes the odd cells."""
+    rows, texts, odd = piece
+    if odd:
+        texts = list(texts)
+        for at, value in odd.items():
+            texts[at] = _spell(value, csv_cell)
+    return ("" if csv_cell else ",\n    ").join([template] * rows) % tuple(texts)
+
+
+def _row_pieces(rows):
+    """Each EMIT_CHUNK_ROWS of `rows`, all of one class, as a piece (see
+    _filled), gathered a field at a time; a per-order field spreads over one
+    cell per order.  Each cell is checked: it is odd if its repr does not
+    end in a digit."""
+    for start in range(0, len(rows), EMIT_CHUNK_ROWS):
+        chunk = rows[start:start + EMIT_CHUNK_ROWS]
+        columns = []
+        for name, per_order, _ in _FIELDS[type(chunk[0])]:
+            column = map(attrgetter(name), chunk)
+            columns += zip(*column) if per_order else [column]
+        cells = tuple(chain.from_iterable(zip(*columns)))
+        texts = tuple(map(repr, cells))
+        yield len(chunk), texts, {at: cells[at] for at, text in enumerate(texts)
+                                  if not text[-1].isdigit()}
+
+
+def _non_finite(cells: np.ndarray, before: int, after: int) -> dict:
+    """{position: value} of the non-finite cells of a 2-D array, each row of
+    which is the floats of a row of cells that holds `before` more cells
+    ahead of them and `after` more behind."""
+    at = np.flatnonzero(~np.isfinite(cells))
+    if not at.size:
+        return {}
+    rows, columns = divmod(at, cells.shape[1])
+    at += rows * (before + after) + before
+    return dict(zip(at.tolist(), cells[rows, columns].tolist()))
+
+
+def _block_pieces(block, orders, detail: bool, missing: str):
+    """Each EMIT_CHUNK_ROWS points of a block as two pieces (see _filled):
+    their summary rows and, if `detail`, the detail rows of those that did
+    not fail, else None.
+
+    Each float is repr'd once: d once per point, every other float once per
+    (point, order) cell.  A summary row's estimates are its cells at the
+    selected order, its per-order lists its cells at every order, and its
+    error `missing`, the summary's None, unless the point failed.  The odd
+    cells are found from np.isfinite and the errors, not by checking each
+    cell: the non-finite floats, such as a failed point's values, which are
+    all NaN, and a failed point's order and error."""
     width = len(orders)
-    if block.errors:
-        return None
-    at = (np.arange(len(block.d)) * width + block.best).tolist()  # each selected cell
-    values = block.values.reshape(5, -1)
-    estimates = values[:3] if detail else values[:3, at]
-    if not (np.isfinite(estimates).all() and np.isfinite(values[3:]).all()):
-        return None
-    d = list(map(repr, block.d.tolist()))
     ks = list(map(repr, orders))
-    estimates = [list(map(repr, column)) for column in estimates.tolist()]
-    les, post = ([*map(repr, column)] for column in values[3:].tolist())
-    chosen = [list(map(column.__getitem__, at)) for column in estimates] if detail else estimates
-    rows = tuple(chain.from_iterable(zip(
-        d, map(ks.__getitem__, block.best.tolist()), *chosen,
-        *(les[j::width] for j in range(width)), *(post[j::width] for j in range(width)),
-    )))
-    if not detail:
-        return rows, ()
-    points = [text for text in d for _ in orders]
-    return rows, tuple(chain.from_iterable(zip(points, ks * len(d), *estimates, les, post)))
+    for start in range(0, len(block.d), EMIT_CHUNK_ROWS):
+        part = slice(start, start + EMIT_CHUNK_ROWS)
+        piece = _Block(block.d[part], block.best[part], block.values[:, part], block.errors[part])
+        points = len(piece.d)
+        best = np.maximum(piece.best, 0)  # a failed point reads its own NaN cells
+        at = (np.arange(points) * width + best).tolist()  # each selected cell
+        values = piece.values.reshape(5, -1)
+        selected = values[:3, at]
+        d = list(map(repr, piece.d.tolist()))
+        estimates = [list(map(repr, column))
+                     for column in (values[:3] if detail else selected).tolist()]
+        les, post = ([*map(repr, column)] for column in values[3:].tolist())
+        chosen = [[*map(column.__getitem__, at)] for column in estimates] if detail else estimates
+        texts = tuple(chain.from_iterable(zip(
+            d, map(ks.__getitem__, best.tolist()), *chosen,
+            *(les[j::width] for j in range(width)), *(post[j::width] for j in range(width)),
+            repeat(missing),
+        )))
+        cells = np.concatenate([selected.T, *piece.values[3:]], axis=1)  # after d and k
+        odd = _non_finite(cells, 2, 1)
+        fields = cells.shape[1] + 3
+        for i, error in enumerate(piece.errors):
+            if error is not None:  # a failed point has no order, and an error
+                odd[i * fields + 1] = None
+                odd[i * fields + fields - 1] = error
+        if not detail:
+            yield (points, texts, odd), None
+            continue
+        rows = zip([text for text in d for _ in orders], ks * points, *estimates, les, post)
+        cells = values.T  # the detail cells after d and k as floats
+        if piece.errors:  # drop the rows of the failed points
+            kept = np.repeat(piece.best >= 0, width)
+            rows, cells = compress(rows, kept.tolist()), cells[kept]
+        detail_texts = tuple(chain.from_iterable(rows))
+        yield (points, texts, odd), (len(cells), detail_texts, _non_finite(cells, 2, 0))
 
 
-def _texts(result: SweepResult, summary, detail_csv: bool, detail_json: bool, encode):
+def _texts(result: SweepResult, summary, detail_csv: bool, detail_json: bool):
     """(summary text, detail CSV lines, JSON detail objects) of the result, a
     piece at a time, with "" for a text not asked for.
 
-    A result of run_sweep is written EMIT_CHUNK_ROWS points of a block at a
-    time: their _block_cells fill the templates of every text.  Points with
-    a failed one or a non-finite float among them, and a result built from
-    rows, go through _csv_text and _json_text, a chunk of rows at a time."""
-    if not result._blocks:
-        for chunk in _chunks(result.rows) if summary else ():
-            yield _csv_text(chunk) if summary == "csv" else _json_text(chunk, encode), "", ""
-        for chunk in _chunks(result.detail) if detail_csv or detail_json else ():
-            yield ("", _csv_text(chunk) if detail_csv else "",
-                   _json_text(chunk, encode) if detail_json else "")
-        return
+    A piece is EMIT_CHUNK_ROWS points of a block of a result of run_sweep,
+    or EMIT_CHUNK_ROWS rows of a result built from rows, and every piece
+    fills the same templates."""
     orders = _orders(result.config)
-    detail = (detail_csv or detail_json) and result.config.detail_path is not None
-    row_line, row_object = _templates(SweepRow, len(orders))
-    detail_line, detail_object = _templates(DetailRow, 1)
-    pieces = (block.take(slice(start, start + EMIT_CHUNK_ROWS))
-              for block in result._blocks for start in range(0, len(block.d), EMIT_CHUNK_ROWS))
-    for block in pieces:
-        cells = _block_cells(block, orders, detail)
-        if cells is None:
-            rows = tuple(_rows(block, orders))
-            one = SweepResult(result.config, result.lyapunov_bits, rows,
-                              tuple(_detail(block, orders)) if detail else ())
-            yield from _texts(one, summary, detail_csv, detail_json, encode)
-            continue
-        rows, detail_cells = cells
-        points, count = len(block.d), len(detail_cells) // len(_FIELDS[DetailRow])
-        text = ""
-        if summary == "csv":
-            text = row_line * points % rows
-        elif summary == "json":
-            text = ",\n    ".join([row_object] * points) % rows
-        yield (text, detail_line * count % detail_cells if detail_csv else "",
-               ",\n    ".join([detail_object] * count) % detail_cells if detail_json else "")
+    row_template = _templates(SweepRow, len(orders))[summary == "json"]
+    missing = _spell(None, summary == "csv")
+    detail_line, detail_object = _templates(DetailRow)
+    detail = detail_csv or detail_json
+    if result._blocks:
+        detail = detail and result.config.detail_path is not None
+        pieces = chain.from_iterable(_block_pieces(block, orders, detail, missing)
+                                     for block in result._blocks)
+    else:
+        pieces = chain(zip(_row_pieces(result.rows if summary else ()), repeat(None)),
+                       zip(repeat(None), _row_pieces(result.detail if detail else ())))
+    for rows, details in pieces:
+        yield (_filled(row_template, rows, summary == "csv") if summary and rows else "",
+               _filled(detail_line, details, True) if detail_csv and details else "",
+               _filled(detail_object, details, False) if detail_json and details else "")
 
 
 def _dump(result: SweepResult, summary, fh, detail_fh=None) -> None:
@@ -658,13 +655,13 @@ def _dump(result: SweepResult, summary, fh, detail_fh=None) -> None:
     given, in one pass over _texts.  No file is held whole in memory: the
     JSON's detail objects, which follow all of its rows, wait in a temporary
     file until the rows are written."""
-    encode = json.JSONEncoder(allow_nan=False).encode
     if summary == "csv":
         csv.writer(fh, lineterminator="\n").writerow(csv_header(result.config))
     elif summary == "json":
+        lam = repr(result.lyapunov_bits)
         fh.write('{\n  "config": %s,\n  "lyapunov_bits": %s,\n  "rows": [' % (
-            encode(_values(SweepConfig, result.config, getattr, _json_float)),
-            encode(_json_float(result.lyapunov_bits)),
+            _filled(_templates(SweepConfig)[1], next(_row_pieces([result.config])), False),
+            lam if lam[-1].isdigit() else _spell(result.lyapunov_bits, False),
         ))
     if detail_fh is not None:
         csv.writer(detail_fh, lineterminator="\n").writerow(_header(DetailRow))
@@ -673,7 +670,7 @@ def _dump(result: SweepResult, summary, fh, detail_fh=None) -> None:
     with spool:
         rows = objects = 0
         for text, lines, more in _texts(result, summary, detail_fh is not None,
-                                        summary == "json", encode):
+                                        summary == "json"):
             if text:
                 if summary == "json":
                     fh.write(",\n    " if rows else "\n    ")
@@ -735,6 +732,7 @@ def emit(result: SweepResult, out_format: str, path: str, detail_path: str | Non
     and replaced only once both are written."""
     if out_format not in FORMAT_CHOICES:
         raise ConfigError(f"format {out_format!r} must be one of {FORMAT_CHOICES}")
+    _check_distinct(path, detail_path)
     paths = [path] if detail_path is None else [path, detail_path]
     _write_files(lambda *files: _dump(result, out_format, *files), *paths)
 
@@ -749,9 +747,8 @@ def load_sweep_json(path: str) -> SweepResult:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     return SweepResult(
-        config=SweepConfig(**_values(SweepConfig, obj["config"], getitem, _read_float)),
+        config=_loaded(SweepConfig, obj["config"]),
         lyapunov_bits=_read_float(obj["lyapunov_bits"]),
-        rows=tuple(SweepRow(**_values(SweepRow, r, getitem, _read_float)) for r in obj["rows"]),
-        detail=tuple(DetailRow(**_values(DetailRow, r, getitem, _read_float))
-                     for r in obj["detail"]),
+        rows=tuple(_loaded(SweepRow, r) for r in obj["rows"]),
+        detail=tuple(_loaded(DetailRow, r) for r in obj["detail"]),
     )

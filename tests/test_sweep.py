@@ -181,7 +181,7 @@ def written(result, tmp, out_format, detail):
 
 
 def rebuilt(result):
-    """`result` built from its rows, which the row writers write."""
+    """`result` built from its rows, which emit writes a chunk of rows at a time."""
     return SweepResult(result.config, result.lyapunov_bits, result.rows, result.detail)
 
 
@@ -334,6 +334,19 @@ def test_json_reemits_non_finite_values_to_the_same_bytes(tmp_path):
     assert_csv_holds(tmp_path / "detail.csv", DETAIL_HEADER, result.detail)
 
 
+def test_numpy_floats_in_rows_are_written_as_floats(tmp_path):
+    # The repr of a numpy float names its type; it is written as the float.
+    plain = dataclasses.replace(TINY, rows=TINY.rows[:1], detail=TINY.detail[:1])
+    row = dataclasses.replace(plain.rows[0], h_expected_bits=np.float64(0.25),
+                              log_evidence=(np.float64(-1.5), -math.inf))
+    detail = dataclasses.replace(plain.detail[0], p_order=np.float64(0.1))
+    numpy_rows = dataclasses.replace(plain, rows=(row,), detail=(detail,))
+    for write in WRITES.values():
+        write(plain, str(tmp_path / "plain"))
+        write(numpy_rows, str(tmp_path / "numpy"))
+        assert (tmp_path / "numpy").read_bytes() == (tmp_path / "plain").read_bytes()
+
+
 # A hand-built result with every kind of cell: NaN (math.nan itself, so that
 # the reloaded rows compare equal), infinities, a failed row with no order and
 # an error text holding a quote, a newline, a brace, a comma and a non-ASCII
@@ -357,6 +370,12 @@ TINY_BARE = dataclasses.replace(
     TINY, lyapunov_bits=-math.inf, detail=(),
     rows=(TINY.rows[0], dataclasses.replace(TINY.rows[1], error=None)),
 )
+# Error texts that are easy to write wrong: an empty one, and one that holds
+# inf, nan and None and ends in a digit.
+TINY_TEXTS = dataclasses.replace(TINY, detail=(), rows=(
+    dataclasses.replace(TINY.rows[1], d=0.0, error=""),
+    dataclasses.replace(TINY.rows[1], error="inf nan None -inf 2"),
+))
 TINY_CONFIG_JSON = (
     '{"family": "logistic", "r": 4.0, "sigma": 0.001, "n": 100, "transient": 1000, '
     '"seed": 0, "grid": 2, "k_min": 1, "k_max": 2, "order_prior": "size-penalty", '
@@ -376,10 +395,13 @@ TINY_DETAIL_JSON = (
 TINY_ERROR_JSON = r'"bad \"x\", {\"d\": 1},\n} \u00e9"'
 
 
-def failed_row_json(error):
-    return ('{"d": 1.0, "k_selected": null, "h_expected_bits": null, "h_rate_q_bits": null, '
+def failed_row_json(error, d="1.0"):
+    return (f'{{"d": {d}, "k_selected": null, "h_expected_bits": null, "h_rate_q_bits": null, '
             '"kl_correction_bits": null, "log_evidence": [null, null], "p_order": [null, null], '
             f'"error": {error}}}')
+
+
+TEXT_ROWS_JSON = (failed_row_json('""', d="0.0"), failed_row_json('"inf nan None -inf 2"'))
 
 
 @pytest.mark.parametrize("result, expected", [
@@ -407,6 +429,16 @@ def failed_row_json(error):
      '  ],\n'
      '  "detail": []\n'
      '}\n'),
+    (TINY_TEXTS,
+     '{\n'
+     f'  "config": {TINY_CONFIG_JSON},\n'
+     '  "lyapunov_bits": 0.9791235781734471,\n'
+     '  "rows": [\n'
+     f'    {TEXT_ROWS_JSON[0]},\n'
+     f'    {TEXT_ROWS_JSON[1]}\n'
+     '  ],\n'
+     '  "detail": []\n'
+     '}\n'),
     # No rows, and only finite floats, which the encoder takes as they are.
     (dataclasses.replace(TINY, rows=(), detail=TINY.detail[:1]),
      '{\n'
@@ -417,7 +449,7 @@ def failed_row_json(error):
      f'    {TINY_DETAIL_JSON}\n'
      '  ]\n'
      '}\n'),
-], ids=["detail", "no-detail", "finite"])
+], ids=["detail", "no-detail", "texts", "finite"])
 def test_json_layout_is_frozen(tmp_path, result, expected):
     # One row object per line inside a fixed outer layout; still strict JSON.
     first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -441,11 +473,16 @@ def test_json_layout_is_frozen(tmp_path, result, expected):
      "log_evidence_k2,p_order_k1,p_order_k2,error\n"
      "0.0,2,0.25,0.125,inf,-1.5,-inf,0.1,0.9,\n"
      "1.0,,,,,,,,,\n"),
+    ("csv", TINY_TEXTS,
+     "d,k_selected,h_expected_bits,h_rate_q_bits,kl_correction_bits,log_evidence_k1,"
+     "log_evidence_k2,p_order_k1,p_order_k2,error\n"
+     "0.0,,,,,,,,,\n"
+     "1.0,,,,,,,,,inf nan None -inf 2\n"),
     ("detail", TINY,
      "d,k,h_expected_bits,h_rate_q_bits,kl_correction_bits,log_evidence,p_order\n"
      "0.0,1,0.5,0.375,1e-05,-1.5,0.1\n"
      "0.0,2,,-inf,inf,-inf,0.9\n"),
-], ids=["summary", "summary-no-text", "detail"])
+], ids=["summary", "summary-no-text", "summary-texts", "detail"])
 def test_csv_bytes_are_frozen(tmp_path, write, result, expected):
     # Blank cells for None and NaN, inf and -inf, repr floats, csv quoting of text.
     path = tmp_path / "out.csv"
@@ -607,6 +644,36 @@ def test_emit_rejects_unknown_format(tmp_path, small_result):
         emit(small_result, "xml", str(tmp_path / "out.xml"))
 
 
+def test_emit_rejects_one_file_for_summary_and_detail(tmp_path, small_result):
+    # The detail file would replace the summary; the config check says so
+    # for the library too, before anything is written.
+    path = tmp_path / "a.csv"
+    for detail in (path, tmp_path / "sub" / ".." / "a.csv"):
+        with pytest.raises(ConfigError, match="both name"):
+            emit(small_result, "csv", str(path), str(detail))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failure_without_text_is_named_by_its_type(monkeypatch, tmp_path):
+    import chaosinfer.sweep as sweep_mod
+
+    real = sweep_mod.expected_info
+
+    def sabotage(counts, prior):
+        if counts.context_totals.min() == 0:
+            raise ValueError()
+        return real(counts, prior)
+
+    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
+    out = tmp_path / "out.csv"
+    assert main(["--n", "1200", "--transient", "50", "--grid", "9", "--k-max", "2",
+                 "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    failed = [row for row in rows if row["k_selected"] == ""]
+    assert failed and all(row["error"] == "ValueError" for row in failed)
+
+
 def test_emit_detail_rows(tmp_path):
     cfg = SweepConfig(n=900, transient=50, seed=2, grid=4, k_min=1, k_max=3,
                       detail_path=str(tmp_path / "detail.csv"))
@@ -660,8 +727,8 @@ def test_failed_rows_are_marked_without_aborting(monkeypatch, tmp_path):
     assert loaded.rows[0].error == "forced failure" and loaded.rows[0].k_selected is None
     assert math.isnan(loaded.rows[0].h_expected_bits)
     assert all(math.isnan(v) for v in loaded.rows[0].log_evidence + loaded.rows[0].p_order)
-    # With detail too: the failed points go through the row writers and the
-    # others are written from columns, giving the row writers' bytes.
+    # With detail too: written from the scored columns, the failed points and
+    # the others give the bytes of the same result rebuilt from its rows.
     detailed = sweep_mod.run_sweep(dataclasses.replace(cfg, detail_path="detail.csv"))
     good = [row.error is None for row in detailed.rows]
     assert good[0] is good[-1] is False and any(good)
@@ -673,7 +740,7 @@ def test_failed_rows_are_marked_without_aborting(monkeypatch, tmp_path):
     assert detailed.tally()[:3] == (5, 5 - sum(good), sum(good) * 2)
 
 
-def test_non_finite_cells_go_through_the_row_writers(monkeypatch, tmp_path):
+def test_non_finite_cells_are_written_alike_from_blocks_and_rows(monkeypatch, tmp_path):
     import chaosinfer.sweep as sweep_mod
 
     real = sweep_mod.expected_info
@@ -846,20 +913,39 @@ def test_cli_json_output(tmp_path):
 
 def test_cli_json_and_detail_run_builds_no_detail_row(monkeypatch, tmp_path):
     # The writers and the printed counts read the scored columns: no
-    # DetailRow is built until something reads SweepResult.detail.
+    # SweepRow or DetailRow is built until something reads SweepResult.rows
+    # or .detail, also when some points fail.
+    import chaosinfer.sweep as sweep_mod
+
     built = []
-    real = DetailRow.__init__
+    for cls in (SweepRow, DetailRow):
+        def counted(self, *args, real=cls.__init__, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
 
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(DetailRow, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     out, detail = tmp_path / "out.json", tmp_path / "detail.csv"
-    assert main(["--n", "900", "--transient", "20", "--grid", "300", "--k-max", "3",
-                 "--format", "json", "--out", str(out), "--detail", str(detail)]) == 0
+    argv = ["--n", "900", "--transient", "20", "--grid", "300", "--k-max", "3",
+            "--format", "json", "--out", str(out), "--detail", str(detail)]
+    assert main(argv) == 0
     assert built == []
-    assert len(load_sweep_json(str(out)).detail) == len(built) == 300 * 3
+    assert len(load_sweep_json(str(out)).detail) == len(built) - 300 == 300 * 3
+    real_info = sweep_mod.expected_info
+
+    def sabotage(counts, prior):
+        # Degenerate endpoint streams leave a context unvisited; fail there.
+        if counts.context_totals.min() == 0:
+            raise RuntimeError("forced failure")
+        return real_info(counts, prior)
+
+    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
+    built.clear()
+    assert main(argv) == 0
+    assert built == []
+    loaded = load_sweep_json(str(out))
+    failed = sum(row.error == "forced failure" for row in loaded.rows)
+    assert 0 < failed < 300
+    assert len(loaded.detail) == (300 - failed) * 3
 
 
 def test_column_writer_streams_in_bounded_memory(tmp_path):
@@ -886,6 +972,10 @@ def test_cli_exit_code_on_config_errors(capsys, tmp_path):
     assert main(["--alpha", "inf"]) == 1
     assert main(["--seed", "-1"]) == 1
     assert main(["--k-max", "27", "--n", "100", "--grid", "3"]) == 1
+    # 2 ** 20001 has more digits than an int may print by default.
+    assert main(["--k-max", "20000", "--n", "100", "--grid", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: k_max=20000" in err and "largest accepted k_max is 25" in err
     assert main(["--sigma", "1e308", "--n", "100", "--grid", "3"]) == 1
     # Outside [MIN_ALPHA, MAX_ALPHA]; at 1e306 and 1e-320 gammaln overflowed
     # to inf and every evidence became NaN.
