@@ -49,7 +49,6 @@ from .sweep import (
     SweepResult,
     SweepRow,
     emit,
-    emit_detail,
     load_sweep_json,
     run_sweep,
 )

@@ -1,8 +1,9 @@
 """End-to-end instrument sweep.
 
 Simulates one noisy trajectory, scans a grid of binary decision points, and
-for every point selects a Markov order and estimates entropy rates.  Results
-serialize to CSV or JSON; JSON round-trips losslessly back to SweepResult.
+for every point selects a Markov order and estimates entropy rates.  emit
+writes the summary as CSV or JSON, and the detail CSV of a result scored
+with detail; JSON round-trips losslessly back to SweepResult.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -224,7 +225,7 @@ class _Block(NamedTuple):
     # at a failed point.  Without detail, entropy is NaN at the orders no point
     # of the block selected.
     values: np.ndarray
-    errors: tuple = ()  # the error text or None of each point; empty if none failed
+    error: str | None = None  # the error text of a failed point, which is a block of its own
 
 
 @dataclass(frozen=True)
@@ -282,14 +283,14 @@ class SweepResult:
         rows = failed = 0
         peak = None
         for block in self._blocks:
+            rows += len(block.d)
+            if block.error is not None:
+                failed += 1
+                continue
             h = np.take_along_axis(block.values[0], block.best[:, None], axis=1)[:, 0].tolist()
-            for d, b, value, error in zip(block.d.tolist(), block.best.tolist(), h,
-                                          block.errors or repeat(None)):
-                if error is not None:
-                    failed += 1
-                elif peak is None or value > peak[2]:
+            for d, b, value in zip(block.d.tolist(), block.best.tolist(), h):
+                if peak is None or value > peak[2]:
                     peak = d, orders[b], value
-            rows += len(h)
         detail = (rows - failed) * len(orders) if self.config.detail_path is not None else 0
         return rows, failed, detail, peak
 
@@ -415,7 +416,7 @@ def _score(ds, tables, orders, log_priors, priors, want_detail) -> _Block:
 
 def _score_each(ds, tables, orders, *args) -> list[_Block]:
     """_score one point at a time, a block each; a point that fails gets a
-    block of NaNs carrying its error."""
+    block of NaNs carrying its error, so a failed block holds one point."""
     blocks = []
     for i in range(len(ds)):
         one = {k: CountTable(k, 2, t.table[i:i + 1]) for k, t in tables.items()}
@@ -424,27 +425,25 @@ def _score_each(ds, tables, orders, *args) -> list[_Block]:
         except Exception as exc:
             blank = np.full((5, 1, len(orders)), np.nan)
             error = str(exc) or type(exc).__name__  # the type names an exception without text
-            blocks.append(_Block(ds[i:i + 1], np.array([-1]), blank, (error,)))
+            blocks.append(_Block(ds[i:i + 1], np.array([-1]), blank, error))
     return blocks
 
 
 def _rows(block, orders) -> list[SweepRow]:
     """The SweepRows of a block."""
     return [
-        SweepRow(d, orders[b] if error is None else None, e[b], r[b], c[b], tuple(le),
-                 tuple(p), error)
-        for d, b, e, r, c, le, p, error in zip(block.d.tolist(), block.best.tolist(),
-                                                *block.values.tolist(),
-                                                block.errors or repeat(None))
+        SweepRow(d, orders[b] if block.error is None else None, e[b], r[b], c[b], tuple(le),
+                 tuple(p), block.error)
+        for d, b, e, r, c, le, p in zip(block.d.tolist(), block.best.tolist(),
+                                        *block.values.tolist())
     ]
 
 
 def _detail(block, orders) -> list[DetailRow]:
-    """The DetailRows of the points of a block that did not fail."""
+    """The DetailRows of a block, none if it failed."""
     detail = []
-    for d, e, r, c, le, p, error in zip(block.d.tolist(), *block.values.tolist(),
-                                        block.errors or repeat(None)):
-        if error is None:
+    if block.error is None:
+        for d, e, r, c, le, p in zip(block.d.tolist(), *block.values.tolist()):
             detail += map(DetailRow, repeat(d), orders, e, r, c, le, p)
     return detail
 
@@ -512,9 +511,9 @@ def _templates(cls, width: int = 0) -> tuple[str, str]:
 
 
 def _spell(value, csv_cell: bool) -> str:
-    """A cell whose repr does not end in a digit, as CSV if `csv_cell`, else
-    as JSON: None and NaN as a blank cell and null, an infinity as inf and
-    "inf", and anything else, such as a text, as csv.writer writes it in a
+    """A cell as CSV if `csv_cell`, else as JSON: a finite float as its
+    repr, None and NaN as a blank cell and null, an infinity as inf and
+    "inf", and anything else, such as a text, as csv.writer quotes it in a
     row of several cells and as the JSON encoder encodes it."""
     if isinstance(value, float):  # numpy's floats too, whose repr names their type
         text = float.__repr__(value)
@@ -524,8 +523,9 @@ def _spell(value, csv_cell: bool) -> str:
     if not csv_cell:
         return json.dumps(value)
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value, ""])
-    return buf.getvalue()[:-2]
+    # Minimal quoting quotes the terminator's characters: a bare \r too.
+    csv.writer(buf, lineterminator="\r\n").writerow([value, ""])
+    return buf.getvalue()[:-3]
 
 
 def _filled(template: str, piece, csv_cell: bool) -> str:
@@ -575,21 +575,22 @@ def _non_finite(cells: np.ndarray, before: int, after: int) -> dict:
 
 def _block_pieces(block, orders, detail: bool, missing: str):
     """Each EMIT_CHUNK_ROWS points of a block as two pieces (see _filled):
-    their summary rows and, if `detail`, the detail rows of those that did
-    not fail, else None.
+    their summary rows and, if `detail` and the block did not fail, their
+    detail rows, else None.
 
     Each float is repr'd once: d once per point, every other float once per
     (point, order) cell.  A summary row's estimates are its cells at the
     selected order, its per-order lists its cells at every order, and its
-    error `missing`, the summary's None, unless the point failed.  The odd
-    cells are found from np.isfinite and the errors, not by checking each
-    cell: the non-finite floats, such as a failed point's values, which are
-    all NaN, and a failed point's order and error."""
+    error `missing`, the summary's None, unless the block failed.  The odd
+    cells are found from np.isfinite, not by checking each cell: the
+    non-finite floats, such as a failed point's values, which are all NaN,
+    and the order and error of a failed block's one point."""
     width = len(orders)
     ks = list(map(repr, orders))
+    detail = detail and block.error is None
     for start in range(0, len(block.d), EMIT_CHUNK_ROWS):
         part = slice(start, start + EMIT_CHUNK_ROWS)
-        piece = _Block(block.d[part], block.best[part], block.values[:, part], block.errors[part])
+        piece = _Block(block.d[part], block.best[part], block.values[:, part], block.error)
         points = len(piece.d)
         best = np.maximum(piece.best, 0)  # a failed point reads its own NaN cells
         at = (np.arange(points) * width + best).tolist()  # each selected cell
@@ -607,26 +608,21 @@ def _block_pieces(block, orders, detail: bool, missing: str):
         )))
         cells = np.concatenate([selected.T, *piece.values[3:]], axis=1)  # after d and k
         odd = _non_finite(cells, 2, 1)
-        fields = cells.shape[1] + 3
-        for i, error in enumerate(piece.errors):
-            if error is not None:  # a failed point has no order, and an error
-                odd[i * fields + 1] = None
-                odd[i * fields + fields - 1] = error
+        if piece.error is not None:  # its one point has no order, and an error last
+            odd[1] = None
+            odd[cells.shape[1] + 2] = piece.error
         if not detail:
             yield (points, texts, odd), None
             continue
         rows = zip([text for text in d for _ in orders], ks * points, *estimates, les, post)
         cells = values.T  # the detail cells after d and k as floats
-        if piece.errors:  # drop the rows of the failed points
-            kept = np.repeat(piece.best >= 0, width)
-            rows, cells = compress(rows, kept.tolist()), cells[kept]
         detail_texts = tuple(chain.from_iterable(rows))
         yield (points, texts, odd), (len(cells), detail_texts, _non_finite(cells, 2, 0))
 
 
-def _texts(result: SweepResult, summary, detail_csv: bool, detail_json: bool):
-    """(summary text, detail CSV lines, JSON detail objects) of the result, a
-    piece at a time, with "" for a text not asked for.
+def _texts(result: SweepResult, summary: str, detail_csv: bool):
+    """(summary text, detail CSV lines if `detail_csv`, JSON detail objects
+    if `summary` is "json") of the result, a piece at a time, "" if not.
 
     A piece is EMIT_CHUNK_ROWS points of a block of a result of run_sweep,
     or EMIT_CHUNK_ROWS rows of a result built from rows, and every piece
@@ -635,33 +631,32 @@ def _texts(result: SweepResult, summary, detail_csv: bool, detail_json: bool):
     row_template = _templates(SweepRow, len(orders))[summary == "json"]
     missing = _spell(None, summary == "csv")
     detail_line, detail_object = _templates(DetailRow)
-    detail = detail_csv or detail_json
+    detail = detail_csv or summary == "json"
     if result._blocks:
         detail = detail and result.config.detail_path is not None
         pieces = chain.from_iterable(_block_pieces(block, orders, detail, missing)
                                      for block in result._blocks)
     else:
-        pieces = chain(zip(_row_pieces(result.rows if summary else ()), repeat(None)),
+        pieces = chain(zip(_row_pieces(result.rows), repeat(None)),
                        zip(repeat(None), _row_pieces(result.detail if detail else ())))
     for rows, details in pieces:
-        yield (_filled(row_template, rows, summary == "csv") if summary and rows else "",
+        yield (_filled(row_template, rows, summary == "csv") if rows else "",
                _filled(detail_line, details, True) if detail_csv and details else "",
-               _filled(detail_object, details, False) if detail_json and details else "")
+               _filled(detail_object, details, False) if summary == "json" and details else "")
 
 
-def _dump(result: SweepResult, summary, fh, detail_fh=None) -> None:
-    """Write the summary of the result to `fh` as `summary`, "csv" or "json"
-    (None writes no summary), and its detail CSV to `detail_fh` if one is
-    given, in one pass over _texts.  No file is held whole in memory: the
-    JSON's detail objects, which follow all of its rows, wait in a temporary
-    file until the rows are written."""
+def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:
+    """Write the summary of the result to `fh` as `summary`, "csv" or "json",
+    and its detail CSV to `detail_fh` if one is given, in one pass over
+    _texts.  No file is held whole in memory: the JSON's detail objects,
+    which follow all of its rows, wait in a temporary file until the rows
+    are written."""
     if summary == "csv":
         csv.writer(fh, lineterminator="\n").writerow(csv_header(result.config))
-    elif summary == "json":
-        lam = repr(result.lyapunov_bits)
+    else:
         fh.write('{\n  "config": %s,\n  "lyapunov_bits": %s,\n  "rows": [' % (
             _filled(_templates(SweepConfig)[1], next(_row_pieces([result.config])), False),
-            lam if lam[-1].isdigit() else _spell(result.lyapunov_bits, False),
+            _spell(result.lyapunov_bits, False),
         ))
     if detail_fh is not None:
         csv.writer(detail_fh, lineterminator="\n").writerow(_header(DetailRow))
@@ -669,8 +664,7 @@ def _dump(result: SweepResult, summary, fh, detail_fh=None) -> None:
              else contextlib.nullcontext())
     with spool:
         rows = objects = 0
-        for text, lines, more in _texts(result, summary, detail_fh is not None,
-                                        summary == "json"):
+        for text, lines, more in _texts(result, summary, detail_fh is not None):
             if text:
                 if summary == "json":
                     fh.write(",\n    " if rows else "\n    ")
@@ -729,17 +723,17 @@ def _write_files(write, *paths: str) -> None:
 def emit(result: SweepResult, out_format: str, path: str, detail_path: str | None = None) -> None:
     """Write the sweep summary as CSV or JSON at `path`, and the detail CSV
     at `detail_path` if one is given.  Both files are written in one pass,
-    and replaced only once both are written."""
+    and replaced only once both are written.  A detail_path for a result of
+    run_sweep whose config has none, so that it holds no detail, is a
+    ConfigError."""
     if out_format not in FORMAT_CHOICES:
         raise ConfigError(f"format {out_format!r} must be one of {FORMAT_CHOICES}")
     _check_distinct(path, detail_path)
+    if detail_path is not None and result._blocks and result.config.detail_path is None:
+        raise ConfigError(f"detail_path={detail_path!r}: the result was scored without detail; "
+                          "run the sweep with a detail_path to write one")
     paths = [path] if detail_path is None else [path, detail_path]
     _write_files(lambda *files: _dump(result, out_format, *files), *paths)
-
-
-def emit_detail(result: SweepResult, path: str) -> None:
-    """Write per-(decision point, order) entropy estimates as CSV at `path`."""
-    _write_files(lambda fh: _dump(result, None, None, fh), path)
 
 
 def load_sweep_json(path: str) -> SweepResult:

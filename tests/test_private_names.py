@@ -1,12 +1,16 @@
 """Every module-level private name of the package is used in the package, so
-a helper that loses its last caller goes with it."""
+a helper that loses its last caller goes with it.  Every public function,
+class and method has a caller too: the library holds only what the sweep,
+its oracles and the acceptance checks call, and what the README shows."""
 
 import ast
+import re
 from pathlib import Path
 
 import chaosinfer
 
 PACKAGE = Path(chaosinfer.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def private_definitions(tree):
@@ -42,4 +46,52 @@ def test_every_private_module_name_is_referenced_in_the_package():
         defined += [(path.name, name) for name in private_definitions(tree)]
         used.update(references(tree))
     assert defined, "the package defines private helpers"
+    assert [(module, name) for module, name in defined if name not in used] == []
+
+
+def public_definitions(tree):
+    """The public functions and classes a module defines at its top level,
+    and the public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from (method.name for method in node.body
+                            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not method.name.startswith("_"))
+
+
+def outside_references(node, within=()):
+    """The names `node` reads as a variable or an attribute, each outside the
+    definitions of that name that enclose it.  Imports are left out, so a
+    re-export from __init__ is no caller."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        within += (node.name,)
+    name = None
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    if name is not None and name not in within:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from outside_references(child, within)
+
+
+def test_every_public_name_has_a_caller_or_a_readme_mention():
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined += [(path.name, name) for name in public_definitions(tree)]
+        used.update(outside_references(tree))
+    callers = [*sorted((ROOT / "perfbench").glob("*.py")),
+               ROOT / "tests" / "helpers.py", ROOT / "tests" / "test_acceptance.py"]
+    for path in callers:
+        used.update(references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    # In the README, a name counts inside a code span or a code block.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for code in re.findall(r"`+([^`]*)`+", readme):
+        used.update(re.findall(r"\w+", code))
+    assert defined, "the package defines public names"
     assert [(module, name) for module, name in defined if name not in used] == []

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from chaosinfer.cli import main, parse_config
 from chaosinfer.entropy import EntropyEstimate
 from chaosinfer.sweep import (
+    FORMAT_CHOICES,
     GRID_BLOCK_ENTRIES,
     LOCKSTEP_MIN_POINTS,
     MAX_ALPHA,
@@ -29,7 +30,6 @@ from chaosinfer.sweep import (
     SweepRow,
     csv_header,
     emit,
-    emit_detail,
     load_sweep_json,
     run_sweep,
 )
@@ -195,8 +195,11 @@ def test_columns_write_the_bytes_of_their_rows_on_accepted_configs(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = run_sweep(cfg)
+    # Only a result scored with detail can write a detail file.
+    writes = [("json", False), ("csv", False)]
+    writes += [("json", True), ("csv", True)] if cfg.detail_path is not None else []
     with tempfile.TemporaryDirectory() as tmp:
-        for out_format, detail in (("json", False), ("json", True), ("csv", True)):
+        for out_format, detail in writes:
             columns = written(result, tmp, out_format, detail)
             assert written(rebuilt(result), tmp, out_format, detail) == columns
     assert result.tally() == rebuilt(result).tally()
@@ -330,7 +333,7 @@ def test_json_reemits_non_finite_values_to_the_same_bytes(tmp_path):
     assert loaded.rows[1].p_order[1] == math.inf
     emit(loaded, "json", str(second))
     assert second.read_bytes() == first.read_bytes()
-    emit_detail(result, str(tmp_path / "detail.csv"))
+    WRITES["detail"](result, str(tmp_path / "detail.csv"))
     assert_csv_holds(tmp_path / "detail.csv", DETAIL_HEADER, result.detail)
 
 
@@ -511,7 +514,8 @@ def test_emit_streams_rows_in_bounded_memory(tmp_path):
 WRITES = {
     "csv": lambda result, path: emit(result, "csv", path),
     "json": lambda result, path: emit(result, "json", path),
-    "detail": emit_detail,
+    # The detail CSV, with its summary thrown away.
+    "detail": lambda result, path: emit(result, "csv", os.devnull, path),
 }
 
 
@@ -527,7 +531,7 @@ def test_json_and_detail_csv_in_one_pass_equal_separate_writes(tmp_path):
         one, two = tmp_path / "one", tmp_path / "two"
         emit(result, "json", str(one / "out.json"), str(one / "detail.csv"))
         emit(result, "json", str(two / "out.json"))
-        emit_detail(result, str(two / "detail.csv"))
+        WRITES["detail"](result, str(two / "detail.csv"))
         for name in ("out.json", "detail.csv"):
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
@@ -644,6 +648,18 @@ def test_emit_rejects_unknown_format(tmp_path, small_result):
         emit(small_result, "xml", str(tmp_path / "out.xml"))
 
 
+def test_emit_refuses_detail_of_a_result_scored_without_it(tmp_path):
+    # The result holds no per-order estimates to write; nothing is written.
+    result = run_sweep(SweepConfig(n=500, grid=5, k_max=2))
+    for out_format in FORMAT_CHOICES:
+        with pytest.raises(ConfigError, match="scored without detail"):
+            emit(result, out_format, str(tmp_path / "a.csv"), str(tmp_path / "d.csv"))
+    assert list(tmp_path.iterdir()) == []
+    # Built from rows, it writes the detail it holds: none, under the header.
+    emit(rebuilt(result), "csv", str(tmp_path / "a.csv"), str(tmp_path / "d.csv"))
+    assert (tmp_path / "d.csv").read_text() == ",".join(DETAIL_HEADER) + "\n"
+
+
 def test_emit_rejects_one_file_for_summary_and_detail(tmp_path, small_result):
     # The detail file would replace the summary; the config check says so
     # for the library too, before anything is written.
@@ -679,7 +695,7 @@ def test_emit_detail_rows(tmp_path):
                       detail_path=str(tmp_path / "detail.csv"))
     result = run_sweep(cfg)
     assert len(result.detail) == 4 * 3
-    emit_detail(result, cfg.detail_path)
+    WRITES["detail"](result, cfg.detail_path)
     lines = (tmp_path / "detail.csv").read_text().splitlines()
     assert len(lines) == 4 * 3 + 1
     assert lines[0].split(",")[:2] == ["d", "k"]
@@ -738,6 +754,34 @@ def test_failed_rows_are_marked_without_aborting(monkeypatch, tmp_path):
     assert len(detailed.detail) == sum(good) * 2
     assert detailed.tally() == rebuilt(detailed).tally()
     assert detailed.tally()[:3] == (5, 5 - sum(good), sum(good) * 2)
+    # Each failed point is a block of its own, and yields no detail rows.
+    for scored in (result, detailed):
+        failed = [block for block in scored._blocks if block.error is not None]
+        assert len(failed) == sum(row.error is not None for row in scored.rows)
+        assert all(len(block.d) == 1 for block in failed)
+    assert {dr.d for dr in detailed.detail} == {row.d for row in detailed.rows
+                                                if row.error is None}
+
+
+def test_a_carriage_return_in_an_error_stays_in_its_csv_row(monkeypatch, tmp_path):
+    # csv.reader reads an unquoted "x\ry" cell as the end of its row.
+    import chaosinfer.sweep as sweep_mod
+
+    real = sweep_mod.expected_info
+
+    def sabotage(counts, prior):
+        if counts.context_totals.min() == 0:
+            raise ValueError("x\ry")
+        return real(counts, prior)
+
+    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
+    scored = sweep_mod.run_sweep(SweepConfig(n=1200, transient=50, seed=3, grid=5, k_max=2))
+    assert scored.rows[0].error == "x\ry"
+    hand = dataclasses.replace(TINY, rows=(dataclasses.replace(TINY.rows[1], error="x\ry"),))
+    path = tmp_path / "out.csv"
+    for result in (scored, hand):
+        emit(result, "csv", str(path))
+        assert_csv_holds(path, csv_header(result.config), result.rows)
 
 
 def test_non_finite_cells_are_written_alike_from_blocks_and_rows(monkeypatch, tmp_path):
