@@ -2,8 +2,9 @@
 
 Simulates one noisy trajectory, scans a grid of binary decision points, and
 for every point selects a Markov order and estimates entropy rates.  emit
-writes the summary as CSV or JSON, and the detail CSV of a result scored
-with detail; JSON round-trips losslessly back to SweepResult.
+writes a SweepResult's scored blocks: the summary as CSV or JSON, and the
+detail CSV of a result scored with detail.  JSON round-trips losslessly back
+to SweepResult.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -20,8 +22,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -73,8 +74,8 @@ GRID_BLOCK_ENTRIES = 1 << 16
 # again each.
 LOCKSTEP_MIN_POINTS = 32
 LOCKSTEP_CHUNK_BYTES = 1 << 18
-# Output rows are formatted and written this many at a time; from scored
-# columns, the detail rows of this many points are written together.
+# The output rows of this many points of a block, and their detail rows, are
+# formatted and written together.
 EMIT_CHUNK_ROWS = 64
 # The top-of-range warning names at most this many decision points.
 TOP_OF_RANGE_SHOWN = 5
@@ -228,71 +229,123 @@ class _Block(NamedTuple):
     error: str | None = None  # the error text of a failed point, which is a block of its own
 
 
+def _detail_cells(blocks, orders):
+    """The cells of each detail row of `blocks`, as a tuple in field order,
+    which costs less to make than a DetailRow."""
+    for block in blocks:
+        if block.error is None:
+            for d, e, r, c, le, p in zip(block.d.tolist(), *block.values.tolist()):
+                yield from zip(repeat(d), orders, e, r, c, le, p)
+
+
+def _mismatch(made, given) -> int | None:
+    """The first position at which two sequences differ, None if none does;
+    items that are not == are compared by repr, so that a NaN equals a NaN."""
+    for at, (a, b) in enumerate(zip(made, given)):
+        if a != b and repr(a) != repr(b):
+            return at
+    return None if len(made) == len(given) else min(len(made), len(given))
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """A sweep's config, Lyapunov estimate, summary rows and detail rows.
-
-    A result of run_sweep keeps its scored blocks as arrays and builds `rows`
-    and `detail` from them on first read; emit and tally read the blocks.
-    dataclasses.replace drops the blocks, so its result holds rows alone.
-    """
+    """A sweep's config, Lyapunov estimate and scored blocks, which run_sweep
+    scores or from_rows makes from rows.  `rows` and `detail` are read-only
+    views of the blocks, built on first read; emit and tally read the blocks.
+    Results are equal when their configs, Lyapunov estimates, rows and detail
+    rows are, a NaN cell equal to a NaN cell."""
 
     config: SweepConfig
     lyapunov_bits: float
-    rows: tuple[SweepRow, ...]
-    # A default factory leaves no class attribute, which would hide __getattr__.
-    detail: tuple[DetailRow, ...] = dataclasses.field(default_factory=tuple)
-    _blocks: tuple[_Block, ...] = dataclasses.field(default=(), init=False, repr=False,
-                                                    compare=False)
+    _blocks: tuple[_Block, ...] = dataclasses.field(repr=False, compare=False)
 
     @classmethod
-    def _of_blocks(cls, config, lyapunov_bits, blocks) -> "SweepResult":
-        result = object.__new__(cls)
-        for name, value in (("config", config), ("lyapunov_bits", lyapunov_bits),
-                            ("_blocks", blocks)):
-            object.__setattr__(result, name, value)
+    def from_rows(cls, config: SweepConfig, lyapunov_bits: float, rows,
+                  detail=()) -> "SweepResult":
+        """The result whose rows and detail rows are `rows` and `detail`; a
+        row's estimates are its detail rows' if config.detail_path is set.  A
+        failed row, one with an error, is a block of its own, and each run of
+        other rows is a block.  ValueError if the result's rows or detail rows
+        are not those given, as for an order outside the range, a failed row
+        with an order, a per-order list of the wrong length, a detail row too
+        many or too few, or a row that disagrees with its detail rows."""
+        orders = _orders(config)
+        width = len(orders)
+        rows = tuple(rows)
+        cells = [(dr.d, dr.k, dr.h_expected_bits, dr.h_rate_q_bits, dr.kl_correction_bits,
+                  dr.log_evidence, dr.p_order) for dr in detail]
+        ok = np.array([row.error is None for row in rows], dtype=bool)
+        good = [row for row in rows if row.error is None]
+        for row in good:
+            if row.k_selected not in orders or {len(row.log_evidence), len(row.p_order)} != {width}:
+                raise ValueError(f"{row!r} needs an order in [{config.k_min}, {config.k_max}] "
+                                 f"and {width} values in each per-order list")
+        if config.detail_path is not None and len(cells) != len(good) * width:
+            raise ValueError(f"{len(cells)} detail rows, not {width} for each of the "
+                             f"{len(good)} rows without an error")
+        best = np.full(len(rows), -1)
+        best[ok] = [orders.index(row.k_selected) for row in good]
+        values = np.full((5, len(rows), width), np.nan)
+        per_order = np.array([(row.log_evidence, row.p_order) for row in good], dtype=float)
+        values[3:, ok] = per_order.reshape(-1, 2, width).swapaxes(0, 1)
+        if config.detail_path is None:
+            estimates = np.array([(row.h_expected_bits, row.h_rate_q_bits, row.kl_correction_bits)
+                                  for row in good], dtype=float).reshape(-1, 3)
+            values[:3, ok.nonzero()[0], best[ok]] = estimates.T
+        else:
+            estimates = np.array([c[2:5] for c in cells], dtype=float).reshape(-1, width, 3)
+            values[:3, ok] = estimates.transpose(2, 0, 1)
+        d = np.array([row.d for row in rows], dtype=float)
+        failed = (~ok).nonzero()[0].tolist()
+        cuts = sorted({0, len(rows), *failed, *(i + 1 for i in failed)})
+        blocks = [_Block(d[a:b], best[a:b], values[:, a:b], rows[a].error)
+                  for a, b in zip(cuts, cuts[1:])]
+        result = cls(config, lyapunov_bits, tuple(blocks))
+        made_cells = [*_detail_cells(blocks, orders)] if config.detail_path is not None else []
+        for name, made, given in (("row", result.rows, rows), ("detail row", made_cells, cells)):
+            at = _mismatch(made, given)
+            if at is not None:
+                raise ValueError(f"{name} {at} is {(*given, None)[at]!r}, but the rows and detail "
+                                 f"rows make it {(*made, None)[at]!r}")
         return result
 
-    def __getattr__(self, name):
-        # Reached only for an attribute that is not set: rows and detail of a
-        # result of run_sweep until their first read.  Threads reading at once
-        # may each build the tuple; they build equal ones.
-        if name not in ("rows", "detail") or not self._blocks:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @functools.cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """One SweepRow per decision point."""
         orders = _orders(self.config)
-        if name == "rows":
-            value = tuple(chain.from_iterable(_rows(block, orders) for block in self._blocks))
-        elif self.config.detail_path is None:
-            value = ()
-        else:
-            value = tuple(chain.from_iterable(_detail(block, orders) for block in self._blocks))
-        object.__setattr__(self, name, value)
-        return value
+        return tuple(
+            SweepRow(d, orders[b] if block.error is None else None, e[b], r[b], c[b], tuple(le),
+                     tuple(p), block.error)
+            for block in self._blocks
+            for d, b, e, r, c, le, p in zip(block.d.tolist(), block.best.tolist(),
+                                            *block.values.tolist()))
+
+    @functools.cached_property
+    def detail(self) -> tuple[DetailRow, ...]:
+        """One DetailRow per order of each row without an error if
+        config.detail_path is set, else none."""
+        if self.config.detail_path is None:
+            return ()
+        return tuple(starmap(DetailRow, _detail_cells(self._blocks, _orders(self.config))))
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        # A SweepRow never equals a DetailRow, so rows cannot pass for detail rows.
+        return _mismatch((self.config, self.lyapunov_bits, *self.rows, *self.detail),
+                         (other.config, other.lyapunov_bits, *other.rows, *other.detail)) is None
 
     def tally(self) -> tuple[int, int, int, tuple[float, int, float] | None]:
         """(rows, failed rows, detail rows, peak), where the peak is (d,
         k_selected, h_expected_bits) of the first row without an error of the
-        largest h_expected_bits, None if every row failed.  A result of
-        run_sweep counts its blocks and builds no row."""
-        if not self._blocks:
-            good = [(row.d, row.k_selected, row.h_expected_bits)
-                    for row in self.rows if row.error is None]
-            peak = max(good, key=itemgetter(2), default=None)
-            return len(self.rows), len(self.rows) - len(good), len(self.detail), peak
+        largest h_expected_bits, None if every row failed."""
         orders = _orders(self.config)
-        rows = failed = 0
-        peak = None
-        for block in self._blocks:
-            rows += len(block.d)
-            if block.error is not None:
-                failed += 1
-                continue
-            h = np.take_along_axis(block.values[0], block.best[:, None], axis=1)[:, 0].tolist()
-            for d, b, value in zip(block.d.tolist(), block.best.tolist(), h):
-                if peak is None or value > peak[2]:
-                    peak = d, orders[b], value
-        detail = (rows - failed) * len(orders) if self.config.detail_path is not None else 0
-        return rows, failed, detail, peak
+        good = [(d, orders[b], h) for block in self._blocks if block.error is None
+                for d, b, h in zip(block.d.tolist(), block.best.tolist(),
+                                   block.values[0, np.arange(len(block.d)), block.best].tolist())]
+        rows = sum(len(block.d) for block in self._blocks)
+        detail = len(good) * len(orders) if self.config.detail_path is not None else 0
+        return rows, rows - len(good), detail, max(good, key=lambda row: row[2], default=None)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -331,7 +384,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         except Exception:
             blocks += _score_each(ds, tables, *args)
     _warn_top_of_range(blocks, orders)
-    return SweepResult._of_blocks(config, lam, tuple(blocks))
+    return SweepResult(config, lam, tuple(blocks))
 
 
 def _orders(config: SweepConfig) -> range:
@@ -427,25 +480,6 @@ def _score_each(ds, tables, orders, *args) -> list[_Block]:
             error = str(exc) or type(exc).__name__  # the type names an exception without text
             blocks.append(_Block(ds[i:i + 1], np.array([-1]), blank, error))
     return blocks
-
-
-def _rows(block, orders) -> list[SweepRow]:
-    """The SweepRows of a block."""
-    return [
-        SweepRow(d, orders[b] if block.error is None else None, e[b], r[b], c[b], tuple(le),
-                 tuple(p), block.error)
-        for d, b, e, r, c, le, p in zip(block.d.tolist(), block.best.tolist(),
-                                        *block.values.tolist())
-    ]
-
-
-def _detail(block, orders) -> list[DetailRow]:
-    """The DetailRows of a block, none if it failed."""
-    detail = []
-    if block.error is None:
-        for d, e, r, c, le, p in zip(block.d.tolist(), *block.values.tolist()):
-            detail += map(DetailRow, repeat(d), orders, e, r, c, le, p)
-    return detail
 
 
 def _warn_top_of_range(blocks, orders) -> None:
@@ -544,23 +578,6 @@ def _filled(template: str, piece, csv_cell: bool) -> str:
     return ("" if csv_cell else ",\n    ").join([template] * rows) % tuple(texts)
 
 
-def _row_pieces(rows):
-    """Each EMIT_CHUNK_ROWS of `rows`, all of one class, as a piece (see
-    _filled), gathered a field at a time; a per-order field spreads over one
-    cell per order.  Each cell is checked: it is odd if its repr does not
-    end in a digit."""
-    for start in range(0, len(rows), EMIT_CHUNK_ROWS):
-        chunk = rows[start:start + EMIT_CHUNK_ROWS]
-        columns = []
-        for name, per_order, _ in _FIELDS[type(chunk[0])]:
-            column = map(attrgetter(name), chunk)
-            columns += zip(*column) if per_order else [column]
-        cells = tuple(chain.from_iterable(zip(*columns)))
-        texts = tuple(map(repr, cells))
-        yield len(chunk), texts, {at: cells[at] for at, text in enumerate(texts)
-                                  if not text[-1].isdigit()}
-
-
 def _non_finite(cells: np.ndarray, before: int, after: int) -> dict:
     """{position: value} of the non-finite cells of a 2-D array, each row of
     which is the floats of a row of cells that holds `before` more cells
@@ -620,61 +637,42 @@ def _block_pieces(block, orders, detail: bool, missing: str):
         yield (points, texts, odd), (len(cells), detail_texts, _non_finite(cells, 2, 0))
 
 
-def _texts(result: SweepResult, summary: str, detail_csv: bool):
-    """(summary text, detail CSV lines if `detail_csv`, JSON detail objects
-    if `summary` is "json") of the result, a piece at a time, "" if not.
-
-    A piece is EMIT_CHUNK_ROWS points of a block of a result of run_sweep,
-    or EMIT_CHUNK_ROWS rows of a result built from rows, and every piece
-    fills the same templates."""
-    orders = _orders(result.config)
-    row_template = _templates(SweepRow, len(orders))[summary == "json"]
-    missing = _spell(None, summary == "csv")
-    detail_line, detail_object = _templates(DetailRow)
-    detail = detail_csv or summary == "json"
-    if result._blocks:
-        detail = detail and result.config.detail_path is not None
-        pieces = chain.from_iterable(_block_pieces(block, orders, detail, missing)
-                                     for block in result._blocks)
-    else:
-        pieces = chain(zip(_row_pieces(result.rows), repeat(None)),
-                       zip(repeat(None), _row_pieces(result.detail if detail else ())))
-    for rows, details in pieces:
-        yield (_filled(row_template, rows, summary == "csv") if rows else "",
-               _filled(detail_line, details, True) if detail_csv and details else "",
-               _filled(detail_object, details, False) if summary == "json" and details else "")
-
-
 def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:
     """Write the summary of the result to `fh` as `summary`, "csv" or "json",
-    and its detail CSV to `detail_fh` if one is given, in one pass over
-    _texts.  No file is held whole in memory: the JSON's detail objects,
-    which follow all of its rows, wait in a temporary file until the rows
-    are written."""
+    and its detail CSV to `detail_fh` if one is given, in one pass over its
+    blocks, EMIT_CHUNK_ROWS points at a time.  No file is held whole in
+    memory: the JSON's detail objects, which follow all of its rows, wait in
+    a temporary file until the rows are written."""
+    orders = _orders(result.config)
     if summary == "csv":
         csv.writer(fh, lineterminator="\n").writerow(csv_header(result.config))
     else:
+        config = tuple(_spell(getattr(result.config, name), False)
+                       for name, _, _ in _FIELDS[SweepConfig])
         fh.write('{\n  "config": %s,\n  "lyapunov_bits": %s,\n  "rows": [' % (
-            _filled(_templates(SweepConfig)[1], next(_row_pieces([result.config])), False),
-            _spell(result.lyapunov_bits, False),
-        ))
+            _templates(SweepConfig)[1] % config, _spell(result.lyapunov_bits, False)))
     if detail_fh is not None:
         csv.writer(detail_fh, lineterminator="\n").writerow(_header(DetailRow))
+    row_template = _templates(SweepRow, len(orders))[summary == "json"]
+    detail_line, detail_object = _templates(DetailRow)
+    detail = (detail_fh is not None or summary == "json") and result.config.detail_path is not None
+    missing = _spell(None, summary == "csv")
+    pieces = chain.from_iterable(_block_pieces(block, orders, detail, missing)
+                                 for block in result._blocks)
     spool = (tempfile.TemporaryFile("w+", encoding="utf-8", newline="") if summary == "json"
              else contextlib.nullcontext())
     with spool:
         rows = objects = 0
-        for text, lines, more in _texts(result, summary, detail_fh is not None):
-            if text:
-                if summary == "json":
-                    fh.write(",\n    " if rows else "\n    ")
-                    rows += 1
-                fh.write(text)
-            if lines:
-                detail_fh.write(lines)
-            if more:
+        for piece, details in pieces:
+            if summary == "json":
+                fh.write(",\n    " if rows else "\n    ")
+                rows += 1
+            fh.write(_filled(row_template, piece, summary == "csv"))
+            if details and detail_fh is not None:
+                detail_fh.write(_filled(detail_line, details, True))
+            if details and summary == "json":
                 spool.write(",\n    " if objects else "\n    ")
-                spool.write(more)
+                spool.write(_filled(detail_object, details, False))
                 objects += 1
         if summary == "json":
             fh.write(("\n  ]" if rows else "]") + ',\n  "detail": [')
@@ -723,13 +721,12 @@ def _write_files(write, *paths: str) -> None:
 def emit(result: SweepResult, out_format: str, path: str, detail_path: str | None = None) -> None:
     """Write the sweep summary as CSV or JSON at `path`, and the detail CSV
     at `detail_path` if one is given.  Both files are written in one pass,
-    and replaced only once both are written.  A detail_path for a result of
-    run_sweep whose config has none, so that it holds no detail, is a
-    ConfigError."""
+    and replaced only once both are written.  A detail_path for a result
+    whose config has none, so that it holds no detail, is a ConfigError."""
     if out_format not in FORMAT_CHOICES:
         raise ConfigError(f"format {out_format!r} must be one of {FORMAT_CHOICES}")
     _check_distinct(path, detail_path)
-    if detail_path is not None and result._blocks and result.config.detail_path is None:
+    if detail_path is not None and result.config.detail_path is None:
         raise ConfigError(f"detail_path={detail_path!r}: the result was scored without detail; "
                           "run the sweep with a detail_path to write one")
     paths = [path] if detail_path is None else [path, detail_path]
@@ -737,12 +734,13 @@ def emit(result: SweepResult, out_format: str, path: str, detail_path: str | Non
 
 
 def load_sweep_json(path: str) -> SweepResult:
-    """Reload a JSON summary written by emit()."""
+    """Reload a JSON summary written by emit(); one that SweepResult.from_rows
+    rejects, which no result writes, is a ValueError."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return SweepResult(
-        config=_loaded(SweepConfig, obj["config"]),
-        lyapunov_bits=_read_float(obj["lyapunov_bits"]),
-        rows=tuple(_loaded(SweepRow, r) for r in obj["rows"]),
-        detail=tuple(_loaded(DetailRow, r) for r in obj["detail"]),
+    return SweepResult.from_rows(
+        _loaded(SweepConfig, obj["config"]),
+        _read_float(obj["lyapunov_bits"]),
+        [_loaded(SweepRow, r) for r in obj["rows"]],
+        [_loaded(DetailRow, r) for r in obj["detail"]],
     )

@@ -297,4 +297,4 @@ def per_d_sweep(config: SweepConfig) -> SweepResult:
                           le, p_k)
                 for k, le, p_k in zip(orders, ranking.log_evidence, ranking.posterior)
             )
-    return SweepResult(config, lyapunov_exponent(map_spec, base), tuple(rows), tuple(detail))
+    return SweepResult.from_rows(config, lyapunov_exponent(map_spec, base), rows, detail)

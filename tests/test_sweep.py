@@ -35,6 +35,9 @@ from chaosinfer.sweep import (
 )
 
 SMALL = SweepConfig(n=1500, transient=100, seed=5, grid=11, k_min=1, k_max=3)
+# Scored with detail, in three pieces of the writer: 64, 64 and 2 points.
+WIDE = SweepConfig(n=1500, transient=100, seed=5, grid=130, k_min=1, k_max=3,
+                   detail_path="detail.csv")
 DETAIL_HEADER = ["d", "k", "h_expected_bits", "h_rate_q_bits", "kl_correction_bits",
                  "log_evidence", "p_order"]
 ORDER_PRIORS = next(f for f in dataclasses.fields(SweepConfig)
@@ -181,8 +184,30 @@ def written(result, tmp, out_format, detail):
 
 
 def rebuilt(result):
-    """`result` built from its rows, which emit writes a chunk of rows at a time."""
-    return SweepResult(result.config, result.lyapunov_bits, result.rows, result.detail)
+    """`result` made again from its rows, in blocks of other sizes."""
+    return SweepResult.from_rows(result.config, result.lyapunov_bits, result.rows, result.detail)
+
+
+def with_cells(result, point, k, **cells):
+    """`result` made from its rows with some cells of decision point `point`
+    at order `k` set, in its detail row and its summary row alike: an
+    estimate if k is the row's selected order, and log_evidence and p_order
+    at k's place in the row's per-order lists."""
+    orders = range(result.config.k_min, result.config.k_max + 1)
+    j = orders.index(k)
+    rows, detail = list(result.rows), list(result.detail)
+    row = rows[point]
+    edits = {}
+    for name, value in cells.items():
+        if name in ("log_evidence", "p_order"):
+            edits[name] = tuple(value if at == j else old
+                                for at, old in enumerate(getattr(row, name)))
+        elif row.k_selected == k:
+            edits[name] = value
+    rows[point] = dataclasses.replace(row, **edits)
+    at = sum(r.error is None for r in rows[:point]) * len(orders) + j
+    detail[at] = dataclasses.replace(detail[at], **cells)
+    return SweepResult.from_rows(result.config, result.lyapunov_bits, rows, detail)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -190,8 +215,8 @@ def rebuilt(result):
                          alpha=0.3, regenerate_per_d=True, detail_path="detail.csv"))
 @given(cfg=accepted_configs())
 def test_columns_write_the_bytes_of_their_rows_on_accepted_configs(cfg):
-    # A result of run_sweep is written from its scored columns, the same
-    # result rebuilt from its rows by the row writers: the bytes agree.
+    # A result of run_sweep, and the same result made again from its rows in
+    # blocks of other sizes, write the same bytes.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = run_sweep(cfg)
@@ -313,24 +338,25 @@ def test_json_reemits_non_finite_values_to_the_same_bytes(tmp_path):
     cfg = SweepConfig(n=900, transient=50, seed=2, grid=4, k_min=1, k_max=3,
                       detail_path="detail.csv")
     result = run_sweep(cfg)
-    nan = math.nan
-    detail = list(result.detail)
-    detail[0] = dataclasses.replace(detail[0], h_expected_bits=nan, log_evidence=-math.inf)
-    detail[5] = dataclasses.replace(detail[5], p_order=nan, h_rate_q_bits=math.inf)
-    rows = list(result.rows)
-    rows[1] = dataclasses.replace(rows[1], kl_correction_bits=nan, p_order=(nan, math.inf, 0.5))
-    result = dataclasses.replace(result, rows=tuple(rows), detail=tuple(detail))
+    k0, k1 = result.rows[0].k_selected, result.rows[1].k_selected
+    other = 1 if k1 != 1 else 2
+    # Each cell is written twice, in a summary row and in a detail row.
+    result = with_cells(result, 0, k0, h_expected_bits=math.nan, log_evidence=-math.inf)
+    result = with_cells(result, 1, k1, h_rate_q_bits=math.inf, kl_correction_bits=math.nan,
+                        p_order=math.nan)
+    result = with_cells(result, 1, other, p_order=math.inf)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     emit(result, "json", str(first))
     text = first.read_text()
     json.loads(text, parse_constant=_no_constants)
-    # four NaNs, plus the error of each row
-    assert text.count("null") == 4 + len(rows)
-    assert text.count('"inf"') == 2 and text.count('"-inf"') == 1
+    # three NaN cells, plus the error of each row
+    assert text.count("null") == 2 * 3 + len(result.rows)
+    assert text.count('"inf"') == 2 * 2 and text.count('"-inf"') == 2 * 1
     loaded = load_sweep_json(str(first))
-    assert math.isnan(loaded.detail[0].h_expected_bits)
-    assert loaded.detail[0].log_evidence == -math.inf
-    assert loaded.rows[1].p_order[1] == math.inf
+    assert loaded == result
+    assert math.isnan(loaded.detail[k0 - 1].h_expected_bits)
+    assert loaded.rows[0].log_evidence[k0 - 1] == -math.inf
+    assert loaded.rows[1].p_order[other - 1] == math.inf
     emit(loaded, "json", str(second))
     assert second.read_bytes() == first.read_bytes()
     WRITES["detail"](result, str(tmp_path / "detail.csv"))
@@ -339,43 +365,44 @@ def test_json_reemits_non_finite_values_to_the_same_bytes(tmp_path):
 
 def test_numpy_floats_in_rows_are_written_as_floats(tmp_path):
     # The repr of a numpy float names its type; it is written as the float.
-    plain = dataclasses.replace(TINY, rows=TINY.rows[:1], detail=TINY.detail[:1])
-    row = dataclasses.replace(plain.rows[0], h_expected_bits=np.float64(0.25),
+    plain = SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, TINY.rows[:1], TINY.detail)
+    row = dataclasses.replace(TINY.rows[0], h_expected_bits=np.float64(0.25),
                               log_evidence=(np.float64(-1.5), -math.inf))
-    detail = dataclasses.replace(plain.detail[0], p_order=np.float64(0.1))
-    numpy_rows = dataclasses.replace(plain, rows=(row,), detail=(detail,))
+    detail = dataclasses.replace(TINY.detail[1], p_order=np.float64(0.9))
+    numpy_rows = SweepResult.from_rows(TINY.config, np.float64(TINY.lyapunov_bits), (row,),
+                                       (TINY.detail[0], detail))
     for write in WRITES.values():
         write(plain, str(tmp_path / "plain"))
         write(numpy_rows, str(tmp_path / "numpy"))
         assert (tmp_path / "numpy").read_bytes() == (tmp_path / "plain").read_bytes()
 
 
-# A hand-built result with every kind of cell: NaN (math.nan itself, so that
-# the reloaded rows compare equal), infinities, a failed row with no order and
-# an error text holding a quote, a newline, a brace, a comma and a non-ASCII
-# character.
-TINY = SweepResult(
-    config=SweepConfig(n=100, grid=2, k_min=1, k_max=2, alpha=0.5, out_format="json",
-                       out_path="out.json", detail_path="detail.csv"),
-    lyapunov_bits=0.9791235781734471,
-    rows=(
+# A hand-built result with every kind of cell: NaN, infinities, a failed row
+# with no order and an error text holding a quote, a newline, a brace, a comma
+# and a non-ASCII character.  The detail row of the selected order holds the
+# summary row's estimates.
+TINY = SweepResult.from_rows(
+    SweepConfig(n=100, grid=2, k_min=1, k_max=2, alpha=0.5, out_format="json",
+                out_path="out.json", detail_path="detail.csv"),
+    0.9791235781734471,
+    (
         SweepRow(0.0, 2, 0.25, 0.125, math.inf, (-1.5, -math.inf), (0.1, 0.9)),
         SweepRow(1.0, None, math.nan, math.nan, math.nan, (math.nan, math.nan),
                  (math.nan, math.nan), 'bad "x", {"d": 1},\n} é'),
     ),
-    detail=(
-        DetailRow(0.0, 1, 0.5, 0.375, 1e-05, -1.5, 0.1),
-        DetailRow(0.0, 2, math.nan, -math.inf, math.inf, -math.inf, 0.9),
+    (
+        DetailRow(0.0, 1, math.nan, 0.375, 1e-05, -1.5, 0.1),
+        DetailRow(0.0, 2, 0.25, 0.125, math.inf, -math.inf, 0.9),
     ),
 )
-# No detail rows and no error text; the failed row's blank cells are None and NaN.
-TINY_BARE = dataclasses.replace(
-    TINY, lyapunov_bits=-math.inf, detail=(),
-    rows=(TINY.rows[0], dataclasses.replace(TINY.rows[1], error=None)),
+# Scored without detail, and a failed row whose error text is empty.
+TINY_BARE = SweepResult.from_rows(
+    dataclasses.replace(TINY.config, detail_path=None), -math.inf,
+    (TINY.rows[0], dataclasses.replace(TINY.rows[1], error="")),
 )
 # Error texts that are easy to write wrong: an empty one, and one that holds
 # inf, nan and None and ends in a digit.
-TINY_TEXTS = dataclasses.replace(TINY, detail=(), rows=(
+TINY_TEXTS = SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, (
     dataclasses.replace(TINY.rows[1], d=0.0, error=""),
     dataclasses.replace(TINY.rows[1], error="inf nan None -inf 2"),
 ))
@@ -391,7 +418,7 @@ TINY_ROW_JSON = (
     '"error": null}'
 )
 TINY_DETAIL_JSON = (
-    '{"d": 0.0, "k": 1, "h_expected_bits": 0.5, "h_rate_q_bits": 0.375, '
+    '{"d": 0.0, "k": 1, "h_expected_bits": null, "h_rate_q_bits": 0.375, '
     '"kl_correction_bits": 1e-05, "log_evidence": -1.5, "p_order": 0.1}'
 )
 # ensure_ascii escapes the non-ASCII character.
@@ -405,6 +432,7 @@ def failed_row_json(error, d="1.0"):
 
 
 TEXT_ROWS_JSON = (failed_row_json('""', d="0.0"), failed_row_json('"inf nan None -inf 2"'))
+BARE_JSON = (TINY_CONFIG_JSON.replace('"detail.csv"', "null"), failed_row_json('""'))
 
 
 @pytest.mark.parametrize("result, expected", [
@@ -418,17 +446,17 @@ TEXT_ROWS_JSON = (failed_row_json('""', d="0.0"), failed_row_json('"inf nan None
      '  ],\n'
      '  "detail": [\n'
      f'    {TINY_DETAIL_JSON},\n'
-     '    {"d": 0.0, "k": 2, "h_expected_bits": null, "h_rate_q_bits": "-inf", '
+     '    {"d": 0.0, "k": 2, "h_expected_bits": 0.25, "h_rate_q_bits": 0.125, '
      '"kl_correction_bits": "inf", "log_evidence": "-inf", "p_order": 0.9}\n'
      '  ]\n'
      '}\n'),
     (TINY_BARE,
      '{\n'
-     f'  "config": {TINY_CONFIG_JSON},\n'
+     f'  "config": {BARE_JSON[0]},\n'
      '  "lyapunov_bits": "-inf",\n'
      '  "rows": [\n'
      f'    {TINY_ROW_JSON},\n'
-     f'    {failed_row_json("null")}\n'
+     f'    {BARE_JSON[1]}\n'
      '  ],\n'
      '  "detail": []\n'
      '}\n'),
@@ -442,15 +470,13 @@ TEXT_ROWS_JSON = (failed_row_json('""', d="0.0"), failed_row_json('"inf nan None
      '  ],\n'
      '  "detail": []\n'
      '}\n'),
-    # No rows, and only finite floats, which the encoder takes as they are.
-    (dataclasses.replace(TINY, rows=(), detail=TINY.detail[:1]),
+    # No rows and no detail rows: only finite floats.
+    (SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, ()),
      '{\n'
      f'  "config": {TINY_CONFIG_JSON},\n'
      '  "lyapunov_bits": 0.9791235781734471,\n'
      '  "rows": [],\n'
-     '  "detail": [\n'
-     f'    {TINY_DETAIL_JSON}\n'
-     '  ]\n'
+     '  "detail": []\n'
      '}\n'),
 ], ids=["detail", "no-detail", "texts", "finite"])
 def test_json_layout_is_frozen(tmp_path, result, expected):
@@ -483,8 +509,8 @@ def test_json_layout_is_frozen(tmp_path, result, expected):
      "1.0,,,,,,,,,inf nan None -inf 2\n"),
     ("detail", TINY,
      "d,k,h_expected_bits,h_rate_q_bits,kl_correction_bits,log_evidence,p_order\n"
-     "0.0,1,0.5,0.375,1e-05,-1.5,0.1\n"
-     "0.0,2,,-inf,inf,-inf,0.9\n"),
+     "0.0,1,,0.375,1e-05,-1.5,0.1\n"
+     "0.0,2,0.25,0.125,inf,-inf,0.9\n"),
 ], ids=["summary", "summary-no-text", "summary-texts", "detail"])
 def test_csv_bytes_are_frozen(tmp_path, write, result, expected):
     # Blank cells for None and NaN, inf and -inf, repr floats, csv quoting of text.
@@ -493,15 +519,19 @@ def test_csv_bytes_are_frozen(tmp_path, write, result, expected):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-def test_emit_streams_rows_in_bounded_memory(tmp_path):
+@pytest.fixture(scope="module")
+def large_result():
+    """A result whose JSON summary with detail rows takes about 2.5 MB."""
+    return run_sweep(SweepConfig(n=2000, grid=2500, k_max=3, detail_path="detail.csv"))
+
+
+def test_emit_streams_rows_in_bounded_memory(tmp_path, large_result):
     # Neither writer holds the whole file: peak traced memory stays under half its size.
-    base = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
-    result = dataclasses.replace(base, detail=base.detail * 300)
     for write, name in (("json", "out.json"), ("detail", "detail.csv")):
         path = tmp_path / name
         tracemalloc.start()
         try:
-            WRITES[write](result, str(path))
+            WRITES[write](large_result, str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -520,14 +550,12 @@ WRITES = {
 
 
 def test_json_and_detail_csv_in_one_pass_equal_separate_writes(tmp_path):
-    # One detail chunk of plain numbers, one with NaN and infinities, and the
-    # hand-built results with every kind of cell.
-    base = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
-    detail = list(base.detail * 4)
-    detail[70] = dataclasses.replace(detail[70], h_expected_bits=math.nan,
-                                     log_evidence=-math.inf, p_order=math.inf)
-    mixed = dataclasses.replace(base, detail=tuple(detail))
-    for result in (base, mixed, TINY, TINY_BARE):
+    # Pieces of plain numbers and one with NaN and infinities, and the
+    # hand-built results with every kind of cell, one with failed rows only.
+    base = run_sweep(WIDE)
+    mixed = with_cells(base, 70, base.rows[70].k_selected, h_expected_bits=math.nan,
+                       log_evidence=-math.inf, p_order=math.inf)
+    for result in (base, mixed, TINY, TINY_TEXTS):
         one, two = tmp_path / "one", tmp_path / "two"
         emit(result, "json", str(one / "out.json"), str(one / "detail.csv"))
         emit(result, "json", str(two / "out.json"))
@@ -536,45 +564,54 @@ def test_json_and_detail_csv_in_one_pass_equal_separate_writes(tmp_path):
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
-def test_json_and_detail_csv_in_one_pass_stream_in_bounded_memory(tmp_path):
-    base = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
-    result = dataclasses.replace(base, detail=base.detail * 300)
+def test_json_and_detail_csv_in_one_pass_stream_in_bounded_memory(tmp_path, large_result):
     path = tmp_path / "out.json"
     tracemalloc.start()
     try:
-        emit(result, "json", str(path), str(tmp_path / "detail.csv"))
+        emit(large_result, "json", str(path), str(tmp_path / "detail.csv"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * path.stat().st_size
 
 
-def test_failed_one_pass_write_leaves_both_previous_files(tmp_path):
-    result = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
-    detail = list(result.detail)
-    detail[-1] = dataclasses.replace(detail[-1], k=Unwritable())
-    result = dataclasses.replace(result, detail=tuple(detail))
+@pytest.fixture
+def fails_part_way(monkeypatch):
+    """A WIDE result with an infinite cell at its last point, which the
+    writers fail to spell: they fail in their last piece, part way through
+    each file."""
+    import chaosinfer.sweep as sweep_mod
+
+    real = sweep_mod._spell
+
+    def spell(value, csv_cell):
+        if value == math.inf:
+            raise RuntimeError("failed part way")
+        return real(value, csv_cell)
+
+    monkeypatch.setattr(sweep_mod, "_spell", spell)
+    result = run_sweep(WIDE)
+    return with_cells(result, WIDE.grid - 1, result.rows[-1].k_selected, h_rate_q_bits=math.inf)
+
+
+def test_failed_one_pass_write_leaves_both_previous_files(tmp_path, fails_part_way):
     out, detail_csv = tmp_path / "out.json", tmp_path / "detail.csv"
     out.write_text("previous\n")
     detail_csv.write_text("previous detail\n")
     with pytest.raises(RuntimeError):
-        emit(result, "json", str(out), str(detail_csv))
+        emit(fails_part_way, "json", str(out), str(detail_csv))
     assert out.read_text() == "previous\n"
     assert detail_csv.read_text() == "previous detail\n"
     assert sorted(os.listdir(tmp_path)) == ["detail.csv", "out.json"]
 
 
-def test_failed_csv_and_detail_write_leaves_both_previous_files(tmp_path):
+def test_failed_csv_and_detail_write_leaves_both_previous_files(tmp_path, fails_part_way):
     # A CSV summary and its detail CSV are replaced together too.
-    result = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
-    detail = list(result.detail)
-    detail[-1] = dataclasses.replace(detail[-1], k=Unwritable())
-    result = dataclasses.replace(result, detail=tuple(detail))
     out, detail_csv = tmp_path / "out.csv", tmp_path / "detail.csv"
     out.write_text("previous\n")
     detail_csv.write_text("previous detail\n")
     with pytest.raises(RuntimeError):
-        emit(result, "csv", str(out), str(detail_csv))
+        emit(fails_part_way, "csv", str(out), str(detail_csv))
     assert out.read_text() == "previous\n"
     assert detail_csv.read_text() == "previous detail\n"
     assert sorted(os.listdir(tmp_path)) == ["detail.csv", "out.csv"]
@@ -586,26 +623,12 @@ def test_failed_csv_and_detail_write_leaves_both_previous_files(tmp_path):
         assert not summary.exists()
 
 
-class Unwritable:
-    """A cell value that neither csv nor json can write."""
-
-    def __str__(self):
-        raise RuntimeError("failed part way")
-
-    __repr__ = __str__
-
-
 @pytest.mark.parametrize("write", WRITES)
-def test_failed_write_leaves_the_previous_file(tmp_path, write):
-    result = run_sweep(dataclasses.replace(SMALL, detail_path="detail.csv"))
-    rows, detail = list(result.rows), list(result.detail)
-    rows[5] = dataclasses.replace(rows[5], error=Unwritable())
-    detail[5] = dataclasses.replace(detail[5], k=Unwritable())
-    result = dataclasses.replace(result, rows=tuple(rows), detail=tuple(detail))
+def test_failed_write_leaves_the_previous_file(tmp_path, write, fails_part_way):
     path = tmp_path / "out"
     path.write_text("previous\n")
-    with pytest.raises((RuntimeError, TypeError)):
-        WRITES[write](result, str(path))
+    with pytest.raises(RuntimeError, match="failed part way"):
+        WRITES[write](fails_part_way, str(path))
     assert path.read_text() == "previous\n"
     assert os.listdir(tmp_path) == ["out"]
 
@@ -655,9 +678,10 @@ def test_emit_refuses_detail_of_a_result_scored_without_it(tmp_path):
         with pytest.raises(ConfigError, match="scored without detail"):
             emit(result, out_format, str(tmp_path / "a.csv"), str(tmp_path / "d.csv"))
     assert list(tmp_path.iterdir()) == []
-    # Built from rows, it writes the detail it holds: none, under the header.
-    emit(rebuilt(result), "csv", str(tmp_path / "a.csv"), str(tmp_path / "d.csv"))
-    assert (tmp_path / "d.csv").read_text() == ",".join(DETAIL_HEADER) + "\n"
+    # Made from its rows, it holds no detail either.
+    with pytest.raises(ConfigError, match="scored without detail"):
+        emit(rebuilt(result), "csv", str(tmp_path / "a.csv"), str(tmp_path / "d.csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emit_rejects_one_file_for_summary_and_detail(tmp_path, small_result):
@@ -743,8 +767,8 @@ def test_failed_rows_are_marked_without_aborting(monkeypatch, tmp_path):
     assert loaded.rows[0].error == "forced failure" and loaded.rows[0].k_selected is None
     assert math.isnan(loaded.rows[0].h_expected_bits)
     assert all(math.isnan(v) for v in loaded.rows[0].log_evidence + loaded.rows[0].p_order)
-    # With detail too: written from the scored columns, the failed points and
-    # the others give the bytes of the same result rebuilt from its rows.
+    # With detail too: the result, and the same result made again from its
+    # rows, write the same bytes.
     detailed = sweep_mod.run_sweep(dataclasses.replace(cfg, detail_path="detail.csv"))
     good = [row.error is None for row in detailed.rows]
     assert good[0] is good[-1] is False and any(good)
@@ -755,12 +779,74 @@ def test_failed_rows_are_marked_without_aborting(monkeypatch, tmp_path):
     assert detailed.tally() == rebuilt(detailed).tally()
     assert detailed.tally()[:3] == (5, 5 - sum(good), sum(good) * 2)
     # Each failed point is a block of its own, and yields no detail rows.
-    for scored in (result, detailed):
+    for scored in (result, detailed, rebuilt(detailed)):
         failed = [block for block in scored._blocks if block.error is not None]
         assert len(failed) == sum(row.error is not None for row in scored.rows)
         assert all(len(block.d) == 1 for block in failed)
     assert {dr.d for dr in detailed.detail} == {row.d for row in detailed.rows
                                                 if row.error is None}
+
+
+def test_results_with_failed_rows_equal_their_reruns_and_reloads(monkeypatch, tmp_path):
+    # Each read of a failed row's cells gives new NaN floats, and nan != nan;
+    # results compare a NaN cell equal to a NaN cell.
+    import chaosinfer.sweep as sweep_mod
+
+    real = sweep_mod.expected_info
+
+    def sabotage(counts, prior):
+        if counts.context_totals.min() == 0:
+            raise RuntimeError("forced failure")
+        return real(counts, prior)
+
+    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
+    cfg = SweepConfig(n=1200, transient=50, seed=3, grid=5, k_min=1, k_max=2)
+    result = sweep_mod.run_sweep(cfg)
+    assert result.rows[0].error == "forced failure"
+    assert sweep_mod.run_sweep(cfg) == result
+    emit(result, "json", str(tmp_path / "out.json"))
+    assert load_sweep_json(str(tmp_path / "out.json")) == result
+    # A cell that differs still makes the results differ.
+    rows = list(result.rows)
+    rows[2] = dataclasses.replace(rows[2], h_rate_q_bits=rows[2].h_rate_q_bits + 0.5)
+    assert SweepResult.from_rows(cfg, result.lyapunov_bits, rows) != result
+
+
+def _set(part, at, **cells):
+    """An edit of a parsed JSON summary: set cells of one of its rows or
+    detail objects."""
+    return lambda obj: obj[part][at].update(cells)
+
+
+# Edits of TINY's JSON after which no result writes the file.
+BROKEN_JSON = {
+    "detail-dropped": lambda obj: obj["detail"].pop(),
+    "detail-added": lambda obj: obj["detail"].append(obj["detail"][0]),
+    "detail-without-config": lambda obj: obj["config"].update(detail_path=None),
+    "order-above-range": _set("rows", 0, k_selected=3),
+    "order-below-range": _set("rows", 0, k_selected=0),
+    "failed-row-with-order": _set("rows", 1, k_selected=1),
+    "failed-row-with-estimate": _set("rows", 1, h_rate_q_bits=0.5),
+    "short-list": _set("rows", 0, log_evidence=[-1.5]),
+    "long-list": _set("rows", 0, p_order=[0.1, 0.9, 0.0]),
+    "estimate-not-in-detail": _set("rows", 0, h_expected_bits=0.5),
+    "evidence-not-in-row": _set("detail", 0, log_evidence=-2.5),
+    "posterior-not-in-row": _set("detail", 1, p_order=0.8),
+    "detail-of-another-point": _set("detail", 0, d=1.0),
+    "detail-of-another-order": _set("detail", 0, k=2),
+}
+
+
+@pytest.mark.parametrize("edit", BROKEN_JSON)
+def test_load_rejects_json_that_no_result_writes(tmp_path, edit):
+    path = tmp_path / "out.json"
+    emit(TINY, "json", str(path))
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    BROKEN_JSON[edit](obj)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_sweep_json(str(path))
+    assert os.listdir(tmp_path) == ["out.json"]
 
 
 def test_a_carriage_return_in_an_error_stays_in_its_csv_row(monkeypatch, tmp_path):
@@ -777,7 +863,8 @@ def test_a_carriage_return_in_an_error_stays_in_its_csv_row(monkeypatch, tmp_pat
     monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
     scored = sweep_mod.run_sweep(SweepConfig(n=1200, transient=50, seed=3, grid=5, k_max=2))
     assert scored.rows[0].error == "x\ry"
-    hand = dataclasses.replace(TINY, rows=(dataclasses.replace(TINY.rows[1], error="x\ry"),))
+    hand = SweepResult.from_rows(TINY.config, TINY.lyapunov_bits,
+                                 (dataclasses.replace(TINY.rows[1], error="x\ry"),))
     path = tmp_path / "out.csv"
     for result in (scored, hand):
         emit(result, "csv", str(path))
@@ -973,7 +1060,9 @@ def test_cli_json_and_detail_run_builds_no_detail_row(monkeypatch, tmp_path):
             "--format", "json", "--out", str(out), "--detail", str(detail)]
     assert main(argv) == 0
     assert built == []
-    assert len(load_sweep_json(str(out)).detail) == len(built) - 300 == 300 * 3
+    loaded = load_sweep_json(str(out))
+    assert len(loaded.detail) == 300 * 3
+    assert len(built) >= len(loaded.rows) + len(loaded.detail)  # the count sees every row
     real_info = sweep_mod.expected_info
 
     def sabotage(counts, prior):
