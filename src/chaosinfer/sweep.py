@@ -229,35 +229,57 @@ class _Block(NamedTuple):
     error: str | None = None  # the error text of a failed point, which is a block of its own
 
 
-def _detail_cells(blocks, orders):
-    """The cells of each detail row of `blocks`, as a tuple in field order,
-    which costs less to make than a DetailRow."""
-    for block in blocks:
+def _row_cells(result):
+    """The cells of each row of `result` as a tuple in field order, which
+    costs less to make than a SweepRow."""
+    orders = _orders(result.config)
+    for block in result._blocks:
+        for d, b, e, r, c, le, p in zip(block.d.tolist(), block.best.tolist(),
+                                        *block.values.tolist()):
+            yield (d, orders[b] if block.error is None else None, e[b], r[b], c[b], tuple(le),
+                   tuple(p), block.error)
+
+
+def _detail_cells(result):
+    """The cells of each detail row of `result` as a tuple in field order:
+    one per order of each row without an error if config.detail_path is set,
+    else none."""
+    if result.config.detail_path is None:
+        return
+    orders = _orders(result.config)
+    for block in result._blocks:
         if block.error is None:
             for d, e, r, c, le, p in zip(block.d.tolist(), *block.values.tolist()):
                 yield from zip(repeat(d), orders, e, r, c, le, p)
 
 
-def _mismatch(made, given) -> int | None:
-    """The first position at which two sequences differ, None if none does;
-    items that are not == are compared by repr, so that a NaN equals a NaN."""
-    for at, (a, b) in enumerate(zip(made, given)):
-        if a != b and repr(a) != repr(b):
-            return at
-    return None if len(made) == len(given) else min(len(made), len(given))
+def _same(a, b) -> bool:
+    """a == b, with a NaN equal to a NaN, also inside tuples."""
+    if a == b or (a != a and b != b):
+        return True
+    return (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)
+            and all(map(_same, a, b)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A sweep's config, Lyapunov estimate and scored blocks, which run_sweep
-    scores or from_rows makes from rows.  `rows` and `detail` are read-only
-    views of the blocks, built on first read; emit and tally read the blocks.
+    """A sweep's config, Lyapunov estimate and scored blocks, made only by
+    run_sweep and from_rows.  dataclasses.replace keeps the blocks, so it
+    must keep the config's k_min, k_max and detail_path.  `rows` and
+    `detail` are read-only views of the blocks, built on first read.
     Results are equal when their configs, Lyapunov estimates, rows and detail
-    rows are, a NaN cell equal to a NaN cell."""
+    rows are, a NaN cell equal to a NaN cell, and are not hashable."""
 
     config: SweepConfig
     lyapunov_bits: float
-    _blocks: tuple[_Block, ...] = dataclasses.field(repr=False, compare=False)
+    _blocks: tuple[_Block, ...] = dataclasses.field(repr=False)
+
+    def __post_init__(self):
+        width = len(_orders(self.config))
+        for block in self._blocks:
+            if not (isinstance(block, _Block) and block.values.shape == (5, len(block.d), width)):
+                raise ValueError(f"{type(block).__name__} is not a scored block of {width} orders; "
+                                 "SweepResult.from_rows makes a result from rows")
 
     @classmethod
     def from_rows(cls, config: SweepConfig, lyapunov_bits: float, rows,
@@ -269,83 +291,86 @@ class SweepResult:
         are not those given, as for an order outside the range, a failed row
         with an order, a per-order list of the wrong length, a detail row too
         many or too few, or a row that disagrees with its detail rows."""
-        orders = _orders(config)
-        width = len(orders)
-        rows = tuple(rows)
-        cells = [(dr.d, dr.k, dr.h_expected_bits, dr.h_rate_q_bits, dr.kl_correction_bits,
-                  dr.log_evidence, dr.p_order) for dr in detail]
-        ok = np.array([row.error is None for row in rows], dtype=bool)
-        good = [row for row in rows if row.error is None]
-        for row in good:
-            if row.k_selected not in orders or {len(row.log_evidence), len(row.p_order)} != {width}:
-                raise ValueError(f"{row!r} needs an order in [{config.k_min}, {config.k_max}] "
-                                 f"and {width} values in each per-order list")
-        if config.detail_path is not None and len(cells) != len(good) * width:
-            raise ValueError(f"{len(cells)} detail rows, not {width} for each of the "
-                             f"{len(good)} rows without an error")
-        best = np.full(len(rows), -1)
-        best[ok] = [orders.index(row.k_selected) for row in good]
-        values = np.full((5, len(rows), width), np.nan)
-        per_order = np.array([(row.log_evidence, row.p_order) for row in good], dtype=float)
-        values[3:, ok] = per_order.reshape(-1, 2, width).swapaxes(0, 1)
-        if config.detail_path is None:
-            estimates = np.array([(row.h_expected_bits, row.h_rate_q_bits, row.kl_correction_bits)
-                                  for row in good], dtype=float).reshape(-1, 3)
-            values[:3, ok.nonzero()[0], best[ok]] = estimates.T
-        else:
-            estimates = np.array([c[2:5] for c in cells], dtype=float).reshape(-1, width, 3)
-            values[:3, ok] = estimates.transpose(2, 0, 1)
-        d = np.array([row.d for row in rows], dtype=float)
-        failed = (~ok).nonzero()[0].tolist()
-        cuts = sorted({0, len(rows), *failed, *(i + 1 for i in failed)})
-        blocks = [_Block(d[a:b], best[a:b], values[:, a:b], rows[a].error)
-                  for a, b in zip(cuts, cuts[1:])]
-        result = cls(config, lyapunov_bits, tuple(blocks))
-        made_cells = [*_detail_cells(blocks, orders)] if config.detail_path is not None else []
-        for name, made, given in (("row", result.rows, rows), ("detail row", made_cells, cells)):
-            at = _mismatch(made, given)
-            if at is not None:
-                raise ValueError(f"{name} {at} is {(*given, None)[at]!r}, but the rows and detail "
-                                 f"rows make it {(*made, None)[at]!r}")
-        return result
+        return _from_cells(config, lyapunov_bits, map(dataclasses.astuple, rows),
+                           map(dataclasses.astuple, detail))
 
     @functools.cached_property
     def rows(self) -> tuple[SweepRow, ...]:
         """One SweepRow per decision point."""
-        orders = _orders(self.config)
-        return tuple(
-            SweepRow(d, orders[b] if block.error is None else None, e[b], r[b], c[b], tuple(le),
-                     tuple(p), block.error)
-            for block in self._blocks
-            for d, b, e, r, c, le, p in zip(block.d.tolist(), block.best.tolist(),
-                                            *block.values.tolist()))
+        return tuple(starmap(SweepRow, _row_cells(self)))
 
     @functools.cached_property
     def detail(self) -> tuple[DetailRow, ...]:
         """One DetailRow per order of each row without an error if
         config.detail_path is set, else none."""
-        if self.config.detail_path is None:
-            return ()
-        return tuple(starmap(DetailRow, _detail_cells(self._blocks, _orders(self.config))))
+        return tuple(starmap(DetailRow, _detail_cells(self)))
 
     def __eq__(self, other):
         if not isinstance(other, SweepResult):
             return NotImplemented
-        # A SweepRow never equals a DetailRow, so rows cannot pass for detail rows.
-        return _mismatch((self.config, self.lyapunov_bits, *self.rows, *self.detail),
-                         (other.config, other.lyapunov_bits, *other.rows, *other.detail)) is None
+        return _same(*((dataclasses.astuple(result.config), result.lyapunov_bits,
+                        tuple(_row_cells(result)), tuple(_detail_cells(result)))
+                       for result in (self, other)))
 
     def tally(self) -> tuple[int, int, int, tuple[float, int, float] | None]:
         """(rows, failed rows, detail rows, peak), where the peak is (d,
         k_selected, h_expected_bits) of the first row without an error of the
         largest h_expected_bits, None if every row failed."""
         orders = _orders(self.config)
-        good = [(d, orders[b], h) for block in self._blocks if block.error is None
-                for d, b, h in zip(block.d.tolist(), block.best.tolist(),
-                                   block.values[0, np.arange(len(block.d)), block.best].tolist())]
-        rows = sum(len(block.d) for block in self._blocks)
-        detail = len(good) * len(orders) if self.config.detail_path is not None else 0
-        return rows, rows - len(good), detail, max(good, key=lambda row: row[2], default=None)
+        rows = failed = 0
+        peak = None
+        for block in self._blocks:
+            rows += len(block.d)
+            if block.error is not None:
+                failed += 1
+                continue
+            h = np.take_along_axis(block.values[0], block.best[:, None], axis=1)[:, 0].tolist()
+            for d, b, value in zip(block.d.tolist(), block.best.tolist(), h):
+                if peak is None or value > peak[2]:
+                    peak = d, orders[b], value
+        detail = (rows - failed) * len(orders) if self.config.detail_path is not None else 0
+        return rows, failed, detail, peak
+
+
+def _from_cells(config, lyapunov_bits, rows, detail) -> SweepResult:
+    """SweepResult.from_rows of rows and detail rows given as tuples of their
+    cells in field order.  A row's cells are d, k_selected, its three
+    estimates, log_evidence, p_order and error; a detail row's are d, k, its
+    three estimates, log_evidence and p_order."""
+    orders = _orders(config)
+    width = len(orders)
+    rows, detail = list(rows), list(detail)
+    ok = np.array([row[-1] is None for row in rows], dtype=bool)
+    good = [row for row in rows if row[-1] is None]
+    for row in good:
+        _, k, _, _, _, les, post, _ = row
+        if k not in orders or {len(les), len(post)} != {width}:
+            raise ValueError(f"row {row!r} needs an order in [{config.k_min}, {config.k_max}] "
+                             f"and {width} values in each per-order list")
+    if config.detail_path is not None and len(detail) != len(good) * width:
+        raise ValueError(f"{len(detail)} detail rows, not {width} for each of the "
+                         f"{len(good)} rows without an error")
+    best = np.full(len(rows), -1)
+    best[ok] = [orders.index(row[1]) for row in good]
+    values = np.full((5, len(rows), width), np.nan)
+    per_order = np.array([row[5:7] for row in good], dtype=float)
+    values[3:, ok] = per_order.reshape(-1, 2, width).swapaxes(0, 1)
+    if config.detail_path is not None:
+        estimates = np.array([cells[2:5] for cells in detail], dtype=float).reshape(-1, width, 3)
+        values[:3, ok] = estimates.transpose(2, 0, 1)
+    # A row's estimates go to its selected order, over its detail row's.
+    estimates = np.array([row[2:5] for row in good], dtype=float).reshape(-1, 3)
+    values[:3, ok.nonzero()[0], best[ok]] = estimates.T
+    d = np.array([row[0] for row in rows], dtype=float)
+    failed = (~ok).nonzero()[0].tolist()
+    cuts = sorted({0, len(rows), *failed, *(i + 1 for i in failed)})
+    result = SweepResult(config, lyapunov_bits, tuple(
+        _Block(d[a:b], best[a:b], values[:, a:b], rows[a][-1]) for a, b in zip(cuts, cuts[1:])))
+    if not _same((tuple(_row_cells(result)), tuple(_detail_cells(result))),
+                 (tuple(rows), tuple(detail))):
+        raise ValueError("a failed row has an order or an estimate, or a row's estimates, "
+                         "log_evidence or p_order are not its detail rows'")
+    return result
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -520,18 +545,18 @@ def _read_float(value) -> float:
     return math.nan if value is None else float(value)
 
 
-def _loaded(cls, obj):
-    """The `cls` of a JSON object written by emit: a per-order list becomes a
-    tuple, and null in a float field NaN."""
-    values = {}
+def _loaded(cls, obj) -> tuple:
+    """The cells of the `cls` of a JSON object written by emit, in field
+    order: a per-order list becomes a tuple, and null in a float field NaN."""
+    cells = []
     for name, per_order, is_float in _FIELDS[cls]:
         value = obj[name]
         if per_order:
             value = tuple(map(_read_float, value))
         elif is_float:
             value = _read_float(value)
-        values[name] = value
-    return cls(**values)
+        cells.append(value)
+    return tuple(cells)
 
 
 def _templates(cls, width: int = 0) -> tuple[str, str]:
@@ -735,11 +760,11 @@ def emit(result: SweepResult, out_format: str, path: str, detail_path: str | Non
 
 def load_sweep_json(path: str) -> SweepResult:
     """Reload a JSON summary written by emit(); one that SweepResult.from_rows
-    rejects, which no result writes, is a ValueError."""
+    would reject, which no result writes, is a ValueError."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return SweepResult.from_rows(
-        _loaded(SweepConfig, obj["config"]),
+    return _from_cells(
+        SweepConfig(*_loaded(SweepConfig, obj["config"])),
         _read_float(obj["lyapunov_bits"]),
         [_loaded(SweepRow, r) for r in obj["rows"]],
         [_loaded(DetailRow, r) for r in obj["detail"]],

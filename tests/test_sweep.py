@@ -368,9 +368,11 @@ def test_numpy_floats_in_rows_are_written_as_floats(tmp_path):
     plain = SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, TINY.rows[:1], TINY.detail)
     row = dataclasses.replace(TINY.rows[0], h_expected_bits=np.float64(0.25),
                               log_evidence=(np.float64(-1.5), -math.inf))
-    detail = dataclasses.replace(TINY.detail[1], p_order=np.float64(0.9))
+    detail = (dataclasses.replace(TINY.detail[0], h_expected_bits=np.float64(math.nan)),
+              dataclasses.replace(TINY.detail[1], p_order=np.float64(0.9)))
     numpy_rows = SweepResult.from_rows(TINY.config, np.float64(TINY.lyapunov_bits), (row,),
-                                       (TINY.detail[0], detail))
+                                       detail)
+    assert numpy_rows == plain
     for write in WRITES.values():
         write(plain, str(tmp_path / "plain"))
         write(numpy_rows, str(tmp_path / "numpy"))
@@ -812,6 +814,20 @@ def test_results_with_failed_rows_equal_their_reruns_and_reloads(monkeypatch, tm
     assert SweepResult.from_rows(cfg, result.lyapunov_bits, rows) != result
 
 
+def test_a_result_holds_scored_blocks_of_its_order_range():
+    # Rows in place of blocks, the constructor form of earlier releases.
+    with pytest.raises(ValueError, match="from_rows"):
+        SweepResult(TINY.config, TINY.lyapunov_bits, TINY.rows)
+    with pytest.raises(ValueError):
+        dataclasses.replace(TINY, config=dataclasses.replace(TINY.config, k_max=3))
+    # A NaN config cell equals a NaN; results are not hashable.
+    nan_r = [SweepResult(dataclasses.replace(TINY.config, r=nan), nan, TINY._blocks)
+             for nan in (float("nan"), np.float64("nan"))]
+    assert nan_r[0] == nan_r[1] != TINY
+    with pytest.raises(TypeError):
+        hash(TINY)
+
+
 def _set(part, at, **cells):
     """An edit of a parsed JSON summary: set cells of one of its rows or
     detail objects."""
@@ -1061,8 +1077,9 @@ def test_cli_json_and_detail_run_builds_no_detail_row(monkeypatch, tmp_path):
     assert main(argv) == 0
     assert built == []
     loaded = load_sweep_json(str(out))
-    assert len(loaded.detail) == 300 * 3
-    assert len(built) >= len(loaded.rows) + len(loaded.detail)  # the count sees every row
+    assert built == []  # a load checks the file's cells and builds no row
+    assert len(loaded.detail) == len(built) == 300 * 3
+    assert len(loaded.detail) + len(loaded.rows) == len(built) == 300 * 4  # each built once
     real_info = sweep_mod.expected_info
 
     def sabotage(counts, prior):
