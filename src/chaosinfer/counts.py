@@ -11,7 +11,7 @@ from .symbolize import SymbolSequence
 
 # Transition counts are stored dense, alphabet**(order+1) entries total.
 MAX_TABLE_ENTRIES = 1 << 26
-# Windows sorted at once by grid_transition_counts; bounds its temporaries.
+# Windows sorted at once by grid_top_counts; bounds its temporaries.
 _WINDOW_CHUNK = 1 << 13
 
 
@@ -78,25 +78,36 @@ def grid_transition_counts(states, thresholds, orders) -> dict[int, np.ndarray]:
 
     Returns {k: int64 array of shape (len(thresholds), 2**(k+1))} whose row i
     is transition_counts(symbolize(states, PartitionSpec.binary(thresholds[i])),
-    k).table flattened.  Thresholds must be ascending.
+    k).table flattened.  Thresholds must be ascending.  This is lower_orders
+    of grid_top_counts at the largest order.
+    """
+    orders = sorted({int(k) for k in orders})
+    if not orders or orders[0] < 0:
+        raise ValueError(f"orders {orders} must be non-empty and >= 0")
+    return lower_orders(*grid_top_counts(states, thresholds, orders[-1]), orders)
+
+
+def grid_top_counts(states, thresholds, k_max) -> tuple[np.ndarray, np.ndarray]:
+    """The order-k_max binary tables at every threshold, int64 of shape
+    (len(thresholds), 2**(k_max+1)), row i flattened as transition_counts
+    of the series symbolized at thresholds[i] is, and the first k_max
+    symbols of each, bool of shape (len(thresholds), k_max): the pair that
+    lower_orders takes.  Thresholds must be ascending.
 
     A state reads 1 at threshold i iff i < searchsorted(thresholds, state,
     "right"), the left-closed rule of symbolize.  A window of k_max + 1 states
     changes its pattern only where the threshold index passes one of its own
     search results, so sorting those gives the pattern on every threshold
-    interval; the patterns go into a difference array over thresholds whose
-    cumulative sum is the order-k_max table at each threshold.  Lower orders
-    sum that table over its oldest context symbols and add the windows that
-    end among the first k_max states.
+    interval; the patterns go into a difference array over thresholds, one
+    row longer than the tables, whose cumulative sum is the order-k_max table
+    at each threshold.
     """
     states = np.asarray(states, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
-    orders = sorted({int(k) for k in orders})
-    if not orders or orders[0] < 0:
-        raise ValueError(f"orders {orders} must be non-empty and >= 0")
+    if k_max < 0:
+        raise ValueError(f"order {k_max} must be >= 0")
     if np.any(np.diff(thresholds) < 0):
         raise ValueError("thresholds must be ascending")
-    k_max = orders[-1]
     width = k_max + 1
     n_patterns = 1 << width
     if n_patterns > MAX_TABLE_ENTRIES:
@@ -105,7 +116,6 @@ def grid_transition_counts(states, thresholds, orders) -> dict[int, np.ndarray]:
     if n < width:
         raise ValueError(f"sequence of length {n} too short for order {k_max}")
     head = np.searchsorted(thresholds, states[:k_max], side="right")
-    reads_one = np.arange(grid)[:, None] < head[None, :]
     # Sort key: cut in the high bits, k_max - position in the low bits, so
     # the low bits of a sorted key give the weight of its state's bit.
     shift = width.bit_length()
@@ -133,7 +143,8 @@ def grid_transition_counts(states, thresholds, orders) -> dict[int, np.ndarray]:
         windows += bit
         diff -= np.bincount(windows.ravel(), minlength=size)
     diff = diff.reshape(grid + 1, n_patterns)
-    return lower_orders(np.cumsum(diff, axis=0, out=diff)[:grid], reads_one, orders)
+    first = np.arange(grid)[:, None] < head[None, :]
+    return np.cumsum(diff, axis=0, out=diff)[:grid], first
 
 
 def count_windows(table, states, thresholds, history) -> np.ndarray:

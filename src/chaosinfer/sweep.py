@@ -33,7 +33,7 @@ from .counts import (
     MAX_TABLE_ENTRIES,
     CountTable,
     count_windows,
-    grid_transition_counts,
+    grid_top_counts,
     lower_orders,
     transition_counts,
 )
@@ -59,19 +59,24 @@ from .symbolize import decision_points
 
 FORMAT_CHOICES = ("csv", "json")
 
-# Decision points are counted and scored a block at a time; a block holds as
-# many points as keep its order-k_max table entries at or under this, which
-# bounds its temporaries, including the regenerated series' per-chunk
-# bincount.  A block always holds at least one point, so from k_max = 16 on
-# it is one point whose table alone exceeds this.
+# Decision points are counted a block at a time: a counting block holds as
+# many points as keep its order-k_max tables, 8 bytes a cell, within
+# COUNT_BLOCK_BYTES.  That bounds the shared series' difference array, which
+# is one row longer, and the regenerated series' tables and per-chunk
+# bincount.  A counting block is scored in slices of as many points as keep
+# their order-k_max table entries at or under GRID_BLOCK_ENTRIES, so the
+# lower-order tables and the scoring temporaries exist for one slice at a
+# time.  Either holds at least one point, so from k_max = 16 on both are one
+# point whose table alone exceeds its bound.
+COUNT_BLOCK_BYTES = 1 << 20
 GRID_BLOCK_ENTRIES = 1 << 16
-# With regenerate_per_d, a block of at least LOCKSTEP_MIN_POINTS points steps
-# its series in lockstep.  A lockstep step costs a few numpy calls whatever
-# the width, so narrower blocks simulate each series on its own (on a 2-vCPU
-# Xeon host the two break even near 24 points, and lockstep is 1.35x as fast
-# at 32).  A lockstep block advances a chunk of time steps at a time whose
-# states take LOCKSTEP_CHUNK_BYTES; its shocks and window codes take as much
-# again each.
+# With regenerate_per_d, a counting block of at least LOCKSTEP_MIN_POINTS
+# points steps its series in lockstep.  A lockstep step costs a few numpy
+# calls whatever the width, so narrower blocks simulate each series on its
+# own (on a 2-vCPU Xeon host the two break even near 24 points, and lockstep
+# is 1.35x as fast at 32).  A lockstep block advances a chunk of time steps
+# at a time whose states take LOCKSTEP_CHUNK_BYTES; its shocks and window
+# codes take as much again each.
 LOCKSTEP_MIN_POINTS = 32
 LOCKSTEP_CHUNK_BYTES = 1 << 18
 # The output rows of this many points of a block, and their detail rows, are
@@ -226,6 +231,7 @@ class _Block(NamedTuple):
     # at a failed point.  Without detail, entropy is NaN at the orders no point
     # of the block selected.
     values: np.ndarray
+    detail: bool  # whether entropy was estimated at every order, as for a detail_path
     error: str | None = None  # the error text of a failed point, which is a block of its own
 
 
@@ -276,10 +282,15 @@ class SweepResult:
 
     def __post_init__(self):
         width = len(_orders(self.config))
+        detail = self.config.detail_path is not None
         for block in self._blocks:
             if not (isinstance(block, _Block) and block.values.shape == (5, len(block.d), width)):
                 raise ValueError(f"{type(block).__name__} is not a scored block of {width} orders; "
                                  "SweepResult.from_rows makes a result from rows")
+            if block.detail != detail:
+                raise ValueError(f"a block scored {'with' if block.detail else 'without'} "
+                                 f"detail under a config with detail_path="
+                                 f"{self.config.detail_path!r}")
 
     @classmethod
     def from_rows(cls, config: SweepConfig, lyapunov_bits: float, rows,
@@ -365,7 +376,8 @@ def _from_cells(config, lyapunov_bits, rows, detail) -> SweepResult:
     failed = (~ok).nonzero()[0].tolist()
     cuts = sorted({0, len(rows), *failed, *(i + 1 for i in failed)})
     result = SweepResult(config, lyapunov_bits, tuple(
-        _Block(d[a:b], best[a:b], values[:, a:b], rows[a][-1]) for a, b in zip(cuts, cuts[1:])))
+        _Block(d[a:b], best[a:b], values[:, a:b], config.detail_path is not None, rows[a][-1])
+        for a, b in zip(cuts, cuts[1:])))
     if not _same((tuple(_row_cells(result)), tuple(_detail_cells(result))),
                  (tuple(rows), tuple(detail))):
         raise ValueError("a failed row has an order or an estimate, or a row's estimates, "
@@ -379,12 +391,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     One trajectory is shared across all decision points unless
     regenerate_per_d is set (then point i uses seed + 1 + i, and its series
     equals generate_trajectory's with that seed).  Decision points are
-    counted and scored a block at a time; a wide enough block of regenerated
+    counted a block of COUNT_BLOCK_BYTES at a time and scored in slices of
+    each block (see GRID_BLOCK_ENTRIES); a wide enough block of regenerated
     series is stepped in lockstep and counted a chunk of time at a time, so
     its memory is bounded by LOCKSTEP_CHUNK_BYTES rather than by n.  The
-    result keeps each block's scores as arrays.  Rows are independent: a
-    failure of the inference at one decision point is recorded on its row
-    and does not abort the sweep.  Rows that select the top order of the
+    result keeps each scored slice as a block of arrays.  Rows are
+    independent: a failure of the inference at one decision point is
+    recorded on its row and does not abort the sweep.  Rows that select the top order of the
     range are reported in one RuntimeWarning.  Fully deterministic given the
     seed.
     """
@@ -397,17 +410,17 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     log_priors = [order_log_prior(k, 2, config.order_prior) for k in orders]
     priors = {k: uniform_prior(k, 2, config.alpha) for k in orders}
     points = decision_points(config.grid)
-    width = max(1, GRID_BLOCK_ENTRIES >> (orders[-1] + 1))
+    counted = max(1, COUNT_BLOCK_BYTES // (8 << (orders[-1] + 1)))
+    scored = max(1, GRID_BLOCK_ENTRIES >> (orders[-1] + 1))
     args = (orders, log_priors, priors, config.detail_path is not None)
 
     blocks: list[_Block] = []
-    for start in range(0, config.grid, width):
-        ds = points[start:start + width]
-        tables = _block_counts(config, map_spec, noise, base, start, ds, orders)
-        try:
-            blocks.append(_score(ds, tables, *args))
-        except Exception:
-            blocks += _score_each(ds, tables, *args)
+    for start in range(0, config.grid, counted):
+        ds = points[start:start + counted]
+        # Passed on, not kept: a block's tables are freed before the next is counted.
+        blocks += _score_slices(
+            ds, *_block_counts(config, map_spec, noise, base, start, ds, orders[-1]), scored,
+            *args)
     _warn_top_of_range(blocks, orders)
     return SweepResult(config, lam, tuple(blocks))
 
@@ -416,21 +429,19 @@ def _orders(config: SweepConfig) -> range:
     return OrderRange(config.k_min, config.k_max).orders()
 
 
-def _block_counts(config, map_spec, noise, base, start, ds, orders):
-    """{k: CountTable stacking the order-k tables of the decision points ds}.
+def _block_counts(config, map_spec, noise, base, start, ds, k_max):
+    """The order-k_max tables, shape (G, 2**(k_max+1)), and the first k_max
+    symbols, shape (G, k_max), of the decision points ds: the pair that
+    lower_orders takes.
 
-    The shared series is counted by grid_transition_counts in one pass.  With
-    regenerate_per_d, point start + i gets its own series, counted at k_max
-    by _regenerated_counts; the lower orders of the block are derived from
-    those tables as for the shared series.
+    The shared series is counted by grid_top_counts in one pass.  With
+    regenerate_per_d, point start + i gets its own series, counted by
+    _regenerated_counts.
     """
     if config.regenerate_per_d:
         seeds = range(config.seed + 1 + start, config.seed + 1 + start + len(ds))
-        stacked = lower_orders(*_regenerated_counts(map_spec, noise, config.n, config.transient,
-                                                    seeds, ds, orders[-1]), orders)
-    else:
-        stacked = grid_transition_counts(base.states, ds, orders)
-    return {k: CountTable(k, 2, stacked[k].reshape(len(ds), -1, 2)) for k in orders}
+        return _regenerated_counts(map_spec, noise, config.n, config.transient, seeds, ds, k_max)
+    return grid_top_counts(base.states, ds, k_max)
 
 
 def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
@@ -474,6 +485,22 @@ def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
     return top, first
 
 
+def _score_slices(ds, top, first, scored, orders, *args) -> list[_Block]:
+    """The blocks of a counting block's points `ds` scored `scored` points at
+    a time, from their order-k_max tables `top` and first k_max symbols
+    `first`: the lower orders exist for one slice at a time."""
+    blocks = []
+    for at in range(0, len(ds), scored):
+        part = slice(at, at + scored)
+        stacked = lower_orders(top[part], first[part], orders)
+        tables = {k: CountTable(k, 2, stacked[k].reshape(len(ds[part]), -1, 2)) for k in orders}
+        try:
+            blocks.append(_score(ds[part], tables, orders, *args))
+        except Exception:
+            blocks += _score_each(ds[part], tables, orders, *args)
+    return blocks
+
+
 def _score(ds, tables, orders, log_priors, priors, want_detail) -> _Block:
     """The scores of a block of decision points.
 
@@ -489,21 +516,21 @@ def _score(ds, tables, orders, log_priors, priors, want_detail) -> _Block:
     for j in range(len(orders)) if want_detail else np.unique(best).tolist():
         e = expected_info(tables[orders[j]], priors[orders[j]])
         values[:3, :, j] = e.expected_info, e.h_rate_q, e.kl_correction
-    return _Block(ds, best, values)
+    return _Block(ds, best, values, want_detail)
 
 
-def _score_each(ds, tables, orders, *args) -> list[_Block]:
+def _score_each(ds, tables, orders, log_priors, priors, want_detail) -> list[_Block]:
     """_score one point at a time, a block each; a point that fails gets a
     block of NaNs carrying its error, so a failed block holds one point."""
     blocks = []
     for i in range(len(ds)):
         one = {k: CountTable(k, 2, t.table[i:i + 1]) for k, t in tables.items()}
         try:
-            blocks.append(_score(ds[i:i + 1], one, orders, *args))
+            blocks.append(_score(ds[i:i + 1], one, orders, log_priors, priors, want_detail))
         except Exception as exc:
             blank = np.full((5, 1, len(orders)), np.nan)
             error = str(exc) or type(exc).__name__  # the type names an exception without text
-            blocks.append(_Block(ds[i:i + 1], np.array([-1]), blank, error))
+            blocks.append(_Block(ds[i:i + 1], np.array([-1]), blank, want_detail, error))
     return blocks
 
 
@@ -632,7 +659,8 @@ def _block_pieces(block, orders, detail: bool, missing: str):
     detail = detail and block.error is None
     for start in range(0, len(block.d), EMIT_CHUNK_ROWS):
         part = slice(start, start + EMIT_CHUNK_ROWS)
-        piece = _Block(block.d[part], block.best[part], block.values[:, part], block.error)
+        piece = block._replace(d=block.d[part], best=block.best[part],
+                               values=block.values[:, part])
         points = len(piece.d)
         best = np.maximum(piece.best, 0)  # a failed point reads its own NaN cells
         at = (np.arange(points) * width + best).tolist()  # each selected cell

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaosinfer.sweep as sweep_mod
-from chaosinfer.counts import grid_transition_counts, transition_counts
+from chaosinfer.counts import grid_top_counts, grid_transition_counts, transition_counts
 from chaosinfer.dynamics import MAX_SIGMA, MapSpec, NoiseSpec, generate_trajectory
 from chaosinfer.symbolize import PartitionSpec, SymbolSequence, symbolize
 from helpers import count_words, decode_context, encode_context
@@ -120,8 +120,12 @@ def test_circular_counts_match_word_counts(data, order):
 def assert_grid_counts_match_per_threshold(states, thresholds, orders):
     got = grid_transition_counts(states, thresholds, orders)
     assert sorted(got) == sorted(set(orders))
+    k_max = max(orders)
+    top, first = grid_top_counts(states, thresholds, k_max)
+    assert np.array_equal(top, got[k_max]) and first.shape == (len(thresholds), k_max)
     for i, d in enumerate(thresholds):
         seq = symbolize(np.asarray(states), PartitionSpec.binary(d))
+        assert np.array_equal(first[i], seq.symbols[:k_max])
         for k in orders:
             want = transition_counts(seq, k).table.ravel()
             assert got[k].shape == (len(thresholds), 2 ** (k + 1))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from chaosinfer.cli import main, parse_config
 from chaosinfer.entropy import EntropyEstimate
 from chaosinfer.sweep import (
+    COUNT_BLOCK_BYTES,
     FORMAT_CHOICES,
     GRID_BLOCK_ENTRIES,
     LOCKSTEP_MIN_POINTS,
@@ -127,20 +128,38 @@ def test_run_sweep_equals_per_d_oracle(case, detail):
     assert run_sweep(cfg) == per_d_sweep(cfg)
 
 
+def small_count_block(k_max: int) -> int:
+    """The points of a counting block under small_count_budget at k_max:
+    three while a scoring slice holds more than 64 points, else two slices
+    and three points, so a counting block ends with a partial slice."""
+    scored = GRID_BLOCK_ENTRIES >> (k_max + 1)
+    return 3 if scored > 64 else 2 * scored + 3
+
+
+def small_count_budget(k_max: int) -> int:
+    """A COUNT_BLOCK_BYTES that counts small_count_block(k_max) points a block."""
+    return small_count_block(k_max) * (8 << (k_max + 1))
+
+
 @st.composite
 def accepted_configs(draw):
-    """A SweepConfig that validate() accepts, with a short series.  From k_max
-    9 on a grid block holds at most 64 points, and the grid is one point
-    short of a block, one full block or one or two points over it.  At k_max
-    10 a block is LOCKSTEP_MIN_POINTS points wide, so a grid one short of it
-    simulates each regenerated series on its own, and one or two over it
-    steps a full block in lockstep and its last one or two points on their
-    own.  The last point, d = 1, gives every series the same symbols, so
-    only two points over put a series-dependent point in the second block."""
+    """A SweepConfig that validate() accepts, with a short series and a grid
+    drawn against the blocks that small_count_budget gives.  Up to k_max 8 a
+    grid of 2 to 7 points spans one to three counting blocks of three points.
+    From k_max 9 on a scoring slice holds at most 64 points, and the grid is
+    one point short of a slice or of a counting block, a full one, or one or
+    two points over it; a counting block ends with a partial slice.  From
+    k_max 9 on a counting block holds at least LOCKSTEP_MIN_POINTS points, so
+    its regenerated series step in lockstep, while a grid under that, such as
+    one point short of a slice at k_max 10, simulates each series on its own,
+    and a grid one or two over a counting block steps a full block in
+    lockstep and its last one or two points on their own.  The last point,
+    d = 1, gives every series the same symbols, so only two points over put a
+    series-dependent point in the second block."""
     k_max = draw(st.sampled_from(range(12)))
-    block = GRID_BLOCK_ENTRIES >> (k_max + 1)
-    if block <= 64:
-        grid = block + draw(st.sampled_from([-1, 0, 1, 2]))
+    scored, counted = GRID_BLOCK_ENTRIES >> (k_max + 1), small_count_block(k_max)
+    if scored <= 64:
+        grid = draw(st.sampled_from([scored, counted])) + draw(st.sampled_from([-1, 0, 1, 2]))
     else:
         grid = draw(st.integers(2, 7))
     return SweepConfig(
@@ -160,13 +179,28 @@ def accepted_configs(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-# Regenerated series past the first block, which the draws may not reach.
+# Block edges that the draws may not reach.  A regenerated lockstep block
+# scored in a full slice and a partial one (64 + 2 points):
 @example(cfg=SweepConfig(n=300, transient=0, seed=1, grid=66, k_min=0, k_max=9, sigma=0.3,
                          alpha=0.3, regenerate_per_d=True, detail_path="detail.csv"))
+# Three counting blocks of the shared series, the last of one point:
+@example(cfg=SweepConfig(n=200, transient=5, seed=2, grid=7, k_min=0, k_max=2, sigma=0.3))
+# A counting block of the shared series scored in slices of 32, 32 and 3:
+@example(cfg=SweepConfig(n=300, transient=5, seed=3, grid=67, k_min=1, k_max=10, sigma=0.3,
+                         detail_path="detail.csv"))
+# Regenerated series: a lockstep block scored in slices of 16, 16 and 3,
+# then two points simulated on their own:
+@example(cfg=SweepConfig(n=300, transient=5, seed=4, grid=37, k_min=2, k_max=11, sigma=0.3,
+                         regenerate_per_d=True))
 @given(cfg=accepted_configs())
 def test_run_sweep_equals_per_d_oracle_on_accepted_configs(cfg):
-    with warnings.catch_warnings():
+    # Counted in the small blocks of small_count_budget, which accepted_configs
+    # draws its grids against; the default budget is one block for most grids.
+    import chaosinfer.sweep as sweep_mod
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("ignore", RuntimeWarning)
+        patch.setattr(sweep_mod, "COUNT_BLOCK_BYTES", small_count_budget(cfg.k_max))
         assert run_sweep(cfg) == per_d_sweep(cfg)
 
 
@@ -255,6 +289,43 @@ def test_wide_regenerated_block_steps_its_series_in_lockstep(monkeypatch, k_max)
     result = sweep_mod.run_sweep(cfg)
     assert seeds == [cfg.seed]
     assert result == per_d_sweep(cfg)
+
+
+def test_default_ensemble_steps_its_series_in_one_lockstep_run(monkeypatch):
+    # At k_max 8 a counting block holds 256 points, so 200 regenerated
+    # series step together, though they are scored in two slices.
+    import chaosinfer.sweep as sweep_mod
+
+    widths = []
+    real = sweep_mod.start_lockstep
+
+    def counted(seeds):
+        widths.append(len(seeds))
+        return real(seeds)
+
+    monkeypatch.setattr(sweep_mod, "start_lockstep", counted)
+    run_sweep(SweepConfig(n=300, transient=10, grid=200, k_max=8, regenerate_per_d=True))
+    assert widths == [200]
+
+
+def test_counting_memory_is_bounded_whatever_the_grid():
+    # Past the result, 40 bytes per (point, order) cell and 24 per point for
+    # its d, selected order and place in the grid, the peak is two
+    # order-k_max tables of a counting block (the difference array and one
+    # bincount's output, each COUNT_BLOCK_BYTES and a row) and the window
+    # chunk's or a scoring slice's temporaries, under 1 MB at this n.
+    def peak(grid):
+        cfg = SweepConfig(n=2000, transient=0, grid=grid, k_min=1, k_max=8)
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # first-call allocations
+    for grid in (1000, 4000):
+        assert peak(grid) - grid * (8 * 40 + 24) <= 2 * COUNT_BLOCK_BYTES + (1 << 20), grid
 
 
 def test_regenerated_block_memory_does_not_grow_with_n():
@@ -566,17 +637,6 @@ def test_json_and_detail_csv_in_one_pass_equal_separate_writes(tmp_path):
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
-def test_json_and_detail_csv_in_one_pass_stream_in_bounded_memory(tmp_path, large_result):
-    path = tmp_path / "out.json"
-    tracemalloc.start()
-    try:
-        emit(large_result, "json", str(path), str(tmp_path / "detail.csv"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.5 * path.stat().st_size
-
-
 @pytest.fixture
 def fails_part_way(monkeypatch):
     """A WIDE result with an infinite cell at its last point, which the
@@ -684,6 +744,13 @@ def test_emit_refuses_detail_of_a_result_scored_without_it(tmp_path):
     with pytest.raises(ConfigError, match="scored without detail"):
         emit(rebuilt(result), "csv", str(tmp_path / "a.csv"), str(tmp_path / "d.csv"))
     assert list(tmp_path.iterdir()) == []
+    # Nor can a config with a detail_path be put on it, whose detail would be
+    # the NaN cells of orders never scored; nor the other way round.
+    with pytest.raises(ValueError, match="scored without detail"):
+        dataclasses.replace(result, config=dataclasses.replace(result.config, detail_path="d.csv"))
+    scored = run_sweep(dataclasses.replace(result.config, detail_path="d.csv"))
+    with pytest.raises(ValueError, match="scored with detail"):
+        dataclasses.replace(scored, config=result.config)
 
 
 def test_emit_rejects_one_file_for_summary_and_detail(tmp_path, small_result):
@@ -1099,8 +1166,9 @@ def test_cli_json_and_detail_run_builds_no_detail_row(monkeypatch, tmp_path):
 
 
 def test_column_writer_streams_in_bounded_memory(tmp_path):
-    # Written from columns, the JSON's detail objects wait in a temporary
-    # file: peak traced memory stays under half the JSON's size.
+    # The JSON and the detail CSV are written in one pass from the result's
+    # columns, and the JSON's detail objects wait in a temporary file: peak
+    # traced memory stays under half the JSON's size.
     result = run_sweep(SweepConfig(n=300, transient=10, grid=1024, detail_path="detail.csv"))
     path = tmp_path / "out.json"
     tracemalloc.start()
