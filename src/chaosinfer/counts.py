@@ -9,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .symbolize import SymbolSequence
 
-# Transition counts are stored dense, alphabet**(order+1) entries total.
+# Transition counts are stored dense, 2**(order+1) entries total.
 MAX_TABLE_ENTRIES = 1 << 26
 # Windows sorted at once by grid_top_counts; bounds its temporaries.
 _WINDOW_CHUNK = 1 << 13
@@ -19,14 +19,13 @@ _WINDOW_CHUNK = 1 << 13
 class CountTable:
     """Transition counts n(context -> symbol) for one memory length.
 
-    Rows index contexts encoded as base-`alphabet_size` integers with the
-    oldest symbol most significant; columns index the next symbol.  A stack
-    of tables for several decision points carries a leading grid axis, shape
-    (G, alphabet_size**order, alphabet_size).
+    Rows index contexts encoded as binary integers with the oldest symbol
+    most significant; columns index the next symbol.  A stack of tables for
+    several decision points carries a leading grid axis, shape
+    (G, 2**order, 2).
     """
 
     order: int
-    alphabet_size: int
     table: np.ndarray
 
     @property
@@ -36,18 +35,24 @@ class CountTable:
 
 
 def _symbol_sum(x) -> np.ndarray:
-    """x summed over its last (symbol) axis.
+    """x summed over its last (symbol) axis, one elementwise add.
 
-    The symbol columns are added left to right, one elementwise add each:
-    numpy's own order for so short an axis, so the sums equal
-    x.sum(axis=-1) bit for bit, save that a row of negative zeros sums to
-    -0.0 where numpy gives +0.0.  A reduction over an axis of length 2
-    costs many times the add.
+    The sums equal x.sum(axis=-1) bit for bit, save that a row of negative
+    zeros sums to -0.0 where numpy gives +0.0.  A reduction over an axis of
+    length 2 costs many times the add.
     """
-    total = x[..., 0] + x[..., 1]
-    for j in range(2, x.shape[-1]):
-        total += x[..., j]
-    return total
+    return x[..., 0] + x[..., 1]
+
+
+def _window_codes(symbols, k) -> np.ndarray:
+    """The code of every window of k + 1 consecutive symbols along the first
+    axis, oldest symbol most significant, built from k + 1 shifted ORs."""
+    n_windows = len(symbols) - k
+    codes = symbols[:n_windows].astype(np.intp)
+    for j in range(1, k + 1):
+        codes <<= 1
+        codes |= symbols[j:j + n_windows]
+    return codes
 
 
 def transition_counts(seq: SymbolSequence, order: int) -> CountTable:
@@ -61,23 +66,18 @@ def transition_counts(seq: SymbolSequence, order: int) -> CountTable:
     n = len(seq)
     if n < order + 1:
         raise ValueError(f"sequence of length {n} too short for order {order}")
-    a = seq.alphabet_size
-    n_cells = a ** (order + 1)
+    n_cells = 2 << order
     if n_cells > MAX_TABLE_ENTRIES:
         raise ValueError(f"dense table with {n_cells} entries is too large")
-    symbols = seq.symbols
-    # At order 0 the windows are empty and every context code is 0.
-    powers = a ** np.arange(order - 1, -1, -1, dtype=np.int64)
-    ctx = sliding_window_view(symbols, order)[:-1] @ powers
-    flat = np.bincount(ctx * a + symbols[order:], minlength=n_cells)
-    return CountTable(order=order, alphabet_size=a, table=flat.reshape(a**order, a))
+    flat = np.bincount(_window_codes(seq.symbols, order), minlength=n_cells)
+    return CountTable(order=order, table=flat.reshape(n_cells >> 1, 2))
 
 
 def grid_transition_counts(states, thresholds, orders) -> dict[int, np.ndarray]:
     """Binary transition counts at every threshold, for every order, in one pass.
 
     Returns {k: int64 array of shape (len(thresholds), 2**(k+1))} whose row i
-    is transition_counts(symbolize(states, PartitionSpec.binary(thresholds[i])),
+    is transition_counts(symbolize(states, PartitionSpec(thresholds[i])),
     k).table flattened.  Thresholds must be ascending.  This is lower_orders
     of grid_top_counts at the largest order.
     """
@@ -159,18 +159,14 @@ def count_windows(table, states, thresholds, history) -> np.ndarray:
     counted too.  Returns the symbols of history and chunk together, shape
     (m + L, G): the caller keeps the last k as the next chunk's history.
 
-    A window's code is built from k + 1 shifted ORs, oldest symbol most
-    significant, and offset by g << (k + 1), so one bincount counts them all.
+    A window's code, from _window_codes, is offset by g << (k + 1), so one
+    bincount counts them all.
     """
     size = table.shape[1]
     k = size.bit_length() - 2
     symbols = np.concatenate([history, states >= thresholds])
-    n_windows = len(symbols) - k
-    if n_windows > 0:
-        codes = symbols[:n_windows].astype(np.intp)
-        for j in range(1, k + 1):
-            codes <<= 1
-            codes |= symbols[j:j + n_windows]
+    if len(symbols) > k:
+        codes = _window_codes(symbols, k)
         codes += np.arange(0, table.size, size)
         table += np.bincount(codes.ravel(), minlength=table.size).reshape(table.shape)
     return symbols

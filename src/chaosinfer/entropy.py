@@ -83,7 +83,7 @@ def expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
     log_q = np.log2(q_joint)
     h_joint = -_cell_sum(np.multiply(q_joint, log_q, out=log_q))
     h_ctx = -(q_ctx * np.log2(q_ctx)).sum(axis=-1)
-    n_free = q_joint.shape[-2] * (counts.alphabet_size - 1)
+    n_free = q_joint.shape[-2]
     return EntropyEstimate(
         expected_info=_scalar(nats / _LN2),
         h_rate_q=_scalar(h_joint - h_ctx),

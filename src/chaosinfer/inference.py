@@ -22,14 +22,11 @@ class DirichletPrior:
     """Symmetric Dirichlet prior: pseudo-count alpha on every (context, symbol) cell."""
 
     order: int
-    alphabet_size: int
     alpha: float
 
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError(f"order={self.order} must be >= 0")
-        if self.alphabet_size < 2:
-            raise ValueError(f"alphabet_size={self.alphabet_size} must be >= 2")
         if not isinstance(self.alpha, numbers.Real):
             raise ValueError(f"alpha={self.alpha!r} must be a single number")
         alpha = float(self.alpha)
@@ -48,13 +45,21 @@ class LogEvidence:
     value: float | np.ndarray
 
 
+def _check_binary(alphabet_size: int) -> None:
+    """Reject a symbol count other than 2, the binary one the library counts."""
+    if alphabet_size != 2:
+        raise ValueError(f"alphabet_size={alphabet_size}: only 2 symbols are supported")
+
+
 def uniform_prior(order: int, alphabet_size: int, value: float = 1.0) -> DirichletPrior:
     """Symmetric prior with every pseudo-count equal to `value`.
 
-    The default value 1 is flat over each transition row; the prior mean of
-    every transition probability is then 1/alphabet_size.
+    The second argument, the number of symbols, must be 2.  The default
+    value 1 is flat over each transition row; the prior mean of every
+    transition probability is then 1/2.
     """
-    return DirichletPrior(order=order, alphabet_size=alphabet_size, alpha=value)
+    _check_binary(alphabet_size)
+    return DirichletPrior(order=order, alpha=value)
 
 
 def _scalar(value):
@@ -79,10 +84,9 @@ def _cell_terms(f, table: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _check_match(counts: CountTable, prior: DirichletPrior) -> None:
-    if counts.order != prior.order or counts.alphabet_size != prior.alphabet_size:
+    if counts.order != prior.order:
         raise ValueError(
-            f"count table (order {counts.order}, alphabet {counts.alphabet_size}) does not "
-            f"match prior (order {prior.order}, alphabet {prior.alphabet_size})"
+            f"count table of order {counts.order} does not match prior of order {prior.order}"
         )
 
 
@@ -90,19 +94,18 @@ def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     """Closed-form log marginal likelihood with the rows integrated out.
 
     Per visited context the contribution is
-    lnGamma(m alpha) - m lnGamma(alpha) + sum_s lnGamma(n + alpha)
-    - lnGamma(n(ctx) + m alpha), m the alphabet size; unvisited contexts
-    contribute exactly 0.
+    lnGamma(2 alpha) - 2 lnGamma(alpha) + sum_s lnGamma(n + alpha)
+    - lnGamma(n(ctx) + 2 alpha); unvisited contexts contribute exactly 0.
 
-    A table with a leading grid axis, (G, contexts, alphabet), gives an
+    A table with a leading grid axis, (G, contexts, 2), gives an
     array of G evidences, each equal bit for bit to that row's own call; a
     single table gives a float.
     """
     _check_match(counts, prior)
-    a, m = prior.alpha, prior.alphabet_size
+    a = prior.alpha
     na_context = _symbol_sum(counts.table + a)
     cells = _symbol_sum(_cell_terms(gammaln, counts.table, a))
-    per_context = gammaln(m * a) - m * gammaln(a) + cells
+    per_context = gammaln(2 * a) - 2 * gammaln(a) + cells
     per_context -= gammaln(na_context, out=na_context)
     visited = counts.context_totals > 0
     value = np.where(visited, per_context, 0.0).sum(axis=-1)

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .counts import CountTable, transition_counts
-from .inference import DirichletPrior, log_evidence, uniform_prior
+from .inference import DirichletPrior, _check_binary, log_evidence, uniform_prior
 from .symbolize import SymbolSequence
 
 ORDER_PRIOR_KINDS = ("uniform", "size_penalty")
@@ -40,13 +40,11 @@ class OrderPosterior:
     selected: int
 
 
-def model_size(order: int, alphabet_size: int) -> int:
-    """Number of free transition parameters of an order-k chain."""
+def model_size(order: int) -> int:
+    """Number of free transition parameters of a binary order-k chain, 2**k."""
     if order < 0:
         raise ValueError(f"order={order} must be >= 0")
-    if alphabet_size < 2:
-        raise ValueError(f"alphabet_size={alphabet_size} must be >= 2")
-    return alphabet_size**order * (alphabet_size - 1)
+    return 1 << order
 
 
 def order_log_prior(order: int, alphabet_size: int, kind: str = "size_penalty") -> float:
@@ -55,13 +53,15 @@ def order_log_prior(order: int, alphabet_size: int, kind: str = "size_penalty") 
     size_penalty weights order k by exp(-model_size), uniform weights all
     orders equally.  Normalization happens when orders are compared.  Kinds
     may be spelled with a hyphen, as on the command line ("size-penalty").
+    The second argument, the number of symbols, must be 2.
     """
+    _check_binary(alphabet_size)
     kind = kind.replace("-", "_")
     if kind == "uniform":
         return 0.0
     if kind == "size_penalty":
         # float() raises OverflowError once the exact integer size leaves range.
-        return -float(model_size(order, alphabet_size))
+        return -float(model_size(order))
     raise ValueError(f"unknown order prior kind {kind!r}, expected one of {ORDER_PRIOR_KINDS}")
 
 
@@ -134,6 +134,6 @@ def order_posterior(
             f"sequence of length {len(seq)} too short for k_max={order_range.k_max}"
         )
     ks = list(order_range.orders())
-    priors = {k: uniform_prior(k, seq.alphabet_size, alpha) for k in ks}
+    priors = {k: uniform_prior(k, 2, alpha) for k in ks}
     les = order_log_evidences({k: transition_counts(seq, k) for k in ks}, priors)
-    return rank_orders(ks, les, [order_log_prior(k, seq.alphabet_size, kind) for k in ks])
+    return rank_orders(ks, les, [order_log_prior(k, 2, kind) for k in ks])

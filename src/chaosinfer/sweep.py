@@ -493,7 +493,7 @@ def _score_slices(ds, top, first, scored, orders, *args) -> list[_Block]:
     for at in range(0, len(ds), scored):
         part = slice(at, at + scored)
         stacked = lower_orders(top[part], first[part], orders)
-        tables = {k: CountTable(k, 2, stacked[k].reshape(len(ds[part]), -1, 2)) for k in orders}
+        tables = {k: CountTable(k, stacked[k].reshape(len(ds[part]), -1, 2)) for k in orders}
         try:
             blocks.append(_score(ds[part], tables, orders, *args))
         except Exception:
@@ -524,7 +524,7 @@ def _score_each(ds, tables, orders, log_priors, priors, want_detail) -> list[_Bl
     block of NaNs carrying its error, so a failed block holds one point."""
     blocks = []
     for i in range(len(ds)):
-        one = {k: CountTable(k, 2, t.table[i:i + 1]) for k, t in tables.items()}
+        one = {k: CountTable(k, t.table[i:i + 1]) for k, t in tables.items()}
         try:
             blocks.append(_score(ds[i:i + 1], one, orders, log_priors, priors, want_detail))
         except Exception as exc:

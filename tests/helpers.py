@@ -54,14 +54,14 @@ def count_words(seq: SymbolSequence, length: int) -> SimpleNamespace:
     return SimpleNamespace(counts=dict(Counter(map(tuple, windows))), total=len(windows))
 
 
-def encode_context(word, alphabet_size: int) -> int:
-    """Row index of a context word, oldest symbol most significant."""
-    return sum(int(s) * alphabet_size**i for i, s in enumerate(reversed(word)))
+def encode_context(word) -> int:
+    """Row index of a binary context word, oldest symbol most significant."""
+    return sum(int(s) * 2**i for i, s in enumerate(reversed(word)))
 
 
-def decode_context(index: int, order: int, alphabet_size: int) -> tuple[int, ...]:
+def decode_context(index: int, order: int) -> tuple[int, ...]:
     """Inverse of encode_context."""
-    return tuple(index // alphabet_size**i % alphabet_size for i in range(order - 1, -1, -1))
+    return tuple(index // 2**i % 2 for i in range(order - 1, -1, -1))
 
 
 def posterior_mean(counts: CountTable, prior: DirichletPrior) -> SimpleNamespace:
@@ -101,21 +101,21 @@ def reference_trajectory(map_spec: MapSpec, noise: NoiseSpec, n: int, transient:
     return states
 
 
-def sequential_log_evidence(symbols, order: int, alpha: float = 1.0, alphabet_size: int = 2) -> float:
+def sequential_log_evidence(symbols, order: int, alpha: float = 1.0) -> float:
     """Log marginal likelihood as a running product of predictive probabilities.
 
-    Conditioned on the first `order` symbols; each later symbol contributes
-    (count + alpha) / (context count + alpha * alphabet), with counts taken
-    over the history seen so far.
+    Conditioned on the first `order` binary symbols; each later symbol
+    contributes (count + alpha) / (context count + 2 alpha), with counts
+    taken over the history seen so far.
     """
     counts: dict[tuple[int, ...], list[float]] = {}
     syms = [int(s) for s in symbols]
     total = 0.0
     for t in range(order, len(syms)):
         ctx = tuple(syms[t - order : t])
-        row = counts.setdefault(ctx, [0.0] * alphabet_size)
+        row = counts.setdefault(ctx, [0.0, 0.0])
         s = syms[t]
-        total += math.log((row[s] + alpha) / (sum(row) + alpha * alphabet_size))
+        total += math.log((row[s] + alpha) / (sum(row) + alpha * 2))
         row[s] += 1.0
     return total
 
@@ -142,10 +142,10 @@ def _scalar(value):
 def reference_log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     """log_evidence as it was before its cell terms were gathered from a
     lookup table and its context sums became one add: gammaln of every cell."""
-    a, m = prior.alpha, prior.alphabet_size
+    a = prior.alpha
     na = counts.table + a
     na_context = na.sum(axis=-1)
-    per_context = gammaln(m * a) - m * gammaln(a) + gammaln(na, out=na).sum(axis=-1)
+    per_context = gammaln(2 * a) - 2 * gammaln(a) + gammaln(na, out=na).sum(axis=-1)
     per_context -= gammaln(na_context, out=na_context)
     visited = counts.table.sum(axis=-1) > 0
     value = np.where(visited, per_context, 0.0).sum(axis=-1)
@@ -170,7 +170,7 @@ def reference_expected_info(counts: CountTable, prior: DirichletPrior) -> Entrop
     log_q = np.log2(q_joint)
     h_joint = -cell_sum(np.multiply(q_joint, log_q, out=log_q))
     h_ctx = -(q_ctx * np.log2(q_ctx)).sum(axis=-1)
-    n_free = q_joint.shape[-2] * (counts.alphabet_size - 1)
+    n_free = q_joint.shape[-2]
     ln2 = math.log(2.0)
     return EntropyEstimate(
         expected_info=_scalar(nats / ln2),
@@ -240,27 +240,27 @@ def golden_mean_probs() -> np.ndarray:
 
 def sample_markov_sequence(probs: np.ndarray, order: int, n: int,
                            rng: np.random.Generator) -> SymbolSequence:
-    """Draw n symbols from a fixed chain given as rows p(symbol | context).
+    """Draw n binary symbols from a fixed chain given as rows p(symbol | context).
 
     The first `order` symbols are uniform; afterwards the rolling context
     indexes the transition rows.
     """
     probs = np.asarray(probs, dtype=float)
-    n_contexts, a = probs.shape
-    assert n_contexts == a**order
+    n_contexts = 2**order
+    assert probs.shape == (n_contexts, 2)
     cdf = probs.cumsum(axis=1)
     u = rng.random(n)
     out = np.empty(n, dtype=np.int64)
     for t in range(min(order, n)):
-        out[t] = min(int(u[t] * a), a - 1)
+        out[t] = min(int(u[t] * 2), 1)
     ctx = 0
     for t in range(order):
-        ctx = ctx * a + int(out[t])
+        ctx = ctx * 2 + int(out[t])
     for t in range(order, n):
         s = int(np.searchsorted(cdf[ctx], u[t], side="right"))
-        out[t] = min(s, a - 1)
-        ctx = (ctx * a + out[t]) % n_contexts
-    return SymbolSequence(out, a)
+        out[t] = min(s, 1)
+        ctx = (ctx * 2 + out[t]) % n_contexts
+    return SymbolSequence(out)
 
 
 def per_d_sweep(config: SweepConfig) -> SweepResult:

@@ -131,7 +131,7 @@ def test_c5_evidence_against_monte_carlo_and_predictive_product():
         order = int(inst_rng.integers(0, 3))
         n = int(inst_rng.integers(order + 2, 21))
         data = inst_rng.integers(0, 2, n)
-        counts = transition_counts(SymbolSequence(data, 2), order)
+        counts = transition_counts(SymbolSequence(data), order)
         log_exact = log_evidence(counts, uniform_prior(order, 2)).value
         mean, se = mc_evidence(counts.table, 1_000_000, mc_rng)
         max_z = max(max_z, abs(math.exp(log_exact) - mean) / se)
@@ -153,12 +153,12 @@ def test_c6_estimator_against_posterior_sampling_and_asymptotics():
         order = int(inst_rng.integers(0, 3))
         n = int(inst_rng.integers(order + 2, 51))
         data = inst_rng.integers(0, 2, n)
-        counts = transition_counts(SymbolSequence(data, 2), order)
+        counts = transition_counts(SymbolSequence(data), order)
         exact = expected_info(counts, uniform_prior(order, 2)).expected_info
         mean, se = mc_expected_info(counts.table, 1.0, 150_000, mc_rng)
         max_z = max(max_z, abs(exact - mean) / se)
 
-    coin = SymbolSequence(np.random.default_rng(5).integers(0, 2, 100_000), 2)
+    coin = SymbolSequence(np.random.default_rng(5).integers(0, 2, 100_000))
     counts = transition_counts(coin, 1)
     est = expected_info(counts, uniform_prior(1, 2))
     gap = abs(est.expected_info - (est.h_rate_q + est.kl_correction))

@@ -13,7 +13,7 @@ from helpers import count_words, decode_context, encode_context
 
 
 def bits(text: str) -> SymbolSequence:
-    return SymbolSequence(np.array([int(c) for c in text]), 2)
+    return SymbolSequence(np.array([int(c) for c in text]))
 
 
 bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
@@ -55,8 +55,8 @@ def test_transition_counts_constant():
 def test_transition_counts_order_two():
     ct = transition_counts(bits("0101"), 2)
     table = np.zeros((4, 2), dtype=int)
-    table[encode_context((0, 1), 2), 0] = 1
-    table[encode_context((1, 0), 2), 1] = 1
+    table[encode_context((0, 1)), 0] = 1
+    table[encode_context((1, 0)), 1] = 1
     assert np.array_equal(ct.table, table)
 
 
@@ -76,16 +76,15 @@ def test_transition_counts_too_short():
 
 
 def test_context_codec_round_trip():
-    for word in [(0,), (1, 0), (1, 1, 0), (0, 1, 2)]:
-        a = max(word) + 1 if max(word) > 1 else 2
-        assert decode_context(encode_context(word, a), len(word), a) == word
+    for word in [(0,), (1, 0), (1, 1, 0)]:
+        assert decode_context(encode_context(word), len(word)) == word
 
 
 @given(data=bit_lists, order=st.integers(0, 4))
 def test_mass_conservation(data, order):
     if len(data) < order + 1:
         return
-    ct = transition_counts(SymbolSequence(np.array(data), 2), order)
+    ct = transition_counts(SymbolSequence(np.array(data)), order)
     assert int(ct.table.sum()) == len(data) - order
     assert np.all(ct.table >= 0)
 
@@ -99,22 +98,22 @@ def test_circular_counts_match_word_counts(data, order):
         return
     s = np.array(data)
     circ = np.concatenate([s, s[:order]])
-    ct = transition_counts(SymbolSequence(circ, 2), order)
+    ct = transition_counts(SymbolSequence(circ), order)
     joint = {}
     for idx in range(ct.table.shape[0]):
         for sym in range(2):
             c = int(ct.table[idx, sym])
             if c:
-                joint[decode_context(idx, order, 2) + (sym,)] = c
-    assert joint == count_words(SymbolSequence(circ, 2), order + 1).counts
+                joint[decode_context(idx, order) + (sym,)] = c
+    assert joint == count_words(SymbolSequence(circ), order + 1).counts
 
     row_sums = {}
     for idx in range(ct.table.shape[0]):
         total = int(ct.table[idx].sum())
         if total:
-            row_sums[decode_context(idx, order, 2)] = total
+            row_sums[decode_context(idx, order)] = total
     circ_words = np.concatenate([s, s[: order - 1]]) if order > 1 else s
-    assert row_sums == count_words(SymbolSequence(circ_words, 2), order).counts
+    assert row_sums == count_words(SymbolSequence(circ_words), order).counts
 
 
 def assert_grid_counts_match_per_threshold(states, thresholds, orders):
@@ -124,7 +123,7 @@ def assert_grid_counts_match_per_threshold(states, thresholds, orders):
     top, first = grid_top_counts(states, thresholds, k_max)
     assert np.array_equal(top, got[k_max]) and first.shape == (len(thresholds), k_max)
     for i, d in enumerate(thresholds):
-        seq = symbolize(np.asarray(states), PartitionSpec.binary(d))
+        seq = symbolize(np.asarray(states), PartitionSpec(d))
         assert np.array_equal(first[i], seq.symbols[:k_max])
         for k in orders:
             want = transition_counts(seq, k).table.ravel()
@@ -212,7 +211,7 @@ def per_point_counts(spec, noise, n, transient, seeds, ds, k_max):
     top, first = [], []
     for seed, d in zip(seeds, ds):
         seq = symbolize(generate_trajectory(spec, noise, n, transient, seed),
-                        PartitionSpec.binary(d))
+                        PartitionSpec(d))
         top.append(transition_counts(seq, k_max).table.ravel())
         first.append(seq.symbols[:k_max])
     return np.array(top), np.array(first).reshape(len(ds), k_max)

@@ -24,7 +24,7 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def zeros_table(order: int) -> CountTable:
-    return CountTable(order=order, alphabet_size=2, table=np.zeros((2**order, 2), dtype=int))
+    return CountTable(order=order, table=np.zeros((2**order, 2), dtype=int))
 
 
 def test_digamma_at_one_is_minus_euler_gamma():
@@ -74,8 +74,8 @@ def test_digamma_vectorized():
 def test_stacked_estimates_equal_per_table_calls(data, order, rows, alpha):
     table = data.draw(count_stack(order, rows))
     prior = uniform_prior(order, 2, alpha)
-    stacked = expected_info(CountTable(order, 2, table), prior)
-    singles = [expected_info(CountTable(order, 2, t), prior) for t in table]
+    stacked = expected_info(CountTable(order, table), prior)
+    singles = [expected_info(CountTable(order, t), prior) for t in table]
     for name in ("expected_info", "h_rate_q", "kl_correction"):
         column = getattr(stacked, name)
         assert isinstance(column, np.ndarray) and column.shape == (rows,)
@@ -105,7 +105,7 @@ def test_kernels_match_frozen_references(rows, order, top_share, alpha, seed):
     table[rng.random(shape[:2]) < 0.3] = 0
     table.flat[rng.integers(table.size)] = top
     prior = uniform_prior(order, 2, alpha)
-    for counts in [CountTable(order, 2, table)] + [CountTable(order, 2, t) for t in table]:
+    for counts in [CountTable(order, table)] + [CountTable(order, t) for t in table]:
         assert (np.asarray(log_evidence(counts, prior).value).tobytes()
                 == np.asarray(reference_log_evidence(counts, prior).value).tobytes())
         got, want = expected_info(counts, prior), reference_expected_info(counts, prior)
@@ -128,7 +128,7 @@ def test_kl_correction_zero_data_order_zero():
 
 def test_fair_coin_large_sample_info_near_one_bit():
     rng = np.random.default_rng(12)
-    seq = SymbolSequence(rng.integers(0, 2, 50_000), 2)
+    seq = SymbolSequence(rng.integers(0, 2, 50_000))
     est = expected_info(transition_counts(seq, 1), uniform_prior(1, 2))
     assert est.expected_info == pytest.approx(1.0, abs=0.01)
     assert est.kl_correction == pytest.approx(2.0 / (2.0 * (50_000 - 1 + 4) * LN2), abs=1e-12)
@@ -136,21 +136,21 @@ def test_fair_coin_large_sample_info_near_one_bit():
 
 def test_expected_and_asymptotic_agree_on_large_samples():
     rng = np.random.default_rng(13)
-    seq = SymbolSequence(rng.integers(0, 2, 50_000), 2)
+    seq = SymbolSequence(rng.integers(0, 2, 50_000))
     est = expected_info(transition_counts(seq, 1), uniform_prior(1, 2))
     assert abs(est.expected_info - (est.h_rate_q + est.kl_correction)) < 1e-3
 
 
 def test_unit_coherence_info_decomposition():
     rng = np.random.default_rng(14)
-    seq = SymbolSequence(rng.integers(0, 2, 2_000), 2)
+    seq = SymbolSequence(rng.integers(0, 2, 2_000))
     est = expected_info(transition_counts(seq, 2), uniform_prior(2, 2))
     # The digamma expectation sits within o(1/beta) of plug-in rate + correction.
     assert abs(est.expected_info - est.h_rate_q - est.kl_correction) < 1e-5
 
 
 def test_degenerate_stream_info_is_small():
-    seq = SymbolSequence(np.ones(10_000, dtype=int), 2)
+    seq = SymbolSequence(np.ones(10_000, dtype=int))
     est = expected_info(transition_counts(seq, 1), uniform_prior(1, 2))
     assert est.expected_info < 0.01
 
@@ -161,7 +161,7 @@ def test_expected_info_matches_posterior_sampling_smoke():
     for _ in range(3):
         order = int(rng.integers(0, 3))
         n = int(rng.integers(order + 2, 51))
-        seq = SymbolSequence(rng.integers(0, 2, n), 2)
+        seq = SymbolSequence(rng.integers(0, 2, n))
         counts = transition_counts(seq, order)
         exact = expected_info(counts, uniform_prior(order, 2)).expected_info
         mean, se = mc_expected_info(counts.table, 1.0, 200_000, mc_rng)
@@ -172,7 +172,7 @@ def test_expected_info_matches_posterior_sampling_smoke():
 @given(seed=st.integers(0, 10_000))
 def test_info_estimates_nonnegative_on_random_sources(seed):
     rng = np.random.default_rng(seed)
-    seq = SymbolSequence(rng.integers(0, 2, 256), 2)
+    seq = SymbolSequence(rng.integers(0, 2, 256))
     est = expected_info(transition_counts(seq, 1), uniform_prior(1, 2))
     assert est.expected_info >= 0.0
     assert est.h_rate_q >= 0.0

@@ -19,7 +19,7 @@ from helpers import (
 
 
 def bits(text: str) -> SymbolSequence:
-    return SymbolSequence(np.array([int(c) for c in text]), 2)
+    return SymbolSequence(np.array([int(c) for c in text]))
 
 
 bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=12)
@@ -29,9 +29,9 @@ def test_uniform_prior_flat_and_shaped():
     # One pseudo-count for every cell, a Python float whatever number it was given.
     prior = uniform_prior(8, 2, 1.0)
     assert type(prior.alpha) is float and prior.alpha == 1.0
-    assert (prior.order, prior.alphabet_size) == (8, 2)
+    assert prior.order == 8
     for value in (2, np.float32(0.5), np.int64(3)):
-        assert type(uniform_prior(0, 3, value).alpha) is float
+        assert type(uniform_prior(0, 2, value).alpha) is float
     assert uniform_prior(0, 2).alpha == 1.0
     for order, alphabet in ((-1, 2), (1, 1)):
         with pytest.raises(ValueError):
@@ -39,7 +39,7 @@ def test_uniform_prior_flat_and_shaped():
 
 
 def test_uniform_prior_mean_is_inverse_alphabet():
-    zero = CountTable(order=1, alphabet_size=2, table=np.zeros((2, 2), dtype=int))
+    zero = CountTable(order=1, table=np.zeros((2, 2), dtype=int))
     params = posterior_mean(zero, uniform_prior(1, 2))
     assert np.all(params.probs == 0.5)
 
@@ -49,7 +49,7 @@ def test_prior_rejects_nonpositive_alpha():
     # are rejected by both constructors.
     for alpha in (0.0, -1.0, math.nan, math.inf, np.array([[1.0, 1.0]])):
         with pytest.raises(ValueError):
-            DirichletPrior(order=0, alphabet_size=2, alpha=alpha)
+            DirichletPrior(order=0, alpha=alpha)
         with pytest.raises(ValueError):
             uniform_prior(0, 2, alpha)
 
@@ -73,8 +73,8 @@ def test_log_evidence_order_one_unvisited_context_contributes_nothing():
 def test_stacked_log_evidence_equals_per_table_calls(data, order, rows, alpha):
     table = data.draw(count_stack(order, rows))
     prior = uniform_prior(order, 2, alpha)
-    stacked = log_evidence(CountTable(order, 2, table), prior)
-    singles = [log_evidence(CountTable(order, 2, t), prior).value for t in table]
+    stacked = log_evidence(CountTable(order, table), prior)
+    singles = [log_evidence(CountTable(order, t), prior).value for t in table]
     assert isinstance(stacked.value, np.ndarray) and stacked.value.shape == (rows,)
     assert all(isinstance(v, float) for v in singles)
     assert stacked.value.tolist() == singles
@@ -91,7 +91,7 @@ def test_log_evidence_mismatched_prior_rejected():
 def test_log_evidence_matches_sequential_predictive(data, order):
     if len(data) < order + 1:
         return
-    seq = SymbolSequence(np.array(data), 2)
+    seq = SymbolSequence(np.array(data))
     lev = log_evidence(transition_counts(seq, order), uniform_prior(order, 2))
     assert lev.value == pytest.approx(sequential_log_evidence(data, order), abs=1e-10)
     assert lev.value <= 1e-12
@@ -104,8 +104,8 @@ def test_evidence_chain_rule_over_splits(data, order, split):
     if len(data) < order + 2:
         return
     split = min(max(split, order + 1), len(data) - 1)
-    seq = SymbolSequence(np.array(data), 2)
-    head = SymbolSequence(np.array(data[:split]), 2)
+    seq = SymbolSequence(np.array(data))
+    head = SymbolSequence(np.array(data[:split]))
     lev_full = log_evidence(transition_counts(seq, order), uniform_prior(order, 2)).value
     lev_head = log_evidence(transition_counts(head, order), uniform_prior(order, 2)).value
     tail_predictive = sequential_log_evidence(data, order) - sequential_log_evidence(data[:split], order)
@@ -116,15 +116,15 @@ def test_evidence_chain_rule_over_splits(data, order, split):
 def test_evidence_invariant_under_relabeling(data, order):
     if len(data) < order + 1:
         return
-    seq = SymbolSequence(np.array(data), 2)
-    flipped = SymbolSequence(1 - np.array(data), 2)
+    seq = SymbolSequence(np.array(data))
+    flipped = SymbolSequence(1 - np.array(data))
     a = log_evidence(transition_counts(seq, order), uniform_prior(order, 2)).value
     b = log_evidence(transition_counts(flipped, order), uniform_prior(order, 2)).value
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_posterior_mean_direct_substitution():
-    counts = CountTable(order=1, alphabet_size=2, table=np.array([[1, 3], [0, 0]]))
+    counts = CountTable(order=1, table=np.array([[1, 3], [0, 0]]))
     params = posterior_mean(counts, uniform_prior(1, 2))
     assert params.probs[0, 1] == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert params.probs[1].tolist() == [0.5, 0.5]
@@ -135,7 +135,7 @@ def test_posterior_mean_direct_substitution():
     alpha=st.floats(0.1, 5.0),
 )
 def test_posterior_rows_sum_to_one(table, alpha):
-    counts = CountTable(order=1, alphabet_size=2, table=np.array(table).reshape(2, 2))
+    counts = CountTable(order=1, table=np.array(table).reshape(2, 2))
     params = posterior_mean(counts, uniform_prior(1, 2, alpha))
     assert np.all(np.abs(params.probs.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -146,7 +146,7 @@ def test_log_evidence_matches_monte_carlo_smoke():
     for _ in range(3):
         order = int(rng.integers(0, 3))
         n = int(rng.integers(order + 2, 16))
-        seq = SymbolSequence(rng.integers(0, 2, n), 2)
+        seq = SymbolSequence(rng.integers(0, 2, n))
         counts = transition_counts(seq, order)
         exact = math.exp(log_evidence(counts, uniform_prior(order, 2)).value)
         mean, se = mc_evidence(counts.table, 200_000, mc_rng)

@@ -22,12 +22,21 @@ from chaosinfer.symbolize import SymbolSequence
 
 
 def test_model_size_values():
-    assert model_size(3, 2) == 8
-    assert model_size(0, 2) == 1
-    assert model_size(2, 3) == 18
-    for order, alphabet in ((-1, 2), (1, 1)):
-        with pytest.raises(ValueError):
-            model_size(order, alphabet)
+    assert model_size(3) == 8
+    assert model_size(0) == 1
+    with pytest.raises(ValueError):
+        model_size(-1)
+
+
+@pytest.mark.parametrize("prior", [
+    lambda k: uniform_prior(k, 3),
+    lambda k: order_log_prior(k, 3, "uniform"),
+    lambda k: order_log_prior(k, 3, "size_penalty"),
+])
+def test_priors_reject_alphabets_other_than_binary(prior):
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="only 2 symbols"):
+            prior(k)
 
 
 def test_order_log_prior_values():
@@ -100,14 +109,14 @@ def test_rank_orders_posterior_normalized(scores, priors):
 )
 def test_stacked_order_scoring_equals_per_row_rankings(data, k_max, rows, alpha, kind):
     orders = range(k_max + 1)
-    tables = {k: CountTable(k, 2, data.draw(count_stack(k, rows))) for k in orders}
+    tables = {k: CountTable(k, data.draw(count_stack(k, rows))) for k in orders}
     priors = {k: uniform_prior(k, 2, alpha) for k in orders}
     log_priors = [order_log_prior(k, 2, kind) for k in orders]
     les = order_log_evidences(tables, priors)
     post, best = posterior_over_orders(les, log_priors)
     assert les.shape == post.shape == (rows, k_max + 1)
     for i in range(rows):
-        row = order_log_evidences({k: CountTable(k, 2, t.table[i]) for k, t in tables.items()},
+        row = order_log_evidences({k: CountTable(k, t.table[i]) for k, t in tables.items()},
                                   priors)
         ranking = rank_orders(orders, row, log_priors)
         assert les[i].tolist() == list(ranking.log_evidence)
@@ -116,7 +125,7 @@ def test_stacked_order_scoring_equals_per_row_rankings(data, k_max, rows, alpha,
 
 
 def test_periodic_sequence_selects_order_one():
-    seq = SymbolSequence(np.tile([0, 1], 1000), 2)
+    seq = SymbolSequence(np.tile([0, 1], 1000))
     ranking = order_posterior(seq, OrderRange(1, 3), "size_penalty")
     assert ranking.selected == 1
     # Evidence is nearly flat across orders on this string, so the posterior
@@ -126,7 +135,7 @@ def test_periodic_sequence_selects_order_one():
 
 def test_iid_coin_selects_order_one():
     rng = np.random.default_rng(9)
-    seq = SymbolSequence(rng.integers(0, 2, 10_000), 2)
+    seq = SymbolSequence(rng.integers(0, 2, 10_000))
     ranking = order_posterior(seq, OrderRange(1, 8), "size_penalty")
     assert ranking.selected == 1
     assert ranking.posterior[0] > 0.99
@@ -134,28 +143,28 @@ def test_iid_coin_selects_order_one():
 
 def test_iid_coin_with_k0_admitted():
     rng = np.random.default_rng(9)
-    seq = SymbolSequence(rng.integers(0, 2, 4096), 2)
+    seq = SymbolSequence(rng.integers(0, 2, 4096))
     ranking = order_posterior(seq, OrderRange(0, 2), "size_penalty")
     assert ranking.selected == 0
 
 
 def test_degenerate_range_single_order():
-    seq = SymbolSequence(np.tile([0, 1], 50), 2)
+    seq = SymbolSequence(np.tile([0, 1], 50))
     ranking = order_posterior(seq, OrderRange(2, 2), "size_penalty")
     assert ranking.selected == 2
     assert ranking.posterior == (1.0,)
 
 
 def test_order_posterior_sequence_too_short():
-    seq = SymbolSequence(np.array([0, 1, 0]), 2)
+    seq = SymbolSequence(np.array([0, 1, 0]))
     with pytest.raises(ValueError):
         order_posterior(seq, OrderRange(1, 3), "size_penalty")
 
 
 @given(data=st.lists(st.integers(0, 1), min_size=8, max_size=64))
 def test_selection_invariant_under_relabeling(data):
-    seq = SymbolSequence(np.array(data), 2)
-    flipped = SymbolSequence(1 - np.array(data), 2)
+    seq = SymbolSequence(np.array(data))
+    flipped = SymbolSequence(1 - np.array(data))
     a = order_posterior(seq, OrderRange(1, 2), "size_penalty")
     b = order_posterior(flipped, OrderRange(1, 2), "size_penalty")
     assert a.selected == b.selected

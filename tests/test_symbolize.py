@@ -16,30 +16,31 @@ unit_floats = st.floats(0.0, 1.0)
 
 
 def test_threshold_symbols():
-    seq = symbolize(np.array([0.2, 0.7, 0.5]), PartitionSpec.binary(0.5))
+    seq = symbolize(np.array([0.2, 0.7, 0.5]), PartitionSpec(0.5))
     assert seq.symbols.tolist() == [0, 1, 1]
 
 
 def test_decision_point_zero_gives_all_ones():
-    seq = symbolize(np.array([0.0, 0.3, 0.99, 1.0]), PartitionSpec.binary(0.0))
+    seq = symbolize(np.array([0.0, 0.3, 0.99, 1.0]), PartitionSpec(0.0))
     assert seq.symbols.tolist() == [1, 1, 1, 1]
 
 
 def test_decision_point_one_gives_zeros_except_exact_one():
-    seq = symbolize(np.array([0.0, 0.3, 0.999999, 1.0]), PartitionSpec.binary(1.0))
+    seq = symbolize(np.array([0.0, 0.3, 0.999999, 1.0]), PartitionSpec(1.0))
     assert seq.symbols.tolist() == [0, 0, 0, 1]
 
 
 def test_symbolize_accepts_trajectory():
     traj = generate_trajectory(MapSpec(), NoiseSpec(1e-3), 50, 10, seed=1)
-    seq = symbolize(traj, PartitionSpec.binary(0.5))
+    seq = symbolize(traj, PartitionSpec(0.5))
     assert len(seq) == 50
-    assert seq.alphabet_size == 2
+    assert set(seq.symbols.tolist()) <= {0, 1}
 
 
 def test_symbolize_rejects_out_of_range_states():
-    with pytest.raises(ValueError):
-        symbolize(np.array([0.2, 1.2]), PartitionSpec.binary(0.5))
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            symbolize(np.array([0.2, bad, 0.7]), PartitionSpec(0.5))
 
 
 def test_decision_grid_small():
@@ -68,34 +69,23 @@ def test_decision_points_are_the_grid_thresholds(count):
     assert points.tolist() == [p.decision_point for p in decision_grid(count)]
 
 
-def test_multicell_partition():
-    part = PartitionSpec((0.25, 0.75))
-    assert part.alphabet_size == 3
-    seq = symbolize(np.array([0.1, 0.25, 0.5, 0.75, 1.0]), part)
-    assert seq.symbols.tolist() == [0, 1, 1, 2, 2]
-
-
 def test_partition_spec_validation():
-    with pytest.raises(ValueError):
-        PartitionSpec(())
-    with pytest.raises(ValueError):
-        PartitionSpec((0.5, 0.5))
-    with pytest.raises(ValueError):
-        PartitionSpec((-0.1,))
-    with pytest.raises(ValueError):
-        PartitionSpec((0.25, 0.75)).decision_point
+    assert PartitionSpec(np.float32(0.5)).decision_point == 0.5
+    for d in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            PartitionSpec(d)
 
 
-def test_symbol_sequence_validates_alphabet():
-    with pytest.raises(ValueError):
-        SymbolSequence(np.array([0, 2]), alphabet_size=2)
-    with pytest.raises(ValueError, match="alphabet_size=0"):
-        SymbolSequence(np.array([], dtype=int), alphabet_size=0)
+def test_symbol_sequence_validates_binary_symbols():
+    assert SymbolSequence(np.array([True, False])).symbols.tolist() == [1, 0]
+    for symbols in ([0, 2], [0, -1], [0.9, 1.2], [0.0, np.nan]):
+        with pytest.raises(ValueError):
+            SymbolSequence(np.array(symbols))
 
 
 @given(x=unit_floats, d=unit_floats)
 def test_exactly_one_cell_contains_each_state(x, d):
-    symbol = int(symbolize(np.array([x]), PartitionSpec.binary(d)).symbols[0])
+    symbol = int(symbolize(np.array([x]), PartitionSpec(d)).symbols[0])
     in_low = 0.0 <= x < d
     in_high = d <= x <= 1.0
     assert in_low + in_high == 1
@@ -110,6 +100,6 @@ def test_exactly_one_cell_contains_each_state(x, d):
 def test_raising_threshold_only_turns_ones_into_zeros(states, d1, d2):
     lo, hi = sorted((d1, d2))
     arr = np.array(states)
-    s_lo = symbolize(arr, PartitionSpec.binary(lo)).symbols
-    s_hi = symbolize(arr, PartitionSpec.binary(hi)).symbols
+    s_lo = symbolize(arr, PartitionSpec(lo)).symbols
+    s_hi = symbolize(arr, PartitionSpec(hi)).symbols
     assert np.all(s_hi <= s_lo)
