@@ -8,11 +8,7 @@ counts, closed-form Dirichlet-multinomial evidence, order selection under a
 model-size penalty, and digamma-based entropy-rate estimates.
 """
 
-from .counts import (
-    CountTable,
-    grid_transition_counts,
-    transition_counts,
-)
+from .counts import CountTable, transition_counts
 from .dynamics import (
     MapSpec,
     NoiseSpec,

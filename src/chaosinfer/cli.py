@@ -78,7 +78,7 @@ def _read_config_file(path: str) -> dict[str, object]:
         # utf-8-sig drops a leading byte-order mark, which editors may write.
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     values: dict[str, object] = {}
     for lineno, raw in enumerate(lines, 1):
@@ -117,10 +117,6 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         result = run_sweep(config)
         emit(result, config.out_format, config.out_path, config.detail_path)
     except ConfigError as exc:

@@ -28,6 +28,11 @@ class CountTable:
     order: int
     table: np.ndarray
 
+    def __post_init__(self) -> None:
+        if self.order < 0 or self.table.shape[-2:] != (1 << self.order, 2):
+            raise ValueError(f"order {self.order} must be >= 0 and its table of shape "
+                             f"(..., 2**order, 2), not {self.table.shape}")
+
     @property
     def context_totals(self) -> np.ndarray:
         """Occurrences of each context, n(context) = sum_s n(context -> s)."""
@@ -71,20 +76,6 @@ def transition_counts(seq: SymbolSequence, order: int) -> CountTable:
         raise ValueError(f"dense table with {n_cells} entries is too large")
     flat = np.bincount(_window_codes(seq.symbols, order), minlength=n_cells)
     return CountTable(order=order, table=flat.reshape(n_cells >> 1, 2))
-
-
-def grid_transition_counts(states, thresholds, orders) -> dict[int, np.ndarray]:
-    """Binary transition counts at every threshold, for every order, in one pass.
-
-    Returns {k: int64 array of shape (len(thresholds), 2**(k+1))} whose row i
-    is transition_counts(symbolize(states, PartitionSpec(thresholds[i])),
-    k).table flattened.  Thresholds must be ascending.  This is lower_orders
-    of grid_top_counts at the largest order.
-    """
-    orders = sorted({int(k) for k in orders})
-    if not orders or orders[0] < 0:
-        raise ValueError(f"orders {orders} must be non-empty and >= 0")
-    return lower_orders(*grid_top_counts(states, thresholds, orders[-1]), orders)
 
 
 def grid_top_counts(states, thresholds, k_max) -> tuple[np.ndarray, np.ndarray]:

@@ -107,6 +107,12 @@ def _setting(default, text: str, *, choices=None, flag=None):
     )
 
 
+# The values of each type a SweepConfig field is annotated with: an int
+# passes for a float, numpy scalars pass, and only a bool field takes a bool.
+_TYPES = {"bool": (bool, np.bool_), "int": (int, np.integer), "str": str, "None": type(None),
+          "float": (int, float, np.integer, np.floating)}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Settings for one sweep.
@@ -145,6 +151,10 @@ class SweepConfig:
     def validate(self) -> None:
         for field in dataclasses.fields(self):
             choices, value = field.metadata["choices"], getattr(self, field.name)
+            types = tuple(_TYPES[name] for name in field.type.split(" | "))
+            is_bool = isinstance(value, (bool, np.bool_))
+            if not isinstance(value, types) or is_bool != (field.type == "bool"):
+                raise ConfigError(f"{field.name}={value!r} is not of type {field.type}")
             if choices is not None and value not in choices:
                 raise ConfigError(f"{field.name} {value!r} must be one of {choices}")
         try:
@@ -298,10 +308,8 @@ class SweepResult:
         """The result whose rows and detail rows are `rows` and `detail`; a
         row's estimates are its detail rows' if config.detail_path is set.  A
         failed row, one with an error, is a block of its own, and each run of
-        other rows is a block.  ValueError if the result's rows or detail rows
-        are not those given, as for an order outside the range, a failed row
-        with an order, a per-order list of the wrong length, a detail row too
-        many or too few, or a row that disagrees with its detail rows."""
+        other rows is a block.  ValueError(ROUND_TRIP) unless the blocks
+        built write back exactly the given rows and detail rows."""
         return _from_cells(config, lyapunov_bits, map(dataclasses.astuple, rows),
                            map(dataclasses.astuple, detail))
 
@@ -343,46 +351,47 @@ class SweepResult:
         return rows, failed, detail, peak
 
 
+# The one check of a result made from rows or read from JSON.
+ROUND_TRIP = "the blocks built must write back exactly the given rows and detail rows"
+# What cells of the wrong kind or number raise while a result is built from them.
+_BAD_CELLS = (ArithmeticError, LookupError, TypeError, ValueError)
+
+
 def _from_cells(config, lyapunov_bits, rows, detail) -> SweepResult:
     """SweepResult.from_rows of rows and detail rows given as tuples of their
     cells in field order.  A row's cells are d, k_selected, its three
     estimates, log_evidence, p_order and error; a detail row's are d, k, its
-    three estimates, log_evidence and p_order."""
-    orders = _orders(config)
-    width = len(orders)
-    rows, detail = list(rows), list(detail)
-    ok = np.array([row[-1] is None for row in rows], dtype=bool)
-    good = [row for row in rows if row[-1] is None]
-    for row in good:
-        _, k, _, _, _, les, post, _ = row
-        if k not in orders or {len(les), len(post)} != {width}:
-            raise ValueError(f"row {row!r} needs an order in [{config.k_min}, {config.k_max}] "
-                             f"and {width} values in each per-order list")
-    if config.detail_path is not None and len(detail) != len(good) * width:
-        raise ValueError(f"{len(detail)} detail rows, not {width} for each of the "
-                         f"{len(good)} rows without an error")
-    best = np.full(len(rows), -1)
-    best[ok] = [orders.index(row[1]) for row in good]
-    values = np.full((5, len(rows), width), np.nan)
-    per_order = np.array([row[5:7] for row in good], dtype=float)
-    values[3:, ok] = per_order.reshape(-1, 2, width).swapaxes(0, 1)
-    if config.detail_path is not None:
-        estimates = np.array([cells[2:5] for cells in detail], dtype=float).reshape(-1, width, 3)
-        values[:3, ok] = estimates.transpose(2, 0, 1)
-    # A row's estimates go to its selected order, over its detail row's.
-    estimates = np.array([row[2:5] for row in good], dtype=float).reshape(-1, 3)
-    values[:3, ok.nonzero()[0], best[ok]] = estimates.T
-    d = np.array([row[0] for row in rows], dtype=float)
-    failed = (~ok).nonzero()[0].tolist()
-    cuts = sorted({0, len(rows), *failed, *(i + 1 for i in failed)})
-    result = SweepResult(config, lyapunov_bits, tuple(
-        _Block(d[a:b], best[a:b], values[:, a:b], config.detail_path is not None, rows[a][-1])
-        for a, b in zip(cuts, cuts[1:])))
-    if not _same((tuple(_row_cells(result)), tuple(_detail_cells(result))),
+    three estimates, log_evidence and p_order.  Any failure to build the
+    blocks, and blocks that break ROUND_TRIP, is ValueError(ROUND_TRIP)."""
+    try:
+        orders = _orders(config)
+        width = len(orders)
+        rows, detail = list(rows), list(detail)
+        ok = np.array([row[-1] is None for row in rows], dtype=bool)
+        good = [row for row in rows if row[-1] is None]
+        best = np.full(len(rows), -1)
+        best[ok] = [orders.index(row[1]) for row in good]
+        values = np.full((5, len(rows), width), np.nan)
+        per_order = np.array([row[5:7] for row in good], dtype=float)
+        values[3:, ok] = per_order.reshape(-1, 2, width).swapaxes(0, 1)
+        if config.detail_path is not None:
+            estimates = np.array([cells[2:5] for cells in detail], dtype=float)
+            values[:3, ok] = estimates.reshape(-1, width, 3).transpose(2, 0, 1)
+        # A row's estimates go to its selected order, over its detail row's.
+        estimates = np.array([row[2:5] for row in good], dtype=float).reshape(-1, 3)
+        values[:3, ok.nonzero()[0], best[ok]] = estimates.T
+        d = np.array([row[0] for row in rows], dtype=float)
+        failed = (~ok).nonzero()[0].tolist()
+        cuts = sorted({0, len(rows), *failed, *(i + 1 for i in failed)})
+        result = SweepResult(config, lyapunov_bits, tuple(
+            _Block(d[a:b], best[a:b], values[:, a:b], config.detail_path is not None, rows[a][-1])
+            for a, b in zip(cuts, cuts[1:])))
+        if _same((tuple(_row_cells(result)), tuple(_detail_cells(result))),
                  (tuple(rows), tuple(detail))):
-        raise ValueError("a failed row has an order or an estimate, or a row's estimates, "
-                         "log_evidence or p_order are not its detail rows'")
-    return result
+            return result
+    except _BAD_CELLS as exc:
+        raise ValueError(ROUND_TRIP) from exc
+    raise ValueError(ROUND_TRIP)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -787,13 +796,15 @@ def emit(result: SweepResult, out_format: str, path: str, detail_path: str | Non
 
 
 def load_sweep_json(path: str) -> SweepResult:
-    """Reload a JSON summary written by emit(); one that SweepResult.from_rows
-    would reject, which no result writes, is a ValueError."""
+    """Reload a JSON summary written by emit().  Any other JSON is
+    ValueError(ROUND_TRIP), as from_rows would reject it or it lacks a part."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return _from_cells(
-        SweepConfig(*_loaded(SweepConfig, obj["config"])),
-        _read_float(obj["lyapunov_bits"]),
-        [_loaded(SweepRow, r) for r in obj["rows"]],
-        [_loaded(DetailRow, r) for r in obj["detail"]],
-    )
+    try:
+        config = SweepConfig(*_loaded(SweepConfig, obj["config"]))
+        rows = [_loaded(SweepRow, r) for r in obj["rows"]]
+        detail = [_loaded(DetailRow, r) for r in obj["detail"]]
+        lyapunov_bits = _read_float(obj["lyapunov_bits"])
+    except _BAD_CELLS as exc:
+        raise ValueError(ROUND_TRIP) from exc
+    return _from_cells(config, lyapunov_bits, rows, detail)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaosinfer.sweep as sweep_mod
-from chaosinfer.counts import grid_top_counts, grid_transition_counts, transition_counts
+from chaosinfer.counts import CountTable, grid_top_counts, lower_orders, transition_counts
 from chaosinfer.dynamics import MAX_SIGMA, MapSpec, NoiseSpec, generate_trajectory
 from chaosinfer.symbolize import PartitionSpec, SymbolSequence, symbolize
 from helpers import count_words, decode_context, encode_context
@@ -75,6 +75,13 @@ def test_transition_counts_too_short():
         transition_counts(bits("0" * 30), 26)  # 2**27 entries
 
 
+@pytest.mark.parametrize("order, shape", [(3, (4, 2)), (1, (2, 3)), (2, (4,)), (-1, (1, 2)),
+                                          (2, (5, 2, 2))])
+def test_count_table_shape_must_match_its_order(order, shape):
+    with pytest.raises(ValueError, match=r"of shape \(\.\.\., 2\*\*order, 2\)"):
+        CountTable(order, np.zeros(shape, dtype=np.int64))
+
+
 def test_context_codec_round_trip():
     for word in [(0,), (1, 0), (1, 1, 0)]:
         assert decode_context(encode_context(word), len(word)) == word
@@ -117,11 +124,12 @@ def test_circular_counts_match_word_counts(data, order):
 
 
 def assert_grid_counts_match_per_threshold(states, thresholds, orders):
-    got = grid_transition_counts(states, thresholds, orders)
-    assert sorted(got) == sorted(set(orders))
-    k_max = max(orders)
+    orders = sorted(orders)
+    k_max = orders[-1]
     top, first = grid_top_counts(states, thresholds, k_max)
-    assert np.array_equal(top, got[k_max]) and first.shape == (len(thresholds), k_max)
+    assert first.shape == (len(thresholds), k_max)
+    got = lower_orders(top, first, orders)
+    assert sorted(got) == orders
     for i, d in enumerate(thresholds):
         seq = symbolize(np.asarray(states), PartitionSpec(d))
         assert np.array_equal(first[i], seq.symbols[:k_max])
@@ -165,15 +173,13 @@ def test_grid_counts_across_window_chunks(monkeypatch):
 
 def test_grid_counts_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        grid_transition_counts([0.1, 0.2, 0.3], [0.5, 0.4], [1])
+        grid_top_counts([0.1, 0.2, 0.3], [0.5, 0.4], 1)
     with pytest.raises(ValueError):
-        grid_transition_counts([0.1, 0.2], [0.5], [2])
+        grid_top_counts([0.1, 0.2], [0.5], 2)
     with pytest.raises(ValueError):
-        grid_transition_counts([0.1, 0.2], [0.5], [-1])
-    with pytest.raises(ValueError):
-        grid_transition_counts([0.1, 0.2], [0.5], [])
+        grid_top_counts([0.1, 0.2], [0.5], -1)
     with pytest.raises(ValueError, match="too large"):
-        grid_transition_counts([0.1, 0.2], [0.5], [26])
+        grid_top_counts([0.1, 0.2], [0.5], 26)
 
 
 unit_states = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
@@ -196,7 +202,7 @@ def test_grid_counts_memory_does_not_grow_with_the_series():
         states = np.random.default_rng(3).random(n)
         tracemalloc.start()
         try:
-            grid_transition_counts(states, [0.2, 0.5, 0.7], [1, 2])
+            lower_orders(*grid_top_counts(states, [0.2, 0.5, 0.7], 2), [1, 2])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -24,6 +24,7 @@ from chaosinfer.sweep import (
     LOCKSTEP_MIN_POINTS,
     MAX_ALPHA,
     MIN_ALPHA,
+    ROUND_TRIP,
     ConfigError,
     DetailRow,
     SweepConfig,
@@ -917,6 +918,14 @@ BROKEN_JSON = {
     "posterior-not-in-row": _set("detail", 1, p_order=0.8),
     "detail-of-another-point": _set("detail", 0, d=1.0),
     "detail-of-another-order": _set("detail", 0, k=2),
+    # Structural edits: a part or a cell missing, a scalar for a list, a cell of the wrong type.
+    "no-detail-key": lambda obj: obj.pop("detail"),
+    "row-without-d": lambda obj: obj["rows"][0].pop("d"),
+    "scalar-log-evidence": _set("rows", 0, log_evidence=-1.5),
+    "rows-not-a-list": lambda obj: obj.update(rows=5),
+    "config-without-alpha": lambda obj: obj["config"].pop("alpha"),
+    "float-k-max": lambda obj: obj["config"].update(k_max=2.0),
+    "d-beyond-floats": _set("rows", 0, d=10**400),
 }
 
 
@@ -927,9 +936,21 @@ def test_load_rejects_json_that_no_result_writes(tmp_path, edit):
     obj = json.loads(path.read_text(encoding="utf-8"))
     BROKEN_JSON[edit](obj)
     path.write_text(json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=ROUND_TRIP):
         load_sweep_json(str(path))
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+@pytest.mark.parametrize("cells", [
+    {"log_evidence": -1.5},  # a scalar per-order cell
+    {"p_order": (0.1,)},
+    {"k_selected": 3},
+    {"h_expected_bits": 0.5},
+])
+def test_from_rows_rejects_rows_that_no_result_writes(cells):
+    rows = (dataclasses.replace(TINY.rows[0], **cells), TINY.rows[1])
+    with pytest.raises(ValueError, match=ROUND_TRIP):
+        SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, rows, TINY.detail)
 
 
 def test_a_carriage_return_in_an_error_stays_in_its_csv_row(monkeypatch, tmp_path):
@@ -1004,6 +1025,19 @@ def test_config_validation_errors():
     SweepConfig(sigma=0.0).validate()
 
 
+@pytest.mark.parametrize("cells", [
+    {"k_max": 3.0}, {"n": 300.5}, {"grid": 5.0}, {"seed": 1.5}, {"sigma": "0.1"},
+    {"alpha": "1"}, {"regenerate_per_d": "no"}, {"n": True}, {"alpha": False},
+    {"out_path": 1}, {"detail_path": True},
+])
+def test_config_values_of_the_wrong_type_are_rejected_before_any_work(cells):
+    with pytest.raises(ConfigError, match="is not of type"):
+        run_sweep(SweepConfig(**{"n": 300, "grid": 5, "k_max": 3, **cells}))
+    # An int passes for a float, and numpy scalars pass.
+    SweepConfig(r=4, alpha=np.int64(1), n=np.int64(300), sigma=np.float64(0.1),
+                regenerate_per_d=np.bool_(True)).validate()
+
+
 def test_parse_config_defaults():
     cfg = parse_config([])
     assert cfg == SweepConfig()
@@ -1043,7 +1077,7 @@ def test_parse_config_rejects_unknown_file_key(tmp_path):
         parse_config(["--config", str(f)])
 
 
-def test_parse_config_rejects_bad_file_value(tmp_path):
+def test_parse_config_rejects_bad_file_value(capsys, tmp_path):
     f = tmp_path / "sweep.cfg"
     f.write_text("n=abc\n")
     with pytest.raises(ConfigError):
@@ -1053,6 +1087,11 @@ def test_parse_config_rejects_bad_file_value(tmp_path):
         parse_config(["--config", str(f)])
     with pytest.raises(ConfigError, match="cannot read config file"):
         parse_config(["--config", str(tmp_path / "missing.cfg")])
+    f.write_bytes(b"k_max=\xff\xfe\n")  # not UTF-8
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        parse_config(["--config", str(f)])
+    assert main(["--config", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot read config file")
 
 
 def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
