@@ -78,47 +78,45 @@ def transition_counts(seq: SymbolSequence, order: int) -> CountTable:
     return CountTable(order=order, table=flat.reshape(n_cells >> 1, 2))
 
 
-def grid_top_counts(states, thresholds, k_max) -> tuple[np.ndarray, np.ndarray]:
-    """The order-k_max binary tables at every threshold, int64 of shape
-    (len(thresholds), 2**(k_max+1)), row i flattened as transition_counts
-    of the series symbolized at thresholds[i] is, and the first k_max
-    symbols of each, bool of shape (len(thresholds), k_max): the pair that
-    lower_orders takes.  Thresholds must be ascending.
+def grid_top_counts(cuts, lo, points, k_max) -> tuple[np.ndarray, np.ndarray]:
+    """The order-k_max binary tables at the `points` decision points lo,
+    lo + 1, ... of a grid, int64 of shape (points, 2**(k_max+1)), row i
+    flattened as transition_counts of the series symbolized at grid point
+    lo + i is, and the first k_max symbols of each, bool of shape (points,
+    k_max): the pair that lower_orders takes.
 
-    A state reads 1 at threshold i iff i < searchsorted(thresholds, state,
-    "right"), the left-closed rule of symbolize.  A window of k_max + 1 states
-    changes its pattern only where the threshold index passes one of its own
-    search results, so sorting those gives the pattern on every threshold
-    interval; the patterns go into a difference array over thresholds, one
-    row longer than the tables, whose cumulative sum is the order-k_max table
-    at each threshold.
+    `cuts` holds the cut of each state of the series in the whole grid, as
+    symbolize.state_cuts gives it, so a state reads 1 at grid point lo + i
+    iff i < clip(cut - lo, 0, points).  A window of k_max + 1 states changes
+    its pattern only where the point index passes one of its own clipped
+    cuts, so sorting those gives the pattern on every point interval; the
+    patterns go into a difference array over points, one row longer than
+    the tables, whose cumulative sum is the order-k_max table at each point.
     """
-    states = np.asarray(states, dtype=float)
-    thresholds = np.asarray(thresholds, dtype=float)
+    cuts = np.asarray(cuts)
     if k_max < 0:
         raise ValueError(f"order {k_max} must be >= 0")
-    if np.any(np.diff(thresholds) < 0):
-        raise ValueError("thresholds must be ascending")
     width = k_max + 1
     n_patterns = 1 << width
     if n_patterns > MAX_TABLE_ENTRIES:
         raise ValueError(f"dense table with {n_patterns} entries is too large")
-    n, grid = len(states), len(thresholds)
+    n = len(cuts)
     if n < width:
         raise ValueError(f"sequence of length {n} too short for order {k_max}")
-    head = np.searchsorted(thresholds, states[:k_max], side="right")
-    # Sort key: cut in the high bits, k_max - position in the low bits, so
-    # the low bits of a sorted key give the weight of its state's bit.
+    # Sort key: clipped cut in the high bits, k_max - position in the low
+    # bits, so the low bits of a sorted key give the weight of its state's
+    # bit.  One lookup per state clips and shifts its cut.  Keys and codes
+    # stay below size, and in 32 bits, where they fit, they sort faster.
+    size = (points + 1) * n_patterns
+    code = np.int32 if size <= np.iinfo(np.int32).max else np.int64
     shift = width.bit_length()
-    weight_exp = np.arange(k_max, -1, -1)
-    size = (grid + 1) * n_patterns
+    key = (np.clip(np.arange(int(cuts.max()) + 1) - lo, 0, points) << shift).astype(code)
+    weight_exp = np.arange(k_max, -1, -1, dtype=code)
     diff = np.zeros(size, dtype=np.int64)
     diff[n_patterns - 1] = n - k_max  # below every cut all window bits read 1
     for start in range(0, n - k_max, _WINDOW_CHUNK):
         stop = min(start + _WINDOW_CHUNK, n - k_max)
-        cut = np.searchsorted(thresholds, states[start:stop + k_max], side="right")
-        cut <<= shift
-        windows = sliding_window_view(cut, width) + weight_exp
+        windows = sliding_window_view(key.take(cuts[start:stop + k_max]), width) + weight_exp
         windows.sort(axis=1)
         bit = np.left_shift(1, windows & ((1 << shift) - 1))
         # Passing the m-th smallest cut clears the bit of that state.  The
@@ -133,9 +131,9 @@ def grid_top_counts(states, thresholds, k_max) -> tuple[np.ndarray, np.ndarray]:
         diff += np.bincount(windows.ravel(), minlength=size)
         windows += bit
         diff -= np.bincount(windows.ravel(), minlength=size)
-    diff = diff.reshape(grid + 1, n_patterns)
-    first = np.arange(grid)[:, None] < head[None, :]
-    return np.cumsum(diff, axis=0, out=diff)[:grid], first
+    diff = diff.reshape(points + 1, n_patterns)
+    first = np.arange(points)[:, None] < (key.take(cuts[:k_max]) >> shift)[None, :]
+    return np.cumsum(diff, axis=0, out=diff)[:points], first
 
 
 def count_windows(table, states, thresholds, history) -> np.ndarray:

@@ -14,6 +14,12 @@ MAP_FAMILIES = ("logistic",)
 # stay below 13.7 in magnitude (its tail draw is bounded by the smallest
 # uniform, 2**-53), so every shock and every map value plus a shock is finite.
 MAX_SIGMA = sys.float_info.max / 16
+# The most states a series is stepped, and its Lyapunov slopes summed, at a
+# time (see mean_log_slope).
+LEAF = 1 << 15
+# step_series builds this many states at a time in an array of their own,
+# then copies them to its output.
+_STEP_PIECE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,9 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         # A shock that overflowed to inf would never fold back into [0, 1].
-        if not 0.0 <= self.sigma <= MAX_SIGMA:
+        # As a Python float: a narrow numpy float would overflow, casting
+        # MAX_SIGMA to its type.
+        if not 0.0 <= float(self.sigma) <= MAX_SIGMA:
             raise ValueError(f"sigma={self.sigma} must lie in [0, {MAX_SIGMA!r}]")
 
 
@@ -70,7 +78,7 @@ def _reflect(x: float) -> float:
     return x
 
 
-def _start(seed: int | None) -> tuple[np.random.Generator, float]:
+def start_series(seed: int | None) -> tuple[np.random.Generator, float]:
     """The generator of one series and its starting state, a uniform draw in (0, 1)."""
     rng = np.random.default_rng(seed)
     x = float(rng.random())
@@ -98,30 +106,51 @@ def generate_trajectory(
         raise ValueError(f"n={n} must be >= 1")
     if transient < 0:
         raise ValueError(f"transient={transient} must be >= 0")
-    rng, x = _start(seed)
-    r = map_spec.r
-    # The shocks are drawn into the state array: step i reads its shock from
-    # slot i and then overwrites it with the state.
+    rng, x = start_series(seed)
     path = np.empty(transient + n, dtype=float)
-    rng.standard_normal(out=path[1:])
-    path[1:] *= noise.sigma
-    # A memoryview yields each double as a Python float, so a step is the same
-    # IEEE arithmetic as numpy's without a numpy scalar per step.  Only a step
-    # that leaves [0, 1] calls _reflect; a NaN fails the test and goes too.
-    out = memoryview(path)
-    out[0] = x
-    for i, shock in enumerate(out[1:], 1):
-        x = r * x * (1.0 - x) + shock
-        if not 0.0 <= x <= 1.0:
-            x = _reflect(x)
-        out[i] = x
+    path[0] = x
+    step_series(map_spec, noise, rng, x, path[1:])
     return Trajectory(states=path[transient:], transient=int(transient))
+
+
+def step_series(map_spec: MapSpec, noise: NoiseSpec, rng: np.random.Generator, x: float,
+                out: np.ndarray) -> float:
+    """Advance one series from state x by len(out) steps of the noisy map.
+
+    `out`, a contiguous float array, receives the states after each step,
+    and the last one is returned (x itself if `out` is empty).  The shocks
+    are drawn from rng into `out` in one piece, which continues its stream
+    exactly as one longer draw would, so stepping a series a chunk at a time
+    gives the states of one call over all of it bit for bit.
+    """
+    rng.standard_normal(out=out)
+    out *= noise.sigma
+    r = map_spec.r
+
+    def steps(x, shocks):
+        # A memoryview yields each double as a Python float, so a step is the
+        # same IEEE arithmetic as numpy's without a numpy scalar per step.
+        # Only a step that leaves [0, 1] calls _reflect; a NaN fails the test
+        # and goes too.
+        for shock in shocks:
+            x = r * x * (1.0 - x) + shock
+            if not 0.0 <= x <= 1.0:
+                x = _reflect(x)
+            yield x
+
+    # Each piece's shocks are replaced by its states, built by fromiter,
+    # which takes fewer interpreter steps than a store per state.
+    for at in range(0, len(out), _STEP_PIECE):
+        piece = out[at:at + _STEP_PIECE]
+        piece[:] = np.fromiter(steps(x, memoryview(piece)), float, len(piece))
+        x = float(piece[-1])
+    return x
 
 
 def start_lockstep(seeds) -> tuple[list[np.random.Generator], np.ndarray]:
     """The generator and starting state of each of G series, one per seed,
     drawn as generate_trajectory draws them: ([rng, ...], states of shape (G,))."""
-    rngs, x = zip(*map(_start, seeds))
+    rngs, x = zip(*map(start_series, seeds))
     return list(rngs), np.array(x)
 
 
@@ -165,25 +194,52 @@ def step_lockstep(map_spec: MapSpec, noise: NoiseSpec, rngs, x: np.ndarray,
     x[:] = prev
 
 
-def lyapunov_exponent(map_spec: MapSpec, traj: Trajectory) -> float:
-    """Mean log2 |f'(x_t)| along the trajectory, in bits per step.
+def mean_log_slope(map_spec: MapSpec, n: int, states_at, stacklevel: int = 2) -> float:
+    """Mean log2 |f'(x)| over n states, in bits per step, taken a leaf at a time.
 
-    Returns -inf (with a warning) if the derivative vanishes anywhere on the
-    trajectory: a single zero slope collapses the whole product of stretch
-    factors, so it must not be dropped silently.
+    states_at(start, stop) returns states start to stop - 1; it is called on
+    consecutive ranges of at most LEAF states from 0 to n, and its array is
+    only read.  Each leaf's slopes are summed by np.add.reduce and the sums
+    added along numpy's pairwise-sum tree, which halves a range of m > LEAF
+    values at m//2 - (m//2) % 8, so the mean equals np.mean of all n slopes
+    bit for bit while one leaf of them is held.
+
+    Returns -inf if the derivative vanishes at any state, with a warning
+    `stacklevel` frames up as warnings.warn counts them (2 is the caller): a
+    single zero slope collapses the whole product of stretch factors, so it
+    must not be dropped silently.
     """
+    slopes = np.empty(min(n, LEAF))
+    vanishes = False
+
+    def total(start: int, stop: int) -> float:
+        nonlocal vanishes
+        m = stop - start
+        if m > LEAF:
+            half = start + m // 2 - m // 2 % 8
+            return total(start, half) + total(half, stop)
+        # |f'(x)| = |r - 2r*x|, computed in one buffer.
+        part = np.multiply(states_at(start, stop), 2.0 * map_spec.r, out=slopes[:m])
+        np.subtract(map_spec.r, part, out=part)
+        np.abs(part, out=part)
+        if not part.all():
+            vanishes = True
+            return 0.0
+        return float(np.add.reduce(np.log2(part, out=part)))
+
+    mean = total(0, n) / n
+    if vanishes:
+        warnings.warn("map derivative vanishes on the trajectory; returning -inf",
+                      RuntimeWarning, stacklevel=stacklevel)
+        return float("-inf")
+    return mean
+
+
+def lyapunov_exponent(map_spec: MapSpec, traj: Trajectory) -> float:
+    """Mean log2 |f'(x_t)| along the trajectory, in bits per step, by
+    mean_log_slope: -inf, with a warning, if the derivative vanishes anywhere."""
     states = np.asarray(traj.states, dtype=float)
     if states.size == 0:
         raise ValueError("trajectory is empty")
-    # |f'(x)| = |r - 2r*x|, computed in one buffer.
-    slopes = np.multiply(states, 2.0 * map_spec.r)
-    np.subtract(map_spec.r, slopes, out=slopes)
-    np.abs(slopes, out=slopes)
-    if not slopes.all():
-        warnings.warn(
-            "map derivative vanishes on the trajectory; returning -inf",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return float("-inf")
-    return float(np.mean(np.log2(slopes, out=slopes)))
+    return mean_log_slope(map_spec, len(states), lambda start, stop: states[start:stop],
+                          stacklevel=3)

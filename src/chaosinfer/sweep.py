@@ -38,13 +38,16 @@ from .counts import (
     transition_counts,
 )
 from .dynamics import (
+    LEAF,
     MAP_FAMILIES,
     MapSpec,
     NoiseSpec,
     generate_trajectory,
-    lyapunov_exponent,
+    mean_log_slope,
     start_lockstep,
+    start_series,
     step_lockstep,
+    step_series,
 )
 from .entropy import expected_info
 from .inference import uniform_prior
@@ -55,7 +58,7 @@ from .order_select import (
     order_log_prior,
     posterior_over_orders,
 )
-from .symbolize import decision_points
+from .symbolize import decision_points, state_cuts
 
 FORMAT_CHOICES = ("csv", "json")
 
@@ -149,6 +152,13 @@ class SweepConfig:
                                        flag="detail")
 
     def validate(self) -> None:
+        """Raise ConfigError for a value the sweep cannot run with, then for an
+        output path that cannot be written here."""
+        self._check_values()
+        self._check_paths()
+
+    def _check_values(self) -> None:
+        """The checks of validate that read the fields alone, not the file system."""
         for field in dataclasses.fields(self):
             choices, value = field.metadata["choices"], getattr(self, field.name)
             types = tuple(_TYPES[name] for name in field.type.split(" | "))
@@ -179,8 +189,12 @@ class SweepConfig:
                               f"largest accepted k_max is {top}")
         if self.n <= self.k_max + 1:
             raise ConfigError(f"n={self.n} must exceed k_max + 1 = {self.k_max + 1}")
-        if not MIN_ALPHA <= self.alpha <= MAX_ALPHA:
+        # As a Python float: a narrow numpy float would overflow, casting the bounds to its type.
+        if not MIN_ALPHA <= float(self.alpha) <= MAX_ALPHA:
             raise ConfigError(f"alpha={self.alpha} must lie in [{MIN_ALPHA!r}, {MAX_ALPHA!r}]")
+
+    def _check_paths(self) -> None:
+        """The checks of validate that ask the file system whether the outputs can be written."""
         for name in ("out_path", "detail_path"):
             path = getattr(self, name)
             if path is None:
@@ -399,9 +413,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     One trajectory is shared across all decision points unless
     regenerate_per_d is set (then point i uses seed + 1 + i, and its series
-    equals generate_trajectory's with that seed).  Decision points are
-    counted a block of COUNT_BLOCK_BYTES at a time and scored in slices of
-    each block (see GRID_BLOCK_ENTRIES); a wide enough block of regenerated
+    equals generate_trajectory's with that seed).  The shared series, which
+    also gives the Lyapunov estimate, is stepped a leaf at a time and kept
+    only as each state's cut in the grid (see _shared_series).  Decision
+    points are counted a block of COUNT_BLOCK_BYTES at a time and scored in
+    slices of each block (see GRID_BLOCK_ENTRIES); a wide enough block of regenerated
     series is stepped in lockstep and counted a chunk of time at a time, so
     its memory is bounded by LOCKSTEP_CHUNK_BYTES rather than by n.  The
     result keeps each scored slice as a block of arrays.  Rows are
@@ -414,11 +430,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     map_spec = MapSpec(config.family, config.r)
     noise = NoiseSpec(config.sigma)
     orders = tuple(_orders(config))
-    base = generate_trajectory(map_spec, noise, config.n, config.transient, config.seed)
-    lam = lyapunov_exponent(map_spec, base)
+    points = decision_points(config.grid)
+    lam, cuts = _shared_series(config, map_spec, noise, points)
     log_priors = [order_log_prior(k, 2, config.order_prior) for k in orders]
     priors = {k: uniform_prior(k, 2, config.alpha) for k in orders}
-    points = decision_points(config.grid)
     counted = max(1, COUNT_BLOCK_BYTES // (8 << (orders[-1] + 1)))
     scored = max(1, GRID_BLOCK_ENTRIES >> (orders[-1] + 1))
     args = (orders, log_priors, priors, config.detail_path is not None)
@@ -428,7 +443,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         ds = points[start:start + counted]
         # Passed on, not kept: a block's tables are freed before the next is counted.
         blocks += _score_slices(
-            ds, *_block_counts(config, map_spec, noise, base, start, ds, orders[-1]), scored,
+            ds, *_block_counts(config, map_spec, noise, cuts, start, ds, orders[-1]), scored,
             *args)
     _warn_top_of_range(blocks, orders)
     return SweepResult(config, lam, tuple(blocks))
@@ -438,19 +453,51 @@ def _orders(config: SweepConfig) -> range:
     return OrderRange(config.k_min, config.k_max).orders()
 
 
-def _block_counts(config, map_spec, noise, base, start, ds, k_max):
-    """The order-k_max tables, shape (G, 2**(k_max+1)), and the first k_max
-    symbols, shape (G, k_max), of the decision points ds: the pair that
-    lower_orders takes.
+def _shared_series(config, map_spec, noise, points):
+    """The Lyapunov estimate of the shared series and, unless regenerate_per_d
+    is set, the cut of each of its states in `points` (see state_cuts), of
+    which a byte or two a state is all that is kept.
 
-    The shared series is counted by grid_top_counts in one pass.  With
-    regenerate_per_d, point start + i gets its own series, counted by
-    _regenerated_counts.
+    The series is stepped LEAF states at a time: the warm-up, then each leaf
+    that mean_log_slope asks for, whose states are cut before the next leaf
+    overwrites them.  The states equal generate_trajectory's bit for bit.
+    """
+    cuts = None
+    if not config.regenerate_per_d:
+        cuts = np.empty(config.n, dtype=np.min_scalar_type(len(points)))
+    rng, x = start_series(config.seed)
+    chunk = np.empty(min(LEAF, config.transient + config.n))
+    for at in range(0, config.transient, len(chunk)):
+        x = step_series(map_spec, noise, rng, x, chunk[:config.transient - at])
+
+    def states_at(start, stop):
+        nonlocal x
+        states = chunk[:stop - start]
+        if start:
+            x = step_series(map_spec, noise, rng, x, states)
+        else:  # the first recorded state is the one the warm-up ends on
+            states[0] = x
+            x = step_series(map_spec, noise, rng, x, states[1:])
+        if cuts is not None:
+            cuts[start:stop] = state_cuts(states, points)
+        return states
+
+    return mean_log_slope(map_spec, config.n, states_at), cuts
+
+
+def _block_counts(config, map_spec, noise, cuts, start, ds, k_max):
+    """The order-k_max tables, shape (G, 2**(k_max+1)), and the first k_max
+    symbols, shape (G, k_max), of the decision points ds, which start at
+    grid point `start`: the pair that lower_orders takes.
+
+    The shared series is counted from its cuts by grid_top_counts in one
+    pass.  With regenerate_per_d, point start + i gets its own series,
+    counted by _regenerated_counts.
     """
     if config.regenerate_per_d:
         seeds = range(config.seed + 1 + start, config.seed + 1 + start + len(ds))
         return _regenerated_counts(map_spec, noise, config.n, config.transient, seeds, ds, k_max)
-    return grid_top_counts(base.states, ds, k_max)
+    return grid_top_counts(cuts, start, len(ds), k_max)
 
 
 def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
@@ -797,11 +844,14 @@ def emit(result: SweepResult, out_format: str, path: str, detail_path: str | Non
 
 def load_sweep_json(path: str) -> SweepResult:
     """Reload a JSON summary written by emit().  Any other JSON is
-    ValueError(ROUND_TRIP), as from_rows would reject it or it lacks a part."""
+    ValueError(ROUND_TRIP), as from_rows would reject it, its config holds a
+    value that validate rejects, or it lacks a part.  Its output paths are
+    not checked: the file may have been written on another machine."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
         config = SweepConfig(*_loaded(SweepConfig, obj["config"]))
+        config._check_values()
         rows = [_loaded(SweepRow, r) for r in obj["rows"]]
         detail = [_loaded(DetailRow, r) for r in obj["detail"]]
         lyapunov_bits = _read_float(obj["lyapunov_bits"])

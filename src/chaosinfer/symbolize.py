@@ -51,6 +51,18 @@ def symbolize(traj: Trajectory | np.ndarray, part: PartitionSpec) -> SymbolSeque
     return SymbolSequence(states >= part.decision_point)
 
 
+def state_cuts(states, points) -> np.ndarray:
+    """The cut of each state in the ascending decision points: the number of
+    points at or below it, searchsorted(points, state, "right"), in the
+    smallest unsigned type that holds len(points).  By the left-closed rule
+    of symbolize, a state reads 1 at points[i] iff i < its cut."""
+    points = np.asarray(points, dtype=float)
+    if np.any(np.diff(points) < 0):
+        raise ValueError("decision points must be ascending")
+    cuts = np.searchsorted(points, np.asarray(states, dtype=float), side="right")
+    return cuts.astype(np.min_scalar_type(len(points)))
+
+
 def decision_points(count: int) -> np.ndarray:
     """`count` evenly spaced decision points spanning [0, 1]."""
     if count < 2:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import chaosinfer.sweep as sweep_mod
 from chaosinfer.counts import CountTable, grid_top_counts, lower_orders, transition_counts
 from chaosinfer.dynamics import MAX_SIGMA, MapSpec, NoiseSpec, generate_trajectory
-from chaosinfer.symbolize import PartitionSpec, SymbolSequence, symbolize
+from chaosinfer.symbolize import PartitionSpec, SymbolSequence, state_cuts, symbolize
 from helpers import count_words, decode_context, encode_context
 
 
@@ -124,20 +124,27 @@ def test_circular_counts_match_word_counts(data, order):
 
 
 def assert_grid_counts_match_per_threshold(states, thresholds, orders):
+    """grid_top_counts of the whole grid, and of the grid split into three
+    counting blocks whose cuts are clipped to each, equal the per-threshold
+    counts of symbolize and transition_counts."""
     orders = sorted(orders)
     k_max = orders[-1]
-    top, first = grid_top_counts(states, thresholds, k_max)
-    assert first.shape == (len(thresholds), k_max)
-    got = lower_orders(top, first, orders)
-    assert sorted(got) == orders
-    for i, d in enumerate(thresholds):
-        seq = symbolize(np.asarray(states), PartitionSpec(d))
-        assert np.array_equal(first[i], seq.symbols[:k_max])
-        for k in orders:
-            want = transition_counts(seq, k).table.ravel()
-            assert got[k].shape == (len(thresholds), 2 ** (k + 1))
-            assert got[k].dtype == np.int64
-            assert np.array_equal(got[k][i], want), (d, k)
+    cuts = state_cuts(states, thresholds)
+    grid = len(thresholds)
+    for edges in ([0, grid], sorted({0, grid // 3, 2 * grid // 3, grid})):
+        for lo, hi in zip(edges, edges[1:]):
+            top, first = grid_top_counts(cuts, lo, hi - lo, k_max)
+            assert first.shape == (hi - lo, k_max)
+            got = lower_orders(top, first, orders)
+            assert sorted(got) == orders
+            for i, d in enumerate(thresholds[lo:hi]):
+                seq = symbolize(np.asarray(states), PartitionSpec(d))
+                assert np.array_equal(first[i], seq.symbols[:k_max])
+                for k in orders:
+                    want = transition_counts(seq, k).table.ravel()
+                    assert got[k].shape == (hi - lo, 2 ** (k + 1))
+                    assert got[k].dtype == np.int64
+                    assert np.array_equal(got[k][i], want), (d, k)
 
 
 GRID = np.linspace(0.0, 1.0, 11)
@@ -172,14 +179,15 @@ def test_grid_counts_across_window_chunks(monkeypatch):
 
 
 def test_grid_counts_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="ascending"):
+        state_cuts([0.1, 0.2, 0.3], [0.5, 0.4])
+    cuts = state_cuts([0.1, 0.2], [0.5])
     with pytest.raises(ValueError):
-        grid_top_counts([0.1, 0.2, 0.3], [0.5, 0.4], 1)
+        grid_top_counts(cuts, 0, 1, 2)
     with pytest.raises(ValueError):
-        grid_top_counts([0.1, 0.2], [0.5], 2)
-    with pytest.raises(ValueError):
-        grid_top_counts([0.1, 0.2], [0.5], -1)
+        grid_top_counts(cuts, 0, 1, -1)
     with pytest.raises(ValueError, match="too large"):
-        grid_top_counts([0.1, 0.2], [0.5], 26)
+        grid_top_counts(cuts, 0, 1, 26)
 
 
 unit_states = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
@@ -199,10 +207,10 @@ def test_grid_counts_equal_per_threshold_counts(states, thresholds, orders):
 
 def test_grid_counts_memory_does_not_grow_with_the_series():
     def peak(n):
-        states = np.random.default_rng(3).random(n)
+        cuts = state_cuts(np.random.default_rng(3).random(n), [0.2, 0.5, 0.7])
         tracemalloc.start()
         try:
-            lower_orders(*grid_top_counts(states, [0.2, 0.5, 0.7], 2), [1, 2])
+            lower_orders(*grid_top_counts(cuts, 0, 3, 2), [1, 2])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

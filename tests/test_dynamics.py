@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosinfer.dynamics import (
+    LEAF,
     MAX_SIGMA,
     MapSpec,
     NoiseSpec,
@@ -15,7 +16,9 @@ from chaosinfer.dynamics import (
     generate_trajectory,
     lyapunov_exponent,
     start_lockstep,
+    start_series,
     step_lockstep,
+    step_series,
 )
 from helpers import map_apply, reference_trajectory
 
@@ -138,6 +141,24 @@ def test_lockstep_states_equal_per_series_trajectories(sigma, r):
         assert states[:, g].tobytes() == want.tobytes(), seed
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 5.0])
+def test_series_stepped_in_chunks_equals_one_trajectory(sigma):
+    # Uneven chunks, an empty one among them, continue the shock stream as
+    # generate_trajectory's one draw does.
+    spec, noise = MapSpec(), NoiseSpec(sigma)
+    rng, x = start_series(4)
+    states = [np.array([x])]
+    for length in (1, 0, 2, 7, 50, 139):
+        out = np.empty(length)
+        last = step_series(spec, noise, rng, x, out)
+        assert last == (out[-1] if length else x)
+        x = last
+        states.append(out)
+    states = np.concatenate(states)
+    want = generate_trajectory(spec, noise, len(states), 0, 4).states
+    assert states.tobytes() == want.tobytes()
+
+
 def reflect_by_bounces(x: float) -> float:
     """The edge-by-edge fold: one bounce per step until x lands in [0, 1]."""
     while x < 0.0 or x > 1.0:
@@ -180,7 +201,20 @@ def test_lyapunov_holds_one_buffer_of_slopes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * traj.states.nbytes
+    assert peak <= 1.25 * 8 * LEAF
+
+
+@pytest.mark.parametrize("n", [1, 7, 129, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 7, 5 * LEAF + 3,
+                               1_000_003])
+def test_lyapunov_sums_along_numpys_pairwise_tree(n):
+    # lyapunov_exponent sums its slopes a leaf at a time along the tree of
+    # numpy's pairwise sum, so it equals np.mean of all of them exactly.
+    x = np.random.default_rng(n).random(n)
+    r = 3.9
+    want = np.mean(np.log2(abs(r - 2 * r * x)))
+    got = lyapunov_exponent(MapSpec(r=r), Trajectory(x, transient=0))
+    assert got == want, (f"{got!r} != np.mean's {want!r}: numpy {np.__version__} no longer "
+                         "splits a pairwise sum as mean_log_slope does")
 
 
 def test_lyapunov_chaotic_benchmark():

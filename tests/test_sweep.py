@@ -15,7 +15,9 @@ from helpers import per_d_sweep
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chaosinfer.dynamics as dynamics
 from chaosinfer.cli import main, parse_config
+from chaosinfer.dynamics import LEAF, MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
 from chaosinfer.entropy import EntropyEstimate
 from chaosinfer.sweep import (
     COUNT_BLOCK_BYTES,
@@ -193,6 +195,12 @@ def accepted_configs(draw):
 # then two points simulated on their own:
 @example(cfg=SweepConfig(n=300, transient=5, seed=4, grid=37, k_min=2, k_max=11, sigma=0.3,
                          regenerate_per_d=True))
+# A shared series over one leaf, cut in uint16 (grid > 255) and counted in
+# blocks of three points, or of 131 at k_max 9, so most blocks clip their cuts:
+@example(cfg=SweepConfig(n=LEAF + 1000, transient=3, seed=5, grid=300, k_min=0, k_max=2,
+                         sigma=0.3))
+@example(cfg=SweepConfig(n=LEAF + 9, transient=0, seed=6, grid=300, k_min=7, k_max=9,
+                         sigma=1e-3, detail_path="detail.csv"))
 @given(cfg=accepted_configs())
 def test_run_sweep_equals_per_d_oracle_on_accepted_configs(cfg):
     # Counted in the small blocks of small_count_budget, which accepted_configs
@@ -274,21 +282,26 @@ def test_partial_block_case_spans_two_blocks():
 @pytest.mark.parametrize("k_max", [0, 4])
 def test_wide_regenerated_block_steps_its_series_in_lockstep(monkeypatch, k_max):
     # A block of LOCKSTEP_MIN_POINTS points steps its series together, so the
-    # only trajectory generated on its own is the shared one, for lambda.
+    # only series stepped on its own is the shared one, for lambda.
     import chaosinfer.sweep as sweep_mod
 
-    seeds = []
-    real = sweep_mod.generate_trajectory
+    started, generated = [], []
+    real_start, real_generate = sweep_mod.start_series, sweep_mod.generate_trajectory
 
-    def counted(map_spec, noise, n, transient, seed):
-        seeds.append(seed)
-        return real(map_spec, noise, n, transient, seed)
+    def counted_start(seed):
+        started.append(seed)
+        return real_start(seed)
 
-    monkeypatch.setattr(sweep_mod, "generate_trajectory", counted)
+    def counted_generate(map_spec, noise, n, transient, seed):
+        generated.append(seed)
+        return real_generate(map_spec, noise, n, transient, seed)
+
+    monkeypatch.setattr(sweep_mod, "start_series", counted_start)
+    monkeypatch.setattr(sweep_mod, "generate_trajectory", counted_generate)
     cfg = SweepConfig(n=400, grid=LOCKSTEP_MIN_POINTS, k_min=0, k_max=k_max,
                       regenerate_per_d=True)
     result = sweep_mod.run_sweep(cfg)
-    assert seeds == [cfg.seed]
+    assert started == [cfg.seed] and generated == []
     assert result == per_d_sweep(cfg)
 
 
@@ -329,7 +342,14 @@ def test_counting_memory_is_bounded_whatever_the_grid():
         assert peak(grid) - grid * (8 * 40 + 24) <= 2 * COUNT_BLOCK_BYTES + (1 << 20), grid
 
 
-def test_regenerated_block_memory_does_not_grow_with_n():
+def test_regenerated_block_memory_does_not_grow_with_n(monkeypatch):
+    # From n = 2 * LEAF on the shared series' leaf buffers no longer grow with
+    # n; a smaller leaf keeps the series short.
+    import chaosinfer.sweep as sweep_mod
+
+    for module in (dynamics, sweep_mod):
+        monkeypatch.setattr(module, "LEAF", 1 << 10)
+
     def peak(n):
         cfg = SweepConfig(n=n, transient=0, grid=64, k_min=1, k_max=2, regenerate_per_d=True)
         tracemalloc.start()
@@ -339,12 +359,51 @@ def test_regenerated_block_memory_does_not_grow_with_n():
         finally:
             tracemalloc.stop()
 
-    n = 5_000
+    n = 10_000
     peak(n)  # first-call allocations
-    # Only the shared series, kept for lambda, grows with n: its states and
-    # lambda's one buffer of slopes, 16 bytes a state.  Counting the
-    # regenerated series one whole trajectory at a time would add about 50.
-    assert peak(4 * n) - peak(n) <= 16 * 3 * n
+    # The shared series, stepped only for lambda, keeps nothing per state:
+    # under a byte per added state is left for peaks that differ by a few
+    # small buffers from run to run.  Counting the regenerated series one
+    # whole trajectory at a time would add about 50 bytes a state.
+    assert peak(4 * n) - peak(n) <= 3 * n
+
+
+def test_shared_series_keeps_one_byte_a_state():
+    # The sweep keeps each state's cut, a byte at grid 50, not the state and
+    # lambda's slope, 16 bytes.
+    def peak(n):
+        tracemalloc.start()
+        try:
+            run_sweep(SweepConfig(n=n, transient=0, grid=50))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 1 << 17, 1 << 19
+    peak(small)  # first-call allocations
+    assert peak(large) - peak(small) <= 2 * (large - small)
+
+
+@pytest.mark.parametrize("transient", [0, 1, 2])
+@pytest.mark.parametrize("n", [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 7])
+def test_sweep_lyapunov_equals_the_trajectory_estimate(n, transient):
+    # The shared series is stepped and its slopes summed a leaf at a time,
+    # and still gives lyapunov_exponent of the whole trajectory bit for bit.
+    cfg = SweepConfig(n=n, transient=transient, seed=7, grid=3, k_min=0, k_max=1)
+    spec, noise = MapSpec(cfg.family, cfg.r), NoiseSpec(cfg.sigma)
+    traj = generate_trajectory(spec, noise, n, transient, cfg.seed)
+    assert run_sweep(cfg).lyapunov_bits == lyapunov_exponent(spec, traj)
+
+
+def test_vanishing_derivative_is_one_warning_from_the_sweep():
+    # At r = 2 the noiseless map settles on x = 1/2, where f' = 0.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_sweep(SweepConfig(r=2.0, sigma=0.0, n=2 * LEAF + 7, grid=5, k_max=2))
+    assert result.lyapunov_bits == -math.inf
+    vanishing = [w for w in caught if "derivative vanishes" in str(w.message)]
+    assert len(vanishing) == 1
+    assert os.path.basename(vanishing[0].filename) == "sweep.py"
 
 
 def test_top_of_range_rows_are_reported_in_one_warning():
@@ -926,6 +985,11 @@ BROKEN_JSON = {
     "config-without-alpha": lambda obj: obj["config"].pop("alpha"),
     "float-k-max": lambda obj: obj["config"].update(k_max=2.0),
     "d-beyond-floats": _set("rows", 0, d=10**400),
+    # Config values that validate rejects.
+    "unknown-family": lambda obj: obj["config"].update(family="henon"),
+    "negative-n": lambda obj: obj["config"].update(n=-4),
+    "negative-sigma": lambda obj: obj["config"].update(sigma=-1.0),
+    "out-path-not-text": lambda obj: obj["config"].update(out_path=5),
 }
 
 
@@ -999,6 +1063,30 @@ def test_non_finite_cells_are_written_alike_from_blocks_and_rows(monkeypatch, tm
     summary, detail = files["json"][0], files["csv"][1]
     assert b'"h_rate_q_bits": "inf"' in summary and b'"kl_correction_bits": null' in summary
     assert b",inf,," in detail
+
+
+def test_load_does_not_check_the_output_paths(tmp_path):
+    # A summary may be read on another machine, where its output paths could
+    # not be written: here, one under a file and one that is the summary's.
+    path = tmp_path / "out.json"
+    emit(TINY, "json", str(path))
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    for out_path, detail_path in ((str(path / "x.csv"), "detail.csv"), ("a.csv", "a.csv")):
+        obj["config"].update(out_path=out_path, detail_path=detail_path)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        config = dataclasses.replace(TINY.config, out_path=out_path, detail_path=detail_path)
+        with pytest.raises(ConfigError):
+            config.validate()
+        assert load_sweep_json(str(path)) == dataclasses.replace(TINY, config=config)
+
+
+@pytest.mark.parametrize("cells", [
+    {"sigma": np.float32(0.1)}, {"sigma": np.float16(0.1)}, {"alpha": np.float32(0.5)},
+    {"alpha": np.float16(0.5)}, {"r": np.float16(3.5)},
+])
+def test_narrow_numpy_floats_validate_without_warnings(cells):
+    # Under pytest's error::RuntimeWarning an overflow in a comparison fails.
+    SweepConfig(**cells).validate()
 
 
 def test_config_validation_errors():

@@ -9,6 +9,7 @@ from chaosinfer.symbolize import (
     SymbolSequence,
     decision_grid,
     decision_points,
+    state_cuts,
     symbolize,
 )
 
@@ -67,6 +68,27 @@ def test_decision_points_are_the_grid_thresholds(count):
     points = decision_points(count)
     assert points.tolist() == [float(d) for d in np.linspace(0.0, 1.0, count)]
     assert points.tolist() == [p.decision_point for p in decision_grid(count)]
+
+
+@pytest.mark.parametrize("count, dtype", [(2, np.uint8), (255, np.uint8), (256, np.uint16),
+                                          (65535, np.uint16), (65536, np.uint32)])
+def test_state_cuts_count_the_points_at_or_below_each_state(count, dtype):
+    points = decision_points(count)
+    states = np.concatenate([points[[0, 1, -2, -1]], np.random.default_rng(count).random(50)])
+    cuts = state_cuts(states, points)
+    assert cuts.dtype == dtype
+    assert cuts.tolist() == [int(np.count_nonzero(points <= x)) for x in states]
+
+
+@given(states=st.lists(unit_floats, min_size=1, max_size=30),
+       points=st.lists(unit_floats, min_size=1, max_size=10))
+def test_a_state_reads_one_below_its_cut(states, points):
+    # The left-closed rule of symbolize: 1 at points[i] iff i < the cut.
+    points = sorted(points)
+    cuts = state_cuts(states, points)
+    for i, d in enumerate(points):
+        symbols = symbolize(np.array(states), PartitionSpec(d)).symbols
+        assert symbols.tolist() == (i < cuts).astype(int).tolist()
 
 
 def test_partition_spec_validation():
