@@ -14,9 +14,14 @@ MAP_FAMILIES = ("logistic",)
 # stay below 13.7 in magnitude (its tail draw is bounded by the smallest
 # uniform, 2**-53), so every shock and every map value plus a shock is finite.
 MAX_SIGMA = sys.float_info.max / 16
-# The most states a series is stepped, and its Lyapunov slopes summed, at a
-# time (see mean_log_slope).
+# The most recorded states of a series stepped at a time (see
+# recorded_chunks), and the states whose Lyapunov slopes are summed at a time.
 LEAF = 1 << 15
+# recorded_chunks steps a block of at least LOCKSTEP_MIN_POINTS series in
+# lockstep.  A lockstep step costs a few numpy calls whatever the width, so
+# narrower blocks step each series on its own (on a 2-vCPU Xeon host the two
+# break even near 24 series, and lockstep is 1.35x as fast at 32).
+LOCKSTEP_MIN_POINTS = 32
 # step_series builds this many states at a time in an array of their own,
 # then copies them to its output.
 _STEP_PIECE = 1 << 12
@@ -194,44 +199,70 @@ def step_lockstep(map_spec: MapSpec, noise: NoiseSpec, rngs, x: np.ndarray,
     x[:] = prev
 
 
-def mean_log_slope(map_spec: MapSpec, n: int, states_at, stacklevel: int = 2) -> float:
-    """Mean log2 |f'(x)| over n states, in bits per step, taken a leaf at a time.
+def recorded_chunks(map_spec: MapSpec, noise: NoiseSpec, n: int, transient: int, seeds):
+    """Yield the n recorded states of G series, one per seed, in chunks of
+    shape (L, G), L >= 1: column g of the chunks, joined, is
+    generate_trajectory(map_spec, noise, n, transient, seeds[g]).states bit
+    for bit.  The warm-up is stepped first and not yielded.
 
-    states_at(start, stop) returns states start to stop - 1; it is called on
-    consecutive ranges of at most LEAF states from 0 to n, and its array is
-    only read.  Each leaf's slopes are summed by np.add.reduce and the sums
-    added along numpy's pairwise-sum tree, which halves a range of m > LEAF
-    values at m//2 - (m//2) % 8, so the mean equals np.mean of all n slopes
-    bit for bit while one leaf of them is held.
+    Every chunk is a view of one buffer, which the next chunk overwrites.  A
+    block of at least LOCKSTEP_MIN_POINTS series steps them in lockstep, in
+    chunks of max(1, LEAF // G) rows.  A narrower block steps each series
+    with step_series into its own row of a (G, LEAF) buffer, so every column
+    of its chunks, of LEAF rows, is contiguous.
+    """
+    rngs, x = start_lockstep(seeds)
+    lockstep = len(x) >= LOCKSTEP_MIN_POINTS
+    if lockstep:
+        buf = np.empty((max(1, LEAF // len(x)), len(x)))
+    else:
+        buf = np.empty((len(x), min(LEAF, max(n, transient)))).T
+
+    def step(out):
+        if lockstep:
+            step_lockstep(map_spec, noise, rngs, x, out)
+        else:
+            for g, rng in enumerate(rngs):
+                x[g] = step_series(map_spec, noise, rng, float(x[g]), out[:, g])
+
+    for at in range(0, transient, len(buf)):
+        step(buf[:transient - at])
+    for at in range(0, n, len(buf)):
+        chunk = buf[:n - at]
+        if at:
+            step(chunk)
+        else:  # the first recorded state is the one the warm-up ends on
+            chunk[0] = x
+            step(chunk[1:])
+        yield chunk
+
+
+def log_slope_sum(map_spec: MapSpec, states: np.ndarray) -> float:
+    """The sum of log2 |f'(x)| over the 1-D array `states` by np.add.reduce,
+    or -inf if the derivative vanishes at any of them."""
+    # |f'(x)| = |r - 2r*x|, computed in one buffer.
+    slopes = np.multiply(states, 2.0 * map_spec.r)
+    np.subtract(map_spec.r, slopes, out=slopes)
+    np.abs(slopes, out=slopes)
+    if not slopes.all():
+        return -math.inf
+    return float(np.add.reduce(np.log2(slopes, out=slopes)))
+
+
+def mean_log_slope(sums, n: int, stacklevel: int = 2) -> float:
+    """Mean log2 |f'(x)| over n states, in bits per step: math.fsum of the
+    log_slope_sum of each LEAF of them, over n, so that one leaf of slopes
+    is held at a time.
 
     Returns -inf if the derivative vanishes at any state, with a warning
     `stacklevel` frames up as warnings.warn counts them (2 is the caller): a
     single zero slope collapses the whole product of stretch factors, so it
     must not be dropped silently.
     """
-    slopes = np.empty(min(n, LEAF))
-    vanishes = False
-
-    def total(start: int, stop: int) -> float:
-        nonlocal vanishes
-        m = stop - start
-        if m > LEAF:
-            half = start + m // 2 - m // 2 % 8
-            return total(start, half) + total(half, stop)
-        # |f'(x)| = |r - 2r*x|, computed in one buffer.
-        part = np.multiply(states_at(start, stop), 2.0 * map_spec.r, out=slopes[:m])
-        np.subtract(map_spec.r, part, out=part)
-        np.abs(part, out=part)
-        if not part.all():
-            vanishes = True
-            return 0.0
-        return float(np.add.reduce(np.log2(part, out=part)))
-
-    mean = total(0, n) / n
-    if vanishes:
+    mean = math.fsum(sums) / n
+    if mean == -math.inf:
         warnings.warn("map derivative vanishes on the trajectory; returning -inf",
                       RuntimeWarning, stacklevel=stacklevel)
-        return float("-inf")
     return mean
 
 
@@ -241,5 +272,5 @@ def lyapunov_exponent(map_spec: MapSpec, traj: Trajectory) -> float:
     states = np.asarray(traj.states, dtype=float)
     if states.size == 0:
         raise ValueError("trajectory is empty")
-    return mean_log_slope(map_spec, len(states), lambda start, stop: states[start:stop],
-                          stacklevel=3)
+    sums = [log_slope_sum(map_spec, states[at:at + LEAF]) for at in range(0, len(states), LEAF)]
+    return mean_log_slope(sums, len(states), stacklevel=3)

@@ -38,16 +38,12 @@ from .counts import (
     transition_counts,
 )
 from .dynamics import (
-    LEAF,
     MAP_FAMILIES,
     MapSpec,
     NoiseSpec,
-    generate_trajectory,
+    log_slope_sum,
     mean_log_slope,
-    start_lockstep,
-    start_series,
-    step_lockstep,
-    step_series,
+    recorded_chunks,
 )
 from .entropy import expected_info
 from .inference import uniform_prior
@@ -73,15 +69,6 @@ FORMAT_CHOICES = ("csv", "json")
 # point whose table alone exceeds its bound.
 COUNT_BLOCK_BYTES = 1 << 20
 GRID_BLOCK_ENTRIES = 1 << 16
-# With regenerate_per_d, a counting block of at least LOCKSTEP_MIN_POINTS
-# points steps its series in lockstep.  A lockstep step costs a few numpy
-# calls whatever the width, so narrower blocks simulate each series on its
-# own (on a 2-vCPU Xeon host the two break even near 24 points, and lockstep
-# is 1.35x as fast at 32).  A lockstep block advances a chunk of time steps
-# at a time whose states take LOCKSTEP_CHUNK_BYTES; its shocks and window
-# codes take as much again each.
-LOCKSTEP_MIN_POINTS = 32
-LOCKSTEP_CHUNK_BYTES = 1 << 18
 # The output rows of this many points of a block, and their detail rows, are
 # formatted and written together.
 EMIT_CHUNK_ROWS = 64
@@ -111,9 +98,8 @@ def _setting(default, text: str, *, choices=None, flag=None):
 
 
 # The values of each type a SweepConfig field is annotated with: an int
-# passes for a float, numpy scalars pass, and only a bool field takes a bool.
-_TYPES = {"bool": (bool, np.bool_), "int": (int, np.integer), "str": str, "None": type(None),
-          "float": (int, float, np.integer, np.floating)}
+# passes for a float, and only a bool field takes a bool.
+_TYPES = {"bool": bool, "int": int, "str": str, "None": type(None), "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -151,6 +137,14 @@ class SweepConfig:
     detail_path: str | None = _setting(None, "optional per-(d, k) estimates CSV path",
                                        flag="detail")
 
+    def __post_init__(self) -> None:
+        # A numpy scalar is stored as its Python value, which neither wraps
+        # around nor rounds to a narrow type, and which JSON can encode.
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.generic):
+                object.__setattr__(self, field.name, value.item())
+
     def validate(self) -> None:
         """Raise ConfigError for a value the sweep cannot run with, then for an
         output path that cannot be written here."""
@@ -162,8 +156,7 @@ class SweepConfig:
         for field in dataclasses.fields(self):
             choices, value = field.metadata["choices"], getattr(self, field.name)
             types = tuple(_TYPES[name] for name in field.type.split(" | "))
-            is_bool = isinstance(value, (bool, np.bool_))
-            if not isinstance(value, types) or is_bool != (field.type == "bool"):
+            if not isinstance(value, types) or isinstance(value, bool) != (field.type == "bool"):
                 raise ConfigError(f"{field.name}={value!r} is not of type {field.type}")
             if choices is not None and value not in choices:
                 raise ConfigError(f"{field.name} {value!r} must be one of {choices}")
@@ -189,8 +182,7 @@ class SweepConfig:
                               f"largest accepted k_max is {top}")
         if self.n <= self.k_max + 1:
             raise ConfigError(f"n={self.n} must exceed k_max + 1 = {self.k_max + 1}")
-        # As a Python float: a narrow numpy float would overflow, casting the bounds to its type.
-        if not MIN_ALPHA <= float(self.alpha) <= MAX_ALPHA:
+        if not MIN_ALPHA <= self.alpha <= MAX_ALPHA:
             raise ConfigError(f"alpha={self.alpha} must lie in [{MIN_ALPHA!r}, {MAX_ALPHA!r}]")
 
     def _check_paths(self) -> None:
@@ -305,6 +297,8 @@ class SweepResult:
     _blocks: tuple[_Block, ...] = dataclasses.field(repr=False)
 
     def __post_init__(self):
+        if isinstance(self.lyapunov_bits, np.generic):
+            object.__setattr__(self, "lyapunov_bits", self.lyapunov_bits.item())
         width = len(_orders(self.config))
         detail = self.config.detail_path is not None
         for block in self._blocks:
@@ -413,18 +407,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     One trajectory is shared across all decision points unless
     regenerate_per_d is set (then point i uses seed + 1 + i, and its series
-    equals generate_trajectory's with that seed).  The shared series, which
-    also gives the Lyapunov estimate, is stepped a leaf at a time and kept
-    only as each state's cut in the grid (see _shared_series).  Decision
-    points are counted a block of COUNT_BLOCK_BYTES at a time and scored in
-    slices of each block (see GRID_BLOCK_ENTRIES); a wide enough block of regenerated
-    series is stepped in lockstep and counted a chunk of time at a time, so
-    its memory is bounded by LOCKSTEP_CHUNK_BYTES rather than by n.  The
-    result keeps each scored slice as a block of arrays.  Rows are
-    independent: a failure of the inference at one decision point is
-    recorded on its row and does not abort the sweep.  Rows that select the top order of the
-    range are reported in one RuntimeWarning.  Fully deterministic given the
-    seed.
+    equals generate_trajectory's with that seed).  Every series is stepped
+    and read a chunk at a time (see dynamics.recorded_chunks), so no memory
+    grows with n but the shared series' cuts in the grid (see
+    _shared_series).  Decision points are counted a block of
+    COUNT_BLOCK_BYTES at a time and scored in slices of each block (see
+    GRID_BLOCK_ENTRIES).  The result keeps each scored slice as a block of
+    arrays.  Rows are independent: a failure of the inference at one
+    decision point is recorded on its row and does not abort the sweep.
+    Rows that select the top order of the range are reported in one
+    RuntimeWarning.  Fully deterministic given the seed.
     """
     config.validate()
     map_spec = MapSpec(config.family, config.r)
@@ -456,33 +448,19 @@ def _orders(config: SweepConfig) -> range:
 def _shared_series(config, map_spec, noise, points):
     """The Lyapunov estimate of the shared series and, unless regenerate_per_d
     is set, the cut of each of its states in `points` (see state_cuts), of
-    which a byte or two a state is all that is kept.
-
-    The series is stepped LEAF states at a time: the warm-up, then each leaf
-    that mean_log_slope asks for, whose states are cut before the next leaf
-    overwrites them.  The states equal generate_trajectory's bit for bit.
-    """
+    which a byte or two a state is all that is kept.  Each chunk of states
+    is cut and its slopes summed before the next chunk overwrites it."""
     cuts = None
     if not config.regenerate_per_d:
         cuts = np.empty(config.n, dtype=np.min_scalar_type(len(points)))
-    rng, x = start_series(config.seed)
-    chunk = np.empty(min(LEAF, config.transient + config.n))
-    for at in range(0, config.transient, len(chunk)):
-        x = step_series(map_spec, noise, rng, x, chunk[:config.transient - at])
-
-    def states_at(start, stop):
-        nonlocal x
-        states = chunk[:stop - start]
-        if start:
-            x = step_series(map_spec, noise, rng, x, states)
-        else:  # the first recorded state is the one the warm-up ends on
-            states[0] = x
-            x = step_series(map_spec, noise, rng, x, states[1:])
+    sums, at = [], 0
+    for chunk in recorded_chunks(map_spec, noise, config.n, config.transient, [config.seed]):
+        states = chunk[:, 0]
         if cuts is not None:
-            cuts[start:stop] = state_cuts(states, points)
-        return states
-
-    return mean_log_slope(map_spec, config.n, states_at), cuts
+            cuts[at:at + len(states)] = state_cuts(states, points)
+        at += len(states)
+        sums.append(log_slope_sum(map_spec, states))
+    return mean_log_slope(sums, config.n), cuts
 
 
 def _block_counts(config, map_spec, noise, cuts, start, ds, k_max):
@@ -504,37 +482,14 @@ def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
     """The order-k_max tables, shape (G, 2**(k_max+1)), and the first k_max
     symbols, shape (G, k_max), of the series of G decision points: series g
     is generate_trajectory(map_spec, noise, n, transient, seeds[g])
-    symbolized at ds[g].
-
-    A block of at least LOCKSTEP_MIN_POINTS points steps its series in
-    lockstep, a chunk of LOCKSTEP_CHUNK_BYTES of states at a time, and counts
-    each chunk as it goes, so its memory does not grow with n.  A narrower
-    block simulates each series on its own and counts it as one chunk.
+    symbolized at ds[g].  Each chunk of recorded_chunks is counted as it
+    comes, so the memory does not grow with n.
     """
     top = np.zeros((len(ds), 2 << k_max), dtype=np.int64)
     history = np.zeros((0, len(ds)), dtype=bool)
-    if len(ds) < LOCKSTEP_MIN_POINTS:
-        first = np.empty((len(ds), k_max), dtype=bool)
-        for g, seed in enumerate(seeds):
-            traj = generate_trajectory(map_spec, noise, n, transient, seed)
-            symbols = count_windows(top[g:g + 1], traj.states[:, None], ds[g:g + 1],
-                                    history[:, g:g + 1])
-            first[g] = symbols[:k_max, 0]
-        return top, first
-    rngs, x = start_lockstep(seeds)
-    total = transient + n
-    rows = np.empty((max(1, LOCKSTEP_CHUNK_BYTES // x.nbytes), len(ds)))
     first = None
-    for at in range(0, total, len(rows)):
-        chunk = rows[:total - at]
-        if at:
-            step_lockstep(map_spec, noise, rngs, x, chunk)
-        else:
-            chunk[0] = x
-            step_lockstep(map_spec, noise, rngs, x, chunk[1:])
-        if at + len(chunk) <= transient:
-            continue
-        symbols = count_windows(top, chunk[max(0, transient - at):], ds, history)
+    for chunk in recorded_chunks(map_spec, noise, n, transient, seeds):
+        symbols = count_windows(top, chunk, ds, history)
         if first is None and len(symbols) >= k_max:
             first = symbols[:k_max].T
         history = symbols[max(0, len(symbols) - k_max):]
@@ -657,8 +612,8 @@ def _spell(value, csv_cell: bool) -> str:
     repr, None and NaN as a blank cell and null, an infinity as inf and
     "inf", and anything else, such as a text, as csv.writer quotes it in a
     row of several cells and as the JSON encoder encodes it."""
-    if isinstance(value, float):  # numpy's floats too, whose repr names their type
-        text = float.__repr__(value)
+    if isinstance(value, float):
+        text = repr(value)
         if math.isfinite(value):
             return text
         value = None if math.isnan(value) else text

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaosinfer.dynamics as dynamics
 import chaosinfer.sweep as sweep_mod
 from chaosinfer.counts import CountTable, grid_top_counts, lower_orders, transition_counts
 from chaosinfer.dynamics import MAX_SIGMA, MapSpec, NoiseSpec, generate_trajectory
@@ -240,9 +241,10 @@ def assert_regenerated_counts_match(spec, noise, n, transient, points, k_max):
     assert first.shape == want_first.shape and np.array_equal(first, want_first)
 
 
-# (transient, n, k_max, steps per chunk, points).  Path step 0 is the start.
+# (transient, n, k_max, rows per chunk, points).  The warm-up is stepped in
+# chunks of its own, then the recorded states from the first one on.
 LOCKSTEP_CASES = {
-    # edges at steps 3 and 6 inside the transient, 9 inside the first k_max symbols
+    # warm-up chunks of 3, 3 and 1 steps, an edge at 3 inside the first k_max symbols
     "edges_in_transient_and_head": (7, 40, 4, 3, 5),
     "edge_at_first_record": (6, 40, 4, 3, 5),
     "no_transient": (0, 40, 4, 3, 5),
@@ -258,12 +260,12 @@ LOCKSTEP_CASES = {
 @pytest.mark.parametrize("case", LOCKSTEP_CASES)
 def test_lockstep_counts_equal_per_point_counts(monkeypatch, case, sigma, r):
     transient, n, k_max, steps, points = LOCKSTEP_CASES[case]
-    monkeypatch.setattr(sweep_mod, "LOCKSTEP_MIN_POINTS", 1)
-    monkeypatch.setattr(sweep_mod, "LOCKSTEP_CHUNK_BYTES", steps * 8 * points)
+    monkeypatch.setattr(dynamics, "LOCKSTEP_MIN_POINTS", 1)
+    monkeypatch.setattr(dynamics, "LEAF", steps * points)
     assert_regenerated_counts_match(MapSpec(r=r), NoiseSpec(sigma), n, transient, points, k_max)
 
 
 @pytest.mark.parametrize("below", [1, 0], ids=["per_point", "lockstep"])
 def test_blocks_on_both_sides_of_the_lockstep_width_count_alike(below):
-    points = sweep_mod.LOCKSTEP_MIN_POINTS - below
+    points = dynamics.LOCKSTEP_MIN_POINTS - below
     assert_regenerated_counts_match(MapSpec(), NoiseSpec(0.3), 60, 13, points, 5)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chaosinfer.dynamics as dynamics
 from chaosinfer.dynamics import (
     LEAF,
     MAX_SIGMA,
@@ -15,6 +16,7 @@ from chaosinfer.dynamics import (
     _reflect,
     generate_trajectory,
     lyapunov_exponent,
+    recorded_chunks,
     start_lockstep,
     start_series,
     step_lockstep,
@@ -159,6 +161,28 @@ def test_series_stepped_in_chunks_equals_one_trajectory(sigma):
     assert states.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "per_series"])
+@pytest.mark.parametrize("transient", [0, 1, 6, 7])
+@pytest.mark.parametrize("n", [1, 13])
+def test_recorded_chunks_equal_per_series_trajectories(monkeypatch, n, transient, lockstep):
+    # A small leaf puts chunk edges in the warm-up and among the recorded
+    # states: two rows a chunk in lockstep, six stepping each series alone.
+    monkeypatch.setattr(dynamics, "LEAF", 6)
+    monkeypatch.setattr(dynamics, "LOCKSTEP_MIN_POINTS", 3 if lockstep else 4)
+    spec, noise, seeds = MapSpec(r=3.7), NoiseSpec(0.3), [3, 0, 2**40]
+    chunks = []
+    for chunk in recorded_chunks(spec, noise, n, transient, seeds):
+        assert chunk.shape[0] == min(2 if lockstep else 6, n - sum(map(len, chunks)))
+        assert chunk.shape[1] == len(seeds)
+        if not lockstep:
+            assert all(chunk[:, g].flags.c_contiguous for g in range(len(seeds)))
+        chunks.append(chunk.copy())
+    states = np.concatenate(chunks)
+    for g, seed in enumerate(seeds):
+        want = generate_trajectory(spec, noise, n, transient, seed).states
+        assert states[:, g].tobytes() == want.tobytes(), seed
+
+
 def reflect_by_bounces(x: float) -> float:
     """The edge-by-edge fold: one bounce per step until x lands in [0, 1]."""
     while x < 0.0 or x > 1.0:
@@ -207,14 +231,15 @@ def test_lyapunov_holds_one_buffer_of_slopes():
 @pytest.mark.parametrize("n", [1, 7, 129, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 7, 5 * LEAF + 3,
                                1_000_003])
 def test_lyapunov_sums_along_numpys_pairwise_tree(n):
-    # lyapunov_exponent sums its slopes a leaf at a time along the tree of
-    # numpy's pairwise sum, so it equals np.mean of all of them exactly.
+    # lyapunov_exponent sums its slopes a leaf at a time by numpy's pairwise
+    # sum and adds the leaf sums exactly, so up to a leaf it equals np.mean.
     x = np.random.default_rng(n).random(n)
     r = 3.9
-    want = np.mean(np.log2(abs(r - 2 * r * x)))
+    logs = np.log2(abs(r - 2 * r * x))
     got = lyapunov_exponent(MapSpec(r=r), Trajectory(x, transient=0))
-    assert got == want, (f"{got!r} != np.mean's {want!r}: numpy {np.__version__} no longer "
-                         "splits a pairwise sum as mean_log_slope does")
+    assert got == math.fsum(np.add.reduce(logs[at:at + LEAF]) for at in range(0, n, LEAF)) / n
+    if n <= LEAF:
+        assert got == np.mean(logs)
 
 
 def test_lyapunov_chaotic_benchmark():

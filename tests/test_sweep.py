@@ -17,13 +17,19 @@ from hypothesis import strategies as st
 
 import chaosinfer.dynamics as dynamics
 from chaosinfer.cli import main, parse_config
-from chaosinfer.dynamics import LEAF, MapSpec, NoiseSpec, generate_trajectory, lyapunov_exponent
+from chaosinfer.dynamics import (
+    LEAF,
+    LOCKSTEP_MIN_POINTS,
+    MapSpec,
+    NoiseSpec,
+    generate_trajectory,
+    lyapunov_exponent,
+)
 from chaosinfer.entropy import EntropyEstimate
 from chaosinfer.sweep import (
     COUNT_BLOCK_BYTES,
     FORMAT_CHOICES,
     GRID_BLOCK_ENTRIES,
-    LOCKSTEP_MIN_POINTS,
     MAX_ALPHA,
     MIN_ALPHA,
     ROUND_TRIP,
@@ -201,6 +207,10 @@ def accepted_configs(draw):
                          sigma=0.3))
 @example(cfg=SweepConfig(n=LEAF + 9, transient=0, seed=6, grid=300, k_min=7, k_max=9,
                          sigma=1e-3, detail_path="detail.csv"))
+# Regenerated series stepped each on its own over several leaves, in a
+# counting block of three points and then one of two:
+@example(cfg=SweepConfig(n=2 * LEAF + 5, transient=LEAF + 2, seed=7, grid=5, k_min=0, k_max=3,
+                         sigma=0.3, regenerate_per_d=True))
 @given(cfg=accepted_configs())
 def test_run_sweep_equals_per_d_oracle_on_accepted_configs(cfg):
     # Counted in the small blocks of small_count_budget, which accepted_configs
@@ -283,43 +293,47 @@ def test_partial_block_case_spans_two_blocks():
 def test_wide_regenerated_block_steps_its_series_in_lockstep(monkeypatch, k_max):
     # A block of LOCKSTEP_MIN_POINTS points steps its series together, so the
     # only series stepped on its own is the shared one, for lambda.
-    import chaosinfer.sweep as sweep_mod
+    stepped, widths = [], []
+    real_series, real_lockstep = dynamics.step_series, dynamics.step_lockstep
 
-    started, generated = [], []
-    real_start, real_generate = sweep_mod.start_series, sweep_mod.generate_trajectory
+    def counted_series(map_spec, noise, rng, x, out):
+        stepped.append(rng)
+        return real_series(map_spec, noise, rng, x, out)
 
-    def counted_start(seed):
-        started.append(seed)
-        return real_start(seed)
+    def counted_lockstep(map_spec, noise, rngs, x, out):
+        widths.append(len(x))
+        return real_lockstep(map_spec, noise, rngs, x, out)
 
-    def counted_generate(map_spec, noise, n, transient, seed):
-        generated.append(seed)
-        return real_generate(map_spec, noise, n, transient, seed)
-
-    monkeypatch.setattr(sweep_mod, "start_series", counted_start)
-    monkeypatch.setattr(sweep_mod, "generate_trajectory", counted_generate)
+    monkeypatch.setattr(dynamics, "step_series", counted_series)
+    monkeypatch.setattr(dynamics, "step_lockstep", counted_lockstep)
     cfg = SweepConfig(n=400, grid=LOCKSTEP_MIN_POINTS, k_min=0, k_max=k_max,
                       regenerate_per_d=True)
-    result = sweep_mod.run_sweep(cfg)
-    assert started == [cfg.seed] and generated == []
+    result = run_sweep(cfg)
+    assert stepped and len({id(rng) for rng in stepped}) == 1
+    assert widths and set(widths) == {LOCKSTEP_MIN_POINTS}
     assert result == per_d_sweep(cfg)
 
 
 def test_default_ensemble_steps_its_series_in_one_lockstep_run(monkeypatch):
     # At k_max 8 a counting block holds 256 points, so 200 regenerated
-    # series step together, though they are scored in two slices.
-    import chaosinfer.sweep as sweep_mod
+    # series step together, though they are scored in two slices; the shared
+    # series, started first, steps on its own.
+    started, widths = [], []
+    real_start, real_lockstep = dynamics.start_lockstep, dynamics.step_lockstep
 
-    widths = []
-    real = sweep_mod.start_lockstep
+    def counted_start(seeds):
+        started.append(len(seeds))
+        return real_start(seeds)
 
-    def counted(seeds):
-        widths.append(len(seeds))
-        return real(seeds)
+    def counted_lockstep(map_spec, noise, rngs, x, out):
+        widths.append(len(x))
+        return real_lockstep(map_spec, noise, rngs, x, out)
 
-    monkeypatch.setattr(sweep_mod, "start_lockstep", counted)
+    monkeypatch.setattr(dynamics, "start_lockstep", counted_start)
+    monkeypatch.setattr(dynamics, "step_lockstep", counted_lockstep)
     run_sweep(SweepConfig(n=300, transient=10, grid=200, k_max=8, regenerate_per_d=True))
-    assert widths == [200]
+    assert started == [1, 200]
+    assert widths and set(widths) == {200}
 
 
 def test_counting_memory_is_bounded_whatever_the_grid():
@@ -343,15 +357,13 @@ def test_counting_memory_is_bounded_whatever_the_grid():
 
 
 def test_regenerated_block_memory_does_not_grow_with_n(monkeypatch):
-    # From n = 2 * LEAF on the shared series' leaf buffers no longer grow with
-    # n; a smaller leaf keeps the series short.
-    import chaosinfer.sweep as sweep_mod
+    # From n = 2 * LEAF on no chunk buffer grows with n; a smaller leaf keeps
+    # the series short.  A block of 64 points steps its series in lockstep,
+    # one of 8 steps each series on its own.
+    monkeypatch.setattr(dynamics, "LEAF", 1 << 10)
 
-    for module in (dynamics, sweep_mod):
-        monkeypatch.setattr(module, "LEAF", 1 << 10)
-
-    def peak(n):
-        cfg = SweepConfig(n=n, transient=0, grid=64, k_min=1, k_max=2, regenerate_per_d=True)
+    def peak(n, grid):
+        cfg = SweepConfig(n=n, transient=0, grid=grid, k_min=1, k_max=2, regenerate_per_d=True)
         tracemalloc.start()
         try:
             run_sweep(cfg)
@@ -360,12 +372,13 @@ def test_regenerated_block_memory_does_not_grow_with_n(monkeypatch):
             tracemalloc.stop()
 
     n = 10_000
-    peak(n)  # first-call allocations
-    # The shared series, stepped only for lambda, keeps nothing per state:
-    # under a byte per added state is left for peaks that differ by a few
-    # small buffers from run to run.  Counting the regenerated series one
-    # whole trajectory at a time would add about 50 bytes a state.
-    assert peak(4 * n) - peak(n) <= 3 * n
+    for grid in (64, 8):
+        peak(n, grid)  # first-call allocations
+        # The shared series, stepped only for lambda, keeps nothing per state:
+        # under a byte per added state is left for peaks that differ by a few
+        # small buffers from run to run.  Counting the regenerated series one
+        # whole trajectory at a time would add about 50 bytes a state.
+        assert peak(4 * n, grid) - peak(n, grid) <= 3 * n, grid
 
 
 def test_shared_series_keeps_one_byte_a_state():
@@ -1124,6 +1137,46 @@ def test_config_values_of_the_wrong_type_are_rejected_before_any_work(cells):
     # An int passes for a float, and numpy scalars pass.
     SweepConfig(r=4, alpha=np.int64(1), n=np.int64(300), sigma=np.float64(0.1),
                 regenerate_per_d=np.bool_(True)).validate()
+
+
+def test_float32_r_regenerated_sweep_equals_per_d_oracle():
+    # r is stored as a Python float, so each series steps in float64 alone
+    # and in lockstep alike.
+    cfg = SweepConfig(r=np.float32(3.7), n=300, transient=5, grid=40, k_max=2,
+                      regenerate_per_d=True)
+    assert type(cfg.r) is float
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_sweep(cfg) == per_d_sweep(cfg)
+
+
+def test_int8_k_max_over_the_limit_is_a_config_error():
+    # Under pytest's error::RuntimeWarning an int8 k_max + 1 would overflow.
+    with pytest.raises(ConfigError, match=r"needs 2\*\*128 table entries"):
+        SweepConfig(k_max=np.int8(127)).validate()
+
+
+def test_int8_series_lengths_do_not_wrap_around():
+    # transient + n is 200, which int8 would wrap to -56.
+    cfg = SweepConfig(n=np.int8(100), transient=np.int8(100), grid=5, k_max=2)
+    cfg.validate()
+    assert run_sweep(cfg) == run_sweep(SweepConfig(n=100, transient=100, grid=5, k_max=2))
+
+
+def test_numpy_scalars_of_a_result_are_written_to_json(tmp_path):
+    # A config field or a Lyapunov estimate given as a numpy scalar that the
+    # JSON encoder does not take is written, and read back, as its value.
+    cfg = SweepConfig(n=np.int64(300), transient=np.int16(5), grid=np.uint8(5), k_max=2,
+                      alpha=np.float32(0.5), regenerate_per_d=np.bool_(True))
+    plain = SweepConfig(n=300, transient=5, grid=5, k_max=2, alpha=0.5,
+                        regenerate_per_d=True)
+    assert run_sweep(cfg) == run_sweep(plain)
+    result = SweepResult.from_rows(cfg, np.float32(0.1), run_sweep(plain).rows)
+    emit(result, "json", str(tmp_path / "numpy.json"))
+    emit(dataclasses.replace(result, config=plain, lyapunov_bits=float(np.float32(0.1))),
+         "json", str(tmp_path / "plain.json"))
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert load_sweep_json(str(tmp_path / "numpy.json")) == result
 
 
 def test_parse_config_defaults():
