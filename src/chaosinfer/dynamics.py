@@ -39,6 +39,9 @@ class MapSpec:
     r: float = 4.0
 
     def __post_init__(self) -> None:
+        # A numpy r would step a series in its own precision, and a lockstep
+        # block in float64.
+        object.__setattr__(self, "r", float(self.r))
         if self.family not in MAP_FAMILIES:
             raise ValueError(
                 f"unknown map family {self.family!r}, expected one of {MAP_FAMILIES}"
@@ -54,10 +57,11 @@ class NoiseSpec:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        # A shock that overflowed to inf would never fold back into [0, 1].
-        # As a Python float: a narrow numpy float would overflow, casting
-        # MAX_SIGMA to its type.
-        if not 0.0 <= float(self.sigma) <= MAX_SIGMA:
+        # Stored as a Python float, as MapSpec stores r: a narrow numpy float
+        # would overflow, casting MAX_SIGMA to its type.  A shock that
+        # overflowed to inf would never fold back into [0, 1].
+        object.__setattr__(self, "sigma", float(self.sigma))
+        if not 0.0 <= self.sigma <= MAX_SIGMA:
             raise ValueError(f"sigma={self.sigma} must lie in [0, {MAX_SIGMA!r}]")
 
 

@@ -2,7 +2,7 @@
 
 Simulates one noisy trajectory, scans a grid of binary decision points, and
 for every point selects a Markov order and estimates entropy rates.  emit
-writes a SweepResult's scored blocks: the summary as CSV or JSON, and the
+writes a SweepResult's scored columns: the summary as CSV or JSON, and the
 detail CSV of a result scored with detail.  JSON round-trips losslessly back
 to SweepResult.
 """
@@ -22,7 +22,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
+from itertools import chain, compress, repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -62,15 +62,13 @@ FORMAT_CHOICES = ("csv", "json")
 # many points as keep its order-k_max tables, 8 bytes a cell, within
 # COUNT_BLOCK_BYTES.  That bounds the shared series' difference array, which
 # is one row longer, and the regenerated series' tables and per-chunk
-# bincount.  A counting block is scored in slices of as many points as keep
-# their order-k_max table entries at or under GRID_BLOCK_ENTRIES, so the
-# lower-order tables and the scoring temporaries exist for one slice at a
-# time.  Either holds at least one point, so from k_max = 16 on both are one
-# point whose table alone exceeds its bound.
+# bincount.  A counting block is scored in slices of half its points, at
+# least one, so the lower-order tables and the scoring temporaries exist for
+# one slice at a time.  From k_max = 16 on both are one point whose table
+# alone exceeds the bound.
 COUNT_BLOCK_BYTES = 1 << 20
-GRID_BLOCK_ENTRIES = 1 << 16
-# The output rows of this many points of a block, and their detail rows, are
-# formatted and written together.
+# The output rows of this many points, and their detail rows, are formatted
+# and written together.
 EMIT_CHUNK_ROWS = 64
 # The top-of-range warning names at most this many decision points.
 TOP_OF_RANGE_SHOWN = 5
@@ -238,28 +236,28 @@ class DetailRow:
     p_order: float
 
 
-class _Block(NamedTuple):
-    """The scores of a block of decision points, as the kernels return them."""
+class _Scores(NamedTuple):
+    """The scores of every decision point of a sweep, as columns over the grid."""
 
     d: np.ndarray  # (points,)
     best: np.ndarray  # (points,) index in the order range of each selected order, -1 if failed
     # (5, points, orders): the float fields of DetailRow, in field order, all NaN
     # at a failed point.  Without detail, entropy is NaN at the orders no point
-    # of the block selected.
+    # of the scoring slice selected.
     values: np.ndarray
+    errors: dict[int, str]  # {point index: error text} of each failed point
     detail: bool  # whether entropy was estimated at every order, as for a detail_path
-    error: str | None = None  # the error text of a failed point, which is a block of its own
 
 
 def _row_cells(result):
     """The cells of each row of `result` as a tuple in field order, which
     costs less to make than a SweepRow."""
-    orders = _orders(result.config)
-    for block in result._blocks:
-        for d, b, e, r, c, le, p in zip(block.d.tolist(), block.best.tolist(),
-                                        *block.values.tolist()):
-            yield (d, orders[b] if block.error is None else None, e[b], r[b], c[b], tuple(le),
-                   tuple(p), block.error)
+    orders, scores = _orders(result.config), result._scores
+    errors = map(scores.errors.get, range(len(scores.d)))
+    for d, b, e, r, c, le, p, error in zip(scores.d.tolist(), scores.best.tolist(),
+                                           *scores.values.tolist(), errors):
+        yield (d, orders[b] if error is None else None, e[b], r[b], c[b], tuple(le), tuple(p),
+               error)
 
 
 def _detail_cells(result):
@@ -268,11 +266,10 @@ def _detail_cells(result):
     else none."""
     if result.config.detail_path is None:
         return
-    orders = _orders(result.config)
-    for block in result._blocks:
-        if block.error is None:
-            for d, e, r, c, le, p in zip(block.d.tolist(), *block.values.tolist()):
-                yield from zip(repeat(d), orders, e, r, c, le, p)
+    orders, scores = _orders(result.config), result._scores
+    for i, (d, e, r, c, le, p) in enumerate(zip(scores.d.tolist(), *scores.values.tolist())):
+        if i not in scores.errors:
+            yield from zip(repeat(d), orders, e, r, c, le, p)
 
 
 def _same(a, b) -> bool:
@@ -285,39 +282,36 @@ def _same(a, b) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A sweep's config, Lyapunov estimate and scored blocks, made only by
-    run_sweep and from_rows.  dataclasses.replace keeps the blocks, so it
+    """A sweep's config, Lyapunov estimate and scored columns, made only by
+    run_sweep and from_rows.  dataclasses.replace keeps the columns, so it
     must keep the config's k_min, k_max and detail_path.  `rows` and
-    `detail` are read-only views of the blocks, built on first read.
+    `detail` are read-only views of the columns, built on first read.
     Results are equal when their configs, Lyapunov estimates, rows and detail
     rows are, a NaN cell equal to a NaN cell, and are not hashable."""
 
     config: SweepConfig
     lyapunov_bits: float
-    _blocks: tuple[_Block, ...] = dataclasses.field(repr=False)
+    _scores: _Scores = dataclasses.field(repr=False)
 
     def __post_init__(self):
         if isinstance(self.lyapunov_bits, np.generic):
             object.__setattr__(self, "lyapunov_bits", self.lyapunov_bits.item())
-        width = len(_orders(self.config))
-        detail = self.config.detail_path is not None
-        for block in self._blocks:
-            if not (isinstance(block, _Block) and block.values.shape == (5, len(block.d), width)):
-                raise ValueError(f"{type(block).__name__} is not a scored block of {width} orders; "
-                                 "SweepResult.from_rows makes a result from rows")
-            if block.detail != detail:
-                raise ValueError(f"a block scored {'with' if block.detail else 'without'} "
-                                 f"detail under a config with detail_path="
-                                 f"{self.config.detail_path!r}")
+        scores, width = self._scores, len(_orders(self.config))
+        if not (isinstance(scores, _Scores) and scores.values.shape == (5, len(scores.d), width)):
+            raise ValueError(f"{type(scores).__name__} is not the scores of {width} orders; "
+                             "SweepResult.from_rows makes a result from rows")
+        if scores.detail != (self.config.detail_path is not None):
+            raise ValueError(f"columns scored {'with' if scores.detail else 'without'} detail "
+                             f"under a config with detail_path={self.config.detail_path!r}")
 
     @classmethod
     def from_rows(cls, config: SweepConfig, lyapunov_bits: float, rows,
                   detail=()) -> "SweepResult":
         """The result whose rows and detail rows are `rows` and `detail`; a
         row's estimates are its detail rows' if config.detail_path is set.  A
-        failed row, one with an error, is a block of its own, and each run of
-        other rows is a block.  ValueError(ROUND_TRIP) unless the blocks
-        built write back exactly the given rows and detail rows."""
+        row with an error is a failed point, whose cells are all NaN.
+        ValueError(ROUND_TRIP) unless the columns built write back exactly
+        the given rows and detail rows."""
         return _from_cells(config, lyapunov_bits, map(dataclasses.astuple, rows),
                            map(dataclasses.astuple, detail))
 
@@ -343,24 +337,19 @@ class SweepResult:
         """(rows, failed rows, detail rows, peak), where the peak is (d,
         k_selected, h_expected_bits) of the first row without an error of the
         largest h_expected_bits, None if every row failed."""
-        orders = _orders(self.config)
-        rows = failed = 0
+        orders, scores = _orders(self.config), self._scores
+        rows, failed = len(scores.d), len(scores.errors)
         peak = None
-        for block in self._blocks:
-            rows += len(block.d)
-            if block.error is not None:
-                failed += 1
-                continue
-            h = np.take_along_axis(block.values[0], block.best[:, None], axis=1)[:, 0].tolist()
-            for d, b, value in zip(block.d.tolist(), block.best.tolist(), h):
-                if peak is None or value > peak[2]:
-                    peak = d, orders[b], value
+        h = np.take_along_axis(scores.values[0], scores.best[:, None], axis=1)[:, 0].tolist()
+        for i, (d, b, value) in enumerate(zip(scores.d.tolist(), scores.best.tolist(), h)):
+            if i not in scores.errors and (peak is None or value > peak[2]):
+                peak = d, orders[b], value
         detail = (rows - failed) * len(orders) if self.config.detail_path is not None else 0
         return rows, failed, detail, peak
 
 
 # The one check of a result made from rows or read from JSON.
-ROUND_TRIP = "the blocks built must write back exactly the given rows and detail rows"
+ROUND_TRIP = "the columns built must write back exactly the given rows and detail rows"
 # What cells of the wrong kind or number raise while a result is built from them.
 _BAD_CELLS = (ArithmeticError, LookupError, TypeError, ValueError)
 
@@ -370,7 +359,7 @@ def _from_cells(config, lyapunov_bits, rows, detail) -> SweepResult:
     cells in field order.  A row's cells are d, k_selected, its three
     estimates, log_evidence, p_order and error; a detail row's are d, k, its
     three estimates, log_evidence and p_order.  Any failure to build the
-    blocks, and blocks that break ROUND_TRIP, is ValueError(ROUND_TRIP)."""
+    columns, and columns that break ROUND_TRIP, is ValueError(ROUND_TRIP)."""
     try:
         orders = _orders(config)
         width = len(orders)
@@ -389,11 +378,9 @@ def _from_cells(config, lyapunov_bits, rows, detail) -> SweepResult:
         estimates = np.array([row[2:5] for row in good], dtype=float).reshape(-1, 3)
         values[:3, ok.nonzero()[0], best[ok]] = estimates.T
         d = np.array([row[0] for row in rows], dtype=float)
-        failed = (~ok).nonzero()[0].tolist()
-        cuts = sorted({0, len(rows), *failed, *(i + 1 for i in failed)})
-        result = SweepResult(config, lyapunov_bits, tuple(
-            _Block(d[a:b], best[a:b], values[:, a:b], config.detail_path is not None, rows[a][-1])
-            for a, b in zip(cuts, cuts[1:])))
+        errors = {i: row[-1] for i, row in enumerate(rows) if row[-1] is not None}
+        result = SweepResult(config, lyapunov_bits,
+                             _Scores(d, best, values, errors, config.detail_path is not None))
         if _same((tuple(_row_cells(result)), tuple(_detail_cells(result))),
                  (tuple(rows), tuple(detail))):
             return result
@@ -411,12 +398,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     and read a chunk at a time (see dynamics.recorded_chunks), so no memory
     grows with n but the shared series' cuts in the grid (see
     _shared_series).  Decision points are counted a block of
-    COUNT_BLOCK_BYTES at a time and scored in slices of each block (see
-    GRID_BLOCK_ENTRIES).  The result keeps each scored slice as a block of
-    arrays.  Rows are independent: a failure of the inference at one
-    decision point is recorded on its row and does not abort the sweep.
-    Rows that select the top order of the range are reported in one
-    RuntimeWarning.  Fully deterministic given the seed.
+    COUNT_BLOCK_BYTES at a time and scored in slices of half a block, whose
+    scores fill columns over the whole grid.  Rows are independent: a
+    failure of the inference at one decision point is recorded on its row
+    and does not abort the sweep.  Rows that select the top order of the
+    range are reported in one RuntimeWarning.  Fully deterministic given
+    the seed.
     """
     config.validate()
     map_spec = MapSpec(config.family, config.r)
@@ -427,18 +414,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     log_priors = [order_log_prior(k, 2, config.order_prior) for k in orders]
     priors = {k: uniform_prior(k, 2, config.alpha) for k in orders}
     counted = max(1, COUNT_BLOCK_BYTES // (8 << (orders[-1] + 1)))
-    scored = max(1, GRID_BLOCK_ENTRIES >> (orders[-1] + 1))
-    args = (orders, log_priors, priors, config.detail_path is not None)
-
-    blocks: list[_Block] = []
+    scored = max(1, counted // 2)
+    values = np.full((5, config.grid, len(orders)), np.nan)
+    scores = _Scores(points, np.full(config.grid, -1), values, {}, config.detail_path is not None)
     for start in range(0, config.grid, counted):
         ds = points[start:start + counted]
         # Passed on, not kept: a block's tables are freed before the next is counted.
-        blocks += _score_slices(
-            ds, *_block_counts(config, map_spec, noise, cuts, start, ds, orders[-1]), scored,
-            *args)
-    _warn_top_of_range(blocks, orders)
-    return SweepResult(config, lam, tuple(blocks))
+        _score_slices(scores, start, *_block_counts(config, map_spec, noise, cuts, start, ds,
+                                                    orders[-1]), scored, orders, log_priors, priors)
+    _warn_top_of_range(scores, orders)
+    return SweepResult(config, lam, scores)
 
 
 def _orders(config: SweepConfig) -> range:
@@ -496,63 +481,61 @@ def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
     return top, first
 
 
-def _score_slices(ds, top, first, scored, orders, *args) -> list[_Block]:
-    """The blocks of a counting block's points `ds` scored `scored` points at
-    a time, from their order-k_max tables `top` and first k_max symbols
-    `first`: the lower orders exist for one slice at a time."""
-    blocks = []
-    for at in range(0, len(ds), scored):
-        part = slice(at, at + scored)
-        stacked = lower_orders(top[part], first[part], orders)
-        tables = {k: CountTable(k, stacked[k].reshape(len(ds[part]), -1, 2)) for k in orders}
-        try:
-            blocks.append(_score(ds[part], tables, orders, *args))
-        except Exception:
-            blocks += _score_each(ds[part], tables, orders, *args)
-    return blocks
+def _score_slices(scores, start, top, first, scored, orders, *args) -> None:
+    """Score the points of a counting block, from grid point `start` on,
+    `scored` at a time into `scores`, from their order-k_max tables `top`
+    and first k_max symbols `first`: the lower orders exist for one slice at
+    a time."""
+    for at in range(0, len(top), scored):
+        stacked = lower_orders(top[at:at + scored], first[at:at + scored], orders)
+        tables = {k: CountTable(k, stacked[k].reshape(len(stacked[k]), -1, 2)) for k in orders}
+        _score_into(scores, start + at, tables, orders, *args)
 
 
-def _score(ds, tables, orders, log_priors, priors, want_detail) -> _Block:
-    """The scores of a block of decision points.
+def _score_into(scores, start, tables, orders, log_priors, priors) -> None:
+    """Fill the columns of the decision points from `start` on with their
+    scores (see _score).  If scoring them raises, they are scored one at a
+    time, so that a point that fails on its own keeps its NaN cells and gets
+    its error text."""
+    points = len(tables[orders[0]].table)
+    try:
+        best, values = _score(tables, orders, log_priors, priors, scores.detail)
+    except Exception as exc:
+        if points == 1:
+            scores.errors[start] = str(exc) or type(exc).__name__  # the type names it if no text
+        else:
+            for i in range(points):
+                one = {k: CountTable(k, t.table[i:i + 1]) for k, t in tables.items()}
+                _score_into(scores, start + i, one, orders, log_priors, priors)
+    else:
+        scores.best[start:start + points], scores.values[:, start:start + points] = best, values
 
-    `tables` maps each order to the stacked count tables of the points `ds`.
-    Entropy is estimated at every order for detail rows, otherwise at the
-    orders some point selected, so that a summary row fails only when the
-    estimate at its own order does.
+
+def _score(tables, orders, log_priors, priors, want_detail):
+    """(best, values): the index in `orders` of each point's selected order
+    and its (5, points, orders) values (see _Scores), from `tables`, which
+    maps each order to the stacked count tables of the points.  Entropy is
+    estimated at every order for detail rows, otherwise at the orders some
+    point selected, so that a summary row fails only when the estimate at
+    its own order does.
     """
     les = order_log_evidences(tables, priors)
     post, best = posterior_over_orders(les, log_priors)
-    values = np.full((5, len(ds), len(orders)), np.nan)
+    values = np.full((5, *les.shape), np.nan)
     values[3], values[4] = les, post
     for j in range(len(orders)) if want_detail else np.unique(best).tolist():
         e = expected_info(tables[orders[j]], priors[orders[j]])
         values[:3, :, j] = e.expected_info, e.h_rate_q, e.kl_correction
-    return _Block(ds, best, values, want_detail)
+    return best, values
 
 
-def _score_each(ds, tables, orders, log_priors, priors, want_detail) -> list[_Block]:
-    """_score one point at a time, a block each; a point that fails gets a
-    block of NaNs carrying its error, so a failed block holds one point."""
-    blocks = []
-    for i in range(len(ds)):
-        one = {k: CountTable(k, t.table[i:i + 1]) for k, t in tables.items()}
-        try:
-            blocks.append(_score(ds[i:i + 1], one, orders, log_priors, priors, want_detail))
-        except Exception as exc:
-            blank = np.full((5, 1, len(orders)), np.nan)
-            error = str(exc) or type(exc).__name__  # the type names an exception without text
-            blocks.append(_Block(ds[i:i + 1], np.array([-1]), blank, want_detail, error))
-    return blocks
-
-
-def _warn_top_of_range(blocks, orders) -> None:
-    top = np.concatenate([block.d[block.best == len(orders) - 1] for block in blocks]).tolist()
+def _warn_top_of_range(scores, orders) -> None:
+    top = scores.d[scores.best == len(orders) - 1].tolist()
     if len(orders) > 1 and top:
         shown = ", ".join(f"{d:g}" for d in top[:TOP_OF_RANGE_SHOWN])
         more = ", ..." if len(top) > TOP_OF_RANGE_SHOWN else ""
-        points = sum(len(block.d) for block in blocks)
         warnings.warn(
-            f"{len(top)} of {points} decision points selected order {orders[-1]}, the top "
+            f"{len(top)} of {len(scores.d)} decision points selected order {orders[-1]}, the top "
             f"of the range (d = {shown}{more}); the range may be truncating the true order",
             RuntimeWarning,
             stacklevel=3,
@@ -653,31 +636,29 @@ def _non_finite(cells: np.ndarray, before: int, after: int) -> dict:
     return dict(zip(at.tolist(), cells[rows, columns].tolist()))
 
 
-def _block_pieces(block, orders, detail: bool, missing: str):
-    """Each EMIT_CHUNK_ROWS points of a block as two pieces (see _filled):
-    their summary rows and, if `detail` and the block did not fail, their
-    detail rows, else None.
+def _pieces(scores, orders, detail: bool, missing: str):
+    """Each EMIT_CHUNK_ROWS points of the columns as two pieces (see
+    _filled): their summary rows and, if `detail`, the detail rows of those
+    of them that did not fail, else None.
 
     Each float is repr'd once: d once per point, every other float once per
     (point, order) cell.  A summary row's estimates are its cells at the
     selected order, its per-order lists its cells at every order, and its
-    error `missing`, the summary's None, unless the block failed.  The odd
-    cells are found from np.isfinite, not by checking each cell: the
-    non-finite floats, such as a failed point's values, which are all NaN,
-    and the order and error of a failed block's one point."""
+    error `missing`, the summary's None, unless the point failed.  The odd
+    cells are found from np.isfinite and the failed points, not by checking
+    each cell: the non-finite floats, such as a failed point's values, which
+    are all NaN, and the order and error of each failed point."""
     width = len(orders)
     ks = list(map(repr, orders))
-    detail = detail and block.error is None
-    for start in range(0, len(block.d), EMIT_CHUNK_ROWS):
+    for start in range(0, len(scores.d), EMIT_CHUNK_ROWS):
         part = slice(start, start + EMIT_CHUNK_ROWS)
-        piece = block._replace(d=block.d[part], best=block.best[part],
-                               values=block.values[:, part])
-        points = len(piece.d)
-        best = np.maximum(piece.best, 0)  # a failed point reads its own NaN cells
+        points = len(scores.d[part])
+        failed = np.flatnonzero(scores.best[part] < 0).tolist()
+        best = np.maximum(scores.best[part], 0)  # a failed point reads its own NaN cells
         at = (np.arange(points) * width + best).tolist()  # each selected cell
-        values = piece.values.reshape(5, -1)
+        values = scores.values[:, part].reshape(5, -1)
         selected = values[:3, at]
-        d = list(map(repr, piece.d.tolist()))
+        d = list(map(repr, scores.d[part].tolist()))
         estimates = [list(map(repr, column))
                      for column in (values[:3] if detail else selected).tolist()]
         les, post = ([*map(repr, column)] for column in values[3:].tolist())
@@ -687,16 +668,20 @@ def _block_pieces(block, orders, detail: bool, missing: str):
             *(les[j::width] for j in range(width)), *(post[j::width] for j in range(width)),
             repeat(missing),
         )))
-        cells = np.concatenate([selected.T, *piece.values[3:]], axis=1)  # after d and k
+        cells = np.concatenate([selected.T, *scores.values[3:, part]], axis=1)  # after d and k
         odd = _non_finite(cells, 2, 1)
-        if piece.error is not None:  # its one point has no order, and an error last
-            odd[1] = None
-            odd[cells.shape[1] + 2] = piece.error
-        if not detail:
+        row = cells.shape[1] + 3  # the cells of a summary row
+        for i in failed:  # no order, and an error last
+            odd[i * row + 1] = None
+            odd[i * row + row - 1] = scores.errors[start + i]
+        if not detail or len(failed) == points:
             yield (points, texts, odd), None
             continue
         rows = zip([text for text in d for _ in orders], ks * points, *estimates, les, post)
         cells = values.T  # the detail cells after d and k as floats
+        if failed:  # which have no detail rows
+            kept = np.repeat(scores.best[part] >= 0, width)
+            rows, cells = compress(rows, kept.tolist()), cells[kept]
         detail_texts = tuple(chain.from_iterable(rows))
         yield (points, texts, odd), (len(cells), detail_texts, _non_finite(cells, 2, 0))
 
@@ -704,7 +689,7 @@ def _block_pieces(block, orders, detail: bool, missing: str):
 def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:
     """Write the summary of the result to `fh` as `summary`, "csv" or "json",
     and its detail CSV to `detail_fh` if one is given, in one pass over its
-    blocks, EMIT_CHUNK_ROWS points at a time.  No file is held whole in
+    columns, EMIT_CHUNK_ROWS points at a time.  No file is held whole in
     memory: the JSON's detail objects, which follow all of its rows, wait in
     a temporary file until the rows are written."""
     orders = _orders(result.config)
@@ -721,8 +706,7 @@ def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:
     detail_line, detail_object = _templates(DetailRow)
     detail = (detail_fh is not None or summary == "json") and result.config.detail_path is not None
     missing = _spell(None, summary == "csv")
-    pieces = chain.from_iterable(_block_pieces(block, orders, detail, missing)
-                                 for block in result._blocks)
+    pieces = _pieces(result._scores, orders, detail, missing)
     spool = (tempfile.TemporaryFile("w+", encoding="utf-8", newline="") if summary == "json"
              else contextlib.nullcontext())
     with spool:

@@ -183,6 +183,16 @@ def test_recorded_chunks_equal_per_series_trajectories(monkeypatch, n, transient
         assert states[:, g].tobytes() == want.tobytes(), seed
 
 
+def test_numpy_float_parameters_step_alike_in_lockstep_and_alone():
+    # r and sigma are kept as Python floats, so a float32 r steps every
+    # series in float64 whether it is stepped alone or in a lockstep block.
+    spec, noise = MapSpec(r=np.float32(3.7)), NoiseSpec(np.float32(1e-3))
+    assert type(spec.r) is float and type(noise.sigma) is float
+    chunks = [chunk.copy() for chunk in recorded_chunks(spec, noise, 50, 5, range(32))]
+    want = generate_trajectory(spec, noise, 50, 5, 0).states
+    assert np.concatenate(chunks)[:, 0].tobytes() == want.tobytes()
+
+
 def reflect_by_bounces(x: float) -> float:
     """The edge-by-edge fold: one bounce per step until x lands in [0, 1]."""
     while x < 0.0 or x > 1.0:

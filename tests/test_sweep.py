@@ -29,7 +29,6 @@ from chaosinfer.entropy import EntropyEstimate
 from chaosinfer.sweep import (
     COUNT_BLOCK_BYTES,
     FORMAT_CHOICES,
-    GRID_BLOCK_ENTRIES,
     MAX_ALPHA,
     MIN_ALPHA,
     ROUND_TRIP,
@@ -121,7 +120,7 @@ ORACLE_CASES = {
     "shortest_series": SweepConfig(n=6, transient=30, seed=1, grid=9, k_min=0, k_max=4),
     "per_d_series": SweepConfig(n=600, transient=30, seed=2, grid=6, k_min=1, k_max=3,
                                 regenerate_per_d=True),
-    # 131 points at k_max=8 span a full grid block and a partial one.
+    # 131 points at k_max=8 span a full scoring slice and a partial one.
     "partial_block": SweepConfig(n=600, transient=30, seed=4, grid=131, k_min=1, k_max=8),
     "per_d_partial_block": SweepConfig(n=600, transient=30, seed=6, grid=131, k_min=0,
                                        k_max=8, regenerate_per_d=True),
@@ -138,11 +137,12 @@ def test_run_sweep_equals_per_d_oracle(case, detail):
 
 
 def small_count_block(k_max: int) -> int:
-    """The points of a counting block under small_count_budget at k_max:
-    three while a scoring slice holds more than 64 points, else two slices
-    and three points, so a counting block ends with a partial slice."""
-    scored = GRID_BLOCK_ENTRIES >> (k_max + 1)
-    return 3 if scored > 64 else 2 * scored + 3
+    """The points of a counting block under small_count_budget at k_max, an
+    odd number, so that its scoring slices of half a block end with one of
+    a single point: five (slices of 2, 2 and 1) up to k_max 8, and from
+    k_max 9 on LOCKSTEP_MIN_POINTS + 3 (17, 17 and 1), wide enough for its
+    regenerated series to step in lockstep."""
+    return 5 if k_max <= 8 else LOCKSTEP_MIN_POINTS + 3
 
 
 def small_count_budget(k_max: int) -> int:
@@ -154,23 +154,21 @@ def small_count_budget(k_max: int) -> int:
 def accepted_configs(draw):
     """A SweepConfig that validate() accepts, with a short series and a grid
     drawn against the blocks that small_count_budget gives.  Up to k_max 8 a
-    grid of 2 to 7 points spans one to three counting blocks of three points.
-    From k_max 9 on a scoring slice holds at most 64 points, and the grid is
-    one point short of a slice or of a counting block, a full one, or one or
-    two points over it; a counting block ends with a partial slice.  From
-    k_max 9 on a counting block holds at least LOCKSTEP_MIN_POINTS points, so
-    its regenerated series step in lockstep, while a grid under that, such as
-    one point short of a slice at k_max 10, simulates each series on its own,
-    and a grid one or two over a counting block steps a full block in
-    lockstep and its last one or two points on their own.  The last point,
-    d = 1, gives every series the same symbols, so only two points over put a
-    series-dependent point in the second block."""
+    grid of 2 to 11 points spans one to three counting blocks of five
+    points.  From k_max 9 on the grid is one point short of a scoring slice
+    or of a counting block, a full one, or one or two points over it.  A
+    grid of about a slice simulates each regenerated series on its own, a
+    grid of about a counting block steps a full block in lockstep, and a
+    grid one or two over a counting block steps its last one or two points
+    on their own.  The last point, d = 1, gives every series the same
+    symbols, so only two points over put a series-dependent point in the
+    second block."""
     k_max = draw(st.sampled_from(range(12)))
-    scored, counted = GRID_BLOCK_ENTRIES >> (k_max + 1), small_count_block(k_max)
-    if scored <= 64:
-        grid = draw(st.sampled_from([scored, counted])) + draw(st.sampled_from([-1, 0, 1, 2]))
+    counted = small_count_block(k_max)
+    if k_max > 8:
+        grid = draw(st.sampled_from([counted // 2, counted])) + draw(st.sampled_from([-1, 0, 1, 2]))
     else:
-        grid = draw(st.integers(2, 7))
+        grid = draw(st.integers(2, 2 * counted + 1))
     return SweepConfig(
         r=draw(st.sampled_from([4.0, 3.7])),
         sigma=draw(st.sampled_from([0.0, 1e-3, 0.3, 5.0])),
@@ -189,27 +187,29 @@ def accepted_configs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 # Block edges that the draws may not reach.  A regenerated lockstep block
-# scored in a full slice and a partial one (64 + 2 points):
+# scored in slices of 17, 17 and 1 points, then 31 points each simulated on
+# its own and scored in slices of 17 and 14:
 @example(cfg=SweepConfig(n=300, transient=0, seed=1, grid=66, k_min=0, k_max=9, sigma=0.3,
                          alpha=0.3, regenerate_per_d=True, detail_path="detail.csv"))
 # Three counting blocks of the shared series, the last of one point:
-@example(cfg=SweepConfig(n=200, transient=5, seed=2, grid=7, k_min=0, k_max=2, sigma=0.3))
-# A counting block of the shared series scored in slices of 32, 32 and 3:
+@example(cfg=SweepConfig(n=200, transient=5, seed=2, grid=11, k_min=0, k_max=2, sigma=0.3))
+# Two counting blocks of the shared series, scored in slices of 17, 17 and
+# 1, then 17 and 15:
 @example(cfg=SweepConfig(n=300, transient=5, seed=3, grid=67, k_min=1, k_max=10, sigma=0.3,
                          detail_path="detail.csv"))
-# Regenerated series: a lockstep block scored in slices of 16, 16 and 3,
+# Regenerated series: a lockstep block scored in slices of 17, 17 and 1,
 # then two points simulated on their own:
 @example(cfg=SweepConfig(n=300, transient=5, seed=4, grid=37, k_min=2, k_max=11, sigma=0.3,
                          regenerate_per_d=True))
 # A shared series over one leaf, cut in uint16 (grid > 255) and counted in
-# blocks of three points, or of 131 at k_max 9, so most blocks clip their cuts:
+# blocks of five points, or of 35 at k_max 9, so most blocks clip their cuts:
 @example(cfg=SweepConfig(n=LEAF + 1000, transient=3, seed=5, grid=300, k_min=0, k_max=2,
                          sigma=0.3))
 @example(cfg=SweepConfig(n=LEAF + 9, transient=0, seed=6, grid=300, k_min=7, k_max=9,
                          sigma=1e-3, detail_path="detail.csv"))
 # Regenerated series stepped each on its own over several leaves, in a
-# counting block of three points and then one of two:
-@example(cfg=SweepConfig(n=2 * LEAF + 5, transient=LEAF + 2, seed=7, grid=5, k_min=0, k_max=3,
+# counting block of five points and then one of two:
+@example(cfg=SweepConfig(n=2 * LEAF + 5, transient=LEAF + 2, seed=7, grid=7, k_min=0, k_max=3,
                          sigma=0.3, regenerate_per_d=True))
 @given(cfg=accepted_configs())
 def test_run_sweep_equals_per_d_oracle_on_accepted_configs(cfg):
@@ -237,7 +237,7 @@ def written(result, tmp, out_format, detail):
 
 
 def rebuilt(result):
-    """`result` made again from its rows, in blocks of other sizes."""
+    """`result` made again from its rows."""
     return SweepResult.from_rows(result.config, result.lyapunov_bits, result.rows, result.detail)
 
 
@@ -268,8 +268,8 @@ def with_cells(result, point, k, **cells):
                          alpha=0.3, regenerate_per_d=True, detail_path="detail.csv"))
 @given(cfg=accepted_configs())
 def test_columns_write_the_bytes_of_their_rows_on_accepted_configs(cfg):
-    # A result of run_sweep, and the same result made again from its rows in
-    # blocks of other sizes, write the same bytes.
+    # A result of run_sweep, and the same result made again from its rows,
+    # write the same bytes.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = run_sweep(cfg)
@@ -284,9 +284,10 @@ def test_columns_write_the_bytes_of_their_rows_on_accepted_configs(cfg):
 
 
 def test_partial_block_case_spans_two_blocks():
+    # A full scoring slice, half a counting block, and a partial one.
     cfg = ORACLE_CASES["partial_block"]
-    block = GRID_BLOCK_ENTRIES >> (cfg.k_max + 1)
-    assert block < cfg.grid < 2 * block
+    counted = COUNT_BLOCK_BYTES // (8 << (cfg.k_max + 1))
+    assert counted // 2 < cfg.grid < counted
 
 
 @pytest.mark.parametrize("k_max", [0, 4])
@@ -920,13 +921,41 @@ def test_failed_rows_are_marked_without_aborting(monkeypatch, tmp_path):
     assert len(detailed.detail) == sum(good) * 2
     assert detailed.tally() == rebuilt(detailed).tally()
     assert detailed.tally()[:3] == (5, 5 - sum(good), sum(good) * 2)
-    # Each failed point is a block of its own, and yields no detail rows.
+    # Each failed point has one error and all-NaN cells, and yields no detail rows.
     for scored in (result, detailed, rebuilt(detailed)):
-        failed = [block for block in scored._blocks if block.error is not None]
-        assert len(failed) == sum(row.error is not None for row in scored.rows)
-        assert all(len(block.d) == 1 for block in failed)
+        failed = [i for i, row in enumerate(scored.rows) if row.error is not None]
+        assert sorted(scored._scores.errors) == failed
+        assert np.isnan(scored._scores.values[:, failed]).all()
     assert {dr.d for dr in detailed.detail} == {row.d for row in detailed.rows
                                                 if row.error is None}
+
+
+def test_failed_points_on_both_sides_of_a_piece_edge(tmp_path):
+    # The writer takes 64 points at a time: points 63 and 64 fail on either
+    # side of the first edge, and the last piece, points 128 and 129, fails whole.
+    scored = run_sweep(WIDE)
+    failed = {63, 64, 128, 129}
+    blank = (math.nan,) * (WIDE.k_max - WIDE.k_min + 1)
+    rows = [SweepRow(row.d, None, math.nan, math.nan, math.nan, blank, blank, f"failed at {i}")
+            if i in failed else row for i, row in enumerate(scored.rows)]
+    good = {row.d for row in rows if row.error is None}
+    detail = [dr for dr in scored.detail if dr.d in good]
+    for config, kept in ((WIDE, detail), (dataclasses.replace(WIDE, detail_path=None), ())):
+        result = SweepResult.from_rows(config, scored.lyapunov_bits, rows, kept)
+        assert result.tally()[:3] == (130, 4, len(kept))
+        writes = [("json", False), ("csv", False)]
+        writes += [("json", True), ("csv", True)] if kept else []
+        for out_format, with_detail in writes:
+            files = written(result, tmp_path, out_format, with_detail)
+            assert written(rebuilt(result), tmp_path, out_format, with_detail) == files
+            if out_format == "csv":
+                assert_csv_holds(tmp_path / "out", csv_header(config), result.rows)
+            else:
+                assert load_sweep_json(str(tmp_path / "out")) == result
+                objects = json.loads(files[0])["detail"]
+                assert [(o["d"], o["k"]) for o in objects] == [(dr.d, dr.k) for dr in kept]
+            if with_detail:
+                assert_csv_holds(tmp_path / "detail.csv", DETAIL_HEADER, kept)
 
 
 def test_results_with_failed_rows_equal_their_reruns_and_reloads(monkeypatch, tmp_path):
@@ -954,14 +983,14 @@ def test_results_with_failed_rows_equal_their_reruns_and_reloads(monkeypatch, tm
     assert SweepResult.from_rows(cfg, result.lyapunov_bits, rows) != result
 
 
-def test_a_result_holds_scored_blocks_of_its_order_range():
-    # Rows in place of blocks, the constructor form of earlier releases.
+def test_a_result_holds_scores_of_its_order_range():
+    # Rows in place of scores, the constructor form of earlier releases.
     with pytest.raises(ValueError, match="from_rows"):
         SweepResult(TINY.config, TINY.lyapunov_bits, TINY.rows)
     with pytest.raises(ValueError):
         dataclasses.replace(TINY, config=dataclasses.replace(TINY.config, k_max=3))
     # A NaN config cell equals a NaN; results are not hashable.
-    nan_r = [SweepResult(dataclasses.replace(TINY.config, r=nan), nan, TINY._blocks)
+    nan_r = [SweepResult(dataclasses.replace(TINY.config, r=nan), nan, TINY._scores)
              for nan in (float("nan"), np.float64("nan"))]
     assert nan_r[0] == nan_r[1] != TINY
     with pytest.raises(TypeError):
@@ -1052,7 +1081,7 @@ def test_a_carriage_return_in_an_error_stays_in_its_csv_row(monkeypatch, tmp_pat
         assert_csv_holds(path, csv_header(result.config), result.rows)
 
 
-def test_non_finite_cells_are_written_alike_from_blocks_and_rows(monkeypatch, tmp_path):
+def test_non_finite_cells_are_written_alike_from_columns_and_rows(monkeypatch, tmp_path):
     import chaosinfer.sweep as sweep_mod
 
     real = sweep_mod.expected_info
