@@ -17,21 +17,20 @@ _WINDOW_CHUNK = 1 << 13
 
 @dataclass(frozen=True)
 class CountTable:
-    """Transition counts n(context -> symbol) for one memory length.
+    """Transition counts n(context -> symbol) for one memory length, the
+    order k of a table of shape (..., 2**k, 2).
 
     Rows index contexts encoded as binary integers with the oldest symbol
     most significant; columns index the next symbol.  A stack of tables for
-    several decision points carries a leading grid axis, shape
-    (G, 2**order, 2).
+    several decision points carries a leading grid axis, shape (G, 2**k, 2).
     """
 
-    order: int
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.order < 0 or self.table.shape[-2:] != (1 << self.order, 2):
-            raise ValueError(f"order {self.order} must be >= 0 and its table of shape "
-                             f"(..., 2**order, 2), not {self.table.shape}")
+        shape = self.table.shape
+        if len(shape) < 2 or shape[-1] != 2 or shape[-2].bit_count() != 1:
+            raise ValueError(f"count table of shape {shape} is not (..., 2**order, 2)")
 
     @property
     def context_totals(self) -> np.ndarray:
@@ -75,7 +74,7 @@ def transition_counts(seq: SymbolSequence, order: int) -> CountTable:
     if n_cells > MAX_TABLE_ENTRIES:
         raise ValueError(f"dense table with {n_cells} entries is too large")
     flat = np.bincount(_window_codes(seq.symbols, order), minlength=n_cells)
-    return CountTable(order=order, table=flat.reshape(n_cells >> 1, 2))
+    return CountTable(flat.reshape(n_cells >> 1, 2))
 
 
 def grid_top_counts(cuts, lo, points, k_max) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import special
 
 from .counts import CountTable, _symbol_sum
-from .inference import DirichletPrior, _cell_terms, _check_match, _scalar
+from .inference import DirichletPrior, _cell_terms, _scalar
 
 _LN2 = math.log(2.0)
 
@@ -70,17 +70,17 @@ def expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
     A table with a leading grid axis gives arrays of estimates, one per
     table, each equal bit for bit to that table's own call.
     """
-    _check_match(counts, prior)
     post = counts.table + prior.alpha
     context_mass = _symbol_sum(post)
     beta = context_mass.sum(axis=-1)
     q_ctx = context_mass / beta[..., None]
-    q_joint = post / beta[..., None, None]
+    # Two cell-sized arrays: q_joint overwrites post, and log_q psi once summed.
+    q_joint = np.divide(post, beta[..., None, None], out=post)
     psi = _cell_terms(digamma, counts.table, prior.alpha)
     nats = (q_ctx * digamma(context_mass)).sum(axis=-1) - _cell_sum(
         np.multiply(q_joint, psi, out=psi)
     )
-    log_q = np.log2(q_joint)
+    log_q = np.log2(q_joint, out=psi)
     h_joint = -_cell_sum(np.multiply(q_joint, log_q, out=log_q))
     h_ctx = -(q_ctx * np.log2(q_ctx)).sum(axis=-1)
     n_free = q_joint.shape[-2]

@@ -21,12 +21,9 @@ from .counts import CountTable, _symbol_sum
 class DirichletPrior:
     """Symmetric Dirichlet prior: pseudo-count alpha on every (context, symbol) cell."""
 
-    order: int
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"order={self.order} must be >= 0")
         if not isinstance(self.alpha, numbers.Real):
             raise ValueError(f"alpha={self.alpha!r} must be a single number")
         alpha = float(self.alpha)
@@ -52,14 +49,17 @@ def _check_binary(alphabet_size: int) -> None:
 
 
 def uniform_prior(order: int, alphabet_size: int, value: float = 1.0) -> DirichletPrior:
-    """Symmetric prior with every pseudo-count equal to `value`.
+    """Symmetric prior with every pseudo-count equal to `value`, at any order.
 
-    The second argument, the number of symbols, must be 2.  The default
-    value 1 is flat over each transition row; the prior mean of every
-    transition probability is then 1/2.
+    The first two arguments, an order >= 0 and the number of symbols, which
+    must be 2, are checked and not kept.  The default value 1 is flat over
+    each transition row; the prior mean of every transition probability is
+    then 1/2.
     """
+    if order < 0:
+        raise ValueError(f"order={order} must be >= 0")
     _check_binary(alphabet_size)
-    return DirichletPrior(order=order, alpha=value)
+    return DirichletPrior(value)
 
 
 def _scalar(value):
@@ -83,13 +83,6 @@ def _cell_terms(f, table: np.ndarray, alpha: float) -> np.ndarray:
     return f(table + alpha)
 
 
-def _check_match(counts: CountTable, prior: DirichletPrior) -> None:
-    if counts.order != prior.order:
-        raise ValueError(
-            f"count table of order {counts.order} does not match prior of order {prior.order}"
-        )
-
-
 def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     """Closed-form log marginal likelihood with the rows integrated out.
 
@@ -101,7 +94,6 @@ def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     array of G evidences, each equal bit for bit to that row's own call; a
     single table gives a float.
     """
-    _check_match(counts, prior)
     a = prior.alpha
     na_context = _symbol_sum(counts.table + a)
     cells = _symbol_sum(_cell_terms(gammaln, counts.table, a))

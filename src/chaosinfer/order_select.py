@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .counts import CountTable, transition_counts
-from .inference import DirichletPrior, _check_binary, log_evidence, uniform_prior
+from .inference import DirichletPrior, _check_binary, log_evidence
 from .symbolize import SymbolSequence
 
 ORDER_PRIOR_KINDS = ("uniform", "size_penalty")
@@ -65,18 +65,13 @@ def order_log_prior(order: int, alphabet_size: int, kind: str = "size_penalty") 
     raise ValueError(f"unknown order prior kind {kind!r}, expected one of {ORDER_PRIOR_KINDS}")
 
 
-def order_log_evidences(
-    tables: Mapping[int, CountTable], priors: Mapping[int, DirichletPrior]
-) -> np.ndarray:
-    """Log evidence of every order, orders along the last axis.
+def order_log_evidences(tables: Mapping[int, CountTable], prior: DirichletPrior) -> np.ndarray:
+    """Log evidence of every order under the one `prior`, orders along the last axis.
 
     `tables` maps each order, ascending, to its count table or to a stack of
     tables with a leading grid axis; the result then has shape (G, orders).
     """
-    return np.stack(
-        [log_evidence(table, priors[k]).value for k, table in tables.items()],
-        axis=-1,
-    )
+    return np.stack([log_evidence(table, prior).value for table in tables.values()], axis=-1)
 
 
 def posterior_over_orders(log_evidences, log_priors) -> tuple[np.ndarray, np.ndarray]:
@@ -134,6 +129,5 @@ def order_posterior(
             f"sequence of length {len(seq)} too short for k_max={order_range.k_max}"
         )
     ks = list(order_range.orders())
-    priors = {k: uniform_prior(k, 2, alpha) for k in ks}
-    les = order_log_evidences({k: transition_counts(seq, k) for k in ks}, priors)
+    les = order_log_evidences({k: transition_counts(seq, k) for k in ks}, DirichletPrior(alpha))
     return rank_orders(ks, les, [order_log_prior(k, 2, kind) for k in ks])

@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import numbers
 import os
 import shutil
 import sys
@@ -46,7 +47,7 @@ from .dynamics import (
     recorded_chunks,
 )
 from .entropy import expected_info
-from .inference import uniform_prior
+from .inference import DirichletPrior
 from .order_select import (
     ORDER_PRIOR_KINDS,
     OrderRange,
@@ -358,14 +359,20 @@ def _from_cells(config, lyapunov_bits, rows, detail) -> SweepResult:
     """SweepResult.from_rows of rows and detail rows given as tuples of their
     cells in field order.  A row's cells are d, k_selected, its three
     estimates, log_evidence, p_order and error; a detail row's are d, k, its
-    three estimates, log_evidence and p_order.  Any failure to build the
-    columns, and columns that break ROUND_TRIP, is ValueError(ROUND_TRIP)."""
+    three estimates, log_evidence and p_order.  An order cell (k_selected of
+    a row without an error, k of a detail row) that is a bool or not an
+    integer, any failure to build the columns, and columns that break
+    ROUND_TRIP are ValueError(ROUND_TRIP)."""
     try:
         orders = _orders(config)
         width = len(orders)
         rows, detail = list(rows), list(detail)
         ok = np.array([row[-1] is None for row in rows], dtype=bool)
         good = [row for row in rows if row[-1] is None]
+        # _same finds 1 == 1.0 == True, so the round trip alone lets these pass.
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                   for k in chain((row[1] for row in good), (cells[1] for cells in detail))):
+            raise TypeError("an order is not an integer")
         best = np.full(len(rows), -1)
         best[ok] = [orders.index(row[1]) for row in good]
         values = np.full((5, len(rows), width), np.nan)
@@ -412,7 +419,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     points = decision_points(config.grid)
     lam, cuts = _shared_series(config, map_spec, noise, points)
     log_priors = [order_log_prior(k, 2, config.order_prior) for k in orders]
-    priors = {k: uniform_prior(k, 2, config.alpha) for k in orders}
+    prior = DirichletPrior(config.alpha)
     counted = max(1, COUNT_BLOCK_BYTES // (8 << (orders[-1] + 1)))
     scored = max(1, counted // 2)
     values = np.full((5, config.grid, len(orders)), np.nan)
@@ -421,7 +428,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         ds = points[start:start + counted]
         # Passed on, not kept: a block's tables are freed before the next is counted.
         _score_slices(scores, start, *_block_counts(config, map_spec, noise, cuts, start, ds,
-                                                    orders[-1]), scored, orders, log_priors, priors)
+                                                    orders[-1]), scored, orders, log_priors, prior)
     _warn_top_of_range(scores, orders)
     return SweepResult(config, lam, scores)
 
@@ -488,30 +495,30 @@ def _score_slices(scores, start, top, first, scored, orders, *args) -> None:
     a time."""
     for at in range(0, len(top), scored):
         stacked = lower_orders(top[at:at + scored], first[at:at + scored], orders)
-        tables = {k: CountTable(k, stacked[k].reshape(len(stacked[k]), -1, 2)) for k in orders}
+        tables = {k: CountTable(stacked[k].reshape(len(stacked[k]), -1, 2)) for k in orders}
         _score_into(scores, start + at, tables, orders, *args)
 
 
-def _score_into(scores, start, tables, orders, log_priors, priors) -> None:
+def _score_into(scores, start, tables, orders, log_priors, prior) -> None:
     """Fill the columns of the decision points from `start` on with their
     scores (see _score).  If scoring them raises, they are scored one at a
     time, so that a point that fails on its own keeps its NaN cells and gets
     its error text."""
     points = len(tables[orders[0]].table)
     try:
-        best, values = _score(tables, orders, log_priors, priors, scores.detail)
+        best, values = _score(tables, orders, log_priors, prior, scores.detail)
     except Exception as exc:
         if points == 1:
             scores.errors[start] = str(exc) or type(exc).__name__  # the type names it if no text
         else:
             for i in range(points):
-                one = {k: CountTable(k, t.table[i:i + 1]) for k, t in tables.items()}
-                _score_into(scores, start + i, one, orders, log_priors, priors)
+                one = {k: CountTable(t.table[i:i + 1]) for k, t in tables.items()}
+                _score_into(scores, start + i, one, orders, log_priors, prior)
     else:
         scores.best[start:start + points], scores.values[:, start:start + points] = best, values
 
 
-def _score(tables, orders, log_priors, priors, want_detail):
+def _score(tables, orders, log_priors, prior, want_detail):
     """(best, values): the index in `orders` of each point's selected order
     and its (5, points, orders) values (see _Scores), from `tables`, which
     maps each order to the stacked count tables of the points.  Entropy is
@@ -519,12 +526,12 @@ def _score(tables, orders, log_priors, priors, want_detail):
     point selected, so that a summary row fails only when the estimate at
     its own order does.
     """
-    les = order_log_evidences(tables, priors)
+    les = order_log_evidences(tables, prior)
     post, best = posterior_over_orders(les, log_priors)
     values = np.full((5, *les.shape), np.nan)
     values[3], values[4] = les, post
     for j in range(len(orders)) if want_detail else np.unique(best).tolist():
-        e = expected_info(tables[orders[j]], priors[orders[j]])
+        e = expected_info(tables[orders[j]], prior)
         values[:3, :, j] = e.expected_info, e.h_rate_q, e.kl_correction
     return best, values
 

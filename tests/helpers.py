@@ -35,7 +35,7 @@ from chaosinfer.dynamics import (
     lyapunov_exponent,
 )
 from chaosinfer.entropy import EntropyEstimate, expected_info
-from chaosinfer.inference import DirichletPrior, LogEvidence, log_evidence, uniform_prior
+from chaosinfer.inference import DirichletPrior, LogEvidence, log_evidence
 from chaosinfer.order_select import order_log_prior, rank_orders
 from chaosinfer.sweep import DetailRow, SweepConfig, SweepResult, SweepRow
 from chaosinfer.symbolize import SymbolSequence, decision_grid, symbolize
@@ -280,13 +280,13 @@ def per_d_sweep(config: SweepConfig) -> SweepResult:
                                        config.seed + 1 + i)
         seq = symbolize(traj, part)
         tables = {k: transition_counts(seq, k) for k in orders}
-        priors = {k: uniform_prior(k, 2, config.alpha) for k in orders}
+        prior = DirichletPrior(config.alpha)
         ranking = rank_orders(
             orders,
-            [log_evidence(tables[k], priors[k]).value for k in orders],
+            [log_evidence(tables[k], prior).value for k in orders],
             [order_log_prior(k, 2, config.order_prior) for k in orders],
         )
-        ests = {k: expected_info(tables[k], priors[k]) for k in orders}
+        ests = {k: expected_info(tables[k], prior) for k in orders}
         best = ests[ranking.selected]
         d = part.decision_point
         rows.append(SweepRow(d, ranking.selected, best.expected_info, best.h_rate_q,

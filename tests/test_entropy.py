@@ -24,7 +24,7 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def zeros_table(order: int) -> CountTable:
-    return CountTable(order=order, table=np.zeros((2**order, 2), dtype=int))
+    return CountTable(np.zeros((2**order, 2), dtype=int))
 
 
 def test_digamma_at_one_is_minus_euler_gamma():
@@ -74,8 +74,8 @@ def test_digamma_vectorized():
 def test_stacked_estimates_equal_per_table_calls(data, order, rows, alpha):
     table = data.draw(count_stack(order, rows))
     prior = uniform_prior(order, 2, alpha)
-    stacked = expected_info(CountTable(order, table), prior)
-    singles = [expected_info(CountTable(order, t), prior) for t in table]
+    stacked = expected_info(CountTable(table), prior)
+    singles = [expected_info(CountTable(t), prior) for t in table]
     for name in ("expected_info", "h_rate_q", "kl_correction"):
         column = getattr(stacked, name)
         assert isinstance(column, np.ndarray) and column.shape == (rows,)
@@ -105,7 +105,7 @@ def test_kernels_match_frozen_references(rows, order, top_share, alpha, seed):
     table[rng.random(shape[:2]) < 0.3] = 0
     table.flat[rng.integers(table.size)] = top
     prior = uniform_prior(order, 2, alpha)
-    for counts in [CountTable(order, table)] + [CountTable(order, t) for t in table]:
+    for counts in [CountTable(table)] + [CountTable(t) for t in table]:
         assert (np.asarray(log_evidence(counts, prior).value).tobytes()
                 == np.asarray(reference_log_evidence(counts, prior).value).tobytes())
         got, want = expected_info(counts, prior), reference_expected_info(counts, prior)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaosinfer.counts import CountTable
-from chaosinfer.inference import uniform_prior
+from chaosinfer.inference import DirichletPrior, uniform_prior
 from chaosinfer.order_select import (
     ORDER_PRIOR_KINDS,
     OrderRange,
@@ -109,15 +109,14 @@ def test_rank_orders_posterior_normalized(scores, priors):
 )
 def test_stacked_order_scoring_equals_per_row_rankings(data, k_max, rows, alpha, kind):
     orders = range(k_max + 1)
-    tables = {k: CountTable(k, data.draw(count_stack(k, rows))) for k in orders}
-    priors = {k: uniform_prior(k, 2, alpha) for k in orders}
+    tables = {k: CountTable(data.draw(count_stack(k, rows))) for k in orders}
+    prior = DirichletPrior(alpha)
     log_priors = [order_log_prior(k, 2, kind) for k in orders]
-    les = order_log_evidences(tables, priors)
+    les = order_log_evidences(tables, prior)
     post, best = posterior_over_orders(les, log_priors)
     assert les.shape == post.shape == (rows, k_max + 1)
     for i in range(rows):
-        row = order_log_evidences({k: CountTable(k, t.table[i]) for k, t in tables.items()},
-                                  priors)
+        row = order_log_evidences({k: CountTable(t.table[i]) for k, t in tables.items()}, prior)
         ranking = rank_orders(orders, row, log_priors)
         assert les[i].tolist() == list(ranking.log_evidence)
         assert post[i].tolist() == list(ranking.posterior)

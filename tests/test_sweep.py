@@ -1003,6 +1003,9 @@ def _set(part, at, **cells):
     return lambda obj: obj[part][at].update(cells)
 
 
+# Row 0 of TINY made to select order 1, with that order's estimates.
+ORDER_1 = {"h_expected_bits": math.nan, "h_rate_q_bits": 0.375, "kl_correction_bits": 1e-05}
+
 # Edits of TINY's JSON after which no result writes the file.
 BROKEN_JSON = {
     "detail-dropped": lambda obj: obj["detail"].pop(),
@@ -1019,6 +1022,11 @@ BROKEN_JSON = {
     "posterior-not-in-row": _set("detail", 1, p_order=0.8),
     "detail-of-another-point": _set("detail", 0, d=1.0),
     "detail-of-another-order": _set("detail", 0, k=2),
+    # Orders that equal an integer but are not one.
+    "float-order": _set("rows", 0, k_selected=2.0),
+    "bool-order": _set("rows", 0, k_selected=True, **ORDER_1),
+    "float-detail-order": _set("detail", 0, k=1.0),
+    "bool-detail-order": _set("detail", 0, k=True),
     # Structural edits: a part or a cell missing, a scalar for a list, a cell of the wrong type.
     "no-detail-key": lambda obj: obj.pop("detail"),
     "row-without-d": lambda obj: obj["rows"][0].pop("d"),
@@ -1052,6 +1060,8 @@ def test_load_rejects_json_that_no_result_writes(tmp_path, edit):
     {"p_order": (0.1,)},
     {"k_selected": 3},
     {"h_expected_bits": 0.5},
+    {"k_selected": 2.0},
+    {"k_selected": True, **ORDER_1},
 ])
 def test_from_rows_rejects_rows_that_no_result_writes(cells):
     rows = (dataclasses.replace(TINY.rows[0], **cells), TINY.rows[1])
@@ -1089,7 +1099,7 @@ def test_non_finite_cells_are_written_alike_from_columns_and_rows(monkeypatch, t
     def skew(counts, prior):
         # Infinities and NaNs in some cells of the order-2 estimates.
         e = real(counts, prior)
-        if counts.order != 2:
+        if counts.table.shape[-2] != 4:  # not order 2
             return e
         return EntropyEstimate(e.expected_info, np.where(e.h_rate_q > 0.9, np.inf, e.h_rate_q),
                                np.where(e.kl_correction > 0.0, np.nan, e.kl_correction))
