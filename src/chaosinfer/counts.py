@@ -23,6 +23,7 @@ class CountTable:
     Rows index contexts encoded as binary integers with the oldest symbol
     most significant; columns index the next symbol.  A stack of tables for
     several decision points carries a leading grid axis, shape (G, 2**k, 2).
+    Counts are integers: the scoring kernels look their terms up by count.
     """
 
     table: np.ndarray
@@ -31,6 +32,8 @@ class CountTable:
         shape = self.table.shape
         if len(shape) < 2 or shape[-1] != 2 or shape[-2].bit_count() != 1:
             raise ValueError(f"count table of shape {shape} is not (..., 2**order, 2)")
+        if self.table.dtype.kind not in "iu":
+            raise ValueError(f"count table of dtype {self.table.dtype} does not hold integers")
 
     @property
     def context_totals(self) -> np.ndarray:

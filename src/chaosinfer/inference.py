@@ -2,7 +2,9 @@
 
 Each context carries an independent Dirichlet prior over its transition row,
 so the likelihood integrates in closed form: the log evidence is a sum of
-Dirichlet-multinomial normalization ratios.
+Dirichlet-multinomial normalization ratios.  Its terms, like those of the
+entropy estimates, are each a function of one count, gathered from the
+tables that entropy._count_sums builds once per prior.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .counts import CountTable, _symbol_sum
+from .counts import CountTable
+from .entropy import _count_sums, _scalar
 
 
 @dataclass(frozen=True)
@@ -62,44 +64,17 @@ def uniform_prior(order: int, alphabet_size: int, value: float = 1.0) -> Dirichl
     return DirichletPrior(value)
 
 
-def _scalar(value):
-    """A Python float for a 0-d result, the array itself for a stack."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def _cell_terms(f, table: np.ndarray, alpha: float) -> np.ndarray:
-    """f(table + alpha), f applied to every cell.
-
-    When the table holds integer counts from 0 up to a largest count `top`
-    below table.size, each term is gathered from f(alpha + arange(top + 1)),
-    which evaluates f fewer times than there are cells.  alpha + n is the
-    same float either way, so the terms are the same.  Otherwise f is
-    evaluated on every cell.
-    """
-    if table.dtype.kind in "iu" and table.size:
-        top = int(table.max())
-        if top < table.size and table.min() >= 0:
-            return f(alpha + np.arange(top + 1)).take(table)
-    return f(table + alpha)
-
-
 def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
     """Closed-form log marginal likelihood with the rows integrated out.
 
-    Per visited context the contribution is
-    lnGamma(2 alpha) - 2 lnGamma(alpha) + sum_s lnGamma(n + alpha)
-    - lnGamma(n(ctx) + 2 alpha); unvisited contexts contribute exactly 0.
+    Each context contributes rise(alpha, n0) + rise(alpha, n1)
+    - rise(2 alpha, n0 + n1), where rise(a, n) = lnGamma(n + a) - lnGamma(a);
+    an unvisited context contributes exactly 0.  The rises come from the
+    count-indexed tables of entropy._count_sums.
 
     A table with a leading grid axis, (G, contexts, 2), gives an
     array of G evidences, each equal bit for bit to that row's own call; a
     single table gives a float.
     """
-    a = prior.alpha
-    na_context = _symbol_sum(counts.table + a)
-    cells = _symbol_sum(_cell_terms(gammaln, counts.table, a))
-    per_context = gammaln(2 * a) - 2 * gammaln(a) + cells
-    per_context -= gammaln(na_context, out=na_context)
-    visited = counts.context_totals > 0
-    value = np.where(visited, per_context, 0.0).sum(axis=-1)
-    return LogEvidence(value=_scalar(value))
-
+    (cells,), (contexts,), _ = _count_sums(counts, prior.alpha, (0,))
+    return LogEvidence(value=_scalar(cells - contexts))

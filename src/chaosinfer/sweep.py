@@ -73,13 +73,11 @@ COUNT_BLOCK_BYTES = 1 << 20
 EMIT_CHUNK_ROWS = 64
 # The top-of-range warning names at most this many decision points.
 TOP_OF_RANGE_SHOWN = 5
-# Accepted Dirichlet pseudo-counts.  gammaln and digamma take 1/alpha, which
-# overflows to inf below the smallest normal float.  At the top, the largest
+# Accepted Dirichlet pseudo-counts.  digamma(alpha), about -1/alpha,
+# overflows to -inf below the smallest normal float.  At the top, the largest
 # table (MAX_TABLE_ENTRIES cells, k_max = 25) has posterior mass
 # n + MAX_TABLE_ENTRIES * alpha of about half the largest float, so it and
-# twice it (the bias term's denominator) stay finite.  Every gammaln and
-# digamma argument is at most n + 2 * alpha, far below gammaln's own overflow
-# near 2.5e305.
+# twice it (the bias term's denominator) stay finite.
 MIN_ALPHA = sys.float_info.min
 MAX_ALPHA = sys.float_info.max / (2 * MAX_TABLE_ENTRIES)
 

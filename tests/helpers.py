@@ -9,9 +9,10 @@ sweep counts and scores blocks of decision points at once.  Word counts, the
 context codec, posterior means and the map itself are small restatements
 that check the library's counts, prior and trajectories; the trajectory
 reference restates the simulator with separate warm-up and recording loops.
-The kernel references are frozen copies of log_evidence and expected_info
-that evaluate gammaln and digamma on every cell and sum each context with
-numpy's sum, the form the library's kernels must match bit for bit.
+The log evidence oracle evaluates mpmath's loggamma with enough digits
+that its lnGamma(alpha) terms cancel exactly.  The entropy reference is a
+frozen copy of expected_info as it evaluated digamma on every cell, which
+the count-indexed kernel must match within KERNEL_REL_TOL and KERNEL_ABS_TOL.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from chaosinfer.dynamics import (
     lyapunov_exponent,
 )
 from chaosinfer.entropy import EntropyEstimate, expected_info
-from chaosinfer.inference import DirichletPrior, LogEvidence, log_evidence
+from chaosinfer.inference import DirichletPrior, log_evidence
 from chaosinfer.order_select import order_log_prior, rank_orders
 from chaosinfer.sweep import DetailRow, SweepConfig, SweepResult, SweepRow
 from chaosinfer.symbolize import SymbolSequence, decision_grid, symbolize
@@ -139,22 +140,43 @@ def _scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def reference_log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
-    """log_evidence as it was before its cell terms were gathered from a
-    lookup table and its context sums became one add: gammaln of every cell."""
-    a = prior.alpha
-    na = counts.table + a
-    na_context = na.sum(axis=-1)
-    per_context = gammaln(2 * a) - 2 * gammaln(a) + gammaln(na, out=na).sum(axis=-1)
-    per_context -= gammaln(na_context, out=na_context)
-    visited = counts.table.sum(axis=-1) > 0
-    value = np.where(visited, per_context, 0.0).sum(axis=-1)
-    return LogEvidence(value=_scalar(value))
+def mp_log_evidence(table, alpha: float) -> float:
+    """Closed-form log evidence of one table, rounded to a float from
+    mpmath's loggamma at log10(alpha) + 40 significant digits: enough that
+    lnGamma(n + alpha) - lnGamma(alpha), of terms near alpha ln alpha, keeps
+    more than 30.  Each distinct count is evaluated once."""
+    table = np.asarray(table)
+    with mpmath.workdps(40 + max(0, math.ceil(math.log10(alpha)))):
+        total = mpmath.mpf(0)
+        for pseudo, counts, sign in ((alpha, table.ravel(), 1), (2 * alpha, table.sum(axis=-1), -1)):
+            a = mpmath.mpf(pseudo)
+            base = mpmath.loggamma(a)
+            for n, times in Counter(counts.tolist()).items():
+                total += sign * times * (mpmath.loggamma(a + n) - base)
+        return float(total)
+
+
+# How far the count-indexed kernels may lie from the oracles: the log
+# evidence from mp_log_evidence and sequential_log_evidence (relative), the
+# entropy estimates from reference_expected_info (relative or absolute, as
+# the benchmark's oracle allows).
+EVIDENCE_REL_TOL = 1e-12
+KERNEL_REL_TOL = 1e-9
+KERNEL_ABS_TOL = 1e-12
+
+
+def assert_estimates_close(got: EntropyEstimate, want: EntropyEstimate) -> None:
+    """Each field of `got`, a float or an array, is close to `want`'s as
+    math.isclose(rel_tol=KERNEL_REL_TOL, abs_tol=KERNEL_ABS_TOL) counts it."""
+    for name in ("expected_info", "h_rate_q", "kl_correction"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        bound = np.maximum(KERNEL_REL_TOL * np.maximum(abs(a), abs(b)), KERNEL_ABS_TOL)
+        assert np.all(abs(a - b) <= bound), (name, a, b)
 
 
 def reference_expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
-    """expected_info as it was before its cell terms were gathered from a
-    lookup table and its context sums became one add: digamma of every cell."""
+    """expected_info as it was before its terms were gathered from
+    count-indexed tables: digamma of every cell and every context."""
     def cell_sum(x):
         return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
 

@@ -83,6 +83,12 @@ def test_count_table_shape_states_an_order(shape):
         CountTable(np.zeros(shape, dtype=np.int64))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
+def test_count_table_holds_integers(dtype):
+    with pytest.raises(ValueError, match="does not hold integers"):
+        CountTable(np.zeros((2, 2), dtype=dtype))
+
+
 def test_context_codec_round_trip():
     for word in [(0,), (1, 0), (1, 1, 0)]:
         assert decode_context(encode_context(word), len(word)) == word

@@ -1,22 +1,26 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaosinfer.entropy as entropy
 from chaosinfer.counts import CountTable, transition_counts
 from chaosinfer.entropy import digamma, expected_info
-from chaosinfer.inference import log_evidence, uniform_prior
+from chaosinfer.inference import DirichletPrior, log_evidence, uniform_prior
 from chaosinfer.sweep import MAX_ALPHA, MIN_ALPHA
 from chaosinfer.symbolize import SymbolSequence
 from helpers import (
     ALPHAS,
+    EVIDENCE_REL_TOL,
+    assert_estimates_close,
     count_stack,
     mc_expected_info,
+    mp_log_evidence,
     reference_digamma,
     reference_expected_info,
-    reference_log_evidence,
 )
 
 LN2 = math.log(2.0)
@@ -83,21 +87,32 @@ def test_stacked_estimates_equal_per_table_calls(data, order, rows, alpha):
         assert all(isinstance(getattr(one, name), float) for one in singles)
 
 
+ESTIMATES = ("expected_info", "h_rate_q", "kl_correction")
+
+
+def bits_of(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(
     rows=st.integers(1, 6),
     order=st.integers(0, 10),
-    # The largest count as a share of the table's size: 0 leaves every cell
-    # empty, below 1 the cell terms are gathered, from 1 on evaluated directly.
+    # The largest count as a share of the stack's size: 0 leaves every cell
+    # empty; at 40 the larger stacks hold counts past the table cap, whose
+    # terms are evaluated directly.
     top_share=st.sampled_from([0.0, 0.001, 0.5, 0.999, 1.0, 1.5, 40.0]),
     alpha=st.one_of(
-        st.sampled_from([1.0, 0.5, 0.3, 1e-3, 7.1, MIN_ALPHA, MAX_ALPHA]),
+        st.sampled_from([1.0, 0.5, 0.3, 1e-3, 7.1, 99.9, 100.0, 1e7, MIN_ALPHA, MAX_ALPHA]),
         st.floats(MIN_ALPHA, MAX_ALPHA),
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_kernels_match_frozen_references(rows, order, top_share, alpha, seed):
-    # Bit for bit, for a stack of tables and for each table on its own.
+def test_kernels_match_references(rows, order, top_share, alpha, seed):
+    # The estimates close to the frozen per-cell expected_info, a stack of
+    # tables equal bit for bit to each table on its own, and up to order 8
+    # the log evidence within EVIDENCE_REL_TOL of mpmath's (which evaluates
+    # each distinct count at 40 or more digits: slow on the larger tables).
     rng = np.random.default_rng(seed)
     shape = (rows, 2**order, 2)
     top = int(top_share * np.prod(shape))
@@ -105,13 +120,56 @@ def test_kernels_match_frozen_references(rows, order, top_share, alpha, seed):
     table[rng.random(shape[:2]) < 0.3] = 0
     table.flat[rng.integers(table.size)] = top
     prior = uniform_prior(order, 2, alpha)
-    for counts in [CountTable(table)] + [CountTable(t) for t in table]:
-        assert (np.asarray(log_evidence(counts, prior).value).tobytes()
-                == np.asarray(reference_log_evidence(counts, prior).value).tobytes())
-        got, want = expected_info(counts, prior), reference_expected_info(counts, prior)
-        for name in ("expected_info", "h_rate_q", "kl_correction"):
-            assert (np.asarray(getattr(got, name)).tobytes()
-                    == np.asarray(getattr(want, name)).tobytes()), name
+    evidences = log_evidence(CountTable(table), prior).value
+    estimates = expected_info(CountTable(table), prior)
+    assert_estimates_close(estimates, reference_expected_info(CountTable(table), prior))
+    for i, t in enumerate(table):
+        evidence = log_evidence(CountTable(t), prior).value
+        assert bits_of(evidence) == bits_of(evidences[i])
+        if order <= 8:
+            assert math.isclose(evidence, mp_log_evidence(t, alpha), rel_tol=EVIDENCE_REL_TOL)
+        one = expected_info(CountTable(t), prior)
+        for name in ESTIMATES:
+            assert bits_of(getattr(one, name)) == bits_of(getattr(estimates, name)[i]), name
+
+
+@pytest.mark.parametrize("alpha", [0.37, 1.0, 99.9, 150.0, MAX_ALPHA])
+def test_counts_past_the_table_cap_give_the_tabulated_floats(monkeypatch, alpha):
+    # With a cap of 3 entries nearly every term is evaluated directly; the
+    # results equal those gathered from full tables bit for bit.
+    rng = np.random.default_rng(11)
+    table = rng.integers(0, 60, size=(4, 8, 2))
+    table[0, :3] = 0
+    table[1, 5, 1] = 40_000  # past the default cap too
+    prior = DirichletPrior(alpha)
+    stacks = [CountTable(table)] + [CountTable(t) for t in table]
+
+    def scores():
+        entropy._MEMO.clear()
+        return [[bits_of(log_evidence(c, prior).value)]
+                + [bits_of(getattr(expected_info(c, prior), name)) for name in ESTIMATES]
+                for c in stacks]
+
+    tabulated = scores()
+    monkeypatch.setattr(entropy, "_TABLE_CAP", 3)
+    assert scores() == tabulated
+    assert all(t.shape == (3, 3) for t in entropy._MEMO[alpha])
+    entropy._MEMO.clear()
+
+
+@pytest.mark.parametrize("alpha", [MIN_ALPHA, MAX_ALPHA], ids=["min", "max"])
+@pytest.mark.parametrize("order", [0, 4, 12])
+def test_kernels_are_finite_at_the_edges_of_the_alpha_range(alpha, order):
+    rng = np.random.default_rng(order)
+    counts = CountTable(rng.integers(0, 50, size=(2, 2**order, 2)))
+    prior = DirichletPrior(alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        evidence = log_evidence(counts, prior).value
+        estimate = expected_info(counts, prior)
+    assert np.all(np.isfinite(evidence))
+    for name in ESTIMATES:
+        assert np.all(np.isfinite(getattr(estimate, name))), name
 
 
 def test_expected_info_zero_data_analytic():

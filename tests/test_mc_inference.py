@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosinfer.counts import CountTable, transition_counts
 from chaosinfer.inference import DirichletPrior, log_evidence, uniform_prior
+from chaosinfer.sweep import MAX_ALPHA, MIN_ALPHA
 from chaosinfer.symbolize import SymbolSequence
 from helpers import (
     ALPHAS,
+    EVIDENCE_REL_TOL,
     count_stack,
     mc_evidence,
     posterior_mean,
@@ -90,6 +92,28 @@ def test_log_evidence_matches_sequential_predictive(data, order):
     lev = log_evidence(transition_counts(seq, order), uniform_prior(order, 2))
     assert lev.value == pytest.approx(sequential_log_evidence(data, order), abs=1e-10)
     assert lev.value <= 1e-12
+
+
+# Log-uniform over the accepted alpha range, and both of its edges.
+ACCEPTED_ALPHAS = st.one_of(
+    st.sampled_from([MIN_ALPHA, MAX_ALPHA]),
+    st.floats(math.log(MIN_ALPHA), math.log(MAX_ALPHA)).map(
+        lambda x: min(max(math.exp(x), MIN_ALPHA), MAX_ALPHA)),
+)
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 400), p_one=st.sampled_from([0.0, 0.05, 0.5, 0.9]),
+       seed=st.integers(0, 2**32 - 1), order=st.integers(0, 3), alpha=ACCEPTED_ALPHAS)
+def test_log_evidence_is_accurate_over_the_accepted_alpha_range(n, p_one, seed, order, alpha):
+    # lnGamma(n + alpha) - lnGamma(alpha) as a difference of two gammaln
+    # values, each near alpha ln alpha, lost the whole result from alpha ~ 1e16 on.
+    if n < order + 1:
+        return
+    symbols = (np.random.default_rng(seed).random(n) < p_one).astype(int)
+    got = log_evidence(transition_counts(SymbolSequence(symbols), order), DirichletPrior(alpha))
+    want = sequential_log_evidence(symbols, order, alpha)
+    assert math.isclose(got.value, want, rel_tol=EVIDENCE_REL_TOL), (got.value, want)
 
 
 @given(data=bit_lists, order=st.integers(0, 2), split=st.integers(1, 11))

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -11,11 +13,13 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import per_d_sweep
+from helpers import EVIDENCE_REL_TOL, per_d_sweep, sequential_log_evidence
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chaosinfer
 import chaosinfer.dynamics as dynamics
+import chaosinfer.entropy as entropy
 from chaosinfer.cli import main, parse_config
 from chaosinfer.dynamics import (
     LEAF,
@@ -26,6 +30,7 @@ from chaosinfer.dynamics import (
     lyapunov_exponent,
 )
 from chaosinfer.entropy import EntropyEstimate
+from chaosinfer.symbolize import decision_grid, symbolize
 from chaosinfer.sweep import (
     COUNT_BLOCK_BYTES,
     FORMAT_CHOICES,
@@ -373,6 +378,8 @@ def test_regenerated_block_memory_does_not_grow_with_n(monkeypatch):
             tracemalloc.stop()
 
     n = 10_000
+    # The counts of the larger n fill the scoring tables to their cap.
+    run_sweep(SweepConfig(n=4 * n, transient=0, grid=8, k_min=1, k_max=2, regenerate_per_d=True))
     for grid in (64, 8):
         peak(n, grid)  # first-call allocations
         # The shared series, stepped only for lambda, keeps nothing per state:
@@ -1454,12 +1461,49 @@ def test_extreme_accepted_alpha_gives_finite_rows(alpha):
     config = SweepConfig(n=2000, transient=50, grid=5, k_min=0, k_max=3, alpha=alpha,
                          detail_path="unused.csv")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", ".* the top of the range", RuntimeWarning)
         result = run_sweep(config)
     for row in result.rows:
         assert row.error is None
         assert all(map(math.isfinite, (row.h_expected_bits, *row.log_evidence, *row.p_order)))
     assert all(math.isfinite(dr.h_expected_bits) for dr in result.detail)
+
+
+@pytest.mark.parametrize("alpha", [1e8, 1e16, MAX_ALPHA])
+def test_sweep_log_evidence_is_accurate_at_large_alpha(alpha):
+    # Taken as differences of two gammaln values near alpha ln alpha, these
+    # read -1408.0 at 1e16 against a true -1386.3, and 0.0 at MAX_ALPHA.
+    config = SweepConfig(n=2000, transient=50, grid=5, k_min=0, k_max=3, alpha=alpha)
+    result = run_sweep(config)
+    series = generate_trajectory(MapSpec(config.family, config.r), NoiseSpec(config.sigma),
+                                 config.n, config.transient, config.seed)
+    for row, part in zip(result.rows, decision_grid(config.grid)):
+        symbols = symbolize(series, part).symbols
+        for k, got in zip(range(config.k_min, config.k_max + 1), row.log_evidence):
+            want = sequential_log_evidence(symbols, k, alpha)
+            assert math.isclose(got, want, rel_tol=EVIDENCE_REL_TOL), (row.d, k, got, want)
+
+
+def test_scoring_tables_stay_within_their_bound():
+    # Counts up to 2**18 lie far past the table cap, and a second alpha
+    # replaces the first: the memo holds one alpha's cell and context
+    # tables, 3 rows of at most 2**14 floats each.
+    for alpha in (1.0, 2.5):
+        run_sweep(SweepConfig(n=1 << 18, transient=0, grid=50, k_min=1, k_max=8, alpha=alpha))
+        assert list(entropy._MEMO) == [alpha]
+        held = sum(table.nbytes for tables in entropy._MEMO.values() for table in tables)
+        assert held <= 2 * 3 * (1 << 14) * 8
+
+
+def test_import_and_config_parsing_build_no_scoring_table():
+    code = ("import chaosinfer, chaosinfer.cli, chaosinfer.entropy as entropy\n"
+            "chaosinfer.cli.parse_config(['--n', '100', '--grid', '3'])\n"
+            "print(len(entropy._MEMO))")
+    src = os.path.dirname(os.path.dirname(chaosinfer.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "0\n"
 
 
 # Any float, including subnormal, huge, infinite and NaN ones, with extra
