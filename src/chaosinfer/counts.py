@@ -5,13 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .symbolize import SymbolSequence
 
 # Transition counts are stored dense, 2**(order+1) entries total.
 MAX_TABLE_ENTRIES = 1 << 26
-# Windows sorted at once by grid_top_counts; bounds its temporaries.
+# States whose k_max + 1 transition events grid_top_counts builds at once;
+# bounds its temporaries.
 _WINDOW_CHUNK = 1 << 13
 
 
@@ -23,7 +23,8 @@ class CountTable:
     Rows index contexts encoded as binary integers with the oldest symbol
     most significant; columns index the next symbol.  A stack of tables for
     several decision points carries a leading grid axis, shape (G, 2**k, 2).
-    Counts are integers: the scoring kernels look their terms up by count.
+    Counts are integers >= 0: the scoring kernels look their terms up by
+    count.
     """
 
     table: np.ndarray
@@ -34,6 +35,8 @@ class CountTable:
             raise ValueError(f"count table of shape {shape} is not (..., 2**order, 2)")
         if self.table.dtype.kind not in "iu":
             raise ValueError(f"count table of dtype {self.table.dtype} does not hold integers")
+        if self.table.min(initial=0) < 0:
+            raise ValueError("count table holds a negative count")
 
     @property
     def context_totals(self) -> np.ndarray:
@@ -89,11 +92,18 @@ def grid_top_counts(cuts, lo, points, k_max) -> tuple[np.ndarray, np.ndarray]:
 
     `cuts` holds the cut of each state of the series in the whole grid, as
     symbolize.state_cuts gives it, so a state reads 1 at grid point lo + i
-    iff i < clip(cut - lo, 0, points).  A window of k_max + 1 states changes
-    its pattern only where the point index passes one of its own clipped
-    cuts, so sorting those gives the pattern on every point interval; the
-    patterns go into a difference array over points, one row longer than
-    the tables, whose cumulative sum is the order-k_max table at each point.
+    iff i < clip(cut - lo, 0, points).  Below every cut each window's
+    pattern is all ones; at its own clipped cut c a state clears its bit in
+    each of the k_max + 1 windows it sits in, and each such event moves one
+    window from one pattern to another in row c of a difference array over
+    points, one row longer than the tables, whose cumulative sum is the
+    order-k_max table at each point.  Where several states of a window share
+    a cut they clear in order of position, oldest first, so just before
+    state s, at position j of window s - j, clears, the bit of position i is
+    set iff the cut of state s - j + i exceeds c, or equals it with i >= j.
+    For j = 0 that is 2**k_max plus k_max compares with the states after s,
+    and each next j shifts the pattern right and sets its top bit iff the cut
+    of state s - j exceeds c.
     """
     cuts = np.asarray(cuts)
     if k_max < 0:
@@ -105,36 +115,50 @@ def grid_top_counts(cuts, lo, points, k_max) -> tuple[np.ndarray, np.ndarray]:
     n = len(cuts)
     if n < width:
         raise ValueError(f"sequence of length {n} too short for order {k_max}")
-    # Sort key: clipped cut in the high bits, k_max - position in the low
-    # bits, so the low bits of a sorted key give the weight of its state's
-    # bit.  One lookup per state clips and shifts its cut.  Keys and codes
-    # stay below size, and in 32 bits, where they fit, they sort faster.
+    # One lookup per state clips its cut and shifts it to its row's offset
+    # in the difference array; offsets compare as the cuts do.  Codes stay
+    # below size, and in 32 bits where they fit.
     size = (points + 1) * n_patterns
     code = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    shift = width.bit_length()
-    key = (np.clip(np.arange(int(cuts.max()) + 1) - lo, 0, points) << shift).astype(code)
-    weight_exp = np.arange(k_max, -1, -1, dtype=code)
+    row = (np.clip(np.arange(int(cuts.max()) + 1) - lo, 0, points) << width).astype(code)
+    cleared = (n_patterns >> np.arange(1, width + 1, dtype=code))[:, None]  # bit of position j
+    # A window past either end of the series counts in the discarded last
+    # row at the all-ones pattern, so clearing a bit keeps it in that row.
+    dump = size - 1
     diff = np.zeros(size, dtype=np.int64)
     diff[n_patterns - 1] = n - k_max  # below every cut all window bits read 1
-    for start in range(0, n - k_max, _WINDOW_CHUNK):
-        stop = min(start + _WINDOW_CHUNK, n - k_max)
-        windows = sliding_window_view(key.take(cuts[start:stop + k_max]), width) + weight_exp
-        windows.sort(axis=1)
-        bit = np.left_shift(1, windows & ((1 << shift) - 1))
-        # Passing the m-th smallest cut clears the bit of that state.  The
-        # axis is short, so a subtraction per column beats a cumsum along it.
-        after = np.empty_like(bit)
-        np.subtract(n_patterns - 1, bit[:, 0], out=after[:, 0])
+    for start in range(0, n, _WINDOW_CHUNK):
+        stop = min(start + _WINDOW_CHUNK, n)
+        chunk = stop - start
+        # Offsets of states start - k_max .. stop + k_max - 1; those past an
+        # end of the series only ever reach windows that are dumped.
+        keys = row.take(cuts[max(start - k_max, 0):stop + k_max])
+        head, tail = max(k_max - start, 0), max(stop + k_max - n, 0)
+        if head or tail:
+            keys = np.concatenate([np.full(head, dump, code), keys, np.full(tail, dump, code)])
+        own = keys[k_max:k_max + chunk]
+        pattern = np.ones(chunk, dtype=code)
+        above = np.empty(chunk, dtype=bool)
+        for o in range(1, width):
+            pattern <<= 1
+            pattern |= np.greater_equal(keys[k_max + o:k_max + o + chunk], own, out=above)
+        before = np.empty((width, chunk), dtype=code)
+        np.add(own, pattern, out=before[0])
+        bit = np.empty(chunk, dtype=code)
         for j in range(1, width):
-            np.subtract(after[:, j - 1], bit[:, j], out=after[:, j])
-        windows >>= shift
-        windows <<= width
-        windows += after
-        diff += np.bincount(windows.ravel(), minlength=size)
-        windows += bit
-        diff -= np.bincount(windows.ravel(), minlength=size)
+            pattern >>= 1
+            np.greater(keys[k_max - j:k_max - j + chunk], own, out=above)
+            pattern |= np.left_shift(above, k_max, out=bit, dtype=code)
+            np.add(own, pattern, out=before[j])
+        if head or tail:  # window s - j exists iff j <= s <= n - width + j
+            for j in range(width):
+                before[j, :max(j - start, 0)] = dump
+                before[j, max(n - width + j + 1 - start, 0):] = dump
+        diff -= np.bincount(before.ravel(), minlength=size)
+        before -= cleared
+        diff += np.bincount(before.ravel(), minlength=size)
     diff = diff.reshape(points + 1, n_patterns)
-    first = np.arange(points)[:, None] < (key.take(cuts[:k_max]) >> shift)[None, :]
+    first = np.arange(points)[:, None] < (row.take(cuts[:k_max]) >> width)[None, :]
     return np.cumsum(diff, axis=0, out=diff)[:points], first
 
 

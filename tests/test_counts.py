@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaosinfer.counts as counts_mod
 import chaosinfer.dynamics as dynamics
 import chaosinfer.sweep as sweep_mod
 from chaosinfer.counts import CountTable, grid_top_counts, lower_orders, transition_counts
 from chaosinfer.dynamics import MAX_SIGMA, MapSpec, NoiseSpec, generate_trajectory
+from chaosinfer.inference import DirichletPrior, log_evidence
 from chaosinfer.symbolize import PartitionSpec, SymbolSequence, state_cuts, symbolize
 from helpers import count_words, decode_context, encode_context
 
@@ -87,6 +89,12 @@ def test_count_table_shape_states_an_order(shape):
 def test_count_table_holds_integers(dtype):
     with pytest.raises(ValueError, match="does not hold integers"):
         CountTable(np.zeros((2, 2), dtype=dtype))
+
+
+def test_count_table_rejects_negative_counts():
+    # The scoring kernels look a term up by count and would score -2 as 0.
+    with pytest.raises(ValueError, match="negative count"):
+        log_evidence(CountTable(np.array([[1, -2], [0, 3]])), DirichletPrior(1.0))
 
 
 def test_context_codec_round_trip():
@@ -177,12 +185,25 @@ def test_grid_counts_at_the_shortest_sequence(k_max):
     assert_grid_counts_match_per_threshold(states, GRID, range(0, k_max + 1))
 
 
-def test_grid_counts_across_window_chunks(monkeypatch):
-    import chaosinfer.counts as counts_mod
-
-    monkeypatch.setattr(counts_mod, "_WINDOW_CHUNK", 7)
-    states = np.random.default_rng(5).random(100)
+# Chunks of 1, 2, k_max, k_max + 1 and 7 states at k_max 4.  Each last
+# chunk holds fewer than k_max states, so the states whose windows would
+# pass the end of the series span two chunks or more.
+@pytest.mark.parametrize("chunk", [1, 2, 4, 5, 7])
+def test_grid_counts_across_window_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(counts_mod, "_WINDOW_CHUNK", chunk)
+    states = np.random.default_rng(5).random(101)
+    assert (len(states) - 1) % chunk + 1 < 4
     assert_grid_counts_match_per_threshold(states, [0.1, 0.3, 0.5, 0.9], [1, 2, 4])
+
+
+@pytest.mark.parametrize("k_max", [15, 16])
+def test_grid_counts_past_sixteen_bit_patterns(monkeypatch, k_max):
+    # A window of 16 states, then 17, fills and then passes 16 bits; chunks
+    # of 7 states spread the first and last windows over three chunks or more.
+    monkeypatch.setattr(counts_mod, "_WINDOW_CHUNK", 7)
+    rng = np.random.default_rng(k_max)
+    states = np.concatenate([rng.choice(GRID, 60), rng.random(60)])
+    assert_grid_counts_match_per_threshold(states, [0.2, 0.5, 0.6, 0.9], [0, k_max])
 
 
 def test_grid_counts_rejects_bad_arguments():
@@ -224,6 +245,24 @@ def test_grid_counts_memory_does_not_grow_with_the_series():
 
     # Only the window chunks are held, not a search result per state.
     assert peak(400_000) <= 1.1 * peak(100_000)
+
+
+def test_grid_counts_peak_memory_is_bounded():
+    # One call holds the difference array, at most two bincount outputs of
+    # its size, and at most 16 B for each of the k_max + 1 events of a chunk
+    # of 2**13 states (a 4-B code and bincount's 8-B copy of it): chunks of
+    # 2**14 states would pass this bound.
+    k_max, grid = 8, 50
+    cuts = state_cuts(np.random.default_rng(7).random(1 << 18), (np.arange(grid) + 0.5) / grid)
+    grid_top_counts(cuts, 0, grid, k_max)  # first-call allocations
+    tracemalloc.start()
+    try:
+        grid_top_counts(cuts, 0, grid, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 8 * (grid + 1) << (k_max + 1)
+    assert peak <= 3 * table + 2 * (k_max + 1) * (1 << 13) * 8 + (1 << 16)
 
 
 def per_point_counts(spec, noise, n, transient, seeds, ds, k_max):
