@@ -56,13 +56,29 @@ def _symbol_sum(x) -> np.ndarray:
 
 def _window_codes(symbols, k) -> np.ndarray:
     """The code of every window of k + 1 consecutive symbols along the first
-    axis, oldest symbol most significant, built from k + 1 shifted ORs."""
+    axis, oldest symbol most significant, built from k + 1 shifted ORs in
+    uint16 up to k = 15 and in uint32 beyond.  The symbols, 0 or 1, may be of
+    any integer or bool type."""
     n_windows = len(symbols) - k
-    codes = symbols[:n_windows].astype(np.intp)
+    codes = symbols[:n_windows].astype(np.uint16 if k < 16 else np.uint32)
     for j in range(1, k + 1):
         codes <<= 1
-        codes |= symbols[j:j + n_windows]
+        np.bitwise_or(codes, symbols[j:j + n_windows], out=codes, casting="unsafe")
     return codes
+
+
+def _table_cells(n: int, order: int) -> int:
+    """The 2**(order+1) cells of the order-`order` table of a series of n
+    symbols, after checking that the order is >= 0, the dense table within
+    MAX_TABLE_ENTRIES and the series longer than the order."""
+    if order < 0:
+        raise ValueError(f"order={order} must be >= 0")
+    n_cells = 2 << order
+    if n_cells > MAX_TABLE_ENTRIES:
+        raise ValueError(f"dense table with {n_cells} entries is too large")
+    if n < order + 1:
+        raise ValueError(f"sequence of length {n} too short for order {order}")
+    return n_cells
 
 
 def transition_counts(seq: SymbolSequence, order: int) -> CountTable:
@@ -71,19 +87,12 @@ def transition_counts(seq: SymbolSequence, order: int) -> CountTable:
     Counting starts after the first `order` symbols, so the total mass is
     len(seq) - order.
     """
-    if order < 0:
-        raise ValueError(f"order={order} must be >= 0")
-    n = len(seq)
-    if n < order + 1:
-        raise ValueError(f"sequence of length {n} too short for order {order}")
-    n_cells = 2 << order
-    if n_cells > MAX_TABLE_ENTRIES:
-        raise ValueError(f"dense table with {n_cells} entries is too large")
+    n_cells = _table_cells(len(seq), order)
     flat = np.bincount(_window_codes(seq.symbols, order), minlength=n_cells)
     return CountTable(flat.reshape(n_cells >> 1, 2))
 
 
-def grid_top_counts(cuts, lo, points, k_max) -> tuple[np.ndarray, np.ndarray]:
+def grid_top_counts(cuts, lo, points, k_max, below) -> tuple[np.ndarray, np.ndarray]:
     """The order-k_max binary tables at the `points` decision points lo,
     lo + 1, ... of a grid, int64 of shape (points, 2**(k_max+1)), row i
     flattened as transition_counts of the series symbolized at grid point
@@ -91,99 +100,130 @@ def grid_top_counts(cuts, lo, points, k_max) -> tuple[np.ndarray, np.ndarray]:
     k_max): the pair that lower_orders takes.
 
     `cuts` holds the cut of each state of the series in the whole grid, as
-    symbolize.state_cuts gives it, so a state reads 1 at grid point lo + i
-    iff i < clip(cut - lo, 0, points).  Below every cut each window's
-    pattern is all ones; at its own clipped cut c a state clears its bit in
-    each of the k_max + 1 windows it sits in, and each such event moves one
-    window from one pattern to another in row c of a difference array over
-    points, one row longer than the tables, whose cumulative sum is the
-    order-k_max table at each point.  Where several states of a window share
-    a cut they clear in order of position, oldest first, so just before
-    state s, at position j of window s - j, clears, the bit of position i is
-    set iff the cut of state s - j + i exceeds c, or equals it with i >= j.
-    For j = 0 that is 2**k_max plus k_max compares with the states after s,
-    and each next j shifts the pattern right and sets its top bit iff the cut
-    of state s - j exceeds c.
+    symbolize.state_cuts gives it, so a state reads 1 at grid point p iff
+    p < cut.  Below every cut each window's pattern is all ones; at its own
+    cut c a state clears its bit in each of the k_max + 1 windows it sits
+    in, and each such event moves one window from one pattern to another in
+    row c - lo of a difference array over the block, one row longer than
+    the tables, whose running sum over rows is the order-k_max table at each
+    point.  The block starts from `below`, the flattened table at grid point
+    lo - 1, such as the last table of the block before, and counts only the
+    states with lo <= cut < lo + points.  Events at a cut of lo + points or
+    more are not counted, or land in the discarded last row.
+
+    Where several states of a window share a cut they clear in order of
+    position, oldest first, so just before state s, at position j of window
+    s - j, clears, the bit of position i is set iff the cut of state
+    s - j + i exceeds c, or equals it with i >= j.  For j = 0 that is
+    2**k_max plus k_max compares with the states after s, and each next j
+    shifts the pattern right and sets its top bit iff the cut of state s - j
+    exceeds c.  The events are added into the difference array in place, so
+    a chunk of states costs what its events cost, whatever the block's width.
     """
     cuts = np.asarray(cuts)
-    if k_max < 0:
-        raise ValueError(f"order {k_max} must be >= 0")
-    width = k_max + 1
-    n_patterns = 1 << width
-    if n_patterns > MAX_TABLE_ENTRIES:
-        raise ValueError(f"dense table with {n_patterns} entries is too large")
     n = len(cuts)
-    if n < width:
-        raise ValueError(f"sequence of length {n} too short for order {k_max}")
-    # One lookup per state clips its cut and shifts it to its row's offset
-    # in the difference array; offsets compare as the cuts do.  Codes stay
-    # below size, and in 32 bits where they fit.
-    size = (points + 1) * n_patterns
-    code = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    row = (np.clip(np.arange(int(cuts.max()) + 1) - lo, 0, points) << width).astype(code)
+    n_patterns = _table_cells(n, k_max)
+    width = k_max + 1
+    top = lo + points
+    diff = np.zeros((points + 1, n_patterns), dtype=np.int64)
+    diff[0] = below
+    flat = diff.reshape(-1)
+    # One lookup per state, read only at cuts lo to top, shifts its cut to
+    # its row's offset in the difference array.  Codes stay below its size,
+    # and in 32 bits where they fit.
+    code = np.int32 if flat.size <= np.iinfo(np.int32).max else np.int64
+    row = ((np.arange(top + 1) - lo) << width).astype(code)
     cleared = (n_patterns >> np.arange(1, width + 1, dtype=code))[:, None]  # bit of position j
     # A window past either end of the series counts in the discarded last
     # row at the all-ones pattern, so clearing a bit keeps it in that row.
-    dump = size - 1
-    diff = np.zeros(size, dtype=np.int64)
-    diff[n_patterns - 1] = n - k_max  # below every cut all window bits read 1
+    dump = flat.size - 1
     for start in range(0, n, _WINDOW_CHUNK):
         stop = min(start + _WINDOW_CHUNK, n)
-        chunk = stop - start
-        # Offsets of states start - k_max .. stop + k_max - 1; those past an
-        # end of the series only ever reach windows that are dumped.
-        keys = row.take(cuts[max(start - k_max, 0):stop + k_max])
-        head, tail = max(k_max - start, 0), max(stop + k_max - n, 0)
-        if head or tail:
-            keys = np.concatenate([np.full(head, dump, code), keys, np.full(tail, dump, code)])
-        own = keys[k_max:k_max + chunk]
-        pattern = np.ones(chunk, dtype=code)
-        above = np.empty(chunk, dtype=bool)
+        own = cuts[start:stop]
+        # near[k_max + o] holds the cut of the state o places after each
+        # counted one, for |o| <= k_max; a state past an end of the series
+        # only reaches dumped windows, so its cut may be anything.
+        if own.min() >= lo and own.max() <= top:  # every state's events are in the block
+            at = None
+            near = cuts[max(start - k_max, 0):stop + k_max]
+            head, tail = max(k_max - start, 0), max(stop + k_max - n, 0)
+            if head or tail:
+                near = np.concatenate([np.zeros(head, cuts.dtype), near,
+                                       np.zeros(tail, cuts.dtype)])
+            near = [near[i:i + len(own)] for i in range(2 * k_max + 1)]
+        else:
+            at = np.flatnonzero((own >= lo) & (own < top))
+            if not at.size:
+                continue
+            at += start
+            near = [cuts.take(at + o, mode="clip") for o in range(-k_max, width)]
+            own = near[k_max]
+        pattern = np.ones(len(own), dtype=code)
+        above = np.empty(len(own), dtype=bool)
         for o in range(1, width):
             pattern <<= 1
-            pattern |= np.greater_equal(keys[k_max + o:k_max + o + chunk], own, out=above)
-        before = np.empty((width, chunk), dtype=code)
-        np.add(own, pattern, out=before[0])
-        bit = np.empty(chunk, dtype=code)
+            pattern |= np.greater_equal(near[k_max + o], own, out=above)
+        offset = row.take(own)
+        before = np.empty((width, len(own)), dtype=code)
+        np.add(offset, pattern, out=before[0])
+        bit = np.empty(len(own), dtype=code)
         for j in range(1, width):
             pattern >>= 1
-            np.greater(keys[k_max - j:k_max - j + chunk], own, out=above)
+            np.greater(near[k_max - j], own, out=above)
             pattern |= np.left_shift(above, k_max, out=bit, dtype=code)
-            np.add(own, pattern, out=before[j])
-        if head or tail:  # window s - j exists iff j <= s <= n - width + j
+            np.add(offset, pattern, out=before[j])
+        if start < k_max or stop > n - k_max:  # window s - j exists iff j <= s <= n - width + j
+            if at is None:
+                at = np.arange(start, stop)
             for j in range(width):
-                before[j, :max(j - start, 0)] = dump
-                before[j, max(n - width + j + 1 - start, 0):] = dump
-        diff -= np.bincount(before.ravel(), minlength=size)
+                before[j, (at < j) | (at > n - width + j)] = dump
+        np.subtract.at(flat, before, 1)
         before -= cleared
-        diff += np.bincount(before.ravel(), minlength=size)
-    diff = diff.reshape(points + 1, n_patterns)
-    first = np.arange(points)[:, None] < (row.take(cuts[:k_max]) >> width)[None, :]
-    return np.cumsum(diff, axis=0, out=diff)[:points], first
+        np.add.at(flat, before, 1)
+    tables = diff[:points]
+    np.cumsum(tables, axis=0, out=tables)
+    first = np.arange(points)[:, None] < np.clip(cuts[:k_max].astype(np.intp) - lo, 0, points)
+    return tables, first
+
+
+def grid_block_counts(cuts, grid, block, k_max):
+    """Yield grid_top_counts of each block of `block` decision points of a
+    grid of `grid` points, in grid order.  The first block starts from the
+    all-ones table of n - k_max windows, and each block after it from a copy
+    of the last table of the block before, so a state's events are counted
+    in the one block that holds its cut, and in none if its cut is `grid`."""
+    below = np.zeros(_table_cells(len(cuts), k_max), dtype=np.int64)
+    below[-1] = len(cuts) - k_max  # below every cut all window bits read 1
+    for lo in range(0, grid, block):
+        tables, first = grid_top_counts(cuts, lo, min(block, grid - lo), k_max, below)
+        below = tables[-1].copy()  # a view would keep the block's tables alive
+        yield tables, first
+        del tables, first  # so that the caller frees them before the next block is counted
 
 
 def count_windows(table, states, thresholds, history) -> np.ndarray:
     """Add the order-k windows that end in a chunk of G series to their tables.
 
-    `table`, shape (G, 2**(k+1)), is incremented in place: row g counts the
-    windows of series g as transition_counts(..., k).table flattened does.
-    `states`, shape (L, G), holds the next L states of each series, and
-    series g reads 1 at or above thresholds[g], the left-closed rule of
-    symbolize.  `history`, shape (m, G), holds the symbols that precede the
-    chunk, at most k of them, so the windows that span the chunk edge are
-    counted too.  Returns the symbols of history and chunk together, shape
-    (m + L, G): the caller keeps the last k as the next chunk's history.
+    `table`, a C-contiguous array of shape (G, 2**(k+1)), is incremented in
+    place through a flat view, which a table of any other layout would not
+    give: row g counts the windows of series g as
+    transition_counts(..., k).table flattened does.  `states`, shape (L, G),
+    holds the next L states of each series, and series g reads 1 at or above
+    thresholds[g], the left-closed rule of symbolize.  `history`, shape
+    (m, G), holds the symbols that precede the chunk, at most k of them, so
+    the windows that span the chunk edge are counted too.  Returns the
+    symbols of history and chunk together, shape (m + L, G): the caller
+    keeps the last k as the next chunk's history.
 
-    A window's code, from _window_codes, is offset by g << (k + 1), so one
-    bincount counts them all.
+    A window's code, from _window_codes, is widened and offset by g << (k + 1)
+    in one add, and np.add.at adds them all into the table in place.
     """
     size = table.shape[1]
     k = size.bit_length() - 2
     symbols = np.concatenate([history, states >= thresholds])
     if len(symbols) > k:
-        codes = _window_codes(symbols, k)
-        codes += np.arange(0, table.size, size)
-        table += np.bincount(codes.ravel(), minlength=table.size).reshape(table.shape)
+        codes = _window_codes(symbols, k) + np.arange(0, table.size, size)
+        np.add.at(table.reshape(-1), codes, 1)
     return symbols
 
 

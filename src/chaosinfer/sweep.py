@@ -34,7 +34,7 @@ from .counts import (
     MAX_TABLE_ENTRIES,
     CountTable,
     count_windows,
-    grid_top_counts,
+    grid_block_counts,
     lower_orders,
     transition_counts,
 )
@@ -62,11 +62,12 @@ FORMAT_CHOICES = ("csv", "json")
 # Decision points are counted a block at a time: a counting block holds as
 # many points as keep its order-k_max tables, 8 bytes a cell, within
 # COUNT_BLOCK_BYTES.  That bounds the shared series' difference array, which
-# is one row longer, and the regenerated series' tables and per-chunk
-# bincount.  A counting block is scored in slices of half its points, at
-# least one, so the lower-order tables and the scoring temporaries exist for
-# one slice at a time.  From k_max = 16 on both are one point whose table
-# alone exceeds the bound.
+# is one row longer, and the regenerated series' tables; both kernels add
+# their events into these in place, so no chunk allocates anything as wide.
+# A counting block is scored in slices of half its points, at least one, so
+# the lower-order tables and the scoring temporaries exist for one slice at
+# a time.  From k_max = 16 on both are one point whose table alone exceeds
+# the bound.
 COUNT_BLOCK_BYTES = 1 << 20
 # The output rows of this many points, and their detail rows, are formatted
 # and written together.
@@ -422,11 +423,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     scored = max(1, counted // 2)
     values = np.full((5, config.grid, len(orders)), np.nan)
     scores = _Scores(points, np.full(config.grid, -1), values, {}, config.detail_path is not None)
+    blocks = _counted_blocks(config, map_spec, noise, cuts, points, counted, orders[-1])
     for start in range(0, config.grid, counted):
-        ds = points[start:start + counted]
         # Passed on, not kept: a block's tables are freed before the next is counted.
-        _score_slices(scores, start, *_block_counts(config, map_spec, noise, cuts, start, ds,
-                                                    orders[-1]), scored, orders, log_priors, prior)
+        _score_slices(scores, start, *next(blocks), scored, orders, log_priors, prior)
     _warn_top_of_range(scores, orders)
     return SweepResult(config, lam, scores)
 
@@ -453,19 +453,21 @@ def _shared_series(config, map_spec, noise, points):
     return mean_log_slope(sums, config.n), cuts
 
 
-def _block_counts(config, map_spec, noise, cuts, start, ds, k_max):
-    """The order-k_max tables, shape (G, 2**(k_max+1)), and the first k_max
-    symbols, shape (G, k_max), of the decision points ds, which start at
-    grid point `start`: the pair that lower_orders takes.
+def _counted_blocks(config, map_spec, noise, cuts, points, counted, k_max):
+    """An iterator over the blocks of `counted` decision points in grid
+    order, each as its order-k_max tables, shape (G, 2**(k_max+1)), and
+    first k_max symbols, shape (G, k_max): the pair that lower_orders takes.
 
-    The shared series is counted from its cuts by grid_top_counts in one
-    pass.  With regenerate_per_d, point start + i gets its own series,
-    counted by _regenerated_counts.
+    The shared series is counted from its cuts by grid_block_counts, each
+    block from the last table of the one before.  With regenerate_per_d,
+    point i gets its own series, counted by _regenerated_counts.
     """
-    if config.regenerate_per_d:
-        seeds = range(config.seed + 1 + start, config.seed + 1 + start + len(ds))
-        return _regenerated_counts(map_spec, noise, config.n, config.transient, seeds, ds, k_max)
-    return grid_top_counts(cuts, start, len(ds), k_max)
+    if not config.regenerate_per_d:
+        return grid_block_counts(cuts, config.grid, counted, k_max)
+    seeds = range(config.seed + 1, config.seed + 1 + config.grid)
+    return (_regenerated_counts(map_spec, noise, config.n, config.transient,
+                                seeds[start:start + counted], points[start:start + counted], k_max)
+            for start in range(0, config.grid, counted))
 
 
 def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
@@ -641,18 +643,29 @@ def _non_finite(cells: np.ndarray, before: int, after: int) -> dict:
     return dict(zip(at.tolist(), cells[rows, columns].tolist()))
 
 
+def _distinct_reprs(column: np.ndarray) -> list[str]:
+    """The repr of each float of a contiguous 1-D array, each distinct value
+    repr'd once.  Values are told apart by their bits, so 0.0 and -0.0 keep
+    their own texts."""
+    distinct, at = np.unique(column.view(np.int64), return_inverse=True)
+    texts = list(map(repr, distinct.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, at.tolist()))
+
+
 def _pieces(scores, orders, detail: bool, missing: str):
     """Each EMIT_CHUNK_ROWS points of the columns as two pieces (see
     _filled): their summary rows and, if `detail`, the detail rows of those
     of them that did not fail, else None.
 
-    Each float is repr'd once: d once per point, every other float once per
-    (point, order) cell.  A summary row's estimates are its cells at the
-    selected order, its per-order lists its cells at every order, and its
-    error `missing`, the summary's None, unless the point failed.  The odd
-    cells are found from np.isfinite and the failed points, not by checking
-    each cell: the non-finite floats, such as a failed point's values, which
-    are all NaN, and the order and error of each failed point."""
+    Each float is repr'd once: d once per point, kl_correction, which
+    depends only on (k, n), once per distinct value in the chunk, and every
+    other float once per (point, order) cell.  A summary row's estimates are
+    its cells at the selected order, its per-order lists its cells at every
+    order, and its error `missing`, the summary's None, unless the point
+    failed.  The odd cells are found from np.isfinite and the failed points,
+    not by checking each cell: the non-finite floats, such as a failed
+    point's values, which are all NaN, and the order and error of each
+    failed point."""
     width = len(orders)
     ks = list(map(repr, orders))
     for start in range(0, len(scores.d), EMIT_CHUNK_ROWS):
@@ -664,8 +677,9 @@ def _pieces(scores, orders, detail: bool, missing: str):
         values = scores.values[:, part].reshape(5, -1)
         selected = values[:3, at]
         d = list(map(repr, scores.d[part].tolist()))
-        estimates = [list(map(repr, column))
-                     for column in (values[:3] if detail else selected).tolist()]
+        columns = values[:3] if detail else selected
+        estimates = [*(list(map(repr, column)) for column in columns[:2].tolist()),
+                     _distinct_reprs(columns[2])]
         les, post = ([*map(repr, column)] for column in values[3:].tolist())
         chosen = [[*map(column.__getitem__, at)] for column in estimates] if detail else estimates
         texts = tuple(chain.from_iterable(zip(

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 import chaosinfer.counts as counts_mod
 import chaosinfer.dynamics as dynamics
 import chaosinfer.sweep as sweep_mod
-from chaosinfer.counts import CountTable, grid_top_counts, lower_orders, transition_counts
+from chaosinfer.counts import (
+    CountTable,
+    count_windows,
+    grid_block_counts,
+    grid_top_counts,
+    lower_orders,
+    transition_counts,
+)
 from chaosinfer.dynamics import MAX_SIGMA, MapSpec, NoiseSpec, generate_trajectory
 from chaosinfer.inference import DirichletPrior, log_evidence
 from chaosinfer.symbolize import PartitionSpec, SymbolSequence, state_cuts, symbolize
@@ -138,28 +145,36 @@ def test_circular_counts_match_word_counts(data, order):
     assert row_sums == count_words(SymbolSequence(circ_words), order).counts
 
 
-def assert_grid_counts_match_per_threshold(states, thresholds, orders):
-    """grid_top_counts of the whole grid, and of the grid split into three
-    counting blocks whose cuts are clipped to each, equal the per-threshold
+def assert_grid_counts_match_per_threshold(states, thresholds, orders, blocks=()):
+    """grid_block_counts of the grid chained in blocks of 1, 2, ceil(grid/3)
+    and grid points, and of each of `blocks` points, equal the per-threshold
     counts of symbolize and transition_counts."""
     orders = sorted(orders)
     k_max = orders[-1]
     cuts = state_cuts(states, thresholds)
     grid = len(thresholds)
-    for edges in ([0, grid], sorted({0, grid // 3, 2 * grid // 3, grid})):
-        for lo, hi in zip(edges, edges[1:]):
-            top, first = grid_top_counts(cuts, lo, hi - lo, k_max)
-            assert first.shape == (hi - lo, k_max)
-            got = lower_orders(top, first, orders)
-            assert sorted(got) == orders
-            for i, d in enumerate(thresholds[lo:hi]):
-                seq = symbolize(np.asarray(states), PartitionSpec(d))
-                assert np.array_equal(first[i], seq.symbols[:k_max])
-                for k in orders:
-                    want = transition_counts(seq, k).table.ravel()
-                    assert got[k].shape == (hi - lo, 2 ** (k + 1))
-                    assert got[k].dtype == np.int64
-                    assert np.array_equal(got[k][i], want), (d, k)
+    want = []
+    for d in thresholds:
+        seq = symbolize(np.asarray(states), PartitionSpec(d))
+        want.append((seq.symbols[:k_max], [transition_counts(seq, k).table.ravel() for k in orders]))
+
+    def check(lo, top, first):
+        assert first.shape == (len(top), k_max)
+        got = lower_orders(top, first, orders)
+        assert sorted(got) == orders
+        for i, (want_first, want_tables) in enumerate(want[lo:lo + len(top)]):
+            assert np.array_equal(first[i], want_first)
+            for k, table in zip(orders, want_tables):
+                assert got[k].shape == (len(top), 2 ** (k + 1))
+                assert got[k].dtype == np.int64
+                assert np.array_equal(got[k][i], table), (thresholds[lo + i], k)
+
+    for block in sorted({1, 2, -(-grid // 3), grid, *blocks}):
+        starts = range(0, grid, block)
+        chained = list(grid_block_counts(cuts, grid, block, k_max))
+        assert [len(top) for top, _ in chained] == [min(block, grid - lo) for lo in starts]
+        for lo, (top, first) in zip(starts, chained):
+            check(lo, top, first)
 
 
 GRID = np.linspace(0.0, 1.0, 11)
@@ -206,16 +221,51 @@ def test_grid_counts_past_sixteen_bit_patterns(monkeypatch, k_max):
     assert_grid_counts_match_per_threshold(states, [0.2, 0.5, 0.6, 0.9], [0, k_max])
 
 
+def test_grid_counts_with_cuts_on_block_edges():
+    # Every state sits on a threshold, so for each chained block size some
+    # state's cut is each block's first point lo; the states at exactly 1.0,
+    # the last threshold, have cut == grid and are counted in no block.
+    thresholds = np.linspace(0.0, 1.0, 12)
+    states = np.random.default_rng(13).choice(thresholds, 150)
+    cuts = state_cuts(states, thresholds)
+    assert set(cuts.tolist()) == set(range(1, 13))
+    assert_grid_counts_match_per_threshold(states, thresholds, [0, 2, 3], blocks=[3, 5])
+
+
+def test_grid_counts_where_most_blocks_hold_no_cut():
+    # 30 states in a grid of 1000 points: at most 30 blocks hold a cut, and
+    # the others only carry the table of the block before.
+    states = np.random.default_rng(17).random(30)
+    thresholds = (np.arange(1000) + 0.5) / 1000
+    assert_grid_counts_match_per_threshold(states, thresholds, [0, 1, 3])
+
+
+@pytest.mark.parametrize("grid", [255, 256, 257])
+def test_grid_counts_where_the_cut_type_widens(grid):
+    # Cuts are one byte up to grid 255 and two from 256 on; blocks of 256
+    # points put an edge at 256, and grid 257 a last block of one point.
+    rng = np.random.default_rng(grid)
+    thresholds = np.linspace(0.0, 1.0, grid)
+    states = np.concatenate([rng.choice(thresholds, 150), rng.random(150)])
+    assert state_cuts(states, thresholds).dtype == (np.uint8 if grid < 256 else np.uint16)
+    assert_grid_counts_match_per_threshold(states, thresholds, [0, 2], blocks=[256])
+
+
 def test_grid_counts_rejects_bad_arguments():
     with pytest.raises(ValueError, match="ascending"):
         state_cuts([0.1, 0.2, 0.3], [0.5, 0.4])
     cuts = state_cuts([0.1, 0.2], [0.5])
-    with pytest.raises(ValueError):
-        grid_top_counts(cuts, 0, 1, 2)
-    with pytest.raises(ValueError):
-        grid_top_counts(cuts, 0, 1, -1)
+    below = np.zeros(8, dtype=np.int64)
+    with pytest.raises(ValueError, match="too short"):
+        grid_top_counts(cuts, 0, 1, 2, below)
+    with pytest.raises(ValueError, match=">= 0"):
+        grid_top_counts(cuts, 0, 1, -1, below)
     with pytest.raises(ValueError, match="too large"):
-        grid_top_counts(cuts, 0, 1, 26)
+        grid_top_counts(cuts, 0, 1, 26, below)
+    # The chained blocks check before they build their first table.
+    for k_max, match in ((2, "too short"), (-1, ">= 0"), (26, "too large")):
+        with pytest.raises(ValueError, match=match):
+            next(grid_block_counts(cuts, 1, 1, k_max))
 
 
 unit_states = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
@@ -238,7 +288,7 @@ def test_grid_counts_memory_does_not_grow_with_the_series():
         cuts = state_cuts(np.random.default_rng(3).random(n), [0.2, 0.5, 0.7])
         tracemalloc.start()
         try:
-            lower_orders(*grid_top_counts(cuts, 0, 3, 2), [1, 2])
+            lower_orders(*next(grid_block_counts(cuts, 3, 3, 2)), [1, 2])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -248,21 +298,22 @@ def test_grid_counts_memory_does_not_grow_with_the_series():
 
 
 def test_grid_counts_peak_memory_is_bounded():
-    # One call holds the difference array, at most two bincount outputs of
-    # its size, and at most 16 B for each of the k_max + 1 events of a chunk
-    # of 2**13 states (a 4-B code and bincount's 8-B copy of it): chunks of
-    # 2**14 states would pass this bound.
+    # One call holds the difference array and, for a chunk of 2**13 states,
+    # at most 12 B for each of its k_max + 1 events: a 4-B code, and per
+    # state the pattern, its offset and the other temporaries of the chunk.
+    # Events are added in place, so nothing else is as large as the
+    # difference array.  Chunks of 2**14 states would pass this bound.
     k_max, grid = 8, 50
     cuts = state_cuts(np.random.default_rng(7).random(1 << 18), (np.arange(grid) + 0.5) / grid)
-    grid_top_counts(cuts, 0, grid, k_max)  # first-call allocations
+    next(grid_block_counts(cuts, grid, grid, k_max))  # first-call allocations
     tracemalloc.start()
     try:
-        grid_top_counts(cuts, 0, grid, k_max)
+        next(grid_block_counts(cuts, grid, grid, k_max))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     table = 8 * (grid + 1) << (k_max + 1)
-    assert peak <= 3 * table + 2 * (k_max + 1) * (1 << 13) * 8 + (1 << 16)
+    assert peak <= table + 12 * (k_max + 1) * (1 << 13) + (1 << 16)
 
 
 def per_point_counts(spec, noise, n, transient, seeds, ds, k_max):
@@ -314,3 +365,24 @@ def test_lockstep_counts_equal_per_point_counts(monkeypatch, case, sigma, r):
 def test_blocks_on_both_sides_of_the_lockstep_width_count_alike(below):
     points = dynamics.LOCKSTEP_MIN_POINTS - below
     assert_regenerated_counts_match(MapSpec(), NoiseSpec(0.3), 60, 13, points, 5)
+
+
+# (k, series): codes of 16 bits fill uint16 at k = 15 and pass it at k = 16;
+# 256 series at k = 8 have offsets g << 9 past 2**16.
+@pytest.mark.parametrize(("k", "series"), [(15, 3), (16, 3), (8, 256)])
+def test_count_windows_equal_transition_counts(k, series):
+    # Series 0 reads all ones, so its windows take the largest code; chunks
+    # of 7, 93 and 100 states carry windows across their edges.
+    rng = np.random.default_rng(k)
+    states = rng.random((200, series))
+    thresholds = np.concatenate([[0.0], rng.random(series - 1)])
+    table = np.zeros((series, 2 << k), dtype=np.int64)
+    history = np.zeros((0, series), dtype=bool)
+    for chunk in np.split(states, [7, 100]):
+        symbols = count_windows(table, chunk, thresholds, history)
+        history = symbols[max(0, len(symbols) - k):]
+    assert table[0, -1] == len(states) - k
+    for g in range(series):
+        seq = symbolize(states[:, g], PartitionSpec(thresholds[g]))
+        assert np.array_equal(table[g], transition_counts(seq, k).table.ravel()), g
+
