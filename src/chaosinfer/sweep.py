@@ -13,7 +13,6 @@ import contextlib
 import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import numbers
@@ -23,7 +22,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
-from itertools import chain, compress, repeat, starmap
+from itertools import chain, repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -214,13 +213,13 @@ class SweepRow:
     """Per decision point: selected order, entropy estimates, order posterior."""
 
     d: float
-    k_selected: int | None
+    k_selected: int
     h_expected_bits: float
     h_rate_q_bits: float
     kl_correction_bits: float
     log_evidence: tuple[float, ...]
     p_order: tuple[float, ...]
-    error: str | None = None
+    error: str | None = None  # always None: a scoring failure stops the sweep
 
 
 @dataclass(frozen=True)
@@ -240,12 +239,10 @@ class _Scores(NamedTuple):
     """The scores of every decision point of a sweep, as columns over the grid."""
 
     d: np.ndarray  # (points,)
-    best: np.ndarray  # (points,) index in the order range of each selected order, -1 if failed
-    # (5, points, orders): the float fields of DetailRow, in field order, all NaN
-    # at a failed point.  Without detail, entropy is NaN at the orders no point
-    # of the scoring slice selected.
+    best: np.ndarray  # (points,) index in the order range of each selected order
+    # (5, points, orders): the float fields of DetailRow, in field order; without
+    # detail, entropy is NaN at the orders no point of the scoring slice selected.
     values: np.ndarray
-    errors: dict[int, str]  # {point index: error text} of each failed point
     detail: bool  # whether entropy was estimated at every order, as for a detail_path
 
 
@@ -253,23 +250,19 @@ def _row_cells(result):
     """The cells of each row of `result` as a tuple in field order, which
     costs less to make than a SweepRow."""
     orders, scores = _orders(result.config), result._scores
-    errors = map(scores.errors.get, range(len(scores.d)))
-    for d, b, e, r, c, le, p, error in zip(scores.d.tolist(), scores.best.tolist(),
-                                           *scores.values.tolist(), errors):
-        yield (d, orders[b] if error is None else None, e[b], r[b], c[b], tuple(le), tuple(p),
-               error)
+    for d, b, e, r, c, le, p in zip(scores.d.tolist(), scores.best.tolist(),
+                                    *scores.values.tolist()):
+        yield d, orders[b], e[b], r[b], c[b], tuple(le), tuple(p), None
 
 
 def _detail_cells(result):
     """The cells of each detail row of `result` as a tuple in field order:
-    one per order of each row without an error if config.detail_path is set,
-    else none."""
+    one per order of each row if config.detail_path is set, else none."""
     if result.config.detail_path is None:
         return
     orders, scores = _orders(result.config), result._scores
-    for i, (d, e, r, c, le, p) in enumerate(zip(scores.d.tolist(), *scores.values.tolist())):
-        if i not in scores.errors:
-            yield from zip(repeat(d), orders, e, r, c, le, p)
+    for d, e, r, c, le, p in zip(scores.d.tolist(), *scores.values.tolist()):
+        yield from zip(repeat(d), orders, e, r, c, le, p)
 
 
 def _same(a, b) -> bool:
@@ -308,10 +301,10 @@ class SweepResult:
     def from_rows(cls, config: SweepConfig, lyapunov_bits: float, rows,
                   detail=()) -> "SweepResult":
         """The result whose rows and detail rows are `rows` and `detail`; a
-        row's estimates are its detail rows' if config.detail_path is set.  A
-        row with an error is a failed point, whose cells are all NaN.
+        row's estimates are its detail rows' if config.detail_path is set.
         ValueError(ROUND_TRIP) unless the columns built write back exactly
-        the given rows and detail rows."""
+        the given rows and detail rows, which every row with an error text
+        or without an order breaks."""
         return _from_cells(config, lyapunov_bits, map(dataclasses.astuple, rows),
                            map(dataclasses.astuple, detail))
 
@@ -322,8 +315,8 @@ class SweepResult:
 
     @functools.cached_property
     def detail(self) -> tuple[DetailRow, ...]:
-        """One DetailRow per order of each row without an error if
-        config.detail_path is set, else none."""
+        """One DetailRow per order of each row if config.detail_path is set,
+        else none."""
         return tuple(starmap(DetailRow, _detail_cells(self)))
 
     def __eq__(self, other):
@@ -333,19 +326,19 @@ class SweepResult:
                         tuple(_row_cells(result)), tuple(_detail_cells(result)))
                        for result in (self, other)))
 
-    def tally(self) -> tuple[int, int, int, tuple[float, int, float] | None]:
-        """(rows, failed rows, detail rows, peak), where the peak is (d,
-        k_selected, h_expected_bits) of the first row without an error of the
-        largest h_expected_bits, None if every row failed."""
+    def tally(self) -> tuple[int, int, tuple[float, int, float] | None]:
+        """(rows, detail rows, peak), where the peak is (d, k_selected,
+        h_expected_bits) of the first row of the largest h_expected_bits that
+        is not NaN, None if there is none."""
         orders, scores = _orders(self.config), self._scores
-        rows, failed = len(scores.d), len(scores.errors)
-        peak = None
-        h = np.take_along_axis(scores.values[0], scores.best[:, None], axis=1)[:, 0].tolist()
-        for i, (d, b, value) in enumerate(zip(scores.d.tolist(), scores.best.tolist(), h)):
-            if i not in scores.errors and (peak is None or value > peak[2]):
-                peak = d, orders[b], value
-        detail = (rows - failed) * len(orders) if self.config.detail_path is not None else 0
-        return rows, failed, detail, peak
+        rows = len(scores.d)
+        detail = rows * len(orders) if self.config.detail_path is not None else 0
+        h = np.take_along_axis(scores.values[0], scores.best[:, None], axis=1)[:, 0]
+        kept = np.flatnonzero(~np.isnan(h))
+        if not kept.size:
+            return rows, detail, None
+        i = kept[np.argmax(h[kept])]  # argmax takes the first of equal values
+        return rows, detail, (scores.d[i].item(), orders[scores.best[i]], h[i].item())
 
 
 # The one check of a result made from rows or read from JSON.
@@ -358,35 +351,30 @@ def _from_cells(config, lyapunov_bits, rows, detail) -> SweepResult:
     """SweepResult.from_rows of rows and detail rows given as tuples of their
     cells in field order.  A row's cells are d, k_selected, its three
     estimates, log_evidence, p_order and error; a detail row's are d, k, its
-    three estimates, log_evidence and p_order.  An order cell (k_selected of
-    a row without an error, k of a detail row) that is a bool or not an
-    integer, any failure to build the columns, and columns that break
-    ROUND_TRIP are ValueError(ROUND_TRIP)."""
+    three estimates, log_evidence and p_order.  An order cell that is a bool
+    or not an integer, any failure to build the columns, and columns that
+    break ROUND_TRIP are ValueError(ROUND_TRIP)."""
     try:
         orders = _orders(config)
         width = len(orders)
         rows, detail = list(rows), list(detail)
-        ok = np.array([row[-1] is None for row in rows], dtype=bool)
-        good = [row for row in rows if row[-1] is None]
         # _same finds 1 == 1.0 == True, so the round trip alone lets these pass.
         if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
-                   for k in chain((row[1] for row in good), (cells[1] for cells in detail))):
+                   for k in chain((row[1] for row in rows), (cells[1] for cells in detail))):
             raise TypeError("an order is not an integer")
-        best = np.full(len(rows), -1)
-        best[ok] = [orders.index(row[1]) for row in good]
+        best = np.array([orders.index(row[1]) for row in rows], dtype=int)
         values = np.full((5, len(rows), width), np.nan)
-        per_order = np.array([row[5:7] for row in good], dtype=float)
-        values[3:, ok] = per_order.reshape(-1, 2, width).swapaxes(0, 1)
+        per_order = np.array([row[5:7] for row in rows], dtype=float)
+        values[3:] = per_order.reshape(-1, 2, width).swapaxes(0, 1)
         if config.detail_path is not None:
             estimates = np.array([cells[2:5] for cells in detail], dtype=float)
-            values[:3, ok] = estimates.reshape(-1, width, 3).transpose(2, 0, 1)
+            values[:3] = estimates.reshape(-1, width, 3).transpose(2, 0, 1)
         # A row's estimates go to its selected order, over its detail row's.
-        estimates = np.array([row[2:5] for row in good], dtype=float).reshape(-1, 3)
-        values[:3, ok.nonzero()[0], best[ok]] = estimates.T
+        estimates = np.array([row[2:5] for row in rows], dtype=float).reshape(-1, 3)
+        values[:3, np.arange(len(rows)), best] = estimates.T
         d = np.array([row[0] for row in rows], dtype=float)
-        errors = {i: row[-1] for i, row in enumerate(rows) if row[-1] is not None}
         result = SweepResult(config, lyapunov_bits,
-                             _Scores(d, best, values, errors, config.detail_path is not None))
+                             _Scores(d, best, values, config.detail_path is not None))
         if _same((tuple(_row_cells(result)), tuple(_detail_cells(result))),
                  (tuple(rows), tuple(detail))):
             return result
@@ -405,11 +393,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     grows with n but the shared series' cuts in the grid (see
     _shared_series).  Decision points are counted a block of
     COUNT_BLOCK_BYTES at a time and scored in slices of half a block, whose
-    scores fill columns over the whole grid.  Rows are independent: a
-    failure of the inference at one decision point is recorded on its row
-    and does not abort the sweep.  Rows that select the top order of the
-    range are reported in one RuntimeWarning.  Fully deterministic given
-    the seed.
+    scores fill columns over the whole grid.  A slice that fails to score
+    stops the sweep with a RuntimeError that names its d range.  Rows that
+    select the top order of the range are reported in one RuntimeWarning.
+    Fully deterministic given the seed.
     """
     config.validate()
     map_spec = MapSpec(config.family, config.r)
@@ -422,7 +409,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     counted = max(1, COUNT_BLOCK_BYTES // (8 << (orders[-1] + 1)))
     scored = max(1, counted // 2)
     values = np.full((5, config.grid, len(orders)), np.nan)
-    scores = _Scores(points, np.full(config.grid, -1), values, {}, config.detail_path is not None)
+    scores = _Scores(points, np.zeros(config.grid, int), values, config.detail_path is not None)
     blocks = _counted_blocks(config, map_spec, noise, cuts, points, counted, orders[-1])
     for start in range(0, config.grid, counted):
         # Passed on, not kept: a block's tables are freed before the next is counted.
@@ -489,33 +476,23 @@ def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
 
 
 def _score_slices(scores, start, top, first, scored, orders, *args) -> None:
-    """Score the points of a counting block, from grid point `start` on,
-    `scored` at a time into `scores`, from their order-k_max tables `top`
-    and first k_max symbols `first`: the lower orders exist for one slice at
-    a time."""
+    """Fill the columns of the points of a counting block, from grid point
+    `start` on, with their scores (see _score), `scored` points at a time,
+    from their order-k_max tables `top` and first k_max symbols `first`: the
+    lower orders exist for one slice at a time.  A slice whose lower orders
+    or scores raise is a RuntimeError that names its first and last d."""
     for at in range(0, len(top), scored):
-        stacked = lower_orders(top[at:at + scored], first[at:at + scored], orders)
-        tables = {k: CountTable(stacked[k].reshape(len(stacked[k]), -1, 2)) for k in orders}
-        _score_into(scores, start + at, tables, orders, *args)
-
-
-def _score_into(scores, start, tables, orders, log_priors, prior) -> None:
-    """Fill the columns of the decision points from `start` on with their
-    scores (see _score).  If scoring them raises, they are scored one at a
-    time, so that a point that fails on its own keeps its NaN cells and gets
-    its error text."""
-    points = len(tables[orders[0]].table)
-    try:
-        best, values = _score(tables, orders, log_priors, prior, scores.detail)
-    except Exception as exc:
-        if points == 1:
-            scores.errors[start] = str(exc) or type(exc).__name__  # the type names it if no text
-        else:
-            for i in range(points):
-                one = {k: CountTable(t.table[i:i + 1]) for k, t in tables.items()}
-                _score_into(scores, start + i, one, orders, log_priors, prior)
-    else:
-        scores.best[start:start + points], scores.values[:, start:start + points] = best, values
+        tops, firsts = top[at:at + scored], first[at:at + scored]
+        part = slice(start + at, start + at + len(tops))
+        try:
+            stacked = lower_orders(tops, firsts, orders)
+            tables = {k: CountTable(stacked[k].reshape(len(stacked[k]), -1, 2)) for k in orders}
+            best, values = _score(tables, orders, *args, scores.detail)
+        except Exception as exc:
+            first_d, last_d = scores.d[part][[0, -1]].tolist()
+            raise RuntimeError(f"cannot score the decision points d = {first_d!r} to "
+                               f"{last_d!r}: {exc!r}") from exc
+        scores.best[part], scores.values[:, part] = best, values
 
 
 def _score(tables, orders, log_priors, prior, want_detail):
@@ -523,8 +500,7 @@ def _score(tables, orders, log_priors, prior, want_detail):
     and its (5, points, orders) values (see _Scores), from `tables`, which
     maps each order to the stacked count tables of the points.  Entropy is
     estimated at every order for detail rows, otherwise at the orders some
-    point selected, so that a summary row fails only when the estimate at
-    its own order does.
+    point selected.
     """
     les = order_log_evidences(tables, prior)
     post, best = posterior_over_orders(les, log_priors)
@@ -599,9 +575,9 @@ def _templates(cls, width: int = 0) -> tuple[str, str]:
 
 def _spell(value, csv_cell: bool) -> str:
     """A cell as CSV if `csv_cell`, else as JSON: a finite float as its
-    repr, None and NaN as a blank cell and null, an infinity as inf and
-    "inf", and anything else, such as a text, as csv.writer quotes it in a
-    row of several cells and as the JSON encoder encodes it."""
+    repr, None and NaN as a blank cell and null, and an infinity as inf and
+    "inf".  In JSON anything else, such as a config's text, is as the JSON
+    encoder encodes it; no other cell reaches a CSV."""
     if isinstance(value, float):
         text = repr(value)
         if math.isfinite(value):
@@ -609,10 +585,7 @@ def _spell(value, csv_cell: bool) -> str:
         value = None if math.isnan(value) else text
     if not csv_cell:
         return json.dumps(value)
-    buf = io.StringIO()
-    # Minimal quoting quotes the terminator's characters: a bare \r too.
-    csv.writer(buf, lineterminator="\r\n").writerow([value, ""])
-    return buf.getvalue()[:-3]
+    return "" if value is None else value
 
 
 def _filled(template: str, piece, csv_cell: bool) -> str:
@@ -654,25 +627,22 @@ def _distinct_reprs(column: np.ndarray) -> list[str]:
 
 def _pieces(scores, orders, detail: bool, missing: str):
     """Each EMIT_CHUNK_ROWS points of the columns as two pieces (see
-    _filled): their summary rows and, if `detail`, the detail rows of those
-    of them that did not fail, else None.
+    _filled): their summary rows and, if `detail`, their detail rows, else
+    None.
 
     Each float is repr'd once: d once per point, kl_correction, which
     depends only on (k, n), once per distinct value in the chunk, and every
     other float once per (point, order) cell.  A summary row's estimates are
     its cells at the selected order, its per-order lists its cells at every
-    order, and its error `missing`, the summary's None, unless the point
-    failed.  The odd cells are found from np.isfinite and the failed points,
-    not by checking each cell: the non-finite floats, such as a failed
-    point's values, which are all NaN, and the order and error of each
-    failed point."""
+    order, and its error `missing`, the summary's None.  The odd cells, the
+    non-finite floats, are found from np.isfinite, not by checking each
+    cell."""
     width = len(orders)
     ks = list(map(repr, orders))
     for start in range(0, len(scores.d), EMIT_CHUNK_ROWS):
         part = slice(start, start + EMIT_CHUNK_ROWS)
         points = len(scores.d[part])
-        failed = np.flatnonzero(scores.best[part] < 0).tolist()
-        best = np.maximum(scores.best[part], 0)  # a failed point reads its own NaN cells
+        best = scores.best[part]
         at = (np.arange(points) * width + best).tolist()  # each selected cell
         values = scores.values[:, part].reshape(5, -1)
         selected = values[:3, at]
@@ -688,21 +658,13 @@ def _pieces(scores, orders, detail: bool, missing: str):
             repeat(missing),
         )))
         cells = np.concatenate([selected.T, *scores.values[3:, part]], axis=1)  # after d and k
-        odd = _non_finite(cells, 2, 1)
-        row = cells.shape[1] + 3  # the cells of a summary row
-        for i in failed:  # no order, and an error last
-            odd[i * row + 1] = None
-            odd[i * row + row - 1] = scores.errors[start + i]
-        if not detail or len(failed) == points:
-            yield (points, texts, odd), None
+        summary = points, texts, _non_finite(cells, 2, 1)
+        if not detail:
+            yield summary, None
             continue
         rows = zip([text for text in d for _ in orders], ks * points, *estimates, les, post)
         cells = values.T  # the detail cells after d and k as floats
-        if failed:  # which have no detail rows
-            kept = np.repeat(scores.best[part] >= 0, width)
-            rows, cells = compress(rows, kept.tolist()), cells[kept]
-        detail_texts = tuple(chain.from_iterable(rows))
-        yield (points, texts, odd), (len(cells), detail_texts, _non_finite(cells, 2, 0))
+        yield summary, (len(cells), tuple(chain.from_iterable(rows)), _non_finite(cells, 2, 0))
 
 
 def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:

@@ -24,13 +24,14 @@ from chaosinfer.cli import main, parse_config
 from chaosinfer.dynamics import (
     LEAF,
     LOCKSTEP_MIN_POINTS,
+    MAX_SIGMA,
     MapSpec,
     NoiseSpec,
     generate_trajectory,
     lyapunov_exponent,
 )
 from chaosinfer.entropy import EntropyEstimate
-from chaosinfer.symbolize import decision_grid, symbolize
+from chaosinfer.symbolize import decision_grid, decision_points, symbolize
 from chaosinfer.sweep import (
     COUNT_BLOCK_BYTES,
     FORMAT_CHOICES,
@@ -268,7 +269,7 @@ def with_cells(result, point, k, **cells):
         elif row.k_selected == k:
             edits[name] = value
     rows[point] = dataclasses.replace(row, **edits)
-    at = sum(r.error is None for r in rows[:point]) * len(orders) + j
+    at = point * len(orders) + j
     detail[at] = dataclasses.replace(detail[at], **cells)
     return SweepResult.from_rows(result.config, result.lyapunov_bits, rows, detail)
 
@@ -291,6 +292,22 @@ def test_columns_write_the_bytes_of_their_rows_on_accepted_configs(cfg):
             columns = written(result, tmp, out_format, detail)
             assert written(rebuilt(result), tmp, out_format, detail) == columns
     assert result.tally() == rebuilt(result).tally()
+
+
+@pytest.mark.parametrize("hs, peak", [
+    ((math.nan, 0.9, 0.2), (0.5, 2, 0.9)),
+    ((0.2, 0.9, math.nan), (0.5, 2, 0.9)),
+    ((0.9, math.nan, 0.9), (0.0, 2, 0.9)),  # the first of equal values
+    ((math.nan, -math.inf, math.nan), (0.5, 2, -math.inf)),
+    ((math.nan,) * 3, None),
+], ids=["nan-first", "nan-last", "tie", "minus-inf", "all-nan"])
+def test_tally_peak_is_the_first_largest_estimate_that_is_not_nan(hs, peak):
+    # No float compares greater than a NaN, so a NaN must not stand as the peak.
+    rows = [SweepRow(d, 2, h, 0.5, 0.0, (-2.0, -1.0), (0.25, 0.75))
+            for d, h in zip((0.0, 0.5, 1.0), hs)]
+    result = SweepResult.from_rows(dataclasses.replace(TINY_BARE.config, grid=3), 0.5, rows)
+    assert result.tally()[-1] == peak
+    assert SweepResult.from_rows(TINY_BARE.config, 0.5, ()).tally()[-1] is None
 
 
 def test_partial_block_case_spans_two_blocks():
@@ -523,7 +540,8 @@ def test_json_reemits_non_finite_values_to_the_same_bytes(tmp_path):
 
 def test_numpy_floats_in_rows_are_written_as_floats(tmp_path):
     # The repr of a numpy float names its type; it is written as the float.
-    plain = SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, TINY.rows[:1], TINY.detail)
+    plain = SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, TINY.rows[:1],
+                                  TINY.detail[:2])
     row = dataclasses.replace(TINY.rows[0], h_expected_bits=np.float64(0.25),
                               log_evidence=(np.float64(-1.5), -math.inf))
     detail = (dataclasses.replace(TINY.detail[0], h_expected_bits=np.float64(math.nan)),
@@ -537,62 +555,99 @@ def test_numpy_floats_in_rows_are_written_as_floats(tmp_path):
         assert (tmp_path / "numpy").read_bytes() == (tmp_path / "plain").read_bytes()
 
 
-# A hand-built result with every kind of cell: NaN, infinities, a failed row
-# with no order and an error text holding a quote, a newline, a brace, a comma
-# and a non-ASCII character.  The detail row of the selected order holds the
-# summary row's estimates.
+# A hand-built result with every kind of cell: NaN and infinities, in the
+# summary and detail rows, and a config text holding a quote, a newline, a
+# brace, a comma and a non-ASCII character.  The detail row of the selected
+# order holds the summary row's estimates.
 TINY = SweepResult.from_rows(
     SweepConfig(n=100, grid=2, k_min=1, k_max=2, alpha=0.5, out_format="json",
-                out_path="out.json", detail_path="detail.csv"),
+                out_path='bad "x", {"d": 1},\n} é.json', detail_path="detail.csv"),
     0.9791235781734471,
     (
         SweepRow(0.0, 2, 0.25, 0.125, math.inf, (-1.5, -math.inf), (0.1, 0.9)),
-        SweepRow(1.0, None, math.nan, math.nan, math.nan, (math.nan, math.nan),
-                 (math.nan, math.nan), 'bad "x", {"d": 1},\n} é'),
+        SweepRow(1.0, 1, 0.5, math.nan, 0.0625, (-2.0, -3.0), (0.75, 0.25)),
     ),
     (
         DetailRow(0.0, 1, math.nan, 0.375, 1e-05, -1.5, 0.1),
         DetailRow(0.0, 2, 0.25, 0.125, math.inf, -math.inf, 0.9),
+        DetailRow(1.0, 1, 0.5, math.nan, 0.0625, -2.0, 0.75),
+        DetailRow(1.0, 2, math.nan, math.nan, -math.inf, -3.0, 0.25),
     ),
 )
-# Scored without detail, and a failed row whose error text is empty.
+# Scored without detail.
 TINY_BARE = SweepResult.from_rows(
-    dataclasses.replace(TINY.config, detail_path=None), -math.inf,
-    (TINY.rows[0], dataclasses.replace(TINY.rows[1], error="")),
+    dataclasses.replace(TINY.config, detail_path=None), -math.inf, TINY.rows,
 )
-# Error texts that are easy to write wrong: an empty one, and one that holds
-# inf, nan and None and ends in a digit.
-TINY_TEXTS = SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, (
-    dataclasses.replace(TINY.rows[1], d=0.0, error=""),
-    dataclasses.replace(TINY.rows[1], error="inf nan None -inf 2"),
-))
+# Cells that are easy to write wrong: 0.0 and -0.0, which compare equal,
+# in kl_correction, whose texts are made once per distinct value; and
+# config texts, an empty one and one that holds inf, nan and None and ends
+# in a digit.
+TINY_TEXTS = SweepResult.from_rows(
+    dataclasses.replace(TINY.config, out_path="inf nan None -inf 2", detail_path=""),
+    TINY.lyapunov_bits,
+    (
+        SweepRow(0.0, 1, 0.0, 0.0, -0.0, (-0.0, 0.0), (1.0, 0.0)),
+        SweepRow(1.0, 2, -0.0, 0.0, 0.0, (0.0, -0.0), (0.0, 1.0)),
+    ),
+    (
+        DetailRow(0.0, 1, 0.0, 0.0, -0.0, -0.0, 1.0),
+        DetailRow(0.0, 2, 0.0, -0.0, 0.0, 0.0, 0.0),
+        DetailRow(1.0, 1, 0.0, 0.0, -0.0, 0.0, 0.0),
+        DetailRow(1.0, 2, -0.0, 0.0, 0.0, -0.0, 1.0),
+    ),
+)
+# ensure_ascii escapes the non-ASCII character.
 TINY_CONFIG_JSON = (
     '{"family": "logistic", "r": 4.0, "sigma": 0.001, "n": 100, "transient": 1000, '
     '"seed": 0, "grid": 2, "k_min": 1, "k_max": 2, "order_prior": "size-penalty", '
-    '"alpha": 0.5, "regenerate_per_d": false, "out_format": "json", "out_path": "out.json", '
+    '"alpha": 0.5, "regenerate_per_d": false, "out_format": "json", '
+    r'"out_path": "bad \"x\", {\"d\": 1},\n} \u00e9.json", '
     '"detail_path": "detail.csv"}'
 )
-TINY_ROW_JSON = (
+TINY_ROWS_JSON = (
     '{"d": 0.0, "k_selected": 2, "h_expected_bits": 0.25, "h_rate_q_bits": 0.125, '
     '"kl_correction_bits": "inf", "log_evidence": [-1.5, "-inf"], "p_order": [0.1, 0.9], '
-    '"error": null}'
+    '"error": null}',
+    '{"d": 1.0, "k_selected": 1, "h_expected_bits": 0.5, "h_rate_q_bits": null, '
+    '"kl_correction_bits": 0.0625, "log_evidence": [-2.0, -3.0], "p_order": [0.75, 0.25], '
+    '"error": null}',
 )
 TINY_DETAIL_JSON = (
     '{"d": 0.0, "k": 1, "h_expected_bits": null, "h_rate_q_bits": 0.375, '
-    '"kl_correction_bits": 1e-05, "log_evidence": -1.5, "p_order": 0.1}'
+    '"kl_correction_bits": 1e-05, "log_evidence": -1.5, "p_order": 0.1}',
+    '{"d": 0.0, "k": 2, "h_expected_bits": 0.25, "h_rate_q_bits": 0.125, '
+    '"kl_correction_bits": "inf", "log_evidence": "-inf", "p_order": 0.9}',
+    '{"d": 1.0, "k": 1, "h_expected_bits": 0.5, "h_rate_q_bits": null, '
+    '"kl_correction_bits": 0.0625, "log_evidence": -2.0, "p_order": 0.75}',
+    '{"d": 1.0, "k": 2, "h_expected_bits": null, "h_rate_q_bits": null, '
+    '"kl_correction_bits": "-inf", "log_evidence": -3.0, "p_order": 0.25}',
 )
-# ensure_ascii escapes the non-ASCII character.
-TINY_ERROR_JSON = r'"bad \"x\", {\"d\": 1},\n} \u00e9"'
+BARE_CONFIG_JSON = TINY_CONFIG_JSON.replace('"detail.csv"', "null")
+TEXTS_CONFIG_JSON = (TINY_CONFIG_JSON.split('"out_path"')[0]
+                     + '"out_path": "inf nan None -inf 2", "detail_path": ""}')
+TEXTS_ROWS_JSON = (
+    '{"d": 0.0, "k_selected": 1, "h_expected_bits": 0.0, "h_rate_q_bits": 0.0, '
+    '"kl_correction_bits": -0.0, "log_evidence": [-0.0, 0.0], "p_order": [1.0, 0.0], '
+    '"error": null}',
+    '{"d": 1.0, "k_selected": 2, "h_expected_bits": -0.0, "h_rate_q_bits": 0.0, '
+    '"kl_correction_bits": 0.0, "log_evidence": [0.0, -0.0], "p_order": [0.0, 1.0], '
+    '"error": null}',
+)
+TEXTS_DETAIL_JSON = (
+    '{"d": 0.0, "k": 1, "h_expected_bits": 0.0, "h_rate_q_bits": 0.0, '
+    '"kl_correction_bits": -0.0, "log_evidence": -0.0, "p_order": 1.0}',
+    '{"d": 0.0, "k": 2, "h_expected_bits": 0.0, "h_rate_q_bits": -0.0, '
+    '"kl_correction_bits": 0.0, "log_evidence": 0.0, "p_order": 0.0}',
+    '{"d": 1.0, "k": 1, "h_expected_bits": 0.0, "h_rate_q_bits": 0.0, '
+    '"kl_correction_bits": -0.0, "log_evidence": 0.0, "p_order": 0.0}',
+    '{"d": 1.0, "k": 2, "h_expected_bits": -0.0, "h_rate_q_bits": 0.0, '
+    '"kl_correction_bits": 0.0, "log_evidence": -0.0, "p_order": 1.0}',
+)
 
 
-def failed_row_json(error, d="1.0"):
-    return (f'{{"d": {d}, "k_selected": null, "h_expected_bits": null, "h_rate_q_bits": null, '
-            '"kl_correction_bits": null, "log_evidence": [null, null], "p_order": [null, null], '
-            f'"error": {error}}}')
-
-
-TEXT_ROWS_JSON = (failed_row_json('""', d="0.0"), failed_row_json('"inf nan None -inf 2"'))
-BARE_JSON = (TINY_CONFIG_JSON.replace('"detail.csv"', "null"), failed_row_json('""'))
+def objects_json(objects):
+    """The lines of a JSON list of row or detail objects, one object per line."""
+    return ",\n".join(f"    {o}" for o in objects) + "\n"
 
 
 @pytest.mark.parametrize("result, expected", [
@@ -600,35 +655,22 @@ BARE_JSON = (TINY_CONFIG_JSON.replace('"detail.csv"', "null"), failed_row_json('
      '{\n'
      f'  "config": {TINY_CONFIG_JSON},\n'
      '  "lyapunov_bits": 0.9791235781734471,\n'
-     '  "rows": [\n'
-     f'    {TINY_ROW_JSON},\n'
-     f'    {failed_row_json(TINY_ERROR_JSON)}\n'
-     '  ],\n'
-     '  "detail": [\n'
-     f'    {TINY_DETAIL_JSON},\n'
-     '    {"d": 0.0, "k": 2, "h_expected_bits": 0.25, "h_rate_q_bits": 0.125, '
-     '"kl_correction_bits": "inf", "log_evidence": "-inf", "p_order": 0.9}\n'
-     '  ]\n'
+     f'  "rows": [\n{objects_json(TINY_ROWS_JSON)}  ],\n'
+     f'  "detail": [\n{objects_json(TINY_DETAIL_JSON)}  ]\n'
      '}\n'),
     (TINY_BARE,
      '{\n'
-     f'  "config": {BARE_JSON[0]},\n'
+     f'  "config": {BARE_CONFIG_JSON},\n'
      '  "lyapunov_bits": "-inf",\n'
-     '  "rows": [\n'
-     f'    {TINY_ROW_JSON},\n'
-     f'    {BARE_JSON[1]}\n'
-     '  ],\n'
+     f'  "rows": [\n{objects_json(TINY_ROWS_JSON)}  ],\n'
      '  "detail": []\n'
      '}\n'),
     (TINY_TEXTS,
      '{\n'
-     f'  "config": {TINY_CONFIG_JSON},\n'
+     f'  "config": {TEXTS_CONFIG_JSON},\n'
      '  "lyapunov_bits": 0.9791235781734471,\n'
-     '  "rows": [\n'
-     f'    {TEXT_ROWS_JSON[0]},\n'
-     f'    {TEXT_ROWS_JSON[1]}\n'
-     '  ],\n'
-     '  "detail": []\n'
+     f'  "rows": [\n{objects_json(TEXTS_ROWS_JSON)}  ],\n'
+     f'  "detail": [\n{objects_json(TEXTS_DETAIL_JSON)}  ]\n'
      '}\n'),
     # No rows and no detail rows: only finite floats.
     (SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, ()),
@@ -656,24 +698,26 @@ def test_json_layout_is_frozen(tmp_path, result, expected):
      "d,k_selected,h_expected_bits,h_rate_q_bits,kl_correction_bits,log_evidence_k1,"
      "log_evidence_k2,p_order_k1,p_order_k2,error\n"
      "0.0,2,0.25,0.125,inf,-1.5,-inf,0.1,0.9,\n"
-     '1.0,,,,,,,,,"bad ""x"", {""d"": 1},\n} é"\n'),
+     "1.0,1,0.5,,0.0625,-2.0,-3.0,0.75,0.25,\n"),
     ("csv", TINY_BARE,
      "d,k_selected,h_expected_bits,h_rate_q_bits,kl_correction_bits,log_evidence_k1,"
      "log_evidence_k2,p_order_k1,p_order_k2,error\n"
      "0.0,2,0.25,0.125,inf,-1.5,-inf,0.1,0.9,\n"
-     "1.0,,,,,,,,,\n"),
+     "1.0,1,0.5,,0.0625,-2.0,-3.0,0.75,0.25,\n"),
     ("csv", TINY_TEXTS,
      "d,k_selected,h_expected_bits,h_rate_q_bits,kl_correction_bits,log_evidence_k1,"
      "log_evidence_k2,p_order_k1,p_order_k2,error\n"
-     "0.0,,,,,,,,,\n"
-     "1.0,,,,,,,,,inf nan None -inf 2\n"),
+     "0.0,1,0.0,0.0,-0.0,-0.0,0.0,1.0,0.0,\n"
+     "1.0,2,-0.0,0.0,0.0,0.0,-0.0,0.0,1.0,\n"),
     ("detail", TINY,
      "d,k,h_expected_bits,h_rate_q_bits,kl_correction_bits,log_evidence,p_order\n"
      "0.0,1,,0.375,1e-05,-1.5,0.1\n"
-     "0.0,2,0.25,0.125,inf,-inf,0.9\n"),
+     "0.0,2,0.25,0.125,inf,-inf,0.9\n"
+     "1.0,1,0.5,,0.0625,-2.0,0.75\n"
+     "1.0,2,,,-inf,-3.0,0.25\n"),
 ], ids=["summary", "summary-no-text", "summary-texts", "detail"])
 def test_csv_bytes_are_frozen(tmp_path, write, result, expected):
-    # Blank cells for None and NaN, inf and -inf, repr floats, csv quoting of text.
+    # Blank cells for None and NaN, inf and -inf, repr floats; 0.0 and -0.0 apart.
     path = tmp_path / "out.csv"
     WRITES[write](result, str(path))
     assert path.read_bytes() == expected.encode("utf-8")
@@ -711,7 +755,7 @@ WRITES = {
 
 def test_json_and_detail_csv_in_one_pass_equal_separate_writes(tmp_path):
     # Pieces of plain numbers and one with NaN and infinities, and the
-    # hand-built results with every kind of cell, one with failed rows only.
+    # hand-built results with every kind of cell.
     base = run_sweep(WIDE)
     mixed = with_cells(base, 70, base.rows[70].k_selected, h_expected_bits=math.nan,
                        log_evidence=-math.inf, p_order=math.inf)
@@ -850,26 +894,6 @@ def test_emit_rejects_one_file_for_summary_and_detail(tmp_path, small_result):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_failure_without_text_is_named_by_its_type(monkeypatch, tmp_path):
-    import chaosinfer.sweep as sweep_mod
-
-    real = sweep_mod.expected_info
-
-    def sabotage(counts, prior):
-        if counts.context_totals.min() == 0:
-            raise ValueError()
-        return real(counts, prior)
-
-    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
-    out = tmp_path / "out.csv"
-    assert main(["--n", "1200", "--transient", "50", "--grid", "9", "--k-max", "2",
-                 "--out", str(out)]) == 0
-    with open(out, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    failed = [row for row in rows if row["k_selected"] == ""]
-    assert failed and all(row["error"] == "ValueError" for row in failed)
-
-
 def test_emit_detail_rows(tmp_path):
     cfg = SweepConfig(n=900, transient=50, seed=2, grid=4, k_min=1, k_max=3,
                       detail_path=str(tmp_path / "detail.csv"))
@@ -888,108 +912,17 @@ def test_emit_detail_rows(tmp_path):
     ]
 
 
-def test_failed_rows_are_marked_without_aborting(monkeypatch, tmp_path):
-    import chaosinfer.sweep as sweep_mod
-
-    real = sweep_mod.expected_info
-
-    def sabotage(counts, prior):
-        # Degenerate endpoint streams leave a context unvisited; fail there.
-        if counts.context_totals.min() == 0:
-            raise RuntimeError("forced failure")
-        return real(counts, prior)
-
-    cfg = SweepConfig(n=1200, transient=50, seed=3, grid=5, k_min=1, k_max=2)
-    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
-    result = sweep_mod.run_sweep(cfg)
-    assert len(result.rows) == 5
-    assert result.rows[0].error == "forced failure"
-    assert result.rows[-1].error == "forced failure"
-    assert result.rows[0].k_selected is None
-    interior = result.rows[1:-1]
-    assert all(row.error is None for row in interior)
-    assert all(np.isfinite(row.h_expected_bits) for row in interior)
-    path = tmp_path / "failed.csv"
-    emit(result, "csv", str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 6
-    cells = lines[1].split(",")
-    assert cells[1] == ""  # k_selected blank on failure
-    assert cells[-1] == "forced failure"
-    assert_csv_holds(path, csv_header(cfg), result.rows)
-    emit(result, "json", str(tmp_path / "failed.json"))
-    loaded = load_sweep_json(str(tmp_path / "failed.json"))
-    assert loaded.rows[1:-1] == result.rows[1:-1]
-    assert loaded.rows[0].error == "forced failure" and loaded.rows[0].k_selected is None
-    assert math.isnan(loaded.rows[0].h_expected_bits)
-    assert all(math.isnan(v) for v in loaded.rows[0].log_evidence + loaded.rows[0].p_order)
-    # With detail too: the result, and the same result made again from its
-    # rows, write the same bytes.
-    detailed = sweep_mod.run_sweep(dataclasses.replace(cfg, detail_path="detail.csv"))
-    good = [row.error is None for row in detailed.rows]
-    assert good[0] is good[-1] is False and any(good)
-    for out_format in ("json", "csv"):
-        columns = written(detailed, tmp_path, out_format, True)
-        assert written(rebuilt(detailed), tmp_path, out_format, True) == columns
-    assert len(detailed.detail) == sum(good) * 2
-    assert detailed.tally() == rebuilt(detailed).tally()
-    assert detailed.tally()[:3] == (5, 5 - sum(good), sum(good) * 2)
-    # Each failed point has one error and all-NaN cells, and yields no detail rows.
-    for scored in (result, detailed, rebuilt(detailed)):
-        failed = [i for i, row in enumerate(scored.rows) if row.error is not None]
-        assert sorted(scored._scores.errors) == failed
-        assert np.isnan(scored._scores.values[:, failed]).all()
-    assert {dr.d for dr in detailed.detail} == {row.d for row in detailed.rows
-                                                if row.error is None}
-
-
-def test_failed_points_on_both_sides_of_a_piece_edge(tmp_path):
-    # The writer takes 64 points at a time: points 63 and 64 fail on either
-    # side of the first edge, and the last piece, points 128 and 129, fails whole.
-    scored = run_sweep(WIDE)
-    failed = {63, 64, 128, 129}
-    blank = (math.nan,) * (WIDE.k_max - WIDE.k_min + 1)
-    rows = [SweepRow(row.d, None, math.nan, math.nan, math.nan, blank, blank, f"failed at {i}")
-            if i in failed else row for i, row in enumerate(scored.rows)]
-    good = {row.d for row in rows if row.error is None}
-    detail = [dr for dr in scored.detail if dr.d in good]
-    for config, kept in ((WIDE, detail), (dataclasses.replace(WIDE, detail_path=None), ())):
-        result = SweepResult.from_rows(config, scored.lyapunov_bits, rows, kept)
-        assert result.tally()[:3] == (130, 4, len(kept))
-        writes = [("json", False), ("csv", False)]
-        writes += [("json", True), ("csv", True)] if kept else []
-        for out_format, with_detail in writes:
-            files = written(result, tmp_path, out_format, with_detail)
-            assert written(rebuilt(result), tmp_path, out_format, with_detail) == files
-            if out_format == "csv":
-                assert_csv_holds(tmp_path / "out", csv_header(config), result.rows)
-            else:
-                assert load_sweep_json(str(tmp_path / "out")) == result
-                objects = json.loads(files[0])["detail"]
-                assert [(o["d"], o["k"]) for o in objects] == [(dr.d, dr.k) for dr in kept]
-            if with_detail:
-                assert_csv_holds(tmp_path / "detail.csv", DETAIL_HEADER, kept)
-
-
-def test_results_with_failed_rows_equal_their_reruns_and_reloads(monkeypatch, tmp_path):
-    # Each read of a failed row's cells gives new NaN floats, and nan != nan;
-    # results compare a NaN cell equal to a NaN cell.
-    import chaosinfer.sweep as sweep_mod
-
-    real = sweep_mod.expected_info
-
-    def sabotage(counts, prior):
-        if counts.context_totals.min() == 0:
-            raise RuntimeError("forced failure")
-        return real(counts, prior)
-
-    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
-    cfg = SweepConfig(n=1200, transient=50, seed=3, grid=5, k_min=1, k_max=2)
-    result = sweep_mod.run_sweep(cfg)
-    assert result.rows[0].error == "forced failure"
-    assert sweep_mod.run_sweep(cfg) == result
+def test_results_with_nan_cells_equal_their_reruns_and_reloads(tmp_path):
+    # Each read of a NaN cell gives a new NaN float, and nan != nan; results
+    # compare a NaN cell equal to a NaN cell.  Without detail, a row's
+    # unselected orders hold NaN entropy cells.
+    cfg = SweepConfig(n=1200, transient=50, seed=3, grid=5, k_min=1, k_max=5)
+    result = run_sweep(cfg)
+    assert np.isnan(result._scores.values[:3]).any()
+    assert run_sweep(cfg) == result
     emit(result, "json", str(tmp_path / "out.json"))
     assert load_sweep_json(str(tmp_path / "out.json")) == result
+    assert TINY == rebuilt(TINY)
     # A cell that differs still makes the results differ.
     rows = list(result.rows)
     rows[2] = dataclasses.replace(rows[2], h_rate_q_bits=rows[2].h_rate_q_bits + 0.5)
@@ -1026,8 +959,8 @@ BROKEN_JSON = {
     "detail-without-config": lambda obj: obj["config"].update(detail_path=None),
     "order-above-range": _set("rows", 0, k_selected=3),
     "order-below-range": _set("rows", 0, k_selected=0),
-    "failed-row-with-order": _set("rows", 1, k_selected=1),
-    "failed-row-with-estimate": _set("rows", 1, h_rate_q_bits=0.5),
+    "error-text": _set("rows", 1, error="x"),
+    "null-order": _set("rows", 1, k_selected=None),
     "short-list": _set("rows", 0, log_evidence=[-1.5]),
     "long-list": _set("rows", 0, p_order=[0.1, 0.9, 0.0]),
     "estimate-not-in-detail": _set("rows", 0, h_expected_bits=0.5),
@@ -1075,33 +1008,13 @@ def test_load_rejects_json_that_no_result_writes(tmp_path, edit):
     {"h_expected_bits": 0.5},
     {"k_selected": 2.0},
     {"k_selected": True, **ORDER_1},
+    {"error": "x"},
+    {"k_selected": None},
 ])
 def test_from_rows_rejects_rows_that_no_result_writes(cells):
     rows = (dataclasses.replace(TINY.rows[0], **cells), TINY.rows[1])
     with pytest.raises(ValueError, match=ROUND_TRIP):
         SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, rows, TINY.detail)
-
-
-def test_a_carriage_return_in_an_error_stays_in_its_csv_row(monkeypatch, tmp_path):
-    # csv.reader reads an unquoted "x\ry" cell as the end of its row.
-    import chaosinfer.sweep as sweep_mod
-
-    real = sweep_mod.expected_info
-
-    def sabotage(counts, prior):
-        if counts.context_totals.min() == 0:
-            raise ValueError("x\ry")
-        return real(counts, prior)
-
-    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
-    scored = sweep_mod.run_sweep(SweepConfig(n=1200, transient=50, seed=3, grid=5, k_max=2))
-    assert scored.rows[0].error == "x\ry"
-    hand = SweepResult.from_rows(TINY.config, TINY.lyapunov_bits,
-                                 (dataclasses.replace(TINY.rows[1], error="x\ry"),))
-    path = tmp_path / "out.csv"
-    for result in (scored, hand):
-        emit(result, "csv", str(path))
-        assert_csv_holds(path, csv_header(result.config), result.rows)
 
 
 def test_non_finite_cells_are_written_alike_from_columns_and_rows(monkeypatch, tmp_path):
@@ -1360,9 +1273,7 @@ def test_cli_json_output(tmp_path):
 def test_cli_json_and_detail_run_builds_no_detail_row(monkeypatch, tmp_path):
     # The writers and the printed counts read the scored columns: no
     # SweepRow or DetailRow is built until something reads SweepResult.rows
-    # or .detail, also when some points fail.
-    import chaosinfer.sweep as sweep_mod
-
+    # or .detail.
     built = []
     for cls in (SweepRow, DetailRow):
         def counted(self, *args, real=cls.__init__, **kwargs):
@@ -1379,22 +1290,6 @@ def test_cli_json_and_detail_run_builds_no_detail_row(monkeypatch, tmp_path):
     assert built == []  # a load checks the file's cells and builds no row
     assert len(loaded.detail) == len(built) == 300 * 3
     assert len(loaded.detail) + len(loaded.rows) == len(built) == 300 * 4  # each built once
-    real_info = sweep_mod.expected_info
-
-    def sabotage(counts, prior):
-        # Degenerate endpoint streams leave a context unvisited; fail there.
-        if counts.context_totals.min() == 0:
-            raise RuntimeError("forced failure")
-        return real_info(counts, prior)
-
-    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
-    built.clear()
-    assert main(argv) == 0
-    assert built == []
-    loaded = load_sweep_json(str(out))
-    failed = sum(row.error == "forced failure" for row in loaded.rows)
-    assert 0 < failed < 300
-    assert len(loaded.detail) == (300 - failed) * 3
 
 
 def test_column_writer_streams_in_bounded_memory(tmp_path):
@@ -1522,18 +1417,17 @@ ANY_FLOAT = st.one_of(
 
 
 def written_rows(out, out_format):
-    """(error, estimates) of each row of a written summary; a NaN estimate
-    reads as None, as a blank CSV cell does."""
+    """(error, estimates) of each row of a written summary; a blank CSV cell
+    reads as None, and as NaN where it holds an estimate, as JSON's null does."""
     if out_format == "json":
         rows = load_sweep_json(out).rows
-        return [(row.error, [None if math.isnan(v) else v
-                             for v in (row.h_expected_bits, *row.log_evidence, *row.p_order)])
+        return [(row.error, [row.h_expected_bits, *row.log_evidence, *row.p_order])
                 for row in rows]
     with open(out, encoding="utf-8", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     estimates = [i for i, name in enumerate(header)
                  if name == "h_expected_bits" or name.startswith(("log_evidence_k", "p_order_k"))]
-    return [(row[header.index("error")] or None, [row[i] or None for i in estimates])
+    return [(row[header.index("error")] or None, [float(row[i] or "nan") for i in estimates])
             for row in rows]
 
 
@@ -1545,6 +1439,19 @@ def written_rows(out, out_format):
          seed=0, order_prior="size-penalty", regenerate=False, out_format="csv", detail=None)
 @example(n=400, grid=5, k_min=1, k_max=3, alpha=1.0, sigma=0.7, transient=10, r=3.7,
          seed=2**64 + 1, order_prior=ORDER_PRIORS[-1], regenerate=True, out_format="json",
+         detail="detail.csv")
+# The corners of the accepted space; alpha 99.9 and 100 lie on either side
+# of the switch to Stirling's series in the log evidence.
+@example(n=400, grid=5, k_min=0, k_max=3, alpha=MIN_ALPHA, sigma=MAX_SIGMA, transient=10,
+         r=1e-300, seed=0, order_prior="size-penalty", regenerate=False, out_format="csv",
+         detail="detail.csv")
+@example(n=400, grid=5, k_min=0, k_max=0, alpha=MAX_ALPHA, sigma=1e-3, transient=10, r=4.0,
+         seed=0, order_prior="size-penalty", regenerate=True, out_format="json", detail=None)
+@example(n=400, grid=6, k_min=0, k_max=3, alpha=99.9, sigma=1e-3, transient=10, r=4.0,
+         seed=0, order_prior="size-penalty", regenerate=False, out_format="csv",
+         detail="detail.csv")
+@example(n=400, grid=6, k_min=0, k_max=3, alpha=100.0, sigma=1e-3, transient=10, r=4.0,
+         seed=0, order_prior="size-penalty", regenerate=True, out_format="json",
          detail="detail.csv")
 @given(
     n=st.integers(0, 400),
@@ -1564,12 +1471,12 @@ def written_rows(out, out_format):
 def test_cli_rejects_or_writes_well_formed_rows(n, grid, k_min, k_max, alpha, sigma, transient,
                                                 r, seed, order_prior, regenerate, out_format,
                                                 detail):
-    # Exit 1 writes nothing; exit 0 writes every requested file and has a row
-    # without an error; exit 2 is a runtime failure.  A written summary has
-    # one row per decision point, and a row without an error has every
-    # estimate.  A detail path of "out" names the summary file itself.
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # Exit 1 writes nothing; an accepted config exits 0 and writes every
+    # requested file, under the suite's warning filters, so a RuntimeWarning
+    # fails the run.  A written summary has one row per decision point, each
+    # without an error and with every estimate finite.  A detail path of
+    # "out" names the summary file itself.
+    with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         argv = ["--n", str(n), "--grid", str(grid), "--k-min", str(k_min),
                 "--k-max", str(k_max), f"--alpha={alpha!r}", f"--sigma={sigma!r}",
@@ -1578,41 +1485,54 @@ def test_cli_rejects_or_writes_well_formed_rows(n, grid, k_min, k_max, alpha, si
         argv += ["--regenerate-per-d"] if regenerate else []
         argv += ["--detail", os.path.join(tmp, detail)] if detail else []
         code = main(argv)
-        assert code in (0, 1, 2)
-        written = os.path.exists(out)
-        if code == 0:
-            assert written
-            assert detail is None or os.path.exists(os.path.join(tmp, detail))
+        assert code in (0, 1)
         if code == 1:
             assert os.listdir(tmp) == []
-        if not written:
             return
+        assert detail is None or os.path.exists(os.path.join(tmp, detail))
         rows = written_rows(out, out_format)
         if out_format == "json":
             assert load_sweep_json(out).config == parse_config(argv)
-        good = [estimates for error, estimates in rows if error is None]
         if detail is not None:
             with open(os.path.join(tmp, detail), encoding="utf-8", newline="") as fh:
                 header, *detail_rows = list(csv.reader(fh))
             assert header == DETAIL_HEADER
-            assert len(detail_rows) == len(good) * (k_max - k_min + 1)
+            assert len(detail_rows) == grid * (k_max - k_min + 1)
     assert len(rows) == grid
-    assert all(value is not None for estimates in good for value in estimates)
-    assert good or code == 2
+    assert all(error is None for error, _ in rows)
+    assert all(math.isfinite(value) for _, estimates in rows for value in estimates)
 
 
-def test_cli_exits_2_when_every_row_fails(monkeypatch, tmp_path, capsys):
+def test_a_scoring_failure_stops_the_run_and_keeps_earlier_files(monkeypatch, tmp_path, capsys):
+    # k_max 8 scores 128 points a slice, so grid 300 is three slices; the
+    # last, of 44 points, raises.  The run exits 2, names that slice's first
+    # and last d, and replaces neither file of the run before.
     import chaosinfer.sweep as sweep_mod
 
-    def sabotage(counts, prior):
-        raise RuntimeError("forced failure")
+    real = sweep_mod.expected_info
 
+    def sabotage(counts, prior):
+        if len(counts.table) == 44:
+            raise ValueError("forced failure")
+        return real(counts, prior)
+
+    out, detail = tmp_path / "out.csv", tmp_path / "detail.csv"
+    argv = ["--n", "900", "--transient", "20", "--grid", "300", "--k-max", "8",
+            "--out", str(out), "--detail", str(detail)]
+    assert main(argv) == 0
+    written = out.read_bytes(), detail.read_bytes()
+    capsys.readouterr()
     monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
-    out = tmp_path / "out.csv"
-    assert main(["--n", "900", "--transient", "20", "--grid", "3", "--k-max", "2",
-                 "--out", str(out)]) == 2
-    assert "3 rows failed; see the error column" in capsys.readouterr().err
-    assert len(out.read_text().splitlines()) == 4
+    assert main(argv) == 2
+    ds = decision_points(300).tolist()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "forced failure" in err
+    assert f"d = {ds[256]!r} to {ds[299]!r}" in err
+    assert (out.read_bytes(), detail.read_bytes()) == written
+    assert sorted(os.listdir(tmp_path)) == ["detail.csv", "out.csv"]
+    with pytest.raises(RuntimeError, match="d = ") as info:
+        run_sweep(parse_config(argv))
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_cli_exit_code_on_runtime_error(tmp_path):
