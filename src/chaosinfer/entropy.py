@@ -130,9 +130,9 @@ def _row_sums(tables, i, a, n, scale, rows) -> list:
     table = tables[i]
     over = n >= table.shape[1] if top >= table.shape[1] else None
     direct = None if over is None else _terms(n[over], a, scale)
-    sums = []
+    sums, terms = [], np.empty(n.shape)
     for r in rows:
-        terms = table[r].take(n, mode="clip")
+        table[r].take(n, mode="clip", out=terms)
         if over is not None:
             terms[over] = direct[r]
         sums.append(terms.sum(axis=-1))

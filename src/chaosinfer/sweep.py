@@ -1,10 +1,10 @@
 """End-to-end instrument sweep.
 
 Simulates one noisy trajectory, scans a grid of binary decision points, and
-for every point selects a Markov order and estimates entropy rates.  emit
-writes a SweepResult's scored columns: the summary as CSV or JSON, and the
-detail CSV of a result scored with detail.  JSON round-trips losslessly back
-to SweepResult.
+for every point selects a Markov order and estimates entropy rates at every
+order.  emit writes a SweepResult's scored columns: the summary as CSV or
+JSON, and the detail CSV of a result whose config names a detail_path.  JSON
+round-trips losslessly back to SweepResult.
 """
 
 from __future__ import annotations
@@ -191,8 +191,12 @@ class SweepConfig:
             # An empty name, or one ending in a separator, has no file part.
             if not os.path.basename(path) or os.path.isdir(path):
                 raise ConfigError(f"{name}={path!r} does not name a file")
-            # The writer creates missing directories, which fails under a file.
-            parent = os.path.dirname(os.path.abspath(path))
+            # The writer writes at the resolved target; one still a symlink is in a loop.
+            target = os.path.realpath(path)
+            if os.path.islink(target):
+                raise ConfigError(f"{name}={path!r} is a symlink loop")
+            # The writer creates the target's missing directories, which fails under a file.
+            parent = os.path.dirname(target)
             while not os.path.lexists(parent):
                 parent = os.path.dirname(parent)
             if not os.path.isdir(parent):
@@ -240,10 +244,7 @@ class _Scores(NamedTuple):
 
     d: np.ndarray  # (points,)
     best: np.ndarray  # (points,) index in the order range of each selected order
-    # (5, points, orders): the float fields of DetailRow, in field order; without
-    # detail, entropy is NaN at the orders no point of the scoring slice selected.
-    values: np.ndarray
-    detail: bool  # whether entropy was estimated at every order, as for a detail_path
+    values: np.ndarray  # (5, points, orders): the float fields of DetailRow, in field order
 
 
 def _row_cells(result):
@@ -277,8 +278,9 @@ def _same(a, b) -> bool:
 class SweepResult:
     """A sweep's config, Lyapunov estimate and scored columns, made only by
     run_sweep and from_rows.  dataclasses.replace keeps the columns, so it
-    must keep the config's k_min, k_max and detail_path.  `rows` and
-    `detail` are read-only views of the columns, built on first read.
+    must keep the config's k_min and k_max.  `rows` and `detail` are
+    read-only views of the columns, built on first read; a result made from
+    rows without detail rows holds NaN estimates at unselected orders.
     Results are equal when their configs, Lyapunov estimates, rows and detail
     rows are, a NaN cell equal to a NaN cell, and are not hashable."""
 
@@ -293,9 +295,6 @@ class SweepResult:
         if not (isinstance(scores, _Scores) and scores.values.shape == (5, len(scores.d), width)):
             raise ValueError(f"{type(scores).__name__} is not the scores of {width} orders; "
                              "SweepResult.from_rows makes a result from rows")
-        if scores.detail != (self.config.detail_path is not None):
-            raise ValueError(f"columns scored {'with' if scores.detail else 'without'} detail "
-                             f"under a config with detail_path={self.config.detail_path!r}")
 
     @classmethod
     def from_rows(cls, config: SweepConfig, lyapunov_bits: float, rows,
@@ -352,8 +351,8 @@ def _from_cells(config, lyapunov_bits, rows, detail) -> SweepResult:
     cells in field order.  A row's cells are d, k_selected, its three
     estimates, log_evidence, p_order and error; a detail row's are d, k, its
     three estimates, log_evidence and p_order.  An order cell that is a bool
-    or not an integer, any failure to build the columns, and columns that
-    break ROUND_TRIP are ValueError(ROUND_TRIP)."""
+    or not an integer, a d outside [0, 1], any failure to build the columns,
+    and columns that break ROUND_TRIP are ValueError(ROUND_TRIP)."""
     try:
         orders = _orders(config)
         width = len(orders)
@@ -373,8 +372,9 @@ def _from_cells(config, lyapunov_bits, rows, detail) -> SweepResult:
         estimates = np.array([row[2:5] for row in rows], dtype=float).reshape(-1, 3)
         values[:3, np.arange(len(rows)), best] = estimates.T
         d = np.array([row[0] for row in rows], dtype=float)
-        result = SweepResult(config, lyapunov_bits,
-                             _Scores(d, best, values, config.detail_path is not None))
+        if not np.all((0.0 <= d) & (d <= 1.0)):  # a decision point; NaN fails too
+            raise ValueError("a d lies outside [0, 1]")
+        result = SweepResult(config, lyapunov_bits, _Scores(d, best, values))
         if _same((tuple(_row_cells(result)), tuple(_detail_cells(result))),
                  (tuple(rows), tuple(detail))):
             return result
@@ -409,7 +409,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     counted = max(1, COUNT_BLOCK_BYTES // (8 << (orders[-1] + 1)))
     scored = max(1, counted // 2)
     values = np.full((5, config.grid, len(orders)), np.nan)
-    scores = _Scores(points, np.zeros(config.grid, int), values, config.detail_path is not None)
+    scores = _Scores(points, np.zeros(config.grid, int), values)
     blocks = _counted_blocks(config, map_spec, noise, cuts, points, counted, orders[-1])
     for start in range(0, config.grid, counted):
         # Passed on, not kept: a block's tables are freed before the next is counted.
@@ -487,7 +487,7 @@ def _score_slices(scores, start, top, first, scored, orders, *args) -> None:
         try:
             stacked = lower_orders(tops, firsts, orders)
             tables = {k: CountTable(stacked[k].reshape(len(stacked[k]), -1, 2)) for k in orders}
-            best, values = _score(tables, orders, *args, scores.detail)
+            best, values = _score(tables, orders, *args)
         except Exception as exc:
             first_d, last_d = scores.d[part][[0, -1]].tolist()
             raise RuntimeError(f"cannot score the decision points d = {first_d!r} to "
@@ -495,19 +495,17 @@ def _score_slices(scores, start, top, first, scored, orders, *args) -> None:
         scores.best[part], scores.values[:, part] = best, values
 
 
-def _score(tables, orders, log_priors, prior, want_detail):
+def _score(tables, orders, log_priors, prior):
     """(best, values): the index in `orders` of each point's selected order
     and its (5, points, orders) values (see _Scores), from `tables`, which
-    maps each order to the stacked count tables of the points.  Entropy is
-    estimated at every order for detail rows, otherwise at the orders some
-    point selected.
+    maps each order to the stacked count tables of the points.
     """
     les = order_log_evidences(tables, prior)
     post, best = posterior_over_orders(les, log_priors)
-    values = np.full((5, *les.shape), np.nan)
+    values = np.empty((5, *les.shape))
     values[3], values[4] = les, post
-    for j in range(len(orders)) if want_detail else np.unique(best).tolist():
-        e = expected_info(tables[orders[j]], prior)
+    for j, k in enumerate(orders):
+        e = expected_info(tables[k], prior)
         values[:3, :, j] = e.expected_info, e.h_rate_q, e.kl_correction
     return best, values
 
@@ -539,10 +537,6 @@ def _header(cls, orders=()) -> list[str]:
     for name, per_order, _ in _FIELDS[cls]:
         header += [f"{name}_k{k}" for k in orders] if per_order else [name]
     return header
-
-
-def csv_header(config: SweepConfig) -> list[str]:
-    return _header(SweepRow, _orders(config))
 
 
 def _read_float(value) -> float:
@@ -675,7 +669,7 @@ def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:
     a temporary file until the rows are written."""
     orders = _orders(result.config)
     if summary == "csv":
-        csv.writer(fh, lineterminator="\n").writerow(csv_header(result.config))
+        csv.writer(fh, lineterminator="\n").writerow(_header(SweepRow, orders))
     else:
         config = tuple(_spell(getattr(result.config, name), False)
                        for name, _, _ in _FIELDS[SweepConfig])
@@ -712,7 +706,8 @@ def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:
 
 def _write_files(write, *paths: str) -> None:
     """Create each of `paths` with write(fh, ...), one file per path, each
-    written to a temporary file beside its target.  The targets are replaced
+    written to a temporary file beside its target, whose missing directories
+    are created.  The targets are replaced
     only once write has returned, so a failure never leaves a truncated
     file.  Each file keeps the permission bits open(path, "w") gives: those
     of a replaced file.  As with open(), a symlink is written through, and a
@@ -723,10 +718,8 @@ def _write_files(write, *paths: str) -> None:
         with contextlib.ExitStack() as stack:
             files = []
             for path in paths:
-                parent = os.path.dirname(path)
-                if parent:
-                    os.makedirs(parent, exist_ok=True)
                 target = os.path.realpath(path)
+                os.makedirs(os.path.dirname(target), exist_ok=True)
                 if os.path.exists(target) and not os.path.isfile(target):
                     files.append(stack.enter_context(
                         open(target, "w", encoding="utf-8", newline="")))
@@ -751,13 +744,13 @@ def emit(result: SweepResult, out_format: str, path: str, detail_path: str | Non
     """Write the sweep summary as CSV or JSON at `path`, and the detail CSV
     at `detail_path` if one is given.  Both files are written in one pass,
     and replaced only once both are written.  A detail_path for a result
-    whose config has none, so that it holds no detail, is a ConfigError."""
+    whose config has none, so that it holds no detail rows, is a ConfigError."""
     if out_format not in FORMAT_CHOICES:
         raise ConfigError(f"format {out_format!r} must be one of {FORMAT_CHOICES}")
     _check_distinct(path, detail_path)
     if detail_path is not None and result.config.detail_path is None:
-        raise ConfigError(f"detail_path={detail_path!r}: the result was scored without detail; "
-                          "run the sweep with a detail_path to write one")
+        raise ConfigError(f"detail_path={detail_path!r}: the result's config names no "
+                          "detail_path, so it holds no detail rows")
     paths = [path] if detail_path is None else [path, detail_path]
     _write_files(lambda *files: _dump(result, out_format, *files), *paths)
 

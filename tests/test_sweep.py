@@ -43,16 +43,18 @@ from chaosinfer.sweep import (
     SweepConfig,
     SweepResult,
     SweepRow,
-    csv_header,
     emit,
     load_sweep_json,
     run_sweep,
 )
 
 SMALL = SweepConfig(n=1500, transient=100, seed=5, grid=11, k_min=1, k_max=3)
-# Scored with detail, in three pieces of the writer: 64, 64 and 2 points.
+# With detail rows, in three pieces of the writer: 64, 64 and 2 points.
 WIDE = SweepConfig(n=1500, transient=100, seed=5, grid=130, k_min=1, k_max=3,
                    detail_path="detail.csv")
+SMALL_HEADER = ["d", "k_selected", "h_expected_bits", "h_rate_q_bits", "kl_correction_bits",
+                "log_evidence_k1", "log_evidence_k2", "log_evidence_k3",
+                "p_order_k1", "p_order_k2", "p_order_k3", "error"]
 DETAIL_HEADER = ["d", "k", "h_expected_bits", "h_rate_q_bits", "kl_correction_bits",
                  "log_evidence", "p_order"]
 ORDER_PRIORS = next(f for f in dataclasses.fields(SweepConfig)
@@ -284,7 +286,7 @@ def test_columns_write_the_bytes_of_their_rows_on_accepted_configs(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = run_sweep(cfg)
-    # Only a result scored with detail can write a detail file.
+    # Only a result whose config names a detail_path can write a detail file.
     writes = [("json", False), ("csv", False)]
     writes += [("json", True), ("csv", True)] if cfg.detail_path is not None else []
     with tempfile.TemporaryDirectory() as tmp:
@@ -469,7 +471,7 @@ def test_emit_csv_schema_and_row_count(tmp_path, small_result):
     emit(small_result, "csv", str(path))
     lines = path.read_text().splitlines()
     assert len(lines) == SMALL.grid + 1
-    assert lines[0].split(",") == csv_header(SMALL)
+    assert lines[0].split(",") == SMALL_HEADER
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert int(first[1]) in range(1, 4)
@@ -478,11 +480,7 @@ def test_emit_csv_schema_and_row_count(tmp_path, small_result):
 def test_emit_csv_floats_round_trip(tmp_path, small_result):
     path = tmp_path / "out.csv"
     emit(small_result, "csv", str(path))
-    header = ["d", "k_selected", "h_expected_bits", "h_rate_q_bits", "kl_correction_bits",
-              "log_evidence_k1", "log_evidence_k2", "log_evidence_k3",
-              "p_order_k1", "p_order_k2", "p_order_k3", "error"]
-    assert csv_header(SMALL) == header
-    assert_csv_holds(path, header, small_result.rows)
+    assert_csv_holds(path, SMALL_HEADER, small_result.rows)
 
 
 def test_emit_json_round_trip(tmp_path, small_result):
@@ -574,7 +572,7 @@ TINY = SweepResult.from_rows(
         DetailRow(1.0, 2, math.nan, math.nan, -math.inf, -3.0, 0.25),
     ),
 )
-# Scored without detail.
+# Without detail rows.
 TINY_BARE = SweepResult.from_rows(
     dataclasses.replace(TINY.config, detail_path=None), -math.inf, TINY.rows,
 )
@@ -864,24 +862,35 @@ def test_emit_rejects_unknown_format(tmp_path, small_result):
         emit(small_result, "xml", str(tmp_path / "out.xml"))
 
 
-def test_emit_refuses_detail_of_a_result_scored_without_it(tmp_path):
-    # The result holds no per-order estimates to write; nothing is written.
+def test_emit_refuses_detail_of_a_result_whose_config_names_none(tmp_path):
+    # The result holds no detail rows to write; nothing is written.
     result = run_sweep(SweepConfig(n=500, grid=5, k_max=2))
     for out_format in FORMAT_CHOICES:
-        with pytest.raises(ConfigError, match="scored without detail"):
+        with pytest.raises(ConfigError, match="names no detail_path"):
             emit(result, out_format, str(tmp_path / "a.csv"), str(tmp_path / "d.csv"))
     assert list(tmp_path.iterdir()) == []
-    # Made from its rows, it holds no detail either.
-    with pytest.raises(ConfigError, match="scored without detail"):
+    # Made from its rows, it holds no detail rows either.
+    with pytest.raises(ConfigError, match="names no detail_path"):
         emit(rebuilt(result), "csv", str(tmp_path / "a.csv"), str(tmp_path / "d.csv"))
     assert list(tmp_path.iterdir()) == []
-    # Nor can a config with a detail_path be put on it, whose detail would be
-    # the NaN cells of orders never scored; nor the other way round.
-    with pytest.raises(ValueError, match="scored without detail"):
-        dataclasses.replace(result, config=dataclasses.replace(result.config, detail_path="d.csv"))
+    # Every order is scored whatever the outputs, so a detail_path may be put
+    # on the result or taken off, and it then equals the run with or without one.
     scored = run_sweep(dataclasses.replace(result.config, detail_path="d.csv"))
-    with pytest.raises(ValueError, match="scored with detail"):
-        dataclasses.replace(scored, config=result.config)
+    assert dataclasses.replace(result, config=scored.config) == scored
+    assert dataclasses.replace(scored, config=result.config) == result
+    assert result != scored
+
+
+@pytest.mark.parametrize("regenerate", [False, True], ids=["shared", "regenerated"])
+def test_scores_do_not_depend_on_the_outputs(regenerate):
+    cfg = SweepConfig(n=1200, transient=50, seed=3, grid=40, k_min=0, k_max=5,
+                      regenerate_per_d=regenerate)
+    bare, detailed = (run_sweep(c)._scores
+                      for c in (cfg, dataclasses.replace(cfg, detail_path="detail.csv")))
+    for name in ("d", "best", "values"):
+        a, b = getattr(bare, name), getattr(detailed, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert not np.isnan(bare.values).any()
 
 
 def test_emit_rejects_one_file_for_summary_and_detail(tmp_path, small_result):
@@ -914,14 +923,21 @@ def test_emit_detail_rows(tmp_path):
 
 def test_results_with_nan_cells_equal_their_reruns_and_reloads(tmp_path):
     # Each read of a NaN cell gives a new NaN float, and nan != nan; results
-    # compare a NaN cell equal to a NaN cell.  Without detail, a row's
-    # unselected orders hold NaN entropy cells.
+    # compare a NaN cell equal to a NaN cell.  Made from rows without detail
+    # rows, a result holds NaN entropy cells at each row's unselected orders,
+    # which a detail_path put on it writes as empty cells.
     cfg = SweepConfig(n=1200, transient=50, seed=3, grid=5, k_min=1, k_max=5)
-    result = run_sweep(cfg)
+    result = rebuilt(run_sweep(cfg))
     assert np.isnan(result._scores.values[:3]).any()
-    assert run_sweep(cfg) == result
-    emit(result, "json", str(tmp_path / "out.json"))
-    assert load_sweep_json(str(tmp_path / "out.json")) == result
+    assert rebuilt(run_sweep(cfg)) == result
+    detailed = dataclasses.replace(result, config=dataclasses.replace(cfg, detail_path="d.csv"))
+    assert detailed != run_sweep(detailed.config)
+    for r in (result, detailed):
+        emit(r, "json", str(tmp_path / "out.json"))
+        assert load_sweep_json(str(tmp_path / "out.json")) == r
+    emit(detailed, "csv", str(tmp_path / "out.csv"), str(tmp_path / "d.csv"))
+    assert_csv_holds(tmp_path / "d.csv", DETAIL_HEADER, detailed.detail)
+    assert any(math.isnan(dr.h_expected_bits) for dr in detailed.detail)
     assert TINY == rebuilt(TINY)
     # A cell that differs still makes the results differ.
     rows = list(result.rows)
@@ -947,6 +963,11 @@ def _set(part, at, **cells):
     """An edit of a parsed JSON summary: set cells of one of its rows or
     detail objects."""
     return lambda obj: obj[part][at].update(cells)
+
+
+def _set_d(d):
+    """An edit of TINY's JSON summary: set d of row 0 and of its detail objects."""
+    return lambda obj: [part.update(d=d) for part in (obj["rows"][0], *obj["detail"][:2])]
 
 
 # Row 0 of TINY made to select order 1, with that order's estimates.
@@ -981,6 +1002,9 @@ BROKEN_JSON = {
     "config-without-alpha": lambda obj: obj["config"].pop("alpha"),
     "float-k-max": lambda obj: obj["config"].update(k_max=2.0),
     "d-beyond-floats": _set("rows", 0, d=10**400),
+    # A d that is no decision point, written as JSON's NaN and Infinity.
+    "nan-d": _set_d(math.nan),
+    "infinite-d": _set_d(math.inf),
     # Config values that validate rejects.
     "unknown-family": lambda obj: obj["config"].update(family="henon"),
     "negative-n": lambda obj: obj["config"].update(n=-4),
@@ -1015,6 +1039,15 @@ def test_from_rows_rejects_rows_that_no_result_writes(cells):
     rows = (dataclasses.replace(TINY.rows[0], **cells), TINY.rows[1])
     with pytest.raises(ValueError, match=ROUND_TRIP):
         SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, rows, TINY.detail)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, -0.5, 1.5])
+def test_from_rows_rejects_a_d_that_is_no_decision_point(d):
+    # At nan and inf the JSON would not be strict and the CSV would not spell
+    # a missing cell as empty.
+    rows = (dataclasses.replace(TINY_BARE.rows[0], d=d), TINY_BARE.rows[1])
+    with pytest.raises(ValueError, match=ROUND_TRIP):
+        SweepResult.from_rows(TINY_BARE.config, TINY_BARE.lyapunov_bits, rows)
 
 
 def test_non_finite_cells_are_written_alike_from_columns_and_rows(monkeypatch, tmp_path):
@@ -1356,9 +1389,34 @@ def test_cli_exit_code_on_config_errors(capsys, tmp_path):
     assert "is not a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--detail"])
+def test_a_symlinked_output_path_is_checked_at_its_target(tmp_path, flag):
+    # The link's target is what is checked and written: a link into a
+    # missing directory writes through it, and one under a regular file or
+    # in a loop is rejected before the sweep runs.
+    afile = tmp_path / "afile"
+    afile.write_text("a file")
+
+    def run(link):
+        paths = ([flag, str(link)] if flag == "--out" else
+                 ["--out", str(tmp_path / "out.csv"), flag, str(link)])
+        return main(["--n", "100", "--grid", "3", *paths])
+
+    links = {"under-file": afile / "x.csv", "loop": tmp_path / "loop"}
+    for name, target in links.items():
+        (tmp_path / name).symlink_to(target)
+        assert run(tmp_path / name) == 1, name
+    assert sorted(os.listdir(tmp_path)) == ["afile", "loop", "under-file"]
+    link = tmp_path / "into-new"
+    link.symlink_to(tmp_path / "new" / "sub" / "target.csv")
+    assert run(link) == 0
+    assert link.is_symlink() and (tmp_path / "new" / "sub" / "target.csv").is_file()
+    assert os.listdir(tmp_path / "new" / "sub") == ["target.csv"]
+
+
 @pytest.mark.parametrize("alpha", [MIN_ALPHA, MAX_ALPHA], ids=["min", "max"])
 def test_extreme_accepted_alpha_gives_finite_rows(alpha):
-    # A detail path makes run_sweep estimate every order; nothing is written.
+    # The detail rows hold every order's estimates; nothing is written.
     config = SweepConfig(n=2000, transient=50, grid=5, k_min=0, k_max=3, alpha=alpha,
                          detail_path="unused.csv")
     with warnings.catch_warnings():
