@@ -20,6 +20,7 @@ from .entropy import (
     EntropyEstimate,
     digamma,
     expected_info,
+    order_scores,
 )
 from .inference import (
     DirichletPrior,

@@ -239,7 +239,8 @@ def lower_orders(table, first, orders) -> dict[int, np.ndarray]:
     tables = {k_max: table}
     rows = np.arange(len(table))
     for k in range(k_max - 1, orders[0] - 1, -1):
-        table = table.reshape(len(rows), 2, 1 << (k + 1)).sum(axis=1)
+        halves = table.reshape(len(rows), 2, 1 << (k + 1))
+        table = halves[:, 0] + halves[:, 1]
         table[rows, first[:, :k + 1] @ (1 << np.arange(k, -1, -1))] += 1
         tables[k] = table
     return {k: tables[k] for k in orders}

@@ -1,14 +1,15 @@
 """Digamma-based posterior expectations of Markov-chain entropy rates.
 
 Also the count-indexed kernel they share with inference.log_evidence: every
-term of both is a function of one count, tabulated once per prior.
+term of both is a function of one count, tabulated once per prior.  The
+sweep scores both from one kernel call per order through order_scores.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 from scipy import special
@@ -91,14 +92,17 @@ def _terms(n: np.ndarray, a: float, scale: float) -> np.ndarray:
 
 
 def _count_sums(counts: CountTable, alpha: float, rows) -> tuple[list, list, np.ndarray]:
-    """Sums of count-indexed terms, the kernel of log_evidence and expected_info.
+    """Sums of count-indexed terms, the kernel of log_evidence, expected_info
+    and order_scores.
 
     Each (context, symbol) cell of count n has the terms _terms(n, alpha),
     each context of count n(ctx) the terms _terms(n(ctx), 2 alpha), both
     over the scale _scale(alpha).  The result holds the cells' sums of the
     terms `rows`, the contexts' sums of them, each one per table, and the
     number of transitions counted in each table.  inference.log_evidence
-    reads the rises, expected_info the psi and log2 terms.
+    reads the rises, expected_info the psi and log2 terms, and order_scores
+    all three from one call, so the context totals, their maximum and the
+    table growth check are made once per table.
 
     Sums run along the last axis, so each table of a stack gets the sums of
     its own call bit for bit.
@@ -149,7 +153,8 @@ class EntropyEstimate:
     posterior-mean chain and kl_correction the small-sample term; their sum
     h_rate_q + kl_correction is the large-sample (asymptotic) estimate, which
     reproduces expected_info once pseudo-counts are large.  For a stack of
-    count tables each estimate is an array, one entry per table.
+    count tables each estimate is an array, one entry per table; from
+    order_scores, with orders along the last axis.
     """
 
     expected_info: float
@@ -174,16 +179,42 @@ def expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
     n_free / (2 * beta * ln 2); their sum is the large-sample form, valid
     once pseudo-counts are large and reported regardless.
 
-    Both rates are (sum_c m(c) f(m(c)) - sum_{c,s} m(c, s) f(m(c, s))) / beta,
-    with f = psi / ln 2 and f = log2, from the count-indexed terms of
-    _count_sums, which come divided by _scale(alpha); beta is divided by it
-    too.  A table with a leading grid axis gives arrays of estimates, one
-    per table, each equal bit for bit to that table's own call.
+    Both rates come from the count-indexed sums of _count_sums (see
+    _estimate).  A table with a leading grid axis gives arrays of
+    estimates, one per table, each equal bit for bit to that table's own
+    call.
     """
     a = prior.alpha
-    cells, contexts, windows = _count_sums(counts, a, (1, 2))
+    return _estimate(*_count_sums(counts, a, (1, 2)), counts.table.shape[-2], a)
+
+
+def order_scores(tables: Mapping[int, CountTable],
+                 prior: DirichletPrior) -> tuple[np.ndarray, EntropyEstimate]:
+    """Log evidence and entropy estimates of every order, orders along the last axis.
+
+    `tables` maps each order, ascending, to its count table or to a stack of
+    tables with a leading grid axis.  The result is the log evidences, shape
+    (G, orders) or (orders,), and an EntropyEstimate of arrays of that
+    shape, from one _count_sums call per order.  Each entry equals bit for
+    bit inference.log_evidence and expected_info of that order's own table.
+    """
+    a = prior.alpha
+    sums = [_count_sums(table, a, (0, 1, 2)) for table in tables.values()]
+    cells, contexts, windows = (np.stack(part, axis=-1) for part in zip(*sums))
+    n_free = np.array([table.table.shape[-2] for table in tables.values()])
+    return cells[0] - contexts[0], _estimate(cells[1:], contexts[1:], windows, n_free, a)
+
+
+def _estimate(cells, contexts, windows, n_free, a) -> EntropyEstimate:
+    """The estimates of expected_info from the cells' and the contexts' sums
+    of the psi and log2 terms, the transitions counted `windows`, and the
+    number of contexts n_free, a number or an array that broadcasts with them.
+
+    Both rates are (sum_c m(c) f(m(c)) - sum_{c,s} m(c, s) f(m(c, s))) / beta,
+    with f = psi / ln 2 and f = log2, from the count-indexed terms of
+    _count_sums, which come divided by _scale(a); beta is divided by it too.
+    """
     nats, bits = (x - c for c, x in zip(cells, contexts))
-    n_free = counts.table.shape[-2]
     beta = windows + 2 * n_free * a
     scaled = beta / _scale(a)
     return EntropyEstimate(

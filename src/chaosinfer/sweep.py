@@ -45,12 +45,11 @@ from .dynamics import (
     mean_log_slope,
     recorded_chunks,
 )
-from .entropy import expected_info
+from .entropy import order_scores
 from .inference import DirichletPrior
 from .order_select import (
     ORDER_PRIOR_KINDS,
     OrderRange,
-    order_log_evidences,
     order_log_prior,
     posterior_over_orders,
 )
@@ -393,7 +392,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     grows with n but the shared series' cuts in the grid (see
     _shared_series).  Decision points are counted a block of
     COUNT_BLOCK_BYTES at a time and scored in slices of half a block, whose
-    scores fill columns over the whole grid.  A slice that fails to score
+    scores fill columns over the whole grid; the posterior over orders is
+    taken once per counting block.  A slice or block that fails to score
     stops the sweep with a RuntimeError that names its d range.  Rows that
     select the top order of the range are reported in one RuntimeWarning.
     Fully deterministic given the seed.
@@ -475,39 +475,47 @@ def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
     return top, first
 
 
-def _score_slices(scores, start, top, first, scored, orders, *args) -> None:
+def _score_slices(scores, start, top, first, scored, orders, log_priors, prior) -> None:
     """Fill the columns of the points of a counting block, from grid point
-    `start` on, with their scores (see _score), `scored` points at a time,
-    from their order-k_max tables `top` and first k_max symbols `first`: the
-    lower orders exist for one slice at a time.  A slice whose lower orders
-    or scores raise is a RuntimeError that names its first and last d."""
+    `start` on, with their scores, from their order-k_max tables `top` and
+    first k_max symbols `first`.  The lower orders and the scoring
+    temporaries exist for `scored` points at a time (see _score); the
+    posterior over orders is then taken once over the whole block, each
+    point's along its own row, so its floats do not depend on the block.  A
+    slice whose lower orders or scores raise, or a block whose posterior
+    raises, is a RuntimeError that names its first and last d."""
     for at in range(0, len(top), scored):
         tops, firsts = top[at:at + scored], first[at:at + scored]
         part = slice(start + at, start + at + len(tops))
-        try:
+        with _naming(scores.d[part]):
             stacked = lower_orders(tops, firsts, orders)
             tables = {k: CountTable(stacked[k].reshape(len(stacked[k]), -1, 2)) for k in orders}
-            best, values = _score(tables, orders, *args)
-        except Exception as exc:
-            first_d, last_d = scores.d[part][[0, -1]].tolist()
-            raise RuntimeError(f"cannot score the decision points d = {first_d!r} to "
-                               f"{last_d!r}: {exc!r}") from exc
-        scores.best[part], scores.values[:, part] = best, values
+            scores.values[:4, part] = _score(tables, prior)
+    block = slice(start, start + len(top))
+    with _naming(scores.d[block]):
+        post, best = posterior_over_orders(scores.values[3, block], log_priors)
+    scores.best[block], scores.values[4, block] = best, post
 
 
-def _score(tables, orders, log_priors, prior):
-    """(best, values): the index in `orders` of each point's selected order
-    and its (5, points, orders) values (see _Scores), from `tables`, which
-    maps each order to the stacked count tables of the points.
-    """
-    les = order_log_evidences(tables, prior)
-    post, best = posterior_over_orders(les, log_priors)
-    values = np.empty((5, *les.shape))
-    values[3], values[4] = les, post
-    for j, k in enumerate(orders):
-        e = expected_info(tables[k], prior)
-        values[:3, :, j] = e.expected_info, e.h_rate_q, e.kl_correction
-    return best, values
+@contextlib.contextmanager
+def _naming(ds):
+    """Re-raise any exception raised within the `with` as a RuntimeError
+    that names the first and last of the decision points `ds` it scores."""
+    try:
+        yield
+    except Exception as exc:
+        first_d, last_d = ds[[0, -1]].tolist()
+        raise RuntimeError(f"cannot score the decision points d = {first_d!r} to "
+                           f"{last_d!r}: {exc!r}") from exc
+
+
+def _score(tables, prior) -> np.ndarray:
+    """The first four rows of the (5, points, orders) values (see _Scores)
+    of the points whose stacked count tables `tables` maps each order to:
+    the entropy estimates and the log evidence, all from one order_scores
+    call, which makes one kernel call per order."""
+    les, e = order_scores(tables, prior)
+    return np.stack([e.expected_info, e.h_rate_q, e.kl_correction, les])
 
 
 def _warn_top_of_range(scores, orders) -> None:

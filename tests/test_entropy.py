@@ -133,6 +133,48 @@ def test_kernels_match_references(rows, order, top_share, alpha, seed):
             assert bits_of(getattr(one, name)) == bits_of(getattr(estimates, name)[i]), name
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    rows=st.integers(1, 4),
+    k_min=st.integers(0, 5),
+    width=st.integers(0, 3),
+    # Largest counts below, at and past the table cap; from the cap on a
+    # count's terms are evaluated directly.
+    top=st.sampled_from([0, 1, 37, entropy._TABLE_CAP - 1, entropy._TABLE_CAP,
+                         3 * entropy._TABLE_CAP]),
+    # Pseudo-counts on both sides of where _rise takes Stirling's series.
+    alpha=st.one_of(
+        st.sampled_from([MIN_ALPHA, 1e-3, 1.0, 99.9, entropy._STIRLING_FROM, 150.0, 1e7,
+                         MAX_ALPHA]),
+        st.floats(MIN_ALPHA, MAX_ALPHA),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_order_scores_equal_each_order_s_own_calls(rows, k_min, width, top, alpha, seed):
+    # The fused scores of a stack of tables per order, and of each single
+    # table, equal log_evidence and expected_info order by order, bit for bit.
+    rng = np.random.default_rng(seed)
+    stacks = {}
+    for k in range(k_min, k_min + width + 1):
+        table = rng.integers(0, top + 1, size=(rows, 2**k, 2))
+        table[rng.random(table.shape[:2]) < 0.3] = 0
+        table.flat[rng.integers(table.size)] = top
+        stacks[k] = table
+    prior = DirichletPrior(alpha)
+    for i in [None, *range(rows)]:
+        tables = {k: CountTable(t if i is None else t[i]) for k, t in stacks.items()}
+        shape = (len(tables),) if i is not None else (rows, len(tables))
+        evidences, estimates = entropy.order_scores(tables, prior)
+        assert evidences.shape == shape
+        for j, table in enumerate(tables.values()):
+            assert bits_of(evidences[..., j]) == bits_of(log_evidence(table, prior).value)
+            one = expected_info(table, prior)
+            for name in ESTIMATES:
+                column = getattr(estimates, name)
+                assert column.shape == shape
+                assert bits_of(column[..., j]) == bits_of(getattr(one, name)), name
+
+
 @pytest.mark.parametrize("alpha", [0.37, 1.0, 99.9, 150.0, MAX_ALPHA])
 def test_counts_past_the_table_cap_give_the_tabulated_floats(monkeypatch, alpha):
     # With a cap of 3 entries nearly every term is evaluated directly; the

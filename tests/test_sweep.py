@@ -224,6 +224,10 @@ def accepted_configs(draw):
 # counting block of five points and then one of two:
 @example(cfg=SweepConfig(n=2 * LEAF + 5, transient=LEAF + 2, seed=7, grid=7, k_min=0, k_max=3,
                          sigma=0.3, regenerate_per_d=True))
+# One counting block of the shared series scored in slices of 17, 17 and 1,
+# whose posterior over orders is taken once over all 35 points:
+@example(cfg=SweepConfig(n=300, transient=5, seed=10, grid=35, k_min=0, k_max=9, sigma=1e-3,
+                         order_prior="uniform", alpha=7.1, detail_path="detail.csv"))
 @given(cfg=accepted_configs())
 def test_run_sweep_equals_per_d_oracle_on_accepted_configs(cfg):
     # Counted in the small blocks of small_count_budget, which accepted_configs
@@ -370,9 +374,9 @@ def test_counting_memory_is_bounded_whatever_the_grid():
     # Past the result, 40 bytes per (point, order) cell and 24 per point for
     # its d, selected order and place in the grid, the peak is one counting
     # block's order-k_max tables (its difference array, COUNT_BLOCK_BYTES
-    # and a row) and a scoring slice's temporaries, about 1.3 MB at k_max 8.
-    # Counting adds its events in place, so the window chunk's temporaries
-    # are smaller than those.
+    # and a row) and a scoring slice's lower orders and temporaries, about
+    # 1.2 MiB at k_max 8: 2.32 MiB in all.  Counting adds its events in
+    # place, so the window chunk's temporaries are smaller than those.
     def peak(grid):
         cfg = SweepConfig(n=2000, transient=0, grid=grid, k_min=1, k_max=8)
         tracemalloc.start()
@@ -384,7 +388,7 @@ def test_counting_memory_is_bounded_whatever_the_grid():
 
     peak(1000)  # first-call allocations
     for grid in (1000, 4000):
-        assert peak(grid) - grid * (8 * 40 + 24) <= 2 * COUNT_BLOCK_BYTES + (1 << 19), grid
+        assert peak(grid) - grid * (8 * 40 + 24) <= 2 * COUNT_BLOCK_BYTES + (3 << 17), grid
 
 
 def test_regenerated_block_memory_does_not_grow_with_n(monkeypatch):
@@ -1053,17 +1057,17 @@ def test_from_rows_rejects_a_d_that_is_no_decision_point(d):
 def test_non_finite_cells_are_written_alike_from_columns_and_rows(monkeypatch, tmp_path):
     import chaosinfer.sweep as sweep_mod
 
-    real = sweep_mod.expected_info
+    real = sweep_mod.order_scores
 
-    def skew(counts, prior):
+    def skew(tables, prior):
         # Infinities and NaNs in some cells of the order-2 estimates.
-        e = real(counts, prior)
-        if counts.table.shape[-2] != 4:  # not order 2
-            return e
-        return EntropyEstimate(e.expected_info, np.where(e.h_rate_q > 0.9, np.inf, e.h_rate_q),
-                               np.where(e.kl_correction > 0.0, np.nan, e.kl_correction))
+        les, e = real(tables, prior)
+        two = np.array(list(tables)) == 2
+        return les, EntropyEstimate(
+            e.expected_info, np.where(two & (e.h_rate_q > 0.9), np.inf, e.h_rate_q),
+            np.where(two & (e.kl_correction > 0.0), np.nan, e.kl_correction))
 
-    monkeypatch.setattr(sweep_mod, "expected_info", skew)
+    monkeypatch.setattr(sweep_mod, "order_scores", skew)
     cfg = SweepConfig(n=1200, transient=50, seed=3, grid=200, k_min=1, k_max=2,
                       detail_path="detail.csv")
     result = sweep_mod.run_sweep(cfg)
@@ -1567,12 +1571,12 @@ def test_a_scoring_failure_stops_the_run_and_keeps_earlier_files(monkeypatch, tm
     # and last d, and replaces neither file of the run before.
     import chaosinfer.sweep as sweep_mod
 
-    real = sweep_mod.expected_info
+    real = sweep_mod.order_scores
 
-    def sabotage(counts, prior):
-        if len(counts.table) == 44:
+    def sabotage(tables, prior):
+        if len(tables[8].table) == 44:
             raise ValueError("forced failure")
-        return real(counts, prior)
+        return real(tables, prior)
 
     out, detail = tmp_path / "out.csv", tmp_path / "detail.csv"
     argv = ["--n", "900", "--transient", "20", "--grid", "300", "--k-max", "8",
@@ -1580,7 +1584,7 @@ def test_a_scoring_failure_stops_the_run_and_keeps_earlier_files(monkeypatch, tm
     assert main(argv) == 0
     written = out.read_bytes(), detail.read_bytes()
     capsys.readouterr()
-    monkeypatch.setattr(sweep_mod, "expected_info", sabotage)
+    monkeypatch.setattr(sweep_mod, "order_scores", sabotage)
     assert main(argv) == 2
     ds = decision_points(300).tolist()
     err = capsys.readouterr().err
@@ -1591,6 +1595,39 @@ def test_a_scoring_failure_stops_the_run_and_keeps_earlier_files(monkeypatch, tm
     with pytest.raises(RuntimeError, match="d = ") as info:
         run_sweep(parse_config(argv))
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_a_posterior_failure_names_its_counting_block(monkeypatch, tmp_path, capsys):
+    # k_max 8 counts 256 points a block, so grid 600 is three blocks, and
+    # the posterior over orders is taken once for each.  When the second
+    # raises, the run exits 2, names that block's first and last d, and
+    # replaces no file.
+    import chaosinfer.sweep as sweep_mod
+
+    real, blocks, failing = sweep_mod.posterior_over_orders, [], []
+
+    def counted(log_evidences, log_priors):
+        blocks.append(len(log_evidences))
+        if len(blocks) in failing:
+            raise ValueError("forced failure")
+        return real(log_evidences, log_priors)
+
+    monkeypatch.setattr(sweep_mod, "posterior_over_orders", counted)
+    out = tmp_path / "out.csv"
+    argv = ["--n", "900", "--transient", "20", "--grid", "600", "--k-max", "8", "--out", str(out)]
+    assert main(argv) == 0
+    assert blocks == [256, 256, 88]
+    written = out.read_bytes()
+    capsys.readouterr()
+    blocks.clear()
+    failing.append(2)
+    assert main(argv) == 2
+    assert blocks == [256, 256]
+    ds = decision_points(600).tolist()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "forced failure" in err
+    assert f"d = {ds[256]!r} to {ds[511]!r}" in err
+    assert out.read_bytes() == written and os.listdir(tmp_path) == ["out.csv"]
 
 
 def test_cli_exit_code_on_runtime_error(tmp_path):
