@@ -32,7 +32,6 @@ from .order_select import (
     OrderPosterior,
     OrderRange,
     model_size,
-    order_log_evidences,
     order_log_prior,
     order_posterior,
     posterior_over_orders,

@@ -1,15 +1,15 @@
 """Digamma-based posterior expectations of Markov-chain entropy rates.
 
-Also the count-indexed kernel they share with inference.log_evidence: every
-term of both is a function of one count, tabulated once per prior.  The
-sweep scores both from one kernel call per order through order_scores.
+Also order_scores, the one scoring path: the log evidence and entropy rates
+of every order, from count-indexed terms tabulated once per prior.
+expected_info and inference.log_evidence are its one-table views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy import special
@@ -43,9 +43,10 @@ def digamma(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def _scalar(value):
-    """A Python float for a 0-d result, the array itself for a stack."""
-    return float(value) if np.ndim(value) == 0 else value
+def _only(scores: np.ndarray):
+    """The scores of a one-table order_scores call: a float, or an array for a stack."""
+    value = scores[..., 0]
+    return float(value) if value.ndim == 0 else value
 
 
 def _stirling_tail(x):
@@ -91,18 +92,15 @@ def _terms(n: np.ndarray, a: float, scale: float) -> np.ndarray:
     return np.stack([_rise(a, n), share * digamma(m), share * np.log2(m)])
 
 
-def _count_sums(counts: CountTable, alpha: float, rows) -> tuple[list, list, np.ndarray]:
-    """Sums of count-indexed terms, the kernel of log_evidence, expected_info
-    and order_scores.
+def _count_sums(counts: CountTable, alpha: float) -> tuple[list, list, np.ndarray]:
+    """Sums of count-indexed terms, the kernel of order_scores.
 
     Each (context, symbol) cell of count n has the terms _terms(n, alpha),
     each context of count n(ctx) the terms _terms(n(ctx), 2 alpha), both
     over the scale _scale(alpha).  The result holds the cells' sums of the
-    terms `rows`, the contexts' sums of them, each one per table, and the
-    number of transitions counted in each table.  inference.log_evidence
-    reads the rises, expected_info the psi and log2 terms, and order_scores
-    all three from one call, so the context totals, their maximum and the
-    table growth check are made once per table.
+    three terms, the contexts' sums of them, each one per table, and the
+    number of transitions counted in each table, so the context totals,
+    their maximum and the table growth check are made once per table.
 
     Sums run along the last axis, so each table of a stack gets the sums of
     its own call bit for bit.
@@ -115,13 +113,13 @@ def _count_sums(counts: CountTable, alpha: float, rows) -> tuple[list, list, np.
         tables = [np.empty((3, 0)), np.empty((3, 0))]
         _MEMO.clear()
         _MEMO[alpha] = tables
-    return (_row_sums(tables, 0, alpha, cells, scale, rows),
-            _row_sums(tables, 1, 2 * alpha, contexts, scale, rows), contexts.sum(axis=-1))
+    return (_row_sums(tables, 0, alpha, cells, scale),
+            _row_sums(tables, 1, 2 * alpha, contexts, scale), contexts.sum(axis=-1))
 
 
-def _row_sums(tables, i, a, n, scale, rows) -> list:
-    """Terms `rows` of the counts n under pseudo-count a, each summed over
-    the last axis, gathered from the table tables[i] of the counts 0, 1, ...
+def _row_sums(tables, i, a, n, scale) -> list:
+    """Each term of the counts n under pseudo-count a, summed over the last
+    axis, gathered from the table tables[i] of the counts 0, 1, ...
 
     The table is first extended, to at least twice its size, to hold n's
     largest count, up to _TABLE_CAP entries.  A count past the cap is
@@ -135,8 +133,8 @@ def _row_sums(tables, i, a, n, scale, rows) -> list:
     over = n >= table.shape[1] if top >= table.shape[1] else None
     direct = None if over is None else _terms(n[over], a, scale)
     sums, terms = [], np.empty(n.shape)
-    for r in rows:
-        table[r].take(n, mode="clip", out=terms)
+    for r, row in enumerate(table):
+        row.take(n, mode="clip", out=terms)
         if over is not None:
             terms[over] = direct[r]
         sums.append(terms.sum(axis=-1))
@@ -179,46 +177,38 @@ def expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
     n_free / (2 * beta * ln 2); their sum is the large-sample form, valid
     once pseudo-counts are large and reported regardless.
 
-    Both rates come from the count-indexed sums of _count_sums (see
-    _estimate).  A table with a leading grid axis gives arrays of
-    estimates, one per table, each equal bit for bit to that table's own
-    call.
+    The estimate is order_scores of this one table.  A table with a leading
+    grid axis gives arrays of estimates, one per table, each equal bit for
+    bit to that table's own call.
     """
-    a = prior.alpha
-    return _estimate(*_count_sums(counts, a, (1, 2)), counts.table.shape[-2], a)
+    e = order_scores([counts], prior)[1]
+    return EntropyEstimate(_only(e.expected_info), _only(e.h_rate_q), _only(e.kl_correction))
 
 
-def order_scores(tables: Mapping[int, CountTable],
+def order_scores(tables: Sequence[CountTable],
                  prior: DirichletPrior) -> tuple[np.ndarray, EntropyEstimate]:
     """Log evidence and entropy estimates of every order, orders along the last axis.
 
-    `tables` maps each order, ascending, to its count table or to a stack of
-    tables with a leading grid axis.  The result is the log evidences, shape
-    (G, orders) or (orders,), and an EntropyEstimate of arrays of that
-    shape, from one _count_sums call per order.  Each entry equals bit for
-    bit inference.log_evidence and expected_info of that order's own table.
-    """
-    a = prior.alpha
-    sums = [_count_sums(table, a, (0, 1, 2)) for table in tables.values()]
-    cells, contexts, windows = (np.stack(part, axis=-1) for part in zip(*sums))
-    n_free = np.array([table.table.shape[-2] for table in tables.values()])
-    return cells[0] - contexts[0], _estimate(cells[1:], contexts[1:], windows, n_free, a)
-
-
-def _estimate(cells, contexts, windows, n_free, a) -> EntropyEstimate:
-    """The estimates of expected_info from the cells' and the contexts' sums
-    of the psi and log2 terms, the transitions counted `windows`, and the
-    number of contexts n_free, a number or an array that broadcasts with them.
+    `tables` holds a count table, or a stack of them with a leading grid
+    axis, per order; a table's order is its shape.  The result is the log
+    evidences, shape (G, orders) or (orders,), and an EntropyEstimate of
+    arrays of that shape, from one _count_sums call per order, each entry
+    equal bit for bit to that of its table scored on its own.
 
     Both rates are (sum_c m(c) f(m(c)) - sum_{c,s} m(c, s) f(m(c, s))) / beta,
-    with f = psi / ln 2 and f = log2, from the count-indexed terms of
-    _count_sums, which come divided by _scale(a); beta is divided by it too.
+    with f = psi / ln 2 for expected_info and f = log2 for h_rate_q, from
+    the count-indexed terms of _count_sums, which come divided by
+    _scale(alpha); beta is divided by it too.
     """
-    nats, bits = (x - c for c, x in zip(cells, contexts))
+    a = prior.alpha
+    sums = [_count_sums(table, a) for table in tables]
+    cells, contexts, windows = (np.stack(part, axis=-1) for part in zip(*sums))
+    n_free = np.array([table.table.shape[-2] for table in tables])
+    nats, bits = (x - c for c, x in zip(cells[1:], contexts[1:]))
     beta = windows + 2 * n_free * a
     scaled = beta / _scale(a)
-    return EntropyEstimate(
-        expected_info=_scalar(nats / (scaled * _LN2)),
-        h_rate_q=_scalar(bits / scaled),
-        kl_correction=_scalar(n_free / (2.0 * beta * _LN2)),
+    return cells[0] - contexts[0], EntropyEstimate(
+        expected_info=nats / (scaled * _LN2),
+        h_rate_q=bits / scaled,
+        kl_correction=n_free / (2.0 * beta * _LN2),
     )

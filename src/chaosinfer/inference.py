@@ -3,8 +3,8 @@
 Each context carries an independent Dirichlet prior over its transition row,
 so the likelihood integrates in closed form: the log evidence is a sum of
 Dirichlet-multinomial normalization ratios.  Its terms, like those of the
-entropy estimates, are each a function of one count, gathered from the
-tables that entropy._count_sums builds once per prior.
+entropy estimates, are each a function of one count: log_evidence is the
+one-table view of entropy.order_scores, which scores both.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import CountTable
-from .entropy import _count_sums, _scalar
+from .entropy import _only, order_scores
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class DirichletPrior:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alpha, numbers.Real):
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
             raise ValueError(f"alpha={self.alpha!r} must be a single number")
         alpha = float(self.alpha)
         if not 0.0 < alpha < math.inf:
@@ -69,12 +69,11 @@ def log_evidence(counts: CountTable, prior: DirichletPrior) -> LogEvidence:
 
     Each context contributes rise(alpha, n0) + rise(alpha, n1)
     - rise(2 alpha, n0 + n1), where rise(a, n) = lnGamma(n + a) - lnGamma(a);
-    an unvisited context contributes exactly 0.  The rises come from the
-    count-indexed tables of entropy._count_sums.
+    an unvisited context contributes exactly 0.  The value is
+    entropy.order_scores of this one table.
 
     A table with a leading grid axis, (G, contexts, 2), gives an
     array of G evidences, each equal bit for bit to that row's own call; a
     single table gives a float.
     """
-    (cells,), (contexts,), _ = _count_sums(counts, prior.alpha, (0,))
-    return LogEvidence(value=_scalar(cells - contexts))
+    return LogEvidence(value=_only(order_scores([counts], prior)[0]))

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .counts import CountTable, transition_counts
-from .inference import DirichletPrior, _check_binary, log_evidence
+from .counts import transition_counts
+from .entropy import order_scores
+from .inference import DirichletPrior, _check_binary
 from .symbolize import SymbolSequence
 
 ORDER_PRIOR_KINDS = ("uniform", "size_penalty")
@@ -23,6 +25,9 @@ class OrderRange:
     k_max: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                   for k in (self.k_min, self.k_max)):
+            raise ValueError(f"order bounds {self.k_min!r} and {self.k_max!r} must be integers")
         if not 0 <= self.k_min <= self.k_max:
             raise ValueError(f"need 0 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
 
@@ -63,15 +68,6 @@ def order_log_prior(order: int, alphabet_size: int, kind: str = "size_penalty") 
         # float() raises OverflowError once the exact integer size leaves range.
         return -float(model_size(order))
     raise ValueError(f"unknown order prior kind {kind!r}, expected one of {ORDER_PRIOR_KINDS}")
-
-
-def order_log_evidences(tables: Mapping[int, CountTable], prior: DirichletPrior) -> np.ndarray:
-    """Log evidence of every order under the one `prior`, orders along the last axis.
-
-    `tables` maps each order, ascending, to its count table or to a stack of
-    tables with a leading grid axis; the result then has shape (G, orders).
-    """
-    return np.stack([log_evidence(table, prior).value for table in tables.values()], axis=-1)
 
 
 def posterior_over_orders(log_evidences, log_priors) -> tuple[np.ndarray, np.ndarray]:
@@ -122,12 +118,15 @@ def order_posterior(
     """Posterior over Markov orders for one symbol sequence.
 
     Evidence comes from the closed-form marginal likelihood at each order
-    under the symmetric Dirichlet prior with pseudo-count `alpha`.
+    under the symmetric Dirichlet prior with pseudo-count `alpha`, which,
+    like `kind`, is checked before anything is counted.
     """
     if len(seq) <= order_range.k_max:
         raise ValueError(
             f"sequence of length {len(seq)} too short for k_max={order_range.k_max}"
         )
     ks = list(order_range.orders())
-    les = order_log_evidences({k: transition_counts(seq, k) for k in ks}, DirichletPrior(alpha))
-    return rank_orders(ks, les, [order_log_prior(k, 2, kind) for k in ks])
+    log_priors = [order_log_prior(k, 2, kind) for k in ks]
+    prior = DirichletPrior(alpha)
+    les = order_scores([transition_counts(seq, k) for k in ks], prior)[0]
+    return rank_orders(ks, les, log_priors)

@@ -479,18 +479,19 @@ def _score_slices(scores, start, top, first, scored, orders, log_priors, prior) 
     """Fill the columns of the points of a counting block, from grid point
     `start` on, with their scores, from their order-k_max tables `top` and
     first k_max symbols `first`.  The lower orders and the scoring
-    temporaries exist for `scored` points at a time (see _score); the
-    posterior over orders is then taken once over the whole block, each
-    point's along its own row, so its floats do not depend on the block.  A
-    slice whose lower orders or scores raise, or a block whose posterior
-    raises, is a RuntimeError that names its first and last d."""
+    temporaries exist for `scored` points at a time, scored by one
+    order_scores call; the posterior over orders is then taken once over
+    the whole block, each point's along its own row, so its floats do not
+    depend on the block.  A slice whose lower orders or scores raise, or a
+    block whose posterior raises, is a RuntimeError that names its first
+    and last d."""
     for at in range(0, len(top), scored):
         tops, firsts = top[at:at + scored], first[at:at + scored]
         part = slice(start + at, start + at + len(tops))
         with _naming(scores.d[part]):
-            stacked = lower_orders(tops, firsts, orders)
-            tables = {k: CountTable(stacked[k].reshape(len(stacked[k]), -1, 2)) for k in orders}
-            scores.values[:4, part] = _score(tables, prior)
+            stacked = lower_orders(tops, firsts, orders).values()
+            les, e = order_scores([CountTable(t.reshape(len(t), -1, 2)) for t in stacked], prior)
+            scores.values[:4, part] = e.expected_info, e.h_rate_q, e.kl_correction, les
     block = slice(start, start + len(top))
     with _naming(scores.d[block]):
         post, best = posterior_over_orders(scores.values[3, block], log_priors)
@@ -507,15 +508,6 @@ def _naming(ds):
         first_d, last_d = ds[[0, -1]].tolist()
         raise RuntimeError(f"cannot score the decision points d = {first_d!r} to "
                            f"{last_d!r}: {exc!r}") from exc
-
-
-def _score(tables, prior) -> np.ndarray:
-    """The first four rows of the (5, points, orders) values (see _Scores)
-    of the points whose stacked count tables `tables` maps each order to:
-    the entropy estimates and the log evidence, all from one order_scores
-    call, which makes one kernel call per order."""
-    les, e = order_scores(tables, prior)
-    return np.stack([e.expected_info, e.h_rate_q, e.kl_correction, les])
 
 
 def _warn_top_of_range(scores, orders) -> None:

@@ -35,8 +35,8 @@ from chaosinfer.dynamics import (
     generate_trajectory,
     lyapunov_exponent,
 )
-from chaosinfer.entropy import EntropyEstimate, expected_info
-from chaosinfer.inference import DirichletPrior, log_evidence
+from chaosinfer.entropy import EntropyEstimate, order_scores
+from chaosinfer.inference import DirichletPrior
 from chaosinfer.order_select import order_log_prior, rank_orders
 from chaosinfer.sweep import DetailRow, SweepConfig, SweepResult, SweepRow
 from chaosinfer.symbolize import SymbolSequence, decision_grid, symbolize
@@ -289,7 +289,8 @@ def per_d_sweep(config: SweepConfig) -> SweepResult:
     """The sweep computed one decision point at a time.
 
     Each point symbolizes its series and counts every order with
-    transition_counts; no row may fail.
+    transition_counts, and each (point, order) table is scored on its own
+    by order_scores; no row may fail.
     """
     map_spec, noise = MapSpec(config.family, config.r), NoiseSpec(config.sigma)
     orders = tuple(range(config.k_min, config.k_max + 1))
@@ -301,14 +302,15 @@ def per_d_sweep(config: SweepConfig) -> SweepResult:
             traj = generate_trajectory(map_spec, noise, config.n, config.transient,
                                        config.seed + 1 + i)
         seq = symbolize(traj, part)
-        tables = {k: transition_counts(seq, k) for k in orders}
         prior = DirichletPrior(config.alpha)
+        scored = {k: order_scores([transition_counts(seq, k)], prior) for k in orders}
         ranking = rank_orders(
             orders,
-            [log_evidence(tables[k], prior).value for k in orders],
+            [les[0] for les, _ in scored.values()],
             [order_log_prior(k, 2, config.order_prior) for k in orders],
         )
-        ests = {k: expected_info(tables[k], prior) for k in orders}
+        ests = {k: EntropyEstimate(float(e.expected_info[0]), float(e.h_rate_q[0]),
+                                   float(e.kl_correction[0])) for k, (_, e) in scored.items()}
         best = ests[ranking.selected]
         d = part.decision_point
         rows.append(SweepRow(d, ranking.selected, best.expected_info, best.h_rate_q,

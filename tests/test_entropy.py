@@ -162,11 +162,11 @@ def test_order_scores_equal_each_order_s_own_calls(rows, k_min, width, top, alph
         stacks[k] = table
     prior = DirichletPrior(alpha)
     for i in [None, *range(rows)]:
-        tables = {k: CountTable(t if i is None else t[i]) for k, t in stacks.items()}
+        tables = [CountTable(t if i is None else t[i]) for t in stacks.values()]
         shape = (len(tables),) if i is not None else (rows, len(tables))
         evidences, estimates = entropy.order_scores(tables, prior)
         assert evidences.shape == shape
-        for j, table in enumerate(tables.values()):
+        for j, table in enumerate(tables):
             assert bits_of(evidences[..., j]) == bits_of(log_evidence(table, prior).value)
             one = expected_info(table, prior)
             for name in ESTIMATES:

@@ -56,6 +56,15 @@ def test_prior_rejects_nonpositive_alpha():
             uniform_prior(0, 2, alpha)
 
 
+def test_prior_rejects_a_bool_alpha():
+    # A bool is a numbers.Real, but True is no pseudo-count.
+    for alpha in (True, False, np.True_):
+        with pytest.raises(ValueError, match="single number"):
+            DirichletPrior(alpha)
+        with pytest.raises(ValueError, match="single number"):
+            uniform_prior(0, 2, alpha)
+
+
 def test_log_evidence_two_symbols():
     lev = log_evidence(transition_counts(bits("01"), 0), uniform_prior(0, 2))
     assert lev.value == pytest.approx(math.log(1.0 / 6.0), abs=1e-12)

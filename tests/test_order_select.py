@@ -7,12 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaosinfer.counts import CountTable
+from chaosinfer.entropy import order_scores
 from chaosinfer.inference import DirichletPrior, uniform_prior
 from chaosinfer.order_select import (
     ORDER_PRIOR_KINDS,
     OrderRange,
     model_size,
-    order_log_evidences,
     order_log_prior,
     order_posterior,
     posterior_over_orders,
@@ -109,14 +109,14 @@ def test_rank_orders_posterior_normalized(scores, priors):
 )
 def test_stacked_order_scoring_equals_per_row_rankings(data, k_max, rows, alpha, kind):
     orders = range(k_max + 1)
-    tables = {k: CountTable(data.draw(count_stack(k, rows))) for k in orders}
+    tables = [CountTable(data.draw(count_stack(k, rows))) for k in orders]
     prior = DirichletPrior(alpha)
     log_priors = [order_log_prior(k, 2, kind) for k in orders]
-    les = order_log_evidences(tables, prior)
+    les = order_scores(tables, prior)[0]
     post, best = posterior_over_orders(les, log_priors)
     assert les.shape == post.shape == (rows, k_max + 1)
     for i in range(rows):
-        row = order_log_evidences({k: CountTable(t.table[i]) for k, t in tables.items()}, prior)
+        row = order_scores([CountTable(t.table[i]) for t in tables], prior)[0]
         ranking = rank_orders(orders, row, log_priors)
         assert les[i].tolist() == list(ranking.log_evidence)
         assert post[i].tolist() == list(ranking.posterior)
@@ -145,6 +145,26 @@ def test_iid_coin_with_k0_admitted():
     seq = SymbolSequence(rng.integers(0, 2, 4096))
     ranking = order_posterior(seq, OrderRange(0, 2), "size_penalty")
     assert ranking.selected == 0
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 3), (1, 3.0), (True, 2), (0, True), (np.True_, 2)])
+def test_order_range_takes_only_integer_bounds(bounds):
+    with pytest.raises(ValueError, match="must be integers"):
+        OrderRange(*bounds)
+    assert list(OrderRange(np.int64(1), np.uint8(3)).orders()) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("kind, alpha", [("bogus", 1.0), ("uniform", 0.0), ("uniform", True)])
+def test_order_posterior_rejects_a_bad_kind_or_alpha_before_counting(monkeypatch, kind, alpha):
+    import chaosinfer.order_select as order_select
+
+    def counted(*args):
+        raise AssertionError("counted before the arguments were checked")
+
+    monkeypatch.setattr(order_select, "transition_counts", counted)
+    seq = SymbolSequence(np.tile([0, 1], 100))
+    with pytest.raises(ValueError):
+        order_posterior(seq, OrderRange(1, 20), kind, alpha)
 
 
 def test_degenerate_range_single_order():

@@ -102,3 +102,26 @@ def test_every_public_name_has_a_caller_or_a_readme_mention():
         used.update(re.findall(r"\w+", code))
     assert defined, "the package defines public names"
     assert [(module, name) for module, name in defined if name not in used] == []
+
+
+def enclosing_definitions(node, name, within=()):
+    """For each read or import of `name` under `node`, the names of the
+    definitions that enclose it, outermost first."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        within += (node.name,)
+    if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)):
+        yield within
+    for child in ast.iter_child_nodes(node):
+        yield from enclosing_definitions(child, name, within)
+
+
+def test_order_scores_is_the_one_caller_of_the_scoring_kernel():
+    # Every log evidence and entropy estimate of the package comes from
+    # entropy.order_scores: no other function reaches its kernel.
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [(path.name, *within) for within in enclosing_definitions(tree, "_count_sums")]
+    assert callers == [("entropy.py", "order_scores")]
