@@ -40,18 +40,10 @@ class CountTable:
 
     @property
     def context_totals(self) -> np.ndarray:
-        """Occurrences of each context, n(context) = sum_s n(context -> s)."""
-        return _symbol_sum(self.table)
-
-
-def _symbol_sum(x) -> np.ndarray:
-    """x summed over its last (symbol) axis, one elementwise add.
-
-    The sums equal x.sum(axis=-1) bit for bit, save that a row of negative
-    zeros sums to -0.0 where numpy gives +0.0.  A reduction over an axis of
-    length 2 costs many times the add.
-    """
-    return x[..., 0] + x[..., 1]
+        """Occurrences of each context, n(context) = sum_s n(context -> s),
+        as one elementwise add: a reduction over an axis of length 2 costs
+        many times the add."""
+        return self.table[..., 0] + self.table[..., 1]
 
 
 def _window_codes(symbols, k) -> np.ndarray:
@@ -143,14 +135,9 @@ def grid_top_counts(cuts, lo, points, k_max, below) -> tuple[np.ndarray, np.ndar
         # near[k_max + o] holds the cut of the state o places after each
         # counted one, for |o| <= k_max; a state past an end of the series
         # only reaches dumped windows, so its cut may be anything.
-        if own.min() >= lo and own.max() <= top:  # every state's events are in the block
-            at = None
-            near = cuts[max(start - k_max, 0):stop + k_max]
-            head, tail = max(k_max - start, 0), max(stop + k_max - n, 0)
-            if head or tail:
-                near = np.concatenate([np.zeros(head, cuts.dtype), near,
-                                       np.zeros(tail, cuts.dtype)])
-            near = [near[i:i + len(own)] for i in range(2 * k_max + 1)]
+        inside = k_max <= start and stop <= n - k_max  # every neighbour is in the series
+        if inside and own.min() >= lo and own.max() <= top:  # every event is in the block
+            near = [cuts[start + o:stop + o] for o in range(-k_max, width)]
         else:
             at = np.flatnonzero((own >= lo) & (own < top))
             if not at.size:
@@ -172,9 +159,7 @@ def grid_top_counts(cuts, lo, points, k_max, below) -> tuple[np.ndarray, np.ndar
             np.greater(near[k_max - j], own, out=above)
             pattern |= np.left_shift(above, k_max, out=bit, dtype=code)
             np.add(offset, pattern, out=before[j])
-        if start < k_max or stop > n - k_max:  # window s - j exists iff j <= s <= n - width + j
-            if at is None:
-                at = np.arange(start, stop)
+        if not inside:  # window s - j exists iff j <= s <= n - width + j
             for j in range(width):
                 before[j, (at < j) | (at > n - width + j)] = dump
         np.subtract.at(flat, before, 1)
@@ -227,9 +212,10 @@ def count_windows(table, states, thresholds, history) -> np.ndarray:
     return symbols
 
 
-def lower_orders(table, first, orders) -> dict[int, np.ndarray]:
-    """{k: (G, 2**(k+1)) binary tables} for each k in the ascending `orders`,
-    from G stacked order-k_max tables of shape (G, 2**(k_max+1)), k_max =
+def lower_orders(table, first, orders) -> list[CountTable]:
+    """The CountTable of each k in the ascending `orders`, in that order,
+    each a stack of shape (G, 2**k, 2) that entropy.order_scores takes, from
+    G stacked order-k_max tables of shape (G, 2**(k_max+1)), k_max =
     orders[-1], and the first k_max symbols of each series, shape (G, k_max).
 
     Order k counts the order-(k+1) windows without their oldest symbol plus
@@ -243,4 +229,4 @@ def lower_orders(table, first, orders) -> dict[int, np.ndarray]:
         table = halves[:, 0] + halves[:, 1]
         table[rows, first[:, :k + 1] @ (1 << np.arange(k, -1, -1))] += 1
         tables[k] = table
-    return {k: tables[k] for k in orders}
+    return [CountTable(tables[k].reshape(len(rows), -1, 2)) for k in orders]

@@ -9,29 +9,40 @@ one-table view of entropy.order_scores, which scores both.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountTable
+from .counts import MAX_TABLE_ENTRIES, CountTable
 from .entropy import _only, order_scores
+
+# Accepted Dirichlet pseudo-counts.  digamma(alpha), about -1/alpha,
+# overflows to -inf below the smallest normal float.  At the top, the largest
+# table (MAX_TABLE_ENTRIES cells, k_max = 25) has posterior mass
+# n + MAX_TABLE_ENTRIES * alpha of about half the largest float, so it and
+# twice it (the bias term's denominator) stay finite.
+MIN_ALPHA = sys.float_info.min
+MAX_ALPHA = sys.float_info.max / (2 * MAX_TABLE_ENTRIES)
 
 
 @dataclass(frozen=True)
 class DirichletPrior:
-    """Symmetric Dirichlet prior: pseudo-count alpha on every (context, symbol) cell."""
+    """Symmetric Dirichlet prior: pseudo-count alpha on every (context, symbol)
+    cell, a single number in [MIN_ALPHA, MAX_ALPHA]."""
 
     alpha: float
 
     def __post_init__(self) -> None:
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
             raise ValueError(f"alpha={self.alpha!r} must be a single number")
-        alpha = float(self.alpha)
-        if not 0.0 < alpha < math.inf:
-            raise ValueError(f"alpha={alpha} must be positive and finite")
-        object.__setattr__(self, "alpha", alpha)
+        # An integer is compared as it is, since float() overflows on a huge
+        # one; NaN fails the comparison.
+        alpha = self.alpha if isinstance(self.alpha, numbers.Integral) else float(self.alpha)
+        if not MIN_ALPHA <= alpha <= MAX_ALPHA:
+            raise ValueError(f"alpha={self.alpha} must lie in [{MIN_ALPHA!r}, {MAX_ALPHA!r}]")
+        object.__setattr__(self, "alpha", float(alpha))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .counts import transition_counts
+from .counts import MAX_TABLE_ENTRIES, transition_counts
 from .entropy import order_scores
 from .inference import DirichletPrior, _check_binary
 from .symbolize import SymbolSequence
@@ -19,7 +19,8 @@ ORDER_PRIOR_KINDS = ("uniform", "size_penalty")
 
 @dataclass(frozen=True)
 class OrderRange:
-    """Inclusive range of Markov orders to compare."""
+    """Inclusive range of Markov orders to compare, whose order-k_max dense
+    table, 2**(k_max+1) entries, fits in MAX_TABLE_ENTRIES."""
 
     k_min: int
     k_max: int
@@ -28,8 +29,17 @@ class OrderRange:
         if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
                    for k in (self.k_min, self.k_max)):
             raise ValueError(f"order bounds {self.k_min!r} and {self.k_max!r} must be integers")
+        # A numpy bound is stored as its Python int, so k_max + 1 cannot wrap.
+        object.__setattr__(self, "k_min", int(self.k_min))
+        object.__setattr__(self, "k_max", int(self.k_max))
         if not 0 <= self.k_min <= self.k_max:
             raise ValueError(f"need 0 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
+        # Exponents are compared: for a huge k_max, 2 ** (k_max + 1) is too long to print.
+        top = MAX_TABLE_ENTRIES.bit_length() - 2  # the largest k_max whose table fits
+        if self.k_max > top:
+            raise ValueError(f"k_max={self.k_max} needs 2**{self.k_max + 1} table entries per "
+                             f"decision point, over the limit of {MAX_TABLE_ENTRIES}; the "
+                             f"largest accepted k_max is {top}")
 
     def orders(self) -> range:
         return range(self.k_min, self.k_max + 1)

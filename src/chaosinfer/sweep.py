@@ -18,7 +18,6 @@ import math
 import numbers
 import os
 import shutil
-import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -29,14 +28,7 @@ import numpy as np
 
 # transition_counts is no longer called here, but this module still binds
 # it: perfbench's tracer tests check that installing the tracer rebinds it.
-from .counts import (
-    MAX_TABLE_ENTRIES,
-    CountTable,
-    count_windows,
-    grid_block_counts,
-    lower_orders,
-    transition_counts,
-)
+from .counts import count_windows, grid_block_counts, lower_orders, transition_counts
 from .dynamics import (
     MAP_FAMILIES,
     MapSpec,
@@ -72,13 +64,6 @@ COUNT_BLOCK_BYTES = 1 << 20
 EMIT_CHUNK_ROWS = 64
 # The top-of-range warning names at most this many decision points.
 TOP_OF_RANGE_SHOWN = 5
-# Accepted Dirichlet pseudo-counts.  digamma(alpha), about -1/alpha,
-# overflows to -inf below the smallest normal float.  At the top, the largest
-# table (MAX_TABLE_ENTRIES cells, k_max = 25) has posterior mass
-# n + MAX_TABLE_ENTRIES * alpha of about half the largest float, so it and
-# twice it (the bias term's denominator) stay finite.
-MIN_ALPHA = sys.float_info.min
-MAX_ALPHA = sys.float_info.max / (2 * MAX_TABLE_ENTRIES)
 
 
 class ConfigError(ValueError):
@@ -160,6 +145,7 @@ class SweepConfig:
             MapSpec(self.family, self.r)
             NoiseSpec(self.sigma)
             OrderRange(self.k_min, self.k_max)
+            DirichletPrior(self.alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.seed < 0:
@@ -170,16 +156,8 @@ class SweepConfig:
             raise ConfigError(f"transient={self.transient} must be >= 0")
         if self.grid < 2:
             raise ConfigError(f"grid={self.grid} must be >= 2")
-        # Exponents are compared: for a huge k_max, 2 ** (k_max + 1) is too long to print.
-        top = MAX_TABLE_ENTRIES.bit_length() - 2  # the largest k_max whose table fits
-        if self.k_max > top:
-            raise ConfigError(f"k_max={self.k_max} needs 2**{self.k_max + 1} table entries per "
-                              f"decision point, over the limit of {MAX_TABLE_ENTRIES}; the "
-                              f"largest accepted k_max is {top}")
         if self.n <= self.k_max + 1:
             raise ConfigError(f"n={self.n} must exceed k_max + 1 = {self.k_max + 1}")
-        if not MIN_ALPHA <= self.alpha <= MAX_ALPHA:
-            raise ConfigError(f"alpha={self.alpha} must lie in [{MIN_ALPHA!r}, {MAX_ALPHA!r}]")
 
     def _check_paths(self) -> None:
         """The checks of validate that ask the file system whether the outputs can be written."""
@@ -489,8 +467,7 @@ def _score_slices(scores, start, top, first, scored, orders, log_priors, prior) 
         tops, firsts = top[at:at + scored], first[at:at + scored]
         part = slice(start + at, start + at + len(tops))
         with _naming(scores.d[part]):
-            stacked = lower_orders(tops, firsts, orders).values()
-            les, e = order_scores([CountTable(t.reshape(len(t), -1, 2)) for t in stacked], prior)
+            les, e = order_scores(lower_orders(tops, firsts, orders), prior)
             scores.values[:4, part] = e.expected_info, e.h_rate_q, e.kl_correction, les
     block = slice(start, start + len(top))
     with _naming(scores.d[block]):

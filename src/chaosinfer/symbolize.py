@@ -57,7 +57,7 @@ def state_cuts(states, points) -> np.ndarray:
     smallest unsigned type that holds len(points).  By the left-closed rule
     of symbolize, a state reads 1 at points[i] iff i < its cut."""
     points = np.asarray(points, dtype=float)
-    if np.any(np.diff(points) < 0):
+    if not np.all(np.diff(points) >= 0):  # NaN fails the comparison too
         raise ValueError("decision points must be ascending")
     cuts = np.searchsorted(points, np.asarray(states, dtype=float), side="right")
     return cuts.astype(np.min_scalar_type(len(points)))

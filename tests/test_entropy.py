@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import chaosinfer.entropy as entropy
 from chaosinfer.counts import CountTable, transition_counts
 from chaosinfer.entropy import digamma, expected_info
-from chaosinfer.inference import DirichletPrior, log_evidence, uniform_prior
-from chaosinfer.sweep import MAX_ALPHA, MIN_ALPHA
+from chaosinfer.inference import MAX_ALPHA, MIN_ALPHA, DirichletPrior, log_evidence, uniform_prior
 from chaosinfer.symbolize import SymbolSequence
 from helpers import (
     ALPHAS,

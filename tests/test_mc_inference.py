@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosinfer.counts import CountTable, transition_counts
-from chaosinfer.inference import DirichletPrior, log_evidence, uniform_prior
-from chaosinfer.sweep import MAX_ALPHA, MIN_ALPHA
+from chaosinfer.inference import MAX_ALPHA, MIN_ALPHA, DirichletPrior, log_evidence, uniform_prior
 from chaosinfer.symbolize import SymbolSequence
 from helpers import (
     ALPHAS,
@@ -48,8 +47,11 @@ def test_uniform_prior_mean_is_inverse_alphabet():
 
 def test_prior_rejects_nonpositive_alpha():
     # Zero, negative, NaN and infinite pseudo-counts, and an array of them,
-    # are rejected by both constructors.
-    for alpha in (0.0, -1.0, math.nan, math.inf, np.array([[1.0, 1.0]])):
+    # are rejected by both constructors, and so is any outside [MIN_ALPHA,
+    # MAX_ALPHA], where log_evidence read NaN.
+    for alpha in (0.0, -1.0, math.nan, math.inf, np.array([[1.0, 1.0]]),
+                  math.nextafter(MIN_ALPHA, 0.0), 5e-324, math.nextafter(MAX_ALPHA, math.inf),
+                  1e301, 10 ** 400):
         with pytest.raises(ValueError):
             DirichletPrior(alpha)
         with pytest.raises(ValueError):

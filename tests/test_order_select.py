@@ -58,6 +58,19 @@ def test_order_range_validation():
     with pytest.raises(ValueError):
         OrderRange(-1, 3)
     assert list(OrderRange(1, 3).orders()) == [1, 2, 3]
+    # The order-25 table has 2**26 entries, MAX_TABLE_ENTRIES; one order more is refused.
+    assert list(OrderRange(25, 25).orders()) == [25]
+    with pytest.raises(ValueError, match="largest accepted k_max is 25"):
+        OrderRange(0, 26)
+
+
+def test_order_range_stores_numpy_bounds_as_python_ints():
+    # k_max + 1 in uint8 wrapped to 0, so orders() was empty.
+    small = OrderRange(np.int8(1), np.int8(3))
+    assert small.orders() == range(1, 4)
+    assert type(small.k_min) is int and type(small.k_max) is int
+    with pytest.raises(ValueError, match=r"k_max=255 needs 2\*\*256 table entries"):
+        OrderRange(np.uint8(3), np.uint8(255))
 
 
 def test_rank_orders_size_penalty_breaks_equal_evidence_toward_small_k():
@@ -165,6 +178,19 @@ def test_order_posterior_rejects_a_bad_kind_or_alpha_before_counting(monkeypatch
     seq = SymbolSequence(np.tile([0, 1], 100))
     with pytest.raises(ValueError):
         order_posterior(seq, OrderRange(1, 20), kind, alpha)
+
+
+def test_order_posterior_rejects_a_range_past_the_table_limit_before_counting(monkeypatch):
+    # Orders 1 to 25 were counted, about 1 GiB, before order 26 failed.
+    import chaosinfer.order_select as order_select
+
+    def counted(*args):
+        raise AssertionError("counted before the range was checked")
+
+    monkeypatch.setattr(order_select, "transition_counts", counted)
+    seq = SymbolSequence(np.tile([0, 1], 100))
+    with pytest.raises(ValueError, match="largest accepted k_max is 25"):
+        order_posterior(seq, OrderRange(1, 30))
 
 
 def test_degenerate_range_single_order():

@@ -125,3 +125,42 @@ def test_order_scores_is_the_one_caller_of_the_scoring_kernel():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         callers += [(path.name, *within) for within in enclosing_definitions(tree, "_count_sums")]
     assert callers == [("entropy.py", "order_scores")]
+
+
+def readers(tree, name):
+    """For each read of `name` under `tree`, not its import, the names of the
+    definitions or the module-level assignment targets that enclose it."""
+    def walk(node, within):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            within += (node.name,)
+        elif isinstance(node, ast.Assign) and not within:
+            within += tuple(t.id for t in node.targets if isinstance(t, ast.Name))
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            yield within
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, within)
+
+    return set(walk(tree, ()))
+
+
+def test_each_count_table_limit_is_stated_once():
+    # The k_max table limit is OrderRange's, the alpha range DirichletPrior's;
+    # counts.py reads MAX_TABLE_ENTRIES for a single table, and inference.py
+    # for MAX_ALPHA.  The sweep restates neither and hands lower_orders'
+    # CountTables to order_scores as they are.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {(module, name): readers(tree, name) for module, tree in trees.items()
+             for name in ("MAX_TABLE_ENTRIES", "MIN_ALPHA", "MAX_ALPHA")}
+    assert {key: within for key, within in found.items()
+            if within and key != ("counts.py", "MAX_TABLE_ENTRIES")} == {
+        ("inference.py", "MAX_TABLE_ENTRIES"): {("MAX_ALPHA",)},
+        ("order_select.py", "MAX_TABLE_ENTRIES"): {("OrderRange", "__post_init__")},
+        ("inference.py", "MIN_ALPHA"): {("DirichletPrior", "__post_init__")},
+        ("inference.py", "MAX_ALPHA"): {("DirichletPrior", "__post_init__")},
+    }
+    sweep = set(references(trees["sweep.py"]))
+    assert sweep.isdisjoint({"MAX_TABLE_ENTRIES", "MIN_ALPHA", "MAX_ALPHA", "CountTable"})
+    # Only the result's columns are reshaped in the sweep, no count table.
+    assert readers(trees["sweep.py"], "reshape") == {("_from_cells",), ("_pieces",)}

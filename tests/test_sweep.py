@@ -31,12 +31,11 @@ from chaosinfer.dynamics import (
     lyapunov_exponent,
 )
 from chaosinfer.entropy import EntropyEstimate
+from chaosinfer.inference import MAX_ALPHA, MIN_ALPHA
 from chaosinfer.symbolize import decision_grid, decision_points, symbolize
 from chaosinfer.sweep import (
     COUNT_BLOCK_BYTES,
     FORMAT_CHOICES,
-    MAX_ALPHA,
-    MIN_ALPHA,
     ROUND_TRIP,
     ConfigError,
     DetailRow,
