@@ -7,6 +7,7 @@ expected_info and inference.log_evidence are its one-table views.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -21,10 +22,8 @@ if TYPE_CHECKING:
 
 _LN2 = math.log(2.0)
 # Count-indexed terms are tabulated for counts below _TABLE_CAP; a larger
-# count is evaluated directly.  _MEMO maps the last alpha scored to its cell
-# and context tables, each (3, size) floats: at most 2 * 3 * 2**14 * 8 B.
+# count is evaluated directly.
 _TABLE_CAP = 1 << 14
-_MEMO: dict[float, list[np.ndarray]] = {}
 # Pseudo-counts from which _rise takes Stirling's series.
 _STIRLING_FROM = 100.0
 
@@ -99,8 +98,8 @@ def _count_sums(counts: CountTable, alpha: float) -> tuple[list, list, np.ndarra
     each context of count n(ctx) the terms _terms(n(ctx), 2 alpha), both
     over the scale _scale(alpha).  The result holds the cells' sums of the
     three terms, the contexts' sums of them, each one per table, and the
-    number of transitions counted in each table, so the context totals,
-    their maximum and the table growth check are made once per table.
+    number of transitions counted in each table, so the context totals are
+    made once per table.
 
     Sums run along the last axis, so each table of a stack gets the sums of
     its own call bit for bit.
@@ -108,29 +107,28 @@ def _count_sums(counts: CountTable, alpha: float) -> tuple[list, list, np.ndarra
     contexts = counts.context_totals
     cells = counts.table.reshape(contexts.shape[:-1] + (-1,))
     scale = _scale(alpha)
-    tables = _MEMO.get(alpha)
-    if tables is None:
-        tables = [np.empty((3, 0)), np.empty((3, 0))]
-        _MEMO.clear()
-        _MEMO[alpha] = tables
-    return (_row_sums(tables, 0, alpha, cells, scale),
-            _row_sums(tables, 1, 2 * alpha, contexts, scale), contexts.sum(axis=-1))
+    cell_terms, context_terms = _term_tables(alpha)
+    return (_row_sums(cell_terms, alpha, cells, scale),
+            _row_sums(context_terms, 2 * alpha, contexts, scale), contexts.sum(axis=-1))
 
 
-def _row_sums(tables, i, a, n, scale) -> list:
+@functools.lru_cache(maxsize=1)
+def _term_tables(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of the counts 0 to _TABLE_CAP - 1 under the pseudo-counts
+    alpha, for cells, and 2 alpha, for contexts, over _scale(alpha): two
+    (3, _TABLE_CAP) tables, 768 KiB together, built on the first scoring
+    call for an alpha and kept for the last alpha scored."""
+    n, scale = np.arange(_TABLE_CAP), _scale(alpha)
+    return _terms(n, alpha, scale), _terms(n, 2 * alpha, scale)
+
+
+def _row_sums(table, a, n, scale) -> list:
     """Each term of the counts n under pseudo-count a, summed over the last
-    axis, gathered from the table tables[i] of the counts 0, 1, ...
-
-    The table is first extended, to at least twice its size, to hold n's
-    largest count, up to _TABLE_CAP entries.  A count past the cap is
-    evaluated directly by _terms, which gives the same floats.
+    axis, gathered from `table`, the terms of the counts 0, 1, ...  A count
+    past the table is evaluated directly by _terms, which gives the same
+    floats.
     """
-    top, size = int(n.max(initial=0)), tables[i].shape[1]
-    if size <= top and size < _TABLE_CAP:
-        grown = min(_TABLE_CAP, max(top + 1, 2 * size))
-        tables[i] = np.concatenate([tables[i], _terms(np.arange(size, grown), a, scale)], axis=1)
-    table = tables[i]
-    over = n >= table.shape[1] if top >= table.shape[1] else None
+    over = n >= table.shape[1] if n.max(initial=0) >= table.shape[1] else None
     direct = None if over is None else _terms(n[over], a, scale)
     sums, terms = [], np.empty(n.shape)
     for r, row in enumerate(table):

@@ -10,7 +10,6 @@ round-trips losslessly back to SweepResult.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import functools
 import json
@@ -47,7 +46,13 @@ from .order_select import (
 )
 from .symbolize import decision_points, state_cuts
 
-FORMAT_CHOICES = ("csv", "json")
+# The text each output format writes for None and for a float whose repr is
+# nan, inf or -inf; the repr of a finite float is written as it is.
+_SPELLING = {
+    "csv": {None: "", "nan": "", "inf": "inf", "-inf": "-inf"},
+    "json": {None: "null", "nan": "null", "inf": '"inf"', "-inf": '"-inf"'},
+}
+FORMAT_CHOICES = tuple(_SPELLING)
 
 # Decision points are counted a block at a time: a counting block holds as
 # many points as keep its order-k_max tables, 8 bytes a cell, within
@@ -516,8 +521,23 @@ def _header(cls, orders=()) -> list[str]:
     return header
 
 
+# The float that each JSON value of _SPELLING["json"] stands for as json
+# reads it: None for null, "inf" and "-inf".
+_JSON_FLOATS = {json.loads(written): float(text) for text, written in _SPELLING["json"].items()
+                if text is not None}
+
+
 def _read_float(value) -> float:
-    return math.nan if value is None else float(value)
+    """A float cell of emit's JSON: a finite number that is not a bool, or
+    a key of _JSON_FLOATS.  Anything else is ValueError(ROUND_TRIP), as are
+    json's NaN, Infinity and -Infinity, which reach it as their names, but
+    an int past the floats, which is OverflowError."""
+    if type(value) in (int, float) and math.isfinite(value):
+        return float(value)
+    try:
+        return _JSON_FLOATS[value]
+    except (KeyError, TypeError):  # TypeError: a list or an object
+        raise ValueError(ROUND_TRIP) from None
 
 
 def _loaded(cls, obj) -> tuple:
@@ -544,47 +564,19 @@ def _templates(cls, width: int = 0) -> tuple[str, str]:
     return ",".join(cells) + "\n", "{" + ", ".join(members) + "}"
 
 
-def _spell(value, csv_cell: bool) -> str:
-    """A cell as CSV if `csv_cell`, else as JSON: a finite float as its
-    repr, None and NaN as a blank cell and null, and an infinity as inf and
-    "inf".  In JSON anything else, such as a config's text, is as the JSON
-    encoder encodes it; no other cell reaches a CSV."""
-    if isinstance(value, float):
-        text = repr(value)
-        if math.isfinite(value):
-            return text
-        value = None if math.isnan(value) else text
-    if not csv_cell:
-        return json.dumps(value)
-    return "" if value is None else value
+def _filled(template: str, piece, fmt: str) -> str:
+    """`template`, a row of `fmt`, "csv" or "json", once per row of `piece`,
+    filled with its cells.
 
-
-def _filled(template: str, piece, csv_cell: bool) -> str:
-    """`template`, a CSV line if `csv_cell` else a JSON object, once per row
-    of `piece`, filled with its cells.
-
-    A piece is (rows, texts, odd): the repr of each of its cells, row after
-    row, and {position: value} of the cells whose repr is not what is
-    written.  The repr of a finite number ends in a digit, and CSV and JSON
-    both write it as it is; _spell writes the odd cells."""
-    rows, texts, odd = piece
-    if odd:
-        texts = list(texts)
-        for at, value in odd.items():
-            texts[at] = _spell(value, csv_cell)
-    return ("" if csv_cell else ",\n    ").join([template] * rows) % tuple(texts)
-
-
-def _non_finite(cells: np.ndarray, before: int, after: int) -> dict:
-    """{position: value} of the non-finite cells of a 2-D array, each row of
-    which is the floats of a row of cells that holds `before` more cells
-    ahead of them and `after` more behind."""
-    at = np.flatnonzero(~np.isfinite(cells))
-    if not at.size:
-        return {}
-    rows, columns = divmod(at, cells.shape[1])
-    at += rows * (before + after) + before
-    return dict(zip(at.tolist(), cells[rows, columns].tolist()))
+    A piece is (rows, texts, finite): the text of each of its cells, row
+    after row, a float's being its repr, and True only if all of its floats
+    are finite.  The texts of a piece that is not are spelled by _SPELLING[fmt];
+    the repr of a finite float, an error text and a JSON-encoded value are
+    none of its keys."""
+    rows, texts, finite = piece
+    if not finite:
+        texts = map(_SPELLING[fmt].get, texts, texts)
+    return ("" if fmt == "csv" else ",\n    ").join([template] * rows) % tuple(texts)
 
 
 def _distinct_reprs(column: np.ndarray) -> list[str]:
@@ -605,9 +597,9 @@ def _pieces(scores, orders, detail: bool, missing: str):
     depends only on (k, n), once per distinct value in the chunk, and every
     other float once per (point, order) cell.  A summary row's estimates are
     its cells at the selected order, its per-order lists its cells at every
-    order, and its error `missing`, the summary's None.  The odd cells, the
-    non-finite floats, are found from np.isfinite, not by checking each
-    cell."""
+    order, and its error `missing`, the summary's None.  Both pieces are
+    finite if all of the chunk's columns are, which one np.isfinite finds; a
+    d always is."""
     width = len(orders)
     ks = list(map(repr, orders))
     for start in range(0, len(scores.d), EMIT_CHUNK_ROWS):
@@ -616,9 +608,9 @@ def _pieces(scores, orders, detail: bool, missing: str):
         best = scores.best[part]
         at = (np.arange(points) * width + best).tolist()  # each selected cell
         values = scores.values[:, part].reshape(5, -1)
-        selected = values[:3, at]
         d = list(map(repr, scores.d[part].tolist()))
-        columns = values[:3] if detail else selected
+        finite = bool(np.isfinite(values).all())
+        columns = values[:3] if detail else values[:3, at]
         estimates = [*(list(map(repr, column)) for column in columns[:2].tolist()),
                      _distinct_reprs(columns[2])]
         les, post = ([*map(repr, column)] for column in values[3:].tolist())
@@ -628,14 +620,11 @@ def _pieces(scores, orders, detail: bool, missing: str):
             *(les[j::width] for j in range(width)), *(post[j::width] for j in range(width)),
             repeat(missing),
         )))
-        cells = np.concatenate([selected.T, *scores.values[3:, part]], axis=1)  # after d and k
-        summary = points, texts, _non_finite(cells, 2, 1)
         if not detail:
-            yield summary, None
+            yield (points, texts, finite), None
             continue
         rows = zip([text for text in d for _ in orders], ks * points, *estimates, les, post)
-        cells = values.T  # the detail cells after d and k as floats
-        yield summary, (len(cells), tuple(chain.from_iterable(rows)), _non_finite(cells, 2, 0))
+        yield (points, texts, finite), (points * width, tuple(chain.from_iterable(rows)), finite)
 
 
 def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:
@@ -646,19 +635,20 @@ def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:
     a temporary file until the rows are written."""
     orders = _orders(result.config)
     if summary == "csv":
-        csv.writer(fh, lineterminator="\n").writerow(_header(SweepRow, orders))
+        fh.write(",".join(_header(SweepRow, orders)) + "\n")
     else:
-        config = tuple(_spell(getattr(result.config, name), False)
-                       for name, _, _ in _FIELDS[SweepConfig])
-        fh.write('{\n  "config": %s,\n  "lyapunov_bits": %s,\n  "rows": [' % (
-            _templates(SweepConfig)[1] % config, _spell(result.lyapunov_bits, False)))
+        # A config value or lyapunov_bits that is a float is spelled as a row's float is.
+        values = [*(getattr(result.config, name) for name, _, _ in _FIELDS[SweepConfig]),
+                  result.lyapunov_bits]
+        texts = [repr(v) if isinstance(v, float) else json.dumps(v) for v in values]
+        head = '{\n  "config": %s,\n  "lyapunov_bits": %%s,\n  "rows": ['
+        fh.write(_filled(head % _templates(SweepConfig)[1], (1, texts, False), "json"))
     if detail_fh is not None:
-        csv.writer(detail_fh, lineterminator="\n").writerow(_header(DetailRow))
+        detail_fh.write(",".join(_header(DetailRow)) + "\n")
     row_template = _templates(SweepRow, len(orders))[summary == "json"]
     detail_line, detail_object = _templates(DetailRow)
     detail = (detail_fh is not None or summary == "json") and result.config.detail_path is not None
-    missing = _spell(None, summary == "csv")
-    pieces = _pieces(result._scores, orders, detail, missing)
+    pieces = _pieces(result._scores, orders, detail, _SPELLING[summary][None])
     spool = (tempfile.TemporaryFile("w+", encoding="utf-8", newline="") if summary == "json"
              else contextlib.nullcontext())
     with spool:
@@ -667,12 +657,12 @@ def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:
             if summary == "json":
                 fh.write(",\n    " if rows else "\n    ")
                 rows += 1
-            fh.write(_filled(row_template, piece, summary == "csv"))
+            fh.write(_filled(row_template, piece, summary))
             if details and detail_fh is not None:
-                detail_fh.write(_filled(detail_line, details, True))
+                detail_fh.write(_filled(detail_line, details, "csv"))
             if details and summary == "json":
                 spool.write(",\n    " if objects else "\n    ")
-                spool.write(_filled(detail_object, details, False))
+                spool.write(_filled(detail_object, details, "json"))
                 objects += 1
         if summary == "json":
             fh.write(("\n  ]" if rows else "]") + ',\n  "detail": [')
@@ -738,7 +728,7 @@ def load_sweep_json(path: str) -> SweepResult:
     value that validate rejects, or it lacks a part.  Its output paths are
     not checked: the file may have been written on another machine."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, parse_constant=_read_float)
     try:
         config = SweepConfig(*_loaded(SweepConfig, obj["config"]))
         config._check_values()

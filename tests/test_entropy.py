@@ -186,7 +186,7 @@ def test_counts_past_the_table_cap_give_the_tabulated_floats(monkeypatch, alpha)
     stacks = [CountTable(table)] + [CountTable(t) for t in table]
 
     def scores():
-        entropy._MEMO.clear()
+        entropy._term_tables.cache_clear()
         return [[bits_of(log_evidence(c, prior).value)]
                 + [bits_of(getattr(expected_info(c, prior), name)) for name in ESTIMATES]
                 for c in stacks]
@@ -194,8 +194,9 @@ def test_counts_past_the_table_cap_give_the_tabulated_floats(monkeypatch, alpha)
     tabulated = scores()
     monkeypatch.setattr(entropy, "_TABLE_CAP", 3)
     assert scores() == tabulated
-    assert all(t.shape == (3, 3) for t in entropy._MEMO[alpha])
-    entropy._MEMO.clear()
+    assert entropy._term_tables.cache_info().currsize == 1
+    assert all(t.shape == (3, 3) for t in entropy._term_tables(alpha))
+    entropy._term_tables.cache_clear()
 
 
 @pytest.mark.parametrize("alpha", [MIN_ALPHA, MAX_ALPHA], ids=["min", "max"])

@@ -164,3 +164,62 @@ def test_each_count_table_limit_is_stated_once():
     assert sweep.isdisjoint({"MAX_TABLE_ENTRIES", "MIN_ALPHA", "MAX_ALPHA", "CountTable"})
     # Only the result's columns are reshaped in the sweep, no count table.
     assert readers(trees["sweep.py"], "reshape") == {("_from_cells",), ("_pieces",)}
+
+
+# Methods that change the list, dict, set or array they are called on.
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
+            "setdefault", "add", "discard", "sort", "reverse", "fill", "put", "resize",
+            "itemset", "setflags", "__setitem__", "__delitem__", "__setattr__"}
+
+
+def root_name(node):
+    """The name at the root of a chain of attributes and subscripts, if any."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def assigned_names(node):
+    """The names a top-level assignment binds; none for any other statement."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+
+
+def module_state_changes(tree):
+    """(function, line) of each place where a function declares `global`,
+    stores into an item or attribute of a name the module assigns at its
+    top level, or calls a mutating method on one; a name the function binds
+    itself, as a parameter or a local, is its own."""
+    module_names = {name for node in tree.body for name in assigned_names(node)}
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = function.args
+        own = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                               *filter(None, (args.vararg, args.kwarg)))}
+        own |= {node.id for node in ast.walk(function)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        shared = module_names - own
+        name = getattr(function, "name", "<lambda>")
+        for node in ast.walk(function):
+            if isinstance(node, ast.Global):
+                yield name, node.lineno
+            elif (isinstance(node, (ast.Attribute, ast.Subscript))
+                  and isinstance(node.ctx, (ast.Store, ast.Del)) and root_name(node) in shared):
+                yield name, node.lineno
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS and root_name(node.func.value) in shared):
+                yield name, node.lineno
+
+
+def test_no_function_changes_module_state():
+    # A result depends on its arguments alone: no function keeps state in a
+    # module-level name, so nothing has to be cleared between runs or tests.
+    # Caches go through functools.
+    changes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        changes += [(path.name, *change) for change in sorted(set(module_state_changes(tree)))]
+    assert changes == []

@@ -35,6 +35,7 @@ from chaosinfer.inference import MAX_ALPHA, MIN_ALPHA
 from chaosinfer.symbolize import decision_grid, decision_points, symbolize
 from chaosinfer.sweep import (
     COUNT_BLOCK_BYTES,
+    EMIT_CHUNK_ROWS,
     FORMAT_CHOICES,
     ROUND_TRIP,
     ConfigError,
@@ -776,14 +777,14 @@ def fails_part_way(monkeypatch):
     each file."""
     import chaosinfer.sweep as sweep_mod
 
-    real = sweep_mod._spell
+    class Failing(dict):
+        def get(self, text, default=None):
+            if text == "inf":
+                raise RuntimeError("failed part way")
+            return super().get(text, default)
 
-    def spell(value, csv_cell):
-        if value == math.inf:
-            raise RuntimeError("failed part way")
-        return real(value, csv_cell)
-
-    monkeypatch.setattr(sweep_mod, "_spell", spell)
+    for fmt, spelling in sweep_mod._SPELLING.items():
+        monkeypatch.setitem(sweep_mod._SPELLING, fmt, Failing(spelling))
     result = run_sweep(WIDE)
     return with_cells(result, WIDE.grid - 1, result.rows[-1].k_selected, h_rate_q_bits=math.inf)
 
@@ -1013,6 +1014,18 @@ BROKEN_JSON = {
     "negative-n": lambda obj: obj["config"].update(n=-4),
     "negative-sigma": lambda obj: obj["config"].update(sigma=-1.0),
     "out-path-not-text": lambda obj: obj["config"].update(out_path=5),
+    # Float cells in spellings emit never writes: texts, a bool, and json's
+    # NaN and -Infinity, each of which float() or json reads as a float.
+    "text-number": _set("rows", 1, h_expected_bits="0.5"),
+    "text-nan": _set("detail", 0, h_expected_bits="nan"),
+    "signed-text-inf": _set("rows", 0, kl_correction_bits="+inf"),
+    "bool-number": _set("detail", 2, d=True),
+    "json-nan": _set("rows", 1, h_rate_q_bits=math.nan),
+    "json-negative-infinity": _set("detail", 3, kl_correction_bits=-math.inf),
+    "text-r": lambda obj: obj["config"].update(r="4.0"),
+    "padded-text-sigma": lambda obj: obj["config"].update(sigma=" 1e-3 "),
+    "bool-lyapunov": lambda obj: obj.update(lyapunov_bits=True),
+    "json-nan-lyapunov": lambda obj: obj.update(lyapunov_bits=math.nan),
 }
 
 
@@ -1026,6 +1039,18 @@ def test_load_rejects_json_that_no_result_writes(tmp_path, edit):
     with pytest.raises(ValueError, match=ROUND_TRIP):
         load_sweep_json(str(path))
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+@pytest.mark.parametrize("inf, minus_inf", [("1e400", "-1e400"), ("Infinity", "-Infinity")])
+def test_load_rejects_infinities_that_emit_does_not_spell(tmp_path, inf, minus_inf):
+    # A number past the floats, or json's constant, reads as the infinity
+    # that emit spells "inf" or "-inf".
+    path = tmp_path / "out.json"
+    emit(TINY, "json", str(path))
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"inf"', inf).replace('"-inf"', minus_inf), encoding="utf-8")
+    with pytest.raises(ValueError, match=ROUND_TRIP):
+        load_sweep_json(str(path))
 
 
 @pytest.mark.parametrize("cells", [
@@ -1059,11 +1084,14 @@ def test_non_finite_cells_are_written_alike_from_columns_and_rows(monkeypatch, t
     real = sweep_mod.order_scores
 
     def skew(tables, prior):
-        # Infinities and NaNs in some cells of the order-2 estimates.
+        # Infinities, NaNs and -0.0 in some cells of the order-2 estimates.
         les, e = real(tables, prior)
         two = np.array([table.table.shape[-2] for table in tables]) == 2**2
+        h_rate_q = np.where(two & (e.h_rate_q > 0.9), np.inf, e.h_rate_q)
+        expected_info = np.where(two & (e.expected_info > 0.9), np.inf, e.expected_info)
         return les, EntropyEstimate(
-            e.expected_info, np.where(two & (e.h_rate_q > 0.9), np.inf, e.h_rate_q),
+            np.where(two & (e.expected_info < 0.3), -0.0, expected_info),
+            np.where(two & (e.h_rate_q < 0.2), -np.inf, h_rate_q),
             np.where(two & (e.kl_correction > 0.0), np.nan, e.kl_correction))
 
     monkeypatch.setattr(sweep_mod, "order_scores", skew)
@@ -1077,6 +1105,22 @@ def test_non_finite_cells_are_written_alike_from_columns_and_rows(monkeypatch, t
     summary, detail = files["json"][0], files["csv"][1]
     assert b'"h_rate_q_bits": "inf"' in summary and b'"kl_correction_bits": null' in summary
     assert b",inf,," in detail
+    # emit -> load -> emit writes the same bytes.
+    (tmp_path / "out.json").write_bytes(summary)
+    loaded = load_sweep_json(str(tmp_path / "out.json"))
+    assert loaded == result
+    assert written(loaded, tmp_path, "json", True)[0] == summary
+    # Each CSV cell of a float is the table's spelling of its repr, and
+    # every odd kind of float turns up, in more than one chunk of rows.
+    spelling = sweep_mod._SPELLING["csv"]
+    with open(os.path.join(tmp_path, "detail.csv"), encoding="utf-8", newline="") as fh:
+        cells = list(csv.reader(fh))[1:]
+    seen = {}
+    for at, (row, texts) in enumerate(zip(result.detail, cells)):
+        for value, text in zip(dataclasses.astuple(row)[2:], texts[2:]):
+            assert text == spelling.get(repr(value), repr(value)), (row, value, text)
+            seen.setdefault(repr(value), set()).add(at // 2 // EMIT_CHUNK_ROWS)  # two orders
+    assert all(len(seen[text]) >= 2 for text in ("nan", "inf", "-inf", "-0.0"))
 
 
 def test_load_does_not_check_the_output_paths(tmp_path):
@@ -1449,19 +1493,21 @@ def test_sweep_log_evidence_is_accurate_at_large_alpha(alpha):
 
 def test_scoring_tables_stay_within_their_bound():
     # Counts up to 2**18 lie far past the table cap, and a second alpha
-    # replaces the first: the memo holds one alpha's cell and context
+    # replaces the first: the cache holds one alpha's cell and context
     # tables, 3 rows of at most 2**14 floats each.
     for alpha in (1.0, 2.5):
         run_sweep(SweepConfig(n=1 << 18, transient=0, grid=50, k_min=1, k_max=8, alpha=alpha))
-        assert list(entropy._MEMO) == [alpha]
-        held = sum(table.nbytes for tables in entropy._MEMO.values() for table in tables)
+        assert entropy._term_tables.cache_info().currsize == 1
+        hits = entropy._term_tables.cache_info().hits
+        held = sum(table.nbytes for table in entropy._term_tables(alpha))
+        assert entropy._term_tables.cache_info().hits == hits + 1  # the cached alpha is alpha
         assert held <= 2 * 3 * (1 << 14) * 8
 
 
 def test_import_and_config_parsing_build_no_scoring_table():
     code = ("import chaosinfer, chaosinfer.cli, chaosinfer.entropy as entropy\n"
             "chaosinfer.cli.parse_config(['--n', '100', '--grid', '3'])\n"
-            "print(len(entropy._MEMO))")
+            "print(entropy._term_tables.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(chaosinfer.__file__))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
