@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .counts import MAX_TABLE_ENTRIES, transition_counts
+from .counts import MAX_TABLE_ENTRIES, lower_orders, transition_counts
 from .entropy import order_scores
 from .inference import DirichletPrior, _check_binary
 from .symbolize import SymbolSequence
@@ -135,8 +135,10 @@ def order_posterior(
         raise ValueError(
             f"sequence of length {len(seq)} too short for k_max={order_range.k_max}"
         )
-    ks = list(order_range.orders())
+    ks, k_max = order_range.orders(), order_range.k_max
     log_priors = [order_log_prior(k, 2, kind) for k in ks]
     prior = DirichletPrior(alpha)
-    les = order_scores([transition_counts(seq, k) for k in ks], prior)[0]
+    # Counted once at k_max; the lower orders are derived as the sweep's are.
+    top = transition_counts(seq, k_max).table.reshape(1, -1)
+    (les,), _ = order_scores(lower_orders(top, seq.symbols[None, :k_max], ks), prior)
     return rank_orders(ks, les, log_priors)

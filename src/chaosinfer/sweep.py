@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import io
 import json
 import math
 import numbers
@@ -420,7 +421,7 @@ def _shared_series(config, map_spec, noise, points):
             cuts[at:at + len(states)] = state_cuts(states, points)
         at += len(states)
         sums.append(log_slope_sum(map_spec, states))
-    return mean_log_slope(sums, config.n), cuts
+    return mean_log_slope(sums, config.n, stacklevel=4), cuts  # names run_sweep's caller
 
 
 def _counted_blocks(config, map_spec, noise, cuts, points, counted, k_max):
@@ -521,28 +522,14 @@ def _header(cls, orders=()) -> list[str]:
     return header
 
 
-# The float that each JSON value of _SPELLING["json"] stands for as json
-# reads it: None for null, "inf" and "-inf".
-_JSON_FLOATS = {json.loads(written): float(text) for text, written in _SPELLING["json"].items()
-                if text is not None}
-
-
 def _read_float(value) -> float:
-    """A float cell of emit's JSON: a finite number that is not a bool, or
-    a key of _JSON_FLOATS.  Anything else is ValueError(ROUND_TRIP), as are
-    json's NaN, Infinity and -Infinity, which reach it as their names, but
-    an int past the floats, which is OverflowError."""
-    if type(value) in (int, float) and math.isfinite(value):
-        return float(value)
-    try:
-        return _JSON_FLOATS[value]
-    except (KeyError, TypeError):  # TypeError: a list or an object
-        raise ValueError(ROUND_TRIP) from None
+    """A float cell of emit's JSON: null is NaN, any other value its float()."""
+    return math.nan if value is None else float(value)
 
 
 def _loaded(cls, obj) -> tuple:
     """The cells of the `cls` of a JSON object written by emit, in field
-    order: a per-order list becomes a tuple, and null in a float field NaN."""
+    order: a per-order list becomes a tuple, and each float is read by _read_float."""
     cells = []
     for name, per_order, is_float in _FIELDS[cls]:
         value = obj[name]
@@ -723,18 +710,25 @@ def emit(result: SweepResult, out_format: str, path: str, detail_path: str | Non
 
 
 def load_sweep_json(path: str) -> SweepResult:
-    """Reload a JSON summary written by emit().  Any other JSON is
+    """Reload a JSON summary written by emit().  The file loads only if emit
+    writes exactly its text for the result built from it; any other file is
     ValueError(ROUND_TRIP), as from_rows would reject it, its config holds a
     value that validate rejects, or it lacks a part.  Its output paths are
     not checked: the file may have been written on another machine."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh, parse_constant=_read_float)
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
     try:
-        config = SweepConfig(*_loaded(SweepConfig, obj["config"]))
+        obj = json.loads(text)
+        config = SweepConfig(**obj["config"])
         config._check_values()
         rows = [_loaded(SweepRow, r) for r in obj["rows"]]
         detail = [_loaded(DetailRow, r) for r in obj["detail"]]
         lyapunov_bits = _read_float(obj["lyapunov_bits"])
     except _BAD_CELLS as exc:
         raise ValueError(ROUND_TRIP) from exc
-    return _from_cells(config, lyapunov_bits, rows, detail)
+    result = _from_cells(config, lyapunov_bits, rows, detail)
+    written = io.StringIO()
+    _dump(result, "json", written)
+    if written.getvalue() != text:
+        raise ValueError(ROUND_TRIP)
+    return result

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 from helpers import ALPHAS, count_stack
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chaosinfer.counts import CountTable
+from chaosinfer.counts import CountTable, transition_counts
 from chaosinfer.entropy import order_scores
 from chaosinfer.inference import DirichletPrior, uniform_prior
 from chaosinfer.order_select import (
@@ -134,6 +134,28 @@ def test_stacked_order_scoring_equals_per_row_rankings(data, k_max, rows, alpha,
         assert les[i].tolist() == list(ranking.log_evidence)
         assert post[i].tolist() == list(ranking.posterior)
         assert orders[best[i]] == ranking.selected
+
+
+@given(
+    symbols=st.lists(st.integers(0, 1), min_size=1, max_size=80),
+    k_min=st.integers(0, 6),
+    span=st.integers(0, 6),
+    alpha=ALPHAS,
+    kind=st.sampled_from(ORDER_PRIOR_KINDS),
+)
+@example(symbols=[1, 0, 1, 1, 0], k_min=0, span=4, alpha=1.0, kind="size_penalty")
+def test_order_posterior_equals_the_ranking_of_each_order_counted_alone(
+        symbols, k_min, span, alpha, kind):
+    # order_posterior counts only k_max and derives the lower orders from it;
+    # the ranking is that of every order counted on its own.  The range is
+    # cut to fit the series, so n = k_max + 1 turns up often.
+    seq = SymbolSequence(np.array(symbols))
+    k_max = min(k_min + span, len(seq) - 1)
+    orders = range(min(k_min, k_max), k_max + 1)
+    les = order_scores([transition_counts(seq, k) for k in orders], DirichletPrior(alpha))[0]
+    log_priors = [order_log_prior(k, 2, kind) for k in orders]
+    assert order_posterior(seq, OrderRange(orders[0], k_max), kind, alpha) == rank_orders(
+        orders, les, log_priors)
 
 
 def test_periodic_sequence_selects_order_one():

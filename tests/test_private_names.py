@@ -166,6 +166,18 @@ def test_each_count_table_limit_is_stated_once():
     assert readers(trees["sweep.py"], "reshape") == {("_from_cells",), ("_pieces",)}
 
 
+def test_the_output_spellings_are_stated_once():
+    # emit's _SPELLING is the one statement of how each output format spells
+    # a missing or non-finite cell.  load_sweep_json restates none of it: it
+    # writes the result it read back and compares the bytes.
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if within := readers(tree, "_SPELLING"):
+            found[path.name] = within
+    assert found == {"sweep.py": {("FORMAT_CHOICES",), ("_filled",), ("_dump",)}}
+
+
 # Methods that change the list, dict, set or array they are called on.
 MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
             "setdefault", "add", "discard", "sort", "reverse", "fill", "put", "resize",

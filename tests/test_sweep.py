@@ -132,6 +132,10 @@ ORACLE_CASES = {
     "partial_block": SweepConfig(n=600, transient=30, seed=4, grid=131, k_min=1, k_max=8),
     "per_d_partial_block": SweepConfig(n=600, transient=30, seed=6, grid=131, k_min=0,
                                        k_max=8, regenerate_per_d=True),
+    # A noiseless period-2 series has 2 distinct cuts, so most of the 131
+    # points share the same count tables.
+    "few_cuts": SweepConfig(r=3.2, sigma=0.0, n=600, transient=30, seed=3, grid=131, k_min=0,
+                            k_max=4),
 }
 
 
@@ -453,7 +457,7 @@ def test_vanishing_derivative_is_one_warning_from_the_sweep():
     assert result.lyapunov_bits == -math.inf
     vanishing = [w for w in caught if "derivative vanishes" in str(w.message)]
     assert len(vanishing) == 1
-    assert os.path.basename(vanishing[0].filename) == "sweep.py"
+    assert vanishing[0].filename == __file__  # run_sweep's caller, as the top-of-range warning
 
 
 def test_top_of_range_rows_are_reported_in_one_warning():
@@ -963,6 +967,21 @@ def test_a_result_holds_scores_of_its_order_range():
         hash(TINY)
 
 
+def emit_layout(obj) -> str:
+    """A parsed JSON summary written back in emit's layout: each member of
+    the top object on its own line, and each row or detail object of a list
+    on its own line, all by json.dumps."""
+    members = []
+    for key, value in obj.items():
+        if isinstance(value, list):
+            value = "[" + ",".join(f"\n    {json.dumps(o)}" for o in value) + (
+                "\n  ]" if value else "]")
+        else:
+            value = json.dumps(value)
+        members.append(f"\n  {json.dumps(key)}: {value}")
+    return "{" + ",".join(members) + "\n}\n"
+
+
 def _set(part, at, **cells):
     """An edit of a parsed JSON summary: set cells of one of its rows or
     detail objects."""
@@ -977,7 +996,9 @@ def _set_d(d):
 # Row 0 of TINY made to select order 1, with that order's estimates.
 ORDER_1 = {"h_expected_bits": math.nan, "h_rate_q_bits": 0.375, "kl_correction_bits": 1e-05}
 
-# Edits of TINY's JSON after which no result writes the file.
+# Edits of TINY's JSON after which no result writes the file.  Each edits
+# the parsed object in place, which is then written in emit's layout, or
+# returns the text to write.
 BROKEN_JSON = {
     "detail-dropped": lambda obj: obj["detail"].pop(),
     "detail-added": lambda obj: obj["detail"].append(obj["detail"][0]),
@@ -1026,16 +1047,49 @@ BROKEN_JSON = {
     "padded-text-sigma": lambda obj: obj["config"].update(sigma=" 1e-3 "),
     "bool-lyapunov": lambda obj: obj.update(lyapunov_bits=True),
     "json-nan-lyapunov": lambda obj: obj.update(lyapunov_bits=math.nan),
+    # Keys that emit never writes.
+    "unknown-top-key": lambda obj: obj.update(extra=5),
+    "unknown-config-key": lambda obj: obj["config"].update(extra=5),
+    "unknown-row-key": _set("rows", 0, extra=5),
+    "unknown-detail-key": _set("detail", 3, extra=None),
+    # A float cell written as a JSON integer, where emit writes 1.0.
+    "integer-d": _set("rows", 1, d=1),
+    "integer-detail-d": _set("detail", 3, d=1),
+    # The unedited file in another layout.
+    "re-indented": lambda obj: json.dumps(obj, indent=2),
+    "re-spaced": lambda obj: json.dumps(obj),
+    "reordered-config": lambda obj: emit_layout({**obj, "config": dict(
+        reversed(obj["config"].items()))}),
+    "crlf": lambda obj: emit_layout(obj).replace("\n", "\r\n"),
+    "truncated": lambda obj: emit_layout(obj)[:-3],
 }
+
+
+def written_json(path, obj, edit=lambda obj: None) -> None:
+    """Write at `path` the parsed JSON summary `obj` after `edit`, which
+    edits it in place, and is then laid out by emit_layout, or returns the
+    text to write."""
+    text = edit(obj)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text if isinstance(text, str) else emit_layout(obj))
+
+
+def test_emit_layout_writes_the_bytes_emit_writes(tmp_path):
+    # The control for the edits below: the unedited summary, laid out by
+    # emit_layout, is emit's file and loads.
+    path = tmp_path / "out.json"
+    emit(TINY, "json", str(path))
+    text = path.read_text(encoding="utf-8")
+    written_json(path, json.loads(text))
+    assert path.read_text(encoding="utf-8") == text
+    assert load_sweep_json(str(path)) == TINY
 
 
 @pytest.mark.parametrize("edit", BROKEN_JSON)
 def test_load_rejects_json_that_no_result_writes(tmp_path, edit):
     path = tmp_path / "out.json"
     emit(TINY, "json", str(path))
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    BROKEN_JSON[edit](obj)
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    written_json(path, json.loads(path.read_text(encoding="utf-8")), BROKEN_JSON[edit])
     with pytest.raises(ValueError, match=ROUND_TRIP):
         load_sweep_json(str(path))
     assert os.listdir(tmp_path) == ["out.json"]
@@ -1131,7 +1185,7 @@ def test_load_does_not_check_the_output_paths(tmp_path):
     obj = json.loads(path.read_text(encoding="utf-8"))
     for out_path, detail_path in ((str(path / "x.csv"), "detail.csv"), ("a.csv", "a.csv")):
         obj["config"].update(out_path=out_path, detail_path=detail_path)
-        path.write_text(json.dumps(obj), encoding="utf-8")
+        written_json(path, obj)
         config = dataclasses.replace(TINY.config, out_path=out_path, detail_path=detail_path)
         with pytest.raises(ConfigError):
             config.validate()
