@@ -12,9 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import io
 import json
-import math
 import numbers
 import os
 import shutil
@@ -22,6 +20,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -189,8 +188,11 @@ class SweepConfig:
 
 
 def _check_distinct(out_path: str, detail_path: str | None) -> None:
-    """Reject a detail path that resolves to the summary's, which it would replace."""
-    if detail_path is not None and os.path.realpath(detail_path) == os.path.realpath(out_path):
+    """Reject a detail path that resolves to the summary's, which it would
+    replace, unless that is a character device such as /dev/null, written to in place."""
+    target = os.path.realpath(out_path)
+    if (detail_path is not None and os.path.realpath(detail_path) == target
+            and not Path(target).is_char_device()):
         raise ConfigError(f"out_path and detail_path both name {out_path!r}; "
                           "the detail file would replace the summary")
 
@@ -260,12 +262,13 @@ def _same(a, b) -> bool:
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """A sweep's config, Lyapunov estimate and scored columns, made only by
-    run_sweep and from_rows.  dataclasses.replace keeps the columns, so it
-    must keep the config's k_min and k_max.  `rows` and `detail` are
-    read-only views of the columns, built on first read; a result made from
-    rows without detail rows holds NaN estimates at unselected orders.
-    Results are equal when their configs, Lyapunov estimates, rows and detail
-    rows are, a NaN cell equal to a NaN cell, and are not hashable."""
+    run_sweep, from_rows and load_sweep_json.  dataclasses.replace keeps
+    the columns, so it must keep the config's k_min and k_max.  `rows` and
+    `detail` are read-only views of the columns, built on first read; a
+    result made from rows without detail rows holds NaN estimates at
+    unselected orders.  Results are equal when their configs, Lyapunov
+    estimates, rows and detail rows are, a NaN cell equal to a NaN cell;
+    none is hashable."""
 
     config: SweepConfig
     lyapunov_bits: float
@@ -275,7 +278,7 @@ class SweepResult:
         if isinstance(self.lyapunov_bits, np.generic):
             object.__setattr__(self, "lyapunov_bits", self.lyapunov_bits.item())
         scores, width = self._scores, len(_orders(self.config))
-        if not (isinstance(scores, _Scores) and scores.values.shape == (5, len(scores.d), width)):
+        if not (isinstance(scores, _Scores) and scores.values.shape == (5, *scores.d.shape, width)):
             raise ValueError(f"{type(scores).__name__} is not the scores of {width} orders; "
                              "SweepResult.from_rows makes a result from rows")
 
@@ -287,8 +290,18 @@ class SweepResult:
         ValueError(ROUND_TRIP) unless the columns built write back exactly
         the given rows and detail rows, which every row with an error text
         or without an order breaks."""
-        return _from_cells(config, lyapunov_bits, map(dataclasses.astuple, rows),
-                           map(dataclasses.astuple, detail))
+        rows, detail = (tuple(map(dataclasses.astuple, part)) for part in (rows, detail))
+        try:
+            # A bool or float order passes _same, which finds 1 == 1.0 == True.
+            if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                       for k in chain((row[1] for row in rows), (cells[1] for cells in detail))):
+                raise TypeError("an order is not an integer")
+            result = _columns(config, lyapunov_bits, rows, detail)
+            if _same((tuple(_row_cells(result)), tuple(_detail_cells(result))), (rows, detail)):
+                return result
+        except _BAD_CELLS as exc:
+            raise ValueError(ROUND_TRIP) from exc
+        raise ValueError(ROUND_TRIP)
 
     @functools.cached_property
     def rows(self) -> tuple[SweepRow, ...]:
@@ -329,41 +342,29 @@ ROUND_TRIP = "the columns built must write back exactly the given rows and detai
 _BAD_CELLS = (ArithmeticError, LookupError, TypeError, ValueError)
 
 
-def _from_cells(config, lyapunov_bits, rows, detail) -> SweepResult:
-    """SweepResult.from_rows of rows and detail rows given as tuples of their
-    cells in field order.  A row's cells are d, k_selected, its three
-    estimates, log_evidence, p_order and error; a detail row's are d, k, its
-    three estimates, log_evidence and p_order.  An order cell that is a bool
-    or not an integer, a d outside [0, 1], any failure to build the columns,
-    and columns that break ROUND_TRIP are ValueError(ROUND_TRIP)."""
-    try:
-        orders = _orders(config)
-        width = len(orders)
-        rows, detail = list(rows), list(detail)
-        # _same finds 1 == 1.0 == True, so the round trip alone lets these pass.
-        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
-                   for k in chain((row[1] for row in rows), (cells[1] for cells in detail))):
-            raise TypeError("an order is not an integer")
-        best = np.array([orders.index(row[1]) for row in rows], dtype=int)
-        values = np.full((5, len(rows), width), np.nan)
-        per_order = np.array([row[5:7] for row in rows], dtype=float)
-        values[3:] = per_order.reshape(-1, 2, width).swapaxes(0, 1)
-        if config.detail_path is not None:
-            estimates = np.array([cells[2:5] for cells in detail], dtype=float)
-            values[:3] = estimates.reshape(-1, width, 3).transpose(2, 0, 1)
-        # A row's estimates go to its selected order, over its detail row's.
-        estimates = np.array([row[2:5] for row in rows], dtype=float).reshape(-1, 3)
-        values[:3, np.arange(len(rows)), best] = estimates.T
-        d = np.array([row[0] for row in rows], dtype=float)
-        if not np.all((0.0 <= d) & (d <= 1.0)):  # a decision point; NaN fails too
-            raise ValueError("a d lies outside [0, 1]")
-        result = SweepResult(config, lyapunov_bits, _Scores(d, best, values))
-        if _same((tuple(_row_cells(result)), tuple(_detail_cells(result))),
-                 (tuple(rows), tuple(detail))):
-            return result
-    except _BAD_CELLS as exc:
-        raise ValueError(ROUND_TRIP) from exc
-    raise ValueError(ROUND_TRIP)
+def _columns(config, lyapunov_bits, rows, detail) -> SweepResult:
+    """The result of `config` whose rows and detail rows have the cells
+    `rows` and `detail`, in field order; of a detail row only the estimates
+    are read.  Floats go through numpy's float conversion, which reads None
+    as NaN and "inf" as inf.  One of _BAD_CELLS if no columns can be built,
+    a d is not one float in [0, 1] or lyapunov_bits is not one float."""
+    orders = _orders(config)
+    best = np.array([orders.index(row[1]) for row in rows], dtype=int)
+    values = np.full((5, len(rows), len(orders)), np.nan)
+    per_order = np.array([row[5:7] for row in rows], dtype=float)
+    values[3:] = per_order.reshape(-1, 2, len(orders)).swapaxes(0, 1)
+    if config.detail_path is not None:
+        estimates = np.array([cells[2:5] for cells in detail], dtype=float)
+        values[:3] = estimates.reshape(-1, len(orders), 3).transpose(2, 0, 1)
+    # A row's estimates go to its selected order, over its detail row's.
+    estimates = np.array([row[2:5] for row in rows], dtype=float).reshape(-1, 3)
+    values[:3, np.arange(len(rows)), best] = estimates.T
+    d = np.array([row[0] for row in rows], dtype=float)
+    lyapunov_bits = np.array(lyapunov_bits, dtype=float)
+    # A d is a decision point, which NaN is not; SweepResult rejects a d column that is not 1-D.
+    if lyapunov_bits.ndim or not np.all((0.0 <= d) & (d <= 1.0)):
+        raise ValueError("a d lies outside [0, 1], or lyapunov_bits is not one float")
+    return SweepResult(config, lyapunov_bits.item(), _Scores(d, best, values))
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -506,49 +507,23 @@ def _warn_top_of_range(scores, orders) -> None:
         )
 
 
-# (name, per_order, is_float) of each field, read from its annotation: a
-# tuple[float, ...] field holds one float per order, a float field one float.
+# (name, per_order) of each field: a tuple[float, ...] field holds one float per order.
 _FIELDS = {
-    cls: [(f.name, f.type.startswith("tuple["), f.type == "float") for f in dataclasses.fields(cls)]
+    cls: [(f.name, f.type.startswith("tuple[")) for f in dataclasses.fields(cls)]
     for cls in (SweepConfig, SweepRow, DetailRow)
 }
 
 
-def _header(cls, orders=()) -> list[str]:
-    """CSV column names of `cls`: a per-order field is one column {name}_k{k} per order."""
-    header = []
-    for name, per_order, _ in _FIELDS[cls]:
-        header += [f"{name}_k{k}" for k in orders] if per_order else [name]
-    return header
-
-
-def _read_float(value) -> float:
-    """A float cell of emit's JSON: null is NaN, any other value its float()."""
-    return math.nan if value is None else float(value)
-
-
-def _loaded(cls, obj) -> tuple:
-    """The cells of the `cls` of a JSON object written by emit, in field
-    order: a per-order list becomes a tuple, and each float is read by _read_float."""
-    cells = []
-    for name, per_order, is_float in _FIELDS[cls]:
-        value = obj[name]
-        if per_order:
-            value = tuple(map(_read_float, value))
-        elif is_float:
-            value = _read_float(value)
-        cells.append(value)
-    return tuple(cells)
-
-
-def _templates(cls, width: int = 0) -> tuple[str, str]:
-    """A row of `cls` as a CSV line and as a JSON object, with a %s per cell
-    and `width` cells per per-order field."""
-    cells, members = [], []
-    for name, per_order, _ in _FIELDS[cls]:
-        cells.append(",".join(["%s"] * width) if per_order else "%s")
-        members.append(f'"{name}": ' + (f"[{', '.join(['%s'] * width)}]" if per_order else "%s"))
-    return ",".join(cells) + "\n", "{" + ", ".join(members) + "}"
+def _layout(cls, orders=()) -> tuple[str, str, str]:
+    """The CSV header line of `cls`, and a row of `cls` as a CSV line and as a
+    JSON object with a %s per cell.  A per-order field is one CSV column
+    {name}_k{k} per order of `orders`, and one JSON list of as many cells."""
+    names, members, cells = [], [], ", ".join(["%s"] * len(orders))
+    for name, per_order in _FIELDS[cls]:
+        names += [f"{name}_k{k}" for k in orders] if per_order else [name]
+        members.append(f'"{name}": [{cells}]' if per_order else f'"{name}": %s')
+    return (",".join(names) + "\n", ",".join(["%s"] * len(names)) + "\n",
+            "{" + ", ".join(members) + "}")
 
 
 def _filled(template: str, piece, fmt: str) -> str:
@@ -621,19 +596,20 @@ def _dump(result: SweepResult, summary: str, fh, detail_fh=None) -> None:
     memory: the JSON's detail objects, which follow all of its rows, wait in
     a temporary file until the rows are written."""
     orders = _orders(result.config)
+    header, line, row_object = _layout(SweepRow, orders)
     if summary == "csv":
-        fh.write(",".join(_header(SweepRow, orders)) + "\n")
+        fh.write(header)
     else:
         # A config value or lyapunov_bits that is a float is spelled as a row's float is.
-        values = [*(getattr(result.config, name) for name, _, _ in _FIELDS[SweepConfig]),
+        values = [*(getattr(result.config, name) for name, _ in _FIELDS[SweepConfig]),
                   result.lyapunov_bits]
         texts = [repr(v) if isinstance(v, float) else json.dumps(v) for v in values]
         head = '{\n  "config": %s,\n  "lyapunov_bits": %%s,\n  "rows": ['
-        fh.write(_filled(head % _templates(SweepConfig)[1], (1, texts, False), "json"))
+        fh.write(_filled(head % _layout(SweepConfig)[2], (1, texts, False), "json"))
+    detail_header, detail_line, detail_object = _layout(DetailRow)
     if detail_fh is not None:
-        detail_fh.write(",".join(_header(DetailRow)) + "\n")
-    row_template = _templates(SweepRow, len(orders))[summary == "json"]
-    detail_line, detail_object = _templates(DetailRow)
+        detail_fh.write(detail_header)
+    row_template = line if summary == "csv" else row_object
     detail = (detail_fh is not None or summary == "json") and result.config.detail_path is not None
     pieces = _pieces(result._scores, orders, detail, _SPELLING[summary][None])
     spool = (tempfile.TemporaryFile("w+", encoding="utf-8", newline="") if summary == "json"
@@ -709,26 +685,39 @@ def emit(result: SweepResult, out_format: str, path: str, detail_path: str | Non
     _write_files(lambda *files: _dump(result, out_format, *files), *paths)
 
 
+@dataclass
+class _WriteBack:
+    """A file for _dump that keeps nothing it is given: each piece written
+    must be the next piece of `text`, else ValueError(ROUND_TRIP)."""
+
+    text: str
+    at: int = 0  # the length of text written so far
+
+    def write(self, piece: str) -> None:
+        if not self.text.startswith(piece, self.at):
+            raise ValueError(ROUND_TRIP)
+        self.at += len(piece)
+
+
 def load_sweep_json(path: str) -> SweepResult:
     """Reload a JSON summary written by emit().  The file loads only if emit
-    writes exactly its text for the result built from it; any other file is
-    ValueError(ROUND_TRIP), as from_rows would reject it, its config holds a
-    value that validate rejects, or it lacks a part.  Its output paths are
-    not checked: the file may have been written on another machine."""
+    writes exactly its text for the result built from it; any other file,
+    such as one without a part or with a config value that validate
+    rejects, is ValueError(ROUND_TRIP).  Its output paths are not checked:
+    the file may have been written on another machine."""
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     try:
         obj = json.loads(text)
         config = SweepConfig(**obj["config"])
         config._check_values()
-        rows = [_loaded(SweepRow, r) for r in obj["rows"]]
-        detail = [_loaded(DetailRow, r) for r in obj["detail"]]
-        lyapunov_bits = _read_float(obj["lyapunov_bits"])
+        rows, detail = ([[cells[name] for name, _ in _FIELDS[cls]] for cells in obj[part]]
+                        for cls, part in ((SweepRow, "rows"), (DetailRow, "detail")))
+        result = _columns(config, obj["lyapunov_bits"], rows, detail)
     except _BAD_CELLS as exc:
         raise ValueError(ROUND_TRIP) from exc
-    result = _from_cells(config, lyapunov_bits, rows, detail)
-    written = io.StringIO()
+    written = _WriteBack(text)
     _dump(result, "json", written)
-    if written.getvalue() != text:
+    if written.at != len(text):
         raise ValueError(ROUND_TRIP)
     return result

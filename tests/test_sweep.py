@@ -1047,6 +1047,14 @@ BROKEN_JSON = {
     "padded-text-sigma": lambda obj: obj["config"].update(sigma=" 1e-3 "),
     "bool-lyapunov": lambda obj: obj.update(lyapunov_bits=True),
     "json-nan-lyapunov": lambda obj: obj.update(lyapunov_bits=math.nan),
+    # Cells that numpy's float conversion reads but emit never writes (a
+    # one-item list for a float, a text inside a per-order list), an object
+    # in a float cell and a row that is null.
+    "list-d": lambda obj: [row.update(d=[row["d"]]) for row in obj["rows"] + obj["detail"]],
+    "list-lyapunov": lambda obj: obj.update(lyapunov_bits=[obj["lyapunov_bits"]]),
+    "text-in-list": _set("rows", 0, p_order=["0.1", 0.9]),
+    "object-cell": _set("rows", 1, h_rate_q_bits={"value": 0.5}),
+    "null-row": lambda obj: obj["rows"].__setitem__(1, None),
     # Keys that emit never writes.
     "unknown-top-key": lambda obj: obj.update(extra=5),
     "unknown-config-key": lambda obj: obj["config"].update(extra=5),
@@ -1062,6 +1070,7 @@ BROKEN_JSON = {
         reversed(obj["config"].items()))}),
     "crlf": lambda obj: emit_layout(obj).replace("\n", "\r\n"),
     "truncated": lambda obj: emit_layout(obj)[:-3],
+    "trailing-newline": lambda obj: emit_layout(obj) + "\n",
 }
 
 
@@ -1095,6 +1104,31 @@ def test_load_rejects_json_that_no_result_writes(tmp_path, edit):
     assert os.listdir(tmp_path) == ["out.json"]
 
 
+def test_load_holds_no_written_copy_of_the_file(tmp_path):
+    # The file is compared with emit's pieces as they are written, so on a
+    # fine_grid-sized file load's traced peak exceeds that of parsing it by
+    # at most 1.5 times its size; a whole written copy took more than 2.5.
+    path = tmp_path / "out.json"
+    emit(run_sweep(SweepConfig(n=10_000, grid=2000, detail_path="detail.csv")), "json", str(path))
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            load(str(path))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def parse(name):
+        with open(name, encoding="utf-8") as fh:
+            return json.loads(fh.read())
+
+    size = path.stat().st_size
+    assert size >= 4_000_000
+    load_sweep_json(str(path))  # first-call allocations
+    assert peak(load_sweep_json) - peak(parse) <= 1.5 * size
+
+
 @pytest.mark.parametrize("inf, minus_inf", [("1e400", "-1e400"), ("Infinity", "-Infinity")])
 def test_load_rejects_infinities_that_emit_does_not_spell(tmp_path, inf, minus_inf):
     # A number past the floats, or json's constant, reads as the infinity
@@ -1121,6 +1155,13 @@ def test_from_rows_rejects_rows_that_no_result_writes(cells):
     rows = (dataclasses.replace(TINY.rows[0], **cells), TINY.rows[1])
     with pytest.raises(ValueError, match=ROUND_TRIP):
         SweepResult.from_rows(TINY.config, TINY.lyapunov_bits, rows, TINY.detail)
+
+
+@pytest.mark.parametrize("lyapunov_bits", [[0.5], (), "x", {}])
+def test_from_rows_rejects_a_lyapunov_bits_that_is_not_one_float(lyapunov_bits):
+    # The row round trip does not compare it, so the columns' builder checks it.
+    with pytest.raises(ValueError, match=ROUND_TRIP):
+        SweepResult.from_rows(TINY.config, lyapunov_bits, TINY.rows, TINY.detail)
 
 
 @pytest.mark.parametrize("d", [math.nan, math.inf, -0.5, 1.5])
@@ -1488,6 +1529,14 @@ def test_cli_exit_code_on_config_errors(capsys, tmp_path):
             assert fh.read() == "a file, not a directory"
     assert list(tmp_path.iterdir()) == []
     assert "is not a directory" in capsys.readouterr().err
+
+
+def test_summary_and_detail_may_share_a_device(capsys):
+    # A device is written to in place, so the detail file replaces nothing.
+    assert main(["--n", "300", "--grid", "3", "--k-max", "2",
+                 "--out", os.devnull, "--detail", os.devnull]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"wrote 3 rows to {os.devnull}\nwrote 6 detail rows to {os.devnull}\n")
 
 
 @pytest.mark.parametrize("flag", ["--out", "--detail"])
