@@ -1,4 +1,12 @@
-"""Markov transition counts, of one symbol sequence or of a whole decision-point grid."""
+"""Markov transition counts, of one symbol sequence or of a whole decision-point grid.
+
+A grid is counted from the cut of each state of its series, which
+grid_top_counts takes in pieces of any lengths, in order: it carries the
+last 2 * k_max cuts from one piece to the next and counts a state once the
+k_max after it have come.  A series cut leaf by leaf as it is stepped is
+thus counted without being held; grid_block_counts replays held cuts, one
+piece per block, for a grid counted in several blocks.
+"""
 
 from __future__ import annotations
 
@@ -84,24 +92,34 @@ def transition_counts(seq: SymbolSequence, order: int) -> CountTable:
     return CountTable(flat.reshape(n_cells >> 1, 2))
 
 
-def grid_top_counts(cuts, lo, points, k_max, below) -> tuple[np.ndarray, np.ndarray]:
+def grid_top_counts(pieces, n, lo, points, k_max, below=None) -> tuple[np.ndarray, np.ndarray]:
     """The order-k_max binary tables at the `points` decision points lo,
     lo + 1, ... of a grid, int64 of shape (points, 2**(k_max+1)), row i
     flattened as transition_counts of the series symbolized at grid point
     lo + i is, and the first k_max symbols of each, bool of shape (points,
     k_max): the pair that lower_orders takes.
 
-    `cuts` holds the cut of each state of the series in the whole grid, as
-    symbolize.state_cuts gives it, so a state reads 1 at grid point p iff
-    p < cut.  Below every cut each window's pattern is all ones; at its own
-    cut c a state clears its bit in each of the k_max + 1 windows it sits
-    in, and each such event moves one window from one pattern to another in
-    row c - lo of a difference array over the block, one row longer than
-    the tables, whose running sum over rows is the order-k_max table at each
+    `pieces` yields the cuts of the n states of the series in order, in
+    arrays of any lengths that join to n, each cut as symbolize.state_cuts
+    gives it in the whole grid, so a state reads 1 at grid point p iff
+    p < cut.  A state is counted once the k_max states after it have
+    arrived, or the series has ended, so only the last 2 * k_max cuts, the
+    uncounted states and the neighbours before them, are carried from one
+    piece to the next: a series cut as it is stepped is counted without
+    ever being held.  A ValueError is raised if the pieces hold more or
+    fewer than n cuts.
+
+    Below every cut each window's pattern is all ones; at its own cut c a
+    state clears its bit in each of the k_max + 1 windows it sits in, and
+    each such event moves one window from one pattern to another in row
+    c - lo of a difference array over the block, one row longer than the
+    tables, whose running sum over rows is the order-k_max table at each
     point.  The block starts from `below`, the flattened table at grid point
-    lo - 1, such as the last table of the block before, and counts only the
-    states with lo <= cut < lo + points.  Events at a cut of lo + points or
-    more are not counted, or land in the discarded last row.
+    lo - 1, such as the last table of the block before, by default the
+    all-ones table of n - k_max windows that every point below every cut
+    has, and counts only the states with lo <= cut < lo + points.  Events
+    at a cut of lo + points or more are not counted, or land in the
+    discarded last row.
 
     Where several states of a window share a cut they clear in order of
     position, oldest first, so just before state s, at position j of window
@@ -112,13 +130,14 @@ def grid_top_counts(cuts, lo, points, k_max, below) -> tuple[np.ndarray, np.ndar
     exceeds c.  The events are added into the difference array in place, so
     a chunk of states costs what its events cost, whatever the block's width.
     """
-    cuts = np.asarray(cuts)
-    n = len(cuts)
     n_patterns = _table_cells(n, k_max)
     width = k_max + 1
     top = lo + points
     diff = np.zeros((points + 1, n_patterns), dtype=np.int64)
-    diff[0] = below
+    if below is None:
+        diff[0, -1] = n - k_max  # below every cut all window bits read 1
+    else:
+        diff[0] = below
     flat = diff.reshape(-1)
     # One lookup per state, read only at cuts lo to top, shifts its cut to
     # its row's offset in the difference array.  Codes stay below its size,
@@ -129,22 +148,25 @@ def grid_top_counts(cuts, lo, points, k_max, below) -> tuple[np.ndarray, np.ndar
     # A window past either end of the series counts in the discarded last
     # row at the all-ones pattern, so clearing a bit keeps it in that row.
     dump = flat.size - 1
-    for start in range(0, n, _WINDOW_CHUNK):
-        stop = min(start + _WINDOW_CHUNK, n)
-        own = cuts[start:stop]
+
+    def count(cuts, base, start, stop):
+        """Add the events of the states start to stop of the series, whose
+        cuts and every neighbour's in the series are cuts[s - base]."""
+        own = cuts[start - base:stop - base]
         # near[k_max + o] holds the cut of the state o places after each
         # counted one, for |o| <= k_max; a state past an end of the series
         # only reaches dumped windows, so its cut may be anything.
         inside = k_max <= start and stop <= n - k_max  # every neighbour is in the series
         if inside and own.min() >= lo and own.max() <= top:  # every event is in the block
-            near = [cuts[start + o:stop + o] for o in range(-k_max, width)]
+            near = [cuts[start - base + o:stop - base + o] for o in range(-k_max, width)]
         else:
             at = np.flatnonzero((own >= lo) & (own < top))
             if not at.size:
-                continue
-            at += start
+                return
+            at += start - base
             near = [cuts.take(at + o, mode="clip") for o in range(-k_max, width)]
             own = near[k_max]
+            at += base
         pattern = np.ones(len(own), dtype=code)
         above = np.empty(len(own), dtype=bool)
         for o in range(1, width):
@@ -165,22 +187,43 @@ def grid_top_counts(cuts, lo, points, k_max, below) -> tuple[np.ndarray, np.ndar
         np.subtract.at(flat, before, 1)
         before -= cleared
         np.add.at(flat, before, 1)
+
+    # carry holds the cuts of the states base, base + 1, ... that the next
+    # piece is joined to: every state from `counted` on, and the k_max before.
+    carry, base, counted, head = (), 0, 0, None
+    for piece in pieces:
+        cuts = np.concatenate([carry, piece]) if len(carry) else np.asarray(piece)
+        seen = base + len(cuts)
+        if seen > n:
+            raise ValueError(f"the pieces hold more than the {n} cuts of the series")
+        if head is None and seen >= k_max:  # base is 0 until more than 2 * k_max have come
+            head = cuts[:k_max].astype(np.intp)
+        stop = seen if seen == n else seen - k_max
+        for start in range(counted, stop, _WINDOW_CHUNK):
+            count(cuts, base, start, min(start + _WINDOW_CHUNK, stop))
+        counted = max(counted, stop)
+        carry = cuts[max(0, counted - k_max) - base:].copy()
+        base = max(0, counted - k_max)
+    if counted < n:
+        raise ValueError(f"the pieces hold fewer than the {n} cuts of the series")
     tables = diff[:points]
     np.cumsum(tables, axis=0, out=tables)
-    first = np.arange(points)[:, None] < np.clip(cuts[:k_max].astype(np.intp) - lo, 0, points)
+    first = np.arange(points)[:, None] < np.clip(head - lo, 0, points)
     return tables, first
 
 
 def grid_block_counts(cuts, grid, block, k_max):
     """Yield grid_top_counts of each block of `block` decision points of a
-    grid of `grid` points, in grid order.  The first block starts from the
-    all-ones table of n - k_max windows, and each block after it from a copy
-    of the last table of the block before, so a state's events are counted
-    in the one block that holds its cut, and in none if its cut is `grid`."""
-    below = np.zeros(_table_cells(len(cuts), k_max), dtype=np.int64)
-    below[-1] = len(cuts) - k_max  # below every cut all window bits read 1
+    grid of `grid` points, in grid order, from the held `cuts` of the whole
+    series, replayed as one piece per block.  The first block starts from
+    the all-ones table of n - k_max windows, and each block after it from a
+    copy of the last table of the block before, so a state's events are
+    counted in the one block that holds its cut, and in none if its cut is
+    `grid`."""
+    cuts = np.asarray(cuts)
+    below = None
     for lo in range(0, grid, block):
-        tables, first = grid_top_counts(cuts, lo, min(block, grid - lo), k_max, below)
+        tables, first = grid_top_counts([cuts], len(cuts), lo, min(block, grid - lo), k_max, below)
         below = tables[-1].copy()  # a view would keep the block's tables alive
         yield tables, first
         del tables, first  # so that the caller frees them before the next block is counted

@@ -27,7 +27,13 @@ import numpy as np
 
 # transition_counts is no longer called here, but this module still binds
 # it: perfbench's tracer tests check that installing the tracer rebinds it.
-from .counts import count_windows, grid_block_counts, lower_orders, transition_counts
+from .counts import (
+    count_windows,
+    grid_block_counts,
+    grid_top_counts,
+    lower_orders,
+    transition_counts,
+)
 from .dynamics import (
     MAP_FAMILIES,
     MapSpec,
@@ -374,8 +380,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     regenerate_per_d is set (then point i uses seed + 1 + i, and its series
     equals generate_trajectory's with that seed).  Every series is stepped
     and read a chunk at a time (see dynamics.recorded_chunks), so no memory
-    grows with n but the shared series' cuts in the grid (see
-    _shared_series).  Decision points are counted a block of
+    grows with n but the shared series' cuts on a grid of several counting
+    blocks (see _counted_blocks).  Decision points are counted a block of
     COUNT_BLOCK_BYTES at a time and scored in slices of half a block, whose
     scores fill columns over the whole grid; the posterior over orders is
     taken once per counting block.  A slice or block that fails to score
@@ -388,14 +394,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     noise = NoiseSpec(config.sigma)
     orders = tuple(_orders(config))
     points = decision_points(config.grid)
-    lam, cuts = _shared_series(config, map_spec, noise, points)
     log_priors = [order_log_prior(k, 2, config.order_prior) for k in orders]
     prior = DirichletPrior(config.alpha)
     counted = max(1, COUNT_BLOCK_BYTES // (8 << (orders[-1] + 1)))
     scored = max(1, counted // 2)
     values = np.full((5, config.grid, len(orders)), np.nan)
     scores = _Scores(points, np.zeros(config.grid, int), values)
-    blocks = _counted_blocks(config, map_spec, noise, cuts, points, counted, orders[-1])
+    sums = []  # the log slope sum of each leaf of the shared series
+    leaves = _shared_series(config, map_spec, noise, sums)
+    blocks = _counted_blocks(config, map_spec, noise, leaves, points, counted, orders[-1])
+    lam = mean_log_slope(sums, config.n, stacklevel=3)  # names run_sweep's caller
     for start in range(0, config.grid, counted):
         # Passed on, not kept: a block's tables are freed before the next is counted.
         _score_slices(scores, start, *next(blocks), scored, orders, log_priors, prior)
@@ -407,39 +415,49 @@ def _orders(config: SweepConfig) -> range:
     return OrderRange(config.k_min, config.k_max).orders()
 
 
-def _shared_series(config, map_spec, noise, points):
-    """The Lyapunov estimate of the shared series and, unless regenerate_per_d
-    is set, the cut of each of its states in `points` (see state_cuts), of
-    which a byte or two a state is all that is kept.  Each chunk of states
-    is cut and its slopes summed before the next chunk overwrites it."""
-    cuts = None
-    if not config.regenerate_per_d:
-        cuts = np.empty(config.n, dtype=np.min_scalar_type(len(points)))
-    sums, at = [], 0
+def _shared_series(config, map_spec, noise, sums):
+    """Yield the states of the shared series a leaf at a time, each a view
+    that the next leaf overwrites, after appending the sum of its log slopes
+    to `sums`, of which lambda is the mean.  Whether the states' cuts are
+    held is _counted_blocks' choice: only on a grid of several counting
+    blocks, a byte or two a state."""
     for chunk in recorded_chunks(map_spec, noise, config.n, config.transient, [config.seed]):
         states = chunk[:, 0]
-        if cuts is not None:
-            cuts[at:at + len(states)] = state_cuts(states, points)
-        at += len(states)
         sums.append(log_slope_sum(map_spec, states))
-    return mean_log_slope(sums, config.n, stacklevel=4), cuts  # names run_sweep's caller
+        yield states
 
 
-def _counted_blocks(config, map_spec, noise, cuts, points, counted, k_max):
+def _counted_blocks(config, map_spec, noise, leaves, points, counted, k_max):
     """An iterator over the blocks of `counted` decision points in grid
     order, each as its order-k_max tables, shape (G, 2**(k_max+1)), and
     first k_max symbols, shape (G, k_max): the pair that lower_orders takes.
 
-    The shared series is counted from its cuts by grid_block_counts, each
-    block from the last table of the one before.  With regenerate_per_d,
-    point i gets its own series, counted by _regenerated_counts.
+    The shared series, whose `leaves` are all stepped before this returns,
+    is counted from its cuts in `points`.  On a grid of one block,
+    each leaf's cuts go to grid_top_counts as soon as they are taken, and
+    none is held.  On a grid of several, every state's cut is held and
+    replayed for each block by grid_block_counts, each block from the last
+    table of the one before.  With regenerate_per_d, the shared series is
+    stepped for lambda alone, and point i gets its own series, counted by
+    _regenerated_counts.
     """
-    if not config.regenerate_per_d:
-        return grid_block_counts(cuts, config.grid, counted, k_max)
-    seeds = range(config.seed + 1, config.seed + 1 + config.grid)
-    return (_regenerated_counts(map_spec, noise, config.n, config.transient,
-                                seeds[start:start + counted], points[start:start + counted], k_max)
-            for start in range(0, config.grid, counted))
+    if config.regenerate_per_d:
+        for _ in leaves:
+            pass
+        seeds = range(config.seed + 1, config.seed + 1 + config.grid)
+        return (_regenerated_counts(map_spec, noise, config.n, config.transient,
+                                    seeds[start:start + counted], points[start:start + counted],
+                                    k_max)
+                for start in range(0, config.grid, counted))
+    cuts = (state_cuts(states, points) for states in leaves)
+    if counted >= config.grid:
+        return iter([grid_top_counts(cuts, config.n, 0, config.grid, k_max)])
+    held = np.empty(config.n, dtype=np.min_scalar_type(len(points)))
+    at = 0
+    for piece in cuts:
+        held[at:at + len(piece)] = piece
+        at += len(piece)
+    return grid_block_counts(held, config.grid, counted, k_max)
 
 
 def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):

@@ -16,9 +16,22 @@ from chaosinfer.counts import (
     lower_orders,
     transition_counts,
 )
-from chaosinfer.dynamics import MAX_SIGMA, MapSpec, NoiseSpec, generate_trajectory
+from chaosinfer.dynamics import (
+    LEAF,
+    MAX_SIGMA,
+    MapSpec,
+    NoiseSpec,
+    generate_trajectory,
+    recorded_chunks,
+)
 from chaosinfer.inference import DirichletPrior, log_evidence
-from chaosinfer.symbolize import PartitionSpec, SymbolSequence, state_cuts, symbolize
+from chaosinfer.symbolize import (
+    PartitionSpec,
+    SymbolSequence,
+    decision_points,
+    state_cuts,
+    symbolize,
+)
 from helpers import count_words, decode_context, encode_context
 
 
@@ -259,15 +272,21 @@ def test_grid_counts_rejects_bad_arguments():
     cuts = state_cuts([0.1, 0.2], [0.5])
     below = np.zeros(8, dtype=np.int64)
     with pytest.raises(ValueError, match="too short"):
-        grid_top_counts(cuts, 0, 1, 2, below)
+        grid_top_counts([cuts], len(cuts), 0, 1, 2, below)
     with pytest.raises(ValueError, match=">= 0"):
-        grid_top_counts(cuts, 0, 1, -1, below)
+        grid_top_counts([cuts], len(cuts), 0, 1, -1, below)
     with pytest.raises(ValueError, match="too large"):
-        grid_top_counts(cuts, 0, 1, 26, below)
+        grid_top_counts([cuts], len(cuts), 0, 1, 26, below)
     # The chained blocks check before they build their first table.
     for k_max, match in ((2, "too short"), (-1, ">= 0"), (26, "too large")):
         with pytest.raises(ValueError, match=match):
             next(grid_block_counts(cuts, 1, 1, k_max))
+    # The pieces must hold the whole series, and no more.
+    cuts = state_cuts([0.1, 0.2, 0.7, 0.9], [0.5])
+    with pytest.raises(ValueError, match="fewer than the 4 cuts"):
+        grid_top_counts([cuts[:2], cuts[2:3]], 4, 0, 1, 1)
+    with pytest.raises(ValueError, match="more than the 3 cuts"):
+        grid_top_counts([cuts[:2], cuts[2:]], 3, 0, 1, 1)
 
 
 unit_states = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
@@ -316,6 +335,67 @@ def test_grid_counts_peak_memory_is_bounded():
         tracemalloc.stop()
     table = 8 * (grid + 1) << (k_max + 1)
     assert peak <= table + 12 * (k_max + 1) * (1 << 13) + (1 << 16)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    states=st.lists(unit_states, min_size=1, max_size=80),
+    thresholds=st.lists(unit_states, min_size=1, max_size=12),
+    k_max=st.integers(0, 6),
+    edges=st.lists(st.integers(0, 90), max_size=8),
+    chunk=st.sampled_from([1, 3, 1 << 13]),
+    split=st.integers(0, 12),
+)
+def test_grid_counts_in_pieces_of_any_lengths(states, thresholds, k_max, edges, chunk, split):
+    # Pieces empty, shorter than k_max or ending past a window chunk give the
+    # tables of the whole series in one piece, in one block and in a block
+    # that starts from the table below it.
+    if len(states) <= k_max:
+        return
+    thresholds = sorted(thresholds)
+    cuts = state_cuts(states, thresholds)
+    pieces = np.split(cuts, sorted(edges))
+    grid, lo = len(thresholds), min(split, len(thresholds) - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counts_mod, "_WINDOW_CHUNK", chunk)
+        tables, _ = next(grid_block_counts(cuts, grid, grid, k_max))
+        for start, below in ((0, None), (lo, tables[lo - 1].copy() if lo else None)):
+            got = grid_top_counts(iter(pieces), len(cuts), start, grid - start, k_max, below)
+            want = grid_top_counts([cuts], len(cuts), start, grid - start, k_max, below)
+            assert got[0].dtype == np.int64 and np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+# n of one leaf short, one leaf, one past, and a third leaf of k_max states.
+@pytest.mark.parametrize("k_max", [1, 8, 15])
+@pytest.mark.parametrize("transient", [0, 1, 2])
+@pytest.mark.parametrize("n", [LEAF - 1, LEAF, LEAF + 1, None],
+                         ids=["leaf-1", "leaf", "leaf+1", "2leaf+k_max"])
+def test_leaves_counted_as_they_are_cut_equal_the_held_and_per_threshold_counts(
+        n, transient, k_max):
+    # A shared series' leaves, cut as recorded_chunks steps them and counted
+    # with only the carry between them, give grid_block_counts' tables and
+    # first symbols from the whole cuts array, and transition_counts' at
+    # each point, as integers.
+    n = 2 * LEAF + k_max if n is None else n
+    spec, noise, seed, points = MapSpec(), NoiseSpec(1e-3), 40 + transient, decision_points(50)
+    sizes = []
+
+    def leaves():
+        for chunk in recorded_chunks(spec, noise, n, transient, [seed]):
+            sizes.append(len(chunk))
+            yield state_cuts(chunk[:, 0], points)
+
+    top, first = grid_top_counts(leaves(), n, 0, len(points), k_max)
+    assert sizes == [min(LEAF, n - at) for at in range(0, n, LEAF)]
+    states = generate_trajectory(spec, noise, n, transient, seed).states
+    held_top, held_first = next(grid_block_counts(state_cuts(states, points), 50, 50, k_max))
+    assert top.dtype == np.int64 and np.array_equal(top, held_top)
+    assert first.shape == (50, k_max) and np.array_equal(first, held_first)
+    for i, d in enumerate(points):
+        seq = symbolize(states, PartitionSpec(d))
+        assert np.array_equal(top[i], transition_counts(seq, k_max).table.ravel()), d
+        assert np.array_equal(first[i], seq.symbols[:k_max]), d
 
 
 def per_point_counts(spec, noise, n, transient, seeds, ds, k_max):

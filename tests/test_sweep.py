@@ -232,6 +232,13 @@ def accepted_configs(draw):
 # whose posterior over orders is taken once over all 35 points:
 @example(cfg=SweepConfig(n=300, transient=5, seed=10, grid=35, k_min=0, k_max=9, sigma=1e-3,
                          order_prior="uniform", alpha=7.1, detail_path="detail.csv"))
+# A one-block grid of the shared series, whose leaves are counted as they
+# are cut: one leaf short, and one leaf and one state, of five points and
+# of 35 at k_max 10:
+@example(cfg=SweepConfig(n=LEAF - 1, transient=1, seed=11, grid=5, k_min=0, k_max=4,
+                         sigma=0.3))
+@example(cfg=SweepConfig(n=LEAF + 1, transient=2, seed=12, grid=35, k_min=8, k_max=10,
+                         sigma=1e-3, detail_path="detail.csv"))
 @given(cfg=accepted_configs())
 def test_run_sweep_equals_per_d_oracle_on_accepted_configs(cfg):
     # Counted in the small blocks of small_count_budget, which accepted_configs
@@ -422,20 +429,33 @@ def test_regenerated_block_memory_does_not_grow_with_n(monkeypatch):
         assert peak(4 * n, grid) - peak(n, grid) <= 3 * n, grid
 
 
-def test_shared_series_keeps_one_byte_a_state():
-    # The sweep keeps each state's cut, a byte at grid 50, not the state and
-    # lambda's slope, 16 bytes.
-    def peak(n):
-        tracemalloc.start()
-        try:
-            run_sweep(SweepConfig(n=n, transient=0, grid=50))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def shared_series_peak(cfg):
+    """The traced memory peak of run_sweep(cfg)."""
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    small, large = 1 << 17, 1 << 19
-    peak(small)  # first-call allocations
-    assert peak(large) - peak(small) <= 2 * (large - small)
+
+def test_one_block_grid_holds_no_cut():
+    # Grid 50 is one counting block at k_max 8, so each leaf's cuts are
+    # counted as they are taken and no state's cut is held: the peak grows
+    # by under 64 KiB, where holding the cuts, a byte a state, grows it by
+    # 384 KiB.
+    small, large = (SweepConfig(n=n, transient=0, grid=50) for n in (1 << 17, 1 << 19))
+    shared_series_peak(small)  # first-call allocations
+    assert shared_series_peak(large) - shared_series_peak(small) <= 64 << 10
+
+
+def test_several_block_grid_holds_one_byte_a_state():
+    # Grid 200 is two counting blocks at k_max 9, which replay the held
+    # cuts, a byte a state, not the state and lambda's slope, 16 bytes.
+    small, large = (SweepConfig(n=n, transient=0, grid=200, k_max=9) for n in (1 << 17, 1 << 19))
+    assert COUNT_BLOCK_BYTES // (8 << 10) < small.grid < 256
+    shared_series_peak(small)  # first-call allocations
+    assert shared_series_peak(large) - shared_series_peak(small) <= 2 * ((1 << 19) - (1 << 17))
 
 
 @pytest.mark.parametrize("transient", [0, 1, 2])
