@@ -46,13 +46,6 @@ class CountTable:
         if self.table.min(initial=0) < 0:
             raise ValueError("count table holds a negative count")
 
-    @property
-    def context_totals(self) -> np.ndarray:
-        """Occurrences of each context, n(context) = sum_s n(context -> s),
-        as one elementwise add: a reduction over an axis of length 2 costs
-        many times the add."""
-        return self.table[..., 0] + self.table[..., 1]
-
 
 def _window_codes(symbols, k) -> np.ndarray:
     """The code of every window of k + 1 consecutive symbols along the first
@@ -117,9 +110,9 @@ def grid_top_counts(pieces, n, lo, points, k_max, below=None) -> tuple[np.ndarra
     point.  The block starts from `below`, the flattened table at grid point
     lo - 1, such as the last table of the block before, by default the
     all-ones table of n - k_max windows that every point below every cut
-    has, and counts only the states with lo <= cut < lo + points.  Events
-    at a cut of lo + points or more are not counted, or land in the
-    discarded last row.
+    has, and counts only the states with lo <= cut < lo + points.  The
+    difference array holds the tables and one cell more, a dump, where both
+    events of a window past either end of the series land.
 
     Where several states of a window share a cut they clear in order of
     position, oldest first, so just before state s, at position j of window
@@ -133,21 +126,19 @@ def grid_top_counts(pieces, n, lo, points, k_max, below=None) -> tuple[np.ndarra
     n_patterns = _table_cells(n, k_max)
     width = k_max + 1
     top = lo + points
-    diff = np.zeros((points + 1, n_patterns), dtype=np.int64)
+    flat = np.zeros(points * n_patterns + 1, dtype=np.int64)
+    dump = flat.size - 1
+    diff = flat[:dump].reshape(points, n_patterns)
     if below is None:
         diff[0, -1] = n - k_max  # below every cut all window bits read 1
     else:
         diff[0] = below
-    flat = diff.reshape(-1)
-    # One lookup per state, read only at cuts lo to top, shifts its cut to
-    # its row's offset in the difference array.  Codes stay below its size,
-    # and in 32 bits where they fit.
+    # One lookup per state, read only at cuts lo to top - 1, shifts its cut
+    # to its row's offset in the difference array.  Codes stay below its
+    # size, and in 32 bits where they fit.
     code = np.int32 if flat.size <= np.iinfo(np.int32).max else np.int64
-    row = ((np.arange(top + 1) - lo) << width).astype(code)
+    row = ((np.arange(top) - lo) << width).astype(code)
     cleared = (n_patterns >> np.arange(1, width + 1, dtype=code))[:, None]  # bit of position j
-    # A window past either end of the series counts in the discarded last
-    # row at the all-ones pattern, so clearing a bit keeps it in that row.
-    dump = flat.size - 1
 
     def count(cuts, base, start, stop):
         """Add the events of the states start to stop of the series, whose
@@ -157,7 +148,7 @@ def grid_top_counts(pieces, n, lo, points, k_max, below=None) -> tuple[np.ndarra
         # counted one, for |o| <= k_max; a state past an end of the series
         # only reaches dumped windows, so its cut may be anything.
         inside = k_max <= start and stop <= n - k_max  # every neighbour is in the series
-        if inside and own.min() >= lo and own.max() <= top:  # every event is in the block
+        if inside and own.min() >= lo and own.max() < top:  # every event is in the block
             near = [cuts[start - base + o:stop - base + o] for o in range(-k_max, width)]
         else:
             at = np.flatnonzero((own >= lo) & (own < top))
@@ -182,10 +173,13 @@ def grid_top_counts(pieces, n, lo, points, k_max, below=None) -> tuple[np.ndarra
             pattern |= np.left_shift(above, k_max, out=bit, dtype=code)
             np.add(offset, pattern, out=before[j])
         if not inside:  # window s - j exists iff j <= s <= n - width + j
-            for j in range(width):
-                before[j, (at < j) | (at > n - width + j)] = dump
+            j = np.arange(width)[:, None]
+            past = (at < j) | (at > n - width + j)
+            before[past] = dump
         np.subtract.at(flat, before, 1)
         before -= cleared
+        if not inside:
+            before[past] = dump
         np.add.at(flat, before, 1)
 
     # carry holds the cuts of the states base, base + 1, ... that the next
@@ -206,10 +200,9 @@ def grid_top_counts(pieces, n, lo, points, k_max, below=None) -> tuple[np.ndarra
         base = max(0, counted - k_max)
     if counted < n:
         raise ValueError(f"the pieces hold fewer than the {n} cuts of the series")
-    tables = diff[:points]
-    np.cumsum(tables, axis=0, out=tables)
+    np.cumsum(diff, axis=0, out=diff)
     first = np.arange(points)[:, None] < np.clip(head - lo, 0, points)
-    return tables, first
+    return diff, first
 
 
 def grid_block_counts(cuts, grid, block, k_max):
@@ -219,13 +212,16 @@ def grid_block_counts(cuts, grid, block, k_max):
     the all-ones table of n - k_max windows, and each block after it from a
     copy of the last table of the block before, so a state's events are
     counted in the one block that holds its cut, and in none if its cut is
-    `grid`."""
+    `grid`.  That copy is taken when the next block is asked for, so the
+    caller must not change a block's tables before then; while a block is
+    with the caller, no other table is held here."""
     cuts = np.asarray(cuts)
     below = None
     for lo in range(0, grid, block):
         tables, first = grid_top_counts([cuts], len(cuts), lo, min(block, grid - lo), k_max, below)
-        below = tables[-1].copy()  # a view would keep the block's tables alive
+        below = None
         yield tables, first
+        below = tables[-1].copy()  # a view would keep the block's tables alive
         del tables, first  # so that the caller frees them before the next block is counted
 
 
@@ -255,21 +251,22 @@ def count_windows(table, states, thresholds, history) -> np.ndarray:
     return symbols
 
 
-def lower_orders(table, first, orders) -> list[CountTable]:
-    """The CountTable of each k in the ascending `orders`, in that order,
-    each a stack of shape (G, 2**k, 2) that entropy.order_scores takes, from
-    G stacked order-k_max tables of shape (G, 2**(k_max+1)), k_max =
-    orders[-1], and the first k_max symbols of each series, shape (G, k_max).
+def lower_orders(table, first, orders):
+    """Yield the CountTable of each k in the ascending `orders`, from the
+    top order down, each a stack of shape (G, 2**k, 2) that
+    entropy.order_scores takes, from G stacked order-k_max tables of shape
+    (G, 2**(k_max+1)), k_max = orders[-1], and the first k_max symbols of
+    each series, shape (G, k_max).  An order is derived only once the one
+    above it has been yielded, and only it is held then, so a consumer that
+    drops each table before asking for the next holds at most two orders.
 
     Order k counts the order-(k+1) windows without their oldest symbol plus
     the window of the first k+1 symbols.
     """
-    k_max = orders[-1]
-    tables = {k_max: table}
     rows = np.arange(len(table))
-    for k in range(k_max - 1, orders[0] - 1, -1):
-        halves = table.reshape(len(rows), 2, 1 << (k + 1))
-        table = halves[:, 0] + halves[:, 1]
-        table[rows, first[:, :k + 1] @ (1 << np.arange(k, -1, -1))] += 1
-        tables[k] = table
-    return [CountTable(tables[k].reshape(len(rows), -1, 2)) for k in orders]
+    for k in range(orders[-1], orders[0] - 1, -1):
+        if k < orders[-1]:
+            table = table[:, :2 << k] + table[:, 2 << k:]
+            table[rows, first[:, :k + 1] @ (1 << np.arange(k, -1, -1))] += 1
+        if k in orders:
+            yield CountTable(table.reshape(len(rows), -1, 2))

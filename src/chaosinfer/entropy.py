@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 from scipy import special
@@ -26,6 +26,9 @@ _LN2 = math.log(2.0)
 _TABLE_CAP = 1 << 14
 # Pseudo-counts from which _rise takes Stirling's series.
 _STIRLING_FROM = 100.0
+# Count-indexed terms are gathered, and context totals formed, for at most
+# this many cells at a time, so scoring a table needs no temporary as large.
+_GATHER_CELLS = 1 << 14
 
 
 def digamma(x):
@@ -91,25 +94,53 @@ def _terms(n: np.ndarray, a: float, scale: float) -> np.ndarray:
     return np.stack([_rise(a, n), share * digamma(m), share * np.log2(m)])
 
 
-def _count_sums(counts: CountTable, alpha: float) -> tuple[list, list, np.ndarray]:
+def _count_sums(counts: CountTable, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Sums of count-indexed terms, the kernel of order_scores.
 
     Each (context, symbol) cell of count n has the terms _terms(n, alpha),
     each context of count n(ctx) the terms _terms(n(ctx), 2 alpha), both
-    over the scale _scale(alpha).  The result holds the cells' sums of the
-    three terms, the contexts' sums of them, each one per table, and the
-    number of transitions counted in each table, so the context totals are
-    made once per table.
+    over the scale _scale(alpha).  The result holds, per table, the cells'
+    sums of the three terms followed by the contexts' sums of them, shape
+    (6, ...), and the number of transitions counted, shape (...).
 
-    Sums run along the last axis, so each table of a stack gets the sums of
-    its own call bit for bit.
+    Sums run along the last axis, a piece of at most _GATHER_CELLS cells at
+    a time: the rows of a stack in groups, so each table of a stack gets the
+    sums of its own call bit for bit, and a longer row in _piece_sums'
+    pieces, whose sums equal that of the whole row bit for bit.
     """
-    contexts = counts.context_totals
-    cells = counts.table.reshape(contexts.shape[:-1] + (-1,))
-    scale = _scale(alpha)
-    cell_terms, context_terms = _term_tables(alpha)
-    return (_row_sums(cell_terms, alpha, cells, scale),
-            _row_sums(context_terms, 2 * alpha, contexts, scale), contexts.sum(axis=-1))
+    table = counts.table
+    lead, width = table.shape[:-2], 2 * table.shape[-2]
+    rows = table.reshape(-1, width)
+    scale, terms = _scale(alpha), _term_tables(alpha)
+    sums, windows = np.empty((6, len(rows))), np.empty(len(rows), dtype=np.int64)
+    step = max(1, _GATHER_CELLS // width)
+    for at in range(0, len(rows), step):
+        part = slice(at, at + step)
+        sums[:, part], windows[part] = _piece_sums(rows[part], alpha, scale, terms)
+    return sums.reshape((6,) + lead), windows.reshape(lead)
+
+
+def _piece_sums(cells, alpha, scale, terms) -> tuple[np.ndarray, np.ndarray]:
+    """_count_sums of the rows of flattened tables `cells`, shape (G, m).
+
+    A row of more than _GATHER_CELLS cells is split where numpy's pairwise
+    sum splits it, at m/2 - (m/2) % 8, and the sums of the two parts are
+    added, as that sum adds them.  Rows hold a power of two of cells, so the
+    row of their context totals, half as long, splits at the same place.
+    The totals are formed as one elementwise add: a reduction over an axis
+    of length 2 costs many times the add.
+    """
+    m = cells.shape[-1]
+    if m > _GATHER_CELLS:
+        half = m // 2 - m // 2 % 8
+        (left, n_left), (right, n_right) = (_piece_sums(part, alpha, scale, terms)
+                                            for part in (cells[:, :half], cells[:, half:]))
+        return left + right, n_left + n_right
+    contexts = cells[:, 0::2] + cells[:, 1::2]
+    sums = np.empty((6, len(cells)))
+    _gather_sums(terms[0], alpha, cells, scale, sums[:3])
+    _gather_sums(terms[1], 2 * alpha, contexts, scale, sums[3:])
+    return sums, contexts.sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -117,26 +148,31 @@ def _term_tables(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """The terms of the counts 0 to _TABLE_CAP - 1 under the pseudo-counts
     alpha, for cells, and 2 alpha, for contexts, over _scale(alpha): two
     (3, _TABLE_CAP) tables, 768 KiB together, built on the first scoring
-    call for an alpha and kept for the last alpha scored."""
-    n, scale = np.arange(_TABLE_CAP), _scale(alpha)
-    return _terms(n, alpha, scale), _terms(n, 2 * alpha, scale)
+    call for an alpha and kept for the last alpha scored.  They are built
+    _GATHER_CELLS // 8 counts at a time, so that _terms' temporaries stay
+    small next to the tables being scored."""
+    tables, scale, step = np.empty((2, 3, _TABLE_CAP)), _scale(alpha), _GATHER_CELLS // 8
+    for at in range(0, _TABLE_CAP, step):
+        n = np.arange(at, min(at + step, _TABLE_CAP))
+        tables[0, :, at:at + step] = _terms(n, alpha, scale)
+        tables[1, :, at:at + step] = _terms(n, 2 * alpha, scale)
+    return tables[0], tables[1]
 
 
-def _row_sums(table, a, n, scale) -> list:
+def _gather_sums(table, a, n, scale, out) -> None:
     """Each term of the counts n under pseudo-count a, summed over the last
-    axis, gathered from `table`, the terms of the counts 0, 1, ...  A count
-    past the table is evaluated directly by _terms, which gives the same
-    floats.
+    axis into the row of `out` of that term, gathered from `table`, the
+    terms of the counts 0, 1, ...  A count past the table is evaluated
+    directly by _terms, which gives the same floats.
     """
     over = n >= table.shape[1] if n.max(initial=0) >= table.shape[1] else None
     direct = None if over is None else _terms(n[over], a, scale)
-    sums, terms = [], np.empty(n.shape)
+    terms = np.empty(n.shape)
     for r, row in enumerate(table):
         row.take(n, mode="clip", out=terms)
         if over is not None:
             terms[over] = direct[r]
-        sums.append(terms.sum(axis=-1))
-    return sums
+        terms.sum(axis=-1, out=out[r])
 
 
 @dataclass(frozen=True)
@@ -183,15 +219,18 @@ def expected_info(counts: CountTable, prior: DirichletPrior) -> EntropyEstimate:
     return EntropyEstimate(_only(e.expected_info), _only(e.h_rate_q), _only(e.kl_correction))
 
 
-def order_scores(tables: Sequence[CountTable],
+def order_scores(tables: Iterable[CountTable],
                  prior: DirichletPrior) -> tuple[np.ndarray, EntropyEstimate]:
-    """Log evidence and entropy estimates of every order, orders along the last axis.
+    """Log evidence and entropy estimates of every order, orders ascending
+    along the last axis.
 
-    `tables` holds a count table, or a stack of them with a leading grid
-    axis, per order; a table's order is its shape.  The result is the log
-    evidences, shape (G, orders) or (orders,), and an EntropyEstimate of
-    arrays of that shape, from one _count_sums call per order, each entry
-    equal bit for bit to that of its table scored on its own.
+    `tables` yields a count table, or a stack of them with a leading grid
+    axis, per order, in any order; a table's order is its shape.  Each is
+    scored by one _count_sums call as it comes and not kept, so a generator
+    such as counts.lower_orders need hold only the table being scored.  The
+    result is the log evidences, shape (G, orders) or (orders,), and an
+    EntropyEstimate of arrays of that shape, each entry equal bit for bit to
+    that of its table scored on its own.
 
     Both rates are (sum_c m(c) f(m(c)) - sum_{c,s} m(c, s) f(m(c, s))) / beta,
     with f = psi / ln 2 for expected_info and f = log2 for h_rate_q, from
@@ -199,9 +238,10 @@ def order_scores(tables: Sequence[CountTable],
     _scale(alpha); beta is divided by it too.
     """
     a = prior.alpha
-    sums = [_count_sums(table, a) for table in tables]
-    cells, contexts, windows = (np.stack(part, axis=-1) for part in zip(*sums))
-    n_free = np.array([table.table.shape[-2] for table in tables])
+    scored = sorted(((table.table.shape[-2], *_count_sums(table, a)) for table in tables),
+                    key=lambda one: one[0])
+    n_free, sums, windows = (np.stack(part, axis=-1) for part in zip(*scored))
+    cells, contexts = sums[:3], sums[3:]
     nats, bits = (x - c for c, x in zip(cells[1:], contexts[1:]))
     beta = windows + 2 * n_free * a
     scaled = beta / _scale(a)

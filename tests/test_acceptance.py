@@ -42,27 +42,21 @@ def _columns(result):
     return ds, hs, ks
 
 
-def test_c1_generating_partition_recovery(default_sweep_result):
-    ds, hs, _ = _columns(default_sweep_result)
+def c1_peak(result):
+    """C1's condition on a sweep result, and the figures it reports."""
+    ds, hs, _ = _columns(result)
     step = ds[1] - ds[0]
     i = int(np.argmax(hs))
     ok = abs(ds[i] - 0.5) <= step + GRID_TOL and abs(hs[i] - 1.0) <= 0.05
-    ok = ok and all(row.error is None for row in default_sweep_result.rows)
-    _report(
-        "C1 information-rate peak within one grid step of d=0.5 at 1.0 +/- 0.05 bits",
-        ok,
-        f"argmax d={ds[i]:.6f}, h={hs[i]:.4f} bits",
-    )
+    ok = ok and all(row.error is None for row in result.rows)
+    return ok, f"argmax d={ds[i]:.6f}, h={hs[i]:.4f} bits"
 
 
-def test_c2_extremes_carry_no_information(default_sweep_result):
-    _, hs, _ = _columns(default_sweep_result)
+def c2_extremes(result):
+    """C2's condition on a sweep result, and the figures it reports."""
+    _, hs, _ = _columns(result)
     ok = hs[0] < 0.01 and hs[-1] < 0.01
-    _report(
-        "C2 expected information < 0.01 bits at d=0 and d=1",
-        ok,
-        f"h(0)={hs[0]:.5f}, h(1)={hs[-1]:.5f}",
-    )
+    return ok, f"h(0)={hs[0]:.5f}, h(1)={hs[-1]:.5f}"
 
 
 def _local_min_plateaus(ks):
@@ -79,8 +73,9 @@ def _local_min_plateaus(ks):
     return plateaus
 
 
-def test_c3_order_curve_minima(default_sweep_result):
-    ds, _, ks = _columns(default_sweep_result)
+def c3_order_minima(result):
+    """C3's condition on a sweep result, and the figures it reports."""
+    ds, _, ks = _columns(result)
     step = ds[1] - ds[0]
 
     def k_at(target):
@@ -104,11 +99,43 @@ def test_c3_order_curve_minima(default_sweep_result):
         ).any():
             second_min = True
             hits.append((float(ds[lo]), float(ds[hi]), int(ks[lo])))
+    return (first_min and second_min,
+            f"k(0.3)={k_left}, k(0.5)={k_center}, k(0.7)={k_right}, preimage plateaus={hits}")
+
+
+def test_c1_generating_partition_recovery(default_sweep_result):
     _report(
-        "C3 order curve dips at d=0.5 and near a preimage of 1/2",
-        first_min and second_min,
-        f"k(0.3)={k_left}, k(0.5)={k_center}, k(0.7)={k_right}, preimage plateaus={hits}",
+        "C1 information-rate peak within one grid step of d=0.5 at 1.0 +/- 0.05 bits",
+        *c1_peak(default_sweep_result),
     )
+
+
+def test_c2_extremes_carry_no_information(default_sweep_result):
+    _report("C2 expected information < 0.01 bits at d=0 and d=1", *c2_extremes(default_sweep_result))
+
+
+def test_c3_order_curve_minima(default_sweep_result):
+    _report("C3 order curve dips at d=0.5 and near a preimage of 1/2",
+            *c3_order_minima(default_sweep_result))
+
+
+# Seeds of the default config on which C1 holds, of 0 to 39.  C1's margin at
+# its fixture seed is 3e-4 bits: on the other seeds the argmax lands two grid
+# steps off, so a change to the default path's floats can move this count.
+# It may rise, not fall.
+C1_SEEDS_HELD = 25
+
+
+def test_c1_c2_c3_over_forty_seeds():
+    held = []
+    for seed in range(40):
+        result = run_sweep(SweepConfig(seed=seed))
+        for name, check in (("C2", c2_extremes), ("C3", c3_order_minima)):
+            ok, detail = check(result)
+            assert ok, f"{name} fails at seed {seed}: {detail}"
+        held.append(c1_peak(result)[0])
+    _report(f"C1 holds on at least {C1_SEEDS_HELD} of seeds 0-39", sum(held) >= C1_SEEDS_HELD,
+            f"holds on {sum(held)}, fails at seeds {[s for s, ok in enumerate(held) if not ok]}")
 
 
 def test_c4_lyapunov_benchmark():

@@ -173,7 +173,7 @@ def assert_grid_counts_match_per_threshold(states, thresholds, orders, blocks=()
 
     def check(lo, top, first):
         assert first.shape == (len(top), k_max)
-        got = lower_orders(top, first, orders)
+        got = list(lower_orders(top, first, orders))[::-1]  # yielded from the top order down
         assert [ct.table.shape for ct in got] == [(len(top), 2 ** k, 2) for k in orders]
         for i, (want_first, want_tables) in enumerate(want[lo:lo + len(top)]):
             assert np.array_equal(first[i], want_first)
@@ -309,7 +309,7 @@ def test_grid_counts_memory_does_not_grow_with_the_series():
         cuts = state_cuts(np.random.default_rng(3).random(n), [0.2, 0.5, 0.7])
         tracemalloc.start()
         try:
-            lower_orders(*next(grid_block_counts(cuts, 3, 3, 2)), [1, 2])
+            list(lower_orders(*next(grid_block_counts(cuts, 3, 3, 2)), [1, 2]))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

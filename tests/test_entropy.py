@@ -174,6 +174,56 @@ def test_order_scores_equal_each_order_s_own_calls(rows, k_min, width, top, alph
                 assert bits_of(column[..., j]) == bits_of(getattr(one, name)), name
 
 
+def scores_bits(tables, prior):
+    """The bytes of every array order_scores gives for `tables`."""
+    evidences, estimates = entropy.order_scores(tables, prior)
+    return [bits_of(evidences)] + [bits_of(getattr(estimates, name)) for name in ESTIMATES]
+
+
+# (budget, orders): rows of 2**(k+1) cells below, at and above the gather
+# budget, up to eight times it; 256 cells is the smallest budget at which a
+# row's contexts split where numpy's pairwise sum splits them.
+PIECE_CASES = [(None, (12, 13, 14, 15)), (256, (6, 7, 8, 9, 10))]
+
+
+@pytest.mark.parametrize("budget, orders", PIECE_CASES, ids=["default", "256"])
+@pytest.mark.parametrize("alpha", [MIN_ALPHA, 0.37, 99.9, entropy._STIRLING_FROM, 150.0, 1e7])
+@pytest.mark.parametrize("top", [37, 3 * entropy._TABLE_CAP], ids=["tabulated", "past_cap"])
+def test_scores_gathered_in_pieces_equal_whole_rows(monkeypatch, budget, orders, alpha, top):
+    # A stack's rows are gathered in groups of at most the budget's cells,
+    # and a longer row in pieces summed up numpy's pairwise tree, so the
+    # scores equal those of whole rows bit for bit.  Counts past the table
+    # cap sit inside split rows too, and are evaluated directly there.
+    if budget is not None:
+        monkeypatch.setattr(entropy, "_GATHER_CELLS", budget)
+    assert 2 << orders[0] < entropy._GATHER_CELLS < 2 << orders[-1]
+    rng = np.random.default_rng(top + len(orders))
+    stacks = []
+    for k in orders:
+        table = rng.integers(0, top + 1, size=(3, 2**k, 2))
+        table[rng.random(table.shape[:2]) < 0.3] = 0
+        table[:, rng.integers(2**k)] = top
+        stacks.append(table)
+    prior = DirichletPrior(alpha)
+    calls = [[CountTable(t) for t in stacks]] + [[CountTable(t[i]) for t in stacks]
+                                                for i in range(3)]
+    pieces = [scores_bits(tables, prior) for tables in calls]
+    monkeypatch.setattr(entropy, "_GATHER_CELLS", 3 << (orders[-1] + 1))  # above every row
+    assert pieces == [scores_bits(tables, prior) for tables in calls]
+
+
+def test_order_scores_takes_the_orders_in_any_order():
+    # Scored one table at a time as they come, from any iterable; the
+    # result holds the orders ascending, as lower_orders' top-down
+    # generator gives them.
+    rng = np.random.default_rng(5)
+    tables = [CountTable(rng.integers(0, 9, size=(2, 2**k, 2))) for k in range(4)]
+    prior = DirichletPrior(0.5)
+    want = scores_bits(tables, prior)
+    assert scores_bits(iter(tables[::-1]), prior) == want
+    assert scores_bits((t for t in tables[2:] + tables[:2]), prior) == want
+
+
 @pytest.mark.parametrize("alpha", [0.37, 1.0, 99.9, 150.0, MAX_ALPHA])
 def test_counts_past_the_table_cap_give_the_tabulated_floats(monkeypatch, alpha):
     # With a cap of 3 entries nearly every term is evaluated directly; the
