@@ -28,10 +28,10 @@ def _flag(field: dataclasses.Field) -> str:
 
 
 def _value_parser(field: dataclasses.Field):
-    # A field takes values of its default's type; detail_path defaults to None but holds a path.
-    if isinstance(field.default, bool):
-        return _parse_bool
-    return str if field.default is None else type(field.default)
+    # A field's text is parsed to the first type of its annotation, which
+    # SweepConfig._check_values reads too: detail_path, a str | None, takes a path.
+    kind = field.type.split(" | ")[0]
+    return {"bool": _parse_bool, "int": int, "float": float, "str": str}[kind]
 
 
 # config-file key ("-" read as "_") -> SweepConfig field; its flag and its name both work
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="FILE",
                         help="flat key=value file; command-line flags override it")
     for field in dataclasses.fields(SweepConfig):
-        if isinstance(field.default, bool):
+        if field.type == "bool":
             kind = {"action": "store_true"}
         else:
             kind = {"type": _value_parser(field), "choices": field.metadata["choices"]}

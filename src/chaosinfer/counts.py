@@ -1,11 +1,14 @@
-"""Markov transition counts, of one symbol sequence or of a whole decision-point grid.
+"""Markov transition counts, of one symbol sequence, of a whole decision-point
+grid of one series, or of many series, one decision point each.
 
-A grid is counted from the cut of each state of its series, which
-grid_top_counts takes in pieces of any lengths, in order: it carries the
-last 2 * k_max cuts from one piece to the next and counts a state once the
-k_max after it have come.  A series cut leaf by leaf as it is stepped is
-thus counted without being held; grid_block_counts replays held cuts, one
-piece per block, for a grid counted in several blocks.
+This module decides how a series is counted.  A grid is counted from the
+cut of each state of its series, which grid_top_counts takes in pieces of
+any lengths, in order: it carries the last 2 * k_max cuts from one piece to
+the next and counts a state once the k_max after it have come.
+grid_block_counts counts a grid of one block as its cuts come, and holds the
+cuts of a grid of several blocks to replay them once per block.
+series_counts counts many series chunk by chunk, carrying their last k_max
+symbols.
 """
 
 from __future__ import annotations
@@ -205,50 +208,65 @@ def grid_top_counts(pieces, n, lo, points, k_max, below=None) -> tuple[np.ndarra
     return diff, first
 
 
-def grid_block_counts(cuts, grid, block, k_max):
+def grid_block_counts(pieces, n, grid, block, k_max):
     """Yield grid_top_counts of each block of `block` decision points of a
-    grid of `grid` points, in grid order, from the held `cuts` of the whole
-    series, replayed as one piece per block.  The first block starts from
-    the all-ones table of n - k_max windows, and each block after it from a
-    copy of the last table of the block before, so a state's events are
-    counted in the one block that holds its cut, and in none if its cut is
-    `grid`.  That copy is taken when the next block is asked for, so the
-    caller must not change a block's tables before then; while a block is
-    with the caller, no other table is held here."""
-    cuts = np.asarray(cuts)
+    grid of `grid` points, in grid order, from `pieces`, the cuts of the n
+    states of the series as grid_top_counts takes them.
+
+    A grid of one block is counted as the pieces come, and no cut is held.
+    On a grid of several blocks every cut is held, in the narrowest unsigned
+    type that holds `grid`, and replayed as one piece per block.  The first
+    block starts from the all-ones table of n - k_max windows, and each
+    block after it from a copy of the last table of the block before, so a
+    state's events are counted in the one block that holds its cut, and in
+    none if its cut is `grid`.  That copy is taken when the next block is
+    asked for, so the caller must not change a block's tables before then;
+    while a block is with the caller, no other table is held here."""
+    if block >= grid:
+        yield grid_top_counts(pieces, n, 0, grid, k_max)
+        return
+    cuts = np.empty(n, dtype=np.min_scalar_type(grid))
+    held = 0
+    for piece in pieces:
+        cuts[held:held + len(piece)] = piece
+        held += len(piece)
+        del piece  # so that the last piece is not kept while the blocks are counted
     below = None
     for lo in range(0, grid, block):
-        tables, first = grid_top_counts([cuts], len(cuts), lo, min(block, grid - lo), k_max, below)
+        tables, first = grid_top_counts([cuts[:held]], n, lo, min(block, grid - lo), k_max, below)
         below = None
         yield tables, first
         below = tables[-1].copy()  # a view would keep the block's tables alive
         del tables, first  # so that the caller frees them before the next block is counted
 
 
-def count_windows(table, states, thresholds, history) -> np.ndarray:
-    """Add the order-k windows that end in a chunk of G series to their tables.
+def series_counts(chunks, thresholds, k_max) -> tuple[np.ndarray, np.ndarray]:
+    """The order-k_max tables of G series, int64 of shape (G, 2**(k_max+1)),
+    row g flattened as transition_counts(..., k_max).table of series g is,
+    and the first k_max symbols of each, bool of shape (G, k_max): the pair
+    that grid_top_counts returns.
 
-    `table`, a C-contiguous array of shape (G, 2**(k+1)), is incremented in
-    place through a flat view, which a table of any other layout would not
-    give: row g counts the windows of series g as
-    transition_counts(..., k).table flattened does.  `states`, shape (L, G),
-    holds the next L states of each series, and series g reads 1 at or above
-    thresholds[g], the left-closed rule of symbolize.  `history`, shape
-    (m, G), holds the symbols that precede the chunk, at most k of them, so
-    the windows that span the chunk edge are counted too.  Returns the
-    symbols of history and chunk together, shape (m + L, G): the caller
-    keeps the last k as the next chunk's history.
-
-    A window's code, from _window_codes, is widened and offset by g << (k + 1)
-    in one add, and np.add.at adds them all into the table in place.
+    `chunks` yields the states of the G series in arrays of shape (L, G),
+    the next L states of each, and series g reads 1 at or above
+    thresholds[g], the left-closed rule of symbolize.  Only the last k_max
+    symbols are carried from one chunk to the next, so the windows that span
+    a chunk edge are counted and the memory does not grow with the series.
+    A window's code, from _window_codes, is widened and offset by
+    g << (k_max + 1) in one add, and np.add.at adds them all into the tables
+    in place.
     """
-    size = table.shape[1]
-    k = size.bit_length() - 2
-    symbols = np.concatenate([history, states >= thresholds])
-    if len(symbols) > k:
-        codes = _window_codes(symbols, k) + np.arange(0, table.size, size)
-        np.add.at(table.reshape(-1), codes, 1)
-    return symbols
+    tables = np.zeros((len(thresholds), 2 << k_max), dtype=np.int64)
+    offsets = np.arange(0, tables.size, tables.shape[1])
+    history = np.zeros((0, len(thresholds)), dtype=bool)
+    first = None
+    for chunk in chunks:
+        symbols = np.concatenate([history, chunk >= thresholds])
+        if len(symbols) > k_max:
+            np.add.at(tables.reshape(-1), _window_codes(symbols, k_max) + offsets, 1)
+        if first is None and len(symbols) >= k_max:
+            first = symbols[:k_max].T
+        history = symbols[max(0, len(symbols) - k_max):]
+    return tables, first
 
 
 def lower_orders(table, first, orders):

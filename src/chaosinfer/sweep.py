@@ -18,6 +18,7 @@ import os
 import shutil
 import tempfile
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from pathlib import Path
@@ -27,13 +28,7 @@ import numpy as np
 
 # transition_counts is no longer called here, but this module still binds
 # it: perfbench's tracer tests check that installing the tracer rebinds it.
-from .counts import (
-    count_windows,
-    grid_block_counts,
-    grid_top_counts,
-    lower_orders,
-    transition_counts,
-)
+from .counts import grid_block_counts, lower_orders, series_counts, transition_counts
 from .dynamics import (
     MAP_FAMILIES,
     MapSpec,
@@ -63,7 +58,7 @@ FORMAT_CHOICES = tuple(_SPELLING)
 # Decision points are counted a block at a time: a counting block holds as
 # many points as keep its order-k_max tables, 8 bytes a cell, within
 # COUNT_BLOCK_BYTES.  That bounds the shared series' difference array, which
-# is one row longer, and the regenerated series' tables; both kernels add
+# is one cell longer, and the regenerated series' tables; both kernels add
 # their events into these in place, so no chunk allocates anything as wide.
 # A counting block is scored in slices of half its points, at least one, so
 # the lower-order tables and the scoring temporaries exist for one slice at
@@ -381,13 +376,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     equals generate_trajectory's with that seed).  Every series is stepped
     and read a chunk at a time (see dynamics.recorded_chunks), so no memory
     grows with n but the shared series' cuts on a grid of several counting
-    blocks (see _counted_blocks).  Decision points are counted a block of
-    COUNT_BLOCK_BYTES at a time and scored in slices of half a block, whose
-    scores fill columns over the whole grid; the posterior over orders is
-    taken once per counting block.  A slice or block that fails to score
-    stops the sweep with a RuntimeError that names its d range.  Rows that
-    select the top order of the range are reported in one RuntimeWarning.
-    Fully deterministic given the seed.
+    blocks (see counts.grid_block_counts).  Decision points are counted a
+    block of COUNT_BLOCK_BYTES at a time and scored in slices of half a
+    block, whose scores fill columns over the whole grid; the posterior over
+    orders is taken per slice, each point's along its own row.  A slice that
+    fails to score stops the sweep with a RuntimeError that names its d
+    range.  Rows that select the top order of the range are reported in one
+    RuntimeWarning.  Fully deterministic given the seed.
     """
     config.validate()
     map_spec = MapSpec(config.family, config.r)
@@ -402,11 +397,28 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     scores = _Scores(points, np.zeros(config.grid, int), values)
     sums = []  # the log slope sum of each leaf of the shared series
     leaves = _shared_series(config, map_spec, noise, sums)
-    blocks = _counted_blocks(config, map_spec, noise, leaves, points, counted, orders[-1])
-    lam = mean_log_slope(sums, config.n, stacklevel=3)  # names run_sweep's caller
+    if config.regenerate_per_d:
+        deque(leaves, maxlen=0)  # the shared series is stepped for lambda alone
+        seeds = range(config.seed + 1, config.seed + 1 + config.grid)
+        blocks = (series_counts(recorded_chunks(map_spec, noise, config.n, config.transient,
+                                                seeds[start:start + counted]),
+                                points[start:start + counted], orders[-1])
+                  for start in range(0, config.grid, counted))
+    else:
+        cuts = (state_cuts(states, points) for states in leaves)
+        blocks = grid_block_counts(cuts, config.n, config.grid, counted, orders[-1])
     for start in range(0, config.grid, counted):
-        # Passed on, not kept: a block's tables are freed before the next is counted.
-        _score_slices(scores, start, *next(blocks), scored, orders, log_priors, prior)
+        top, first = next(blocks)
+        for at in range(0, len(top), scored):
+            part = slice(start + at, start + min(at + scored, len(top)))
+            with _naming(scores.d[part]):
+                tables = lower_orders(top[at:at + scored], first[at:at + scored], orders)
+                les, e = order_scores(tables, prior)
+                scores.values[:4, part] = e.expected_info, e.h_rate_q, e.kl_correction, les
+                scores.values[4, part], scores.best[part] = posterior_over_orders(
+                    scores.values[3, part], log_priors)
+        del top, first, les, e  # nothing of a block is held while the next is counted
+    lam = mean_log_slope(sums, config.n, stacklevel=3)  # names run_sweep's caller
     _warn_top_of_range(scores, orders)
     return SweepResult(config, lam, scores)
 
@@ -418,86 +430,11 @@ def _orders(config: SweepConfig) -> range:
 def _shared_series(config, map_spec, noise, sums):
     """Yield the states of the shared series a leaf at a time, each a view
     that the next leaf overwrites, after appending the sum of its log slopes
-    to `sums`, of which lambda is the mean.  Whether the states' cuts are
-    held is _counted_blocks' choice: only on a grid of several counting
-    blocks, a byte or two a state."""
+    to `sums`, of which lambda is the mean."""
     for chunk in recorded_chunks(map_spec, noise, config.n, config.transient, [config.seed]):
         states = chunk[:, 0]
         sums.append(log_slope_sum(map_spec, states))
         yield states
-
-
-def _counted_blocks(config, map_spec, noise, leaves, points, counted, k_max):
-    """An iterator over the blocks of `counted` decision points in grid
-    order, each as its order-k_max tables, shape (G, 2**(k_max+1)), and
-    first k_max symbols, shape (G, k_max): the pair that lower_orders takes.
-
-    The shared series, whose `leaves` are all stepped before this returns,
-    is counted from its cuts in `points`.  On a grid of one block,
-    each leaf's cuts go to grid_top_counts as soon as they are taken, and
-    none is held.  On a grid of several, every state's cut is held and
-    replayed for each block by grid_block_counts, each block from the last
-    table of the one before.  With regenerate_per_d, the shared series is
-    stepped for lambda alone, and point i gets its own series, counted by
-    _regenerated_counts.
-    """
-    if config.regenerate_per_d:
-        for _ in leaves:
-            pass
-        seeds = range(config.seed + 1, config.seed + 1 + config.grid)
-        return (_regenerated_counts(map_spec, noise, config.n, config.transient,
-                                    seeds[start:start + counted], points[start:start + counted],
-                                    k_max)
-                for start in range(0, config.grid, counted))
-    cuts = (state_cuts(states, points) for states in leaves)
-    if counted >= config.grid:
-        return iter([grid_top_counts(cuts, config.n, 0, config.grid, k_max)])
-    held = np.empty(config.n, dtype=np.min_scalar_type(len(points)))
-    at = 0
-    for piece in cuts:
-        held[at:at + len(piece)] = piece
-        at += len(piece)
-    return grid_block_counts(held, config.grid, counted, k_max)
-
-
-def _regenerated_counts(map_spec, noise, n, transient, seeds, ds, k_max):
-    """The order-k_max tables, shape (G, 2**(k_max+1)), and the first k_max
-    symbols, shape (G, k_max), of the series of G decision points: series g
-    is generate_trajectory(map_spec, noise, n, transient, seeds[g])
-    symbolized at ds[g].  Each chunk of recorded_chunks is counted as it
-    comes, so the memory does not grow with n.
-    """
-    top = np.zeros((len(ds), 2 << k_max), dtype=np.int64)
-    history = np.zeros((0, len(ds)), dtype=bool)
-    first = None
-    for chunk in recorded_chunks(map_spec, noise, n, transient, seeds):
-        symbols = count_windows(top, chunk, ds, history)
-        if first is None and len(symbols) >= k_max:
-            first = symbols[:k_max].T
-        history = symbols[max(0, len(symbols) - k_max):]
-    return top, first
-
-
-def _score_slices(scores, start, top, first, scored, orders, log_priors, prior) -> None:
-    """Fill the columns of the points of a counting block, from grid point
-    `start` on, with their scores, from their order-k_max tables `top` and
-    first k_max symbols `first`.  The lower orders and the scoring
-    temporaries exist for `scored` points at a time, scored by one
-    order_scores call; the posterior over orders is then taken once over
-    the whole block, each point's along its own row, so its floats do not
-    depend on the block.  A slice whose lower orders or scores raise, or a
-    block whose posterior raises, is a RuntimeError that names its first
-    and last d."""
-    for at in range(0, len(top), scored):
-        tops, firsts = top[at:at + scored], first[at:at + scored]
-        part = slice(start + at, start + at + len(tops))
-        with _naming(scores.d[part]):
-            les, e = order_scores(lower_orders(tops, firsts, orders), prior)
-            scores.values[:4, part] = e.expected_info, e.h_rate_q, e.kl_correction, les
-    block = slice(start, start + len(top))
-    with _naming(scores.d[block]):
-        post, best = posterior_over_orders(scores.values[3, block], log_priors)
-    scores.best[block], scores.values[4, block] = best, post
 
 
 @contextlib.contextmanager

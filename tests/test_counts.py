@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 import chaosinfer.counts as counts_mod
 import chaosinfer.dynamics as dynamics
-import chaosinfer.sweep as sweep_mod
 from chaosinfer.counts import (
     CountTable,
-    count_windows,
     grid_block_counts,
     grid_top_counts,
     lower_orders,
+    series_counts,
     transition_counts,
 )
 from chaosinfer.dynamics import (
@@ -183,7 +182,7 @@ def assert_grid_counts_match_per_threshold(states, thresholds, orders, blocks=()
 
     for block in sorted({1, 2, -(-grid // 3), grid, *blocks}):
         starts = range(0, grid, block)
-        chained = list(grid_block_counts(cuts, grid, block, k_max))
+        chained = list(grid_block_counts([cuts], len(cuts), grid, block, k_max))
         assert [len(top) for top, _ in chained] == [min(block, grid - lo) for lo in starts]
         for lo, (top, first) in zip(starts, chained):
             check(lo, top, first)
@@ -280,13 +279,18 @@ def test_grid_counts_rejects_bad_arguments():
     # The chained blocks check before they build their first table.
     for k_max, match in ((2, "too short"), (-1, ">= 0"), (26, "too large")):
         with pytest.raises(ValueError, match=match):
-            next(grid_block_counts(cuts, 1, 1, k_max))
-    # The pieces must hold the whole series, and no more.
+            next(grid_block_counts([cuts], len(cuts), 1, 1, k_max))
+    # The pieces must hold the whole series, and no more, whether they are
+    # counted as they come or held for blocks of one point each.
     cuts = state_cuts([0.1, 0.2, 0.7, 0.9], [0.5])
     with pytest.raises(ValueError, match="fewer than the 4 cuts"):
         grid_top_counts([cuts[:2], cuts[2:3]], 4, 0, 1, 1)
     with pytest.raises(ValueError, match="more than the 3 cuts"):
         grid_top_counts([cuts[:2], cuts[2:]], 3, 0, 1, 1)
+    with pytest.raises(ValueError, match="fewer than the 4 cuts"):
+        next(grid_block_counts([cuts[:2], cuts[2:3]], 4, 2, 1, 1))
+    with pytest.raises(ValueError):
+        next(grid_block_counts([cuts[:2], cuts[2:]], 3, 2, 1, 1))
 
 
 unit_states = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
@@ -309,7 +313,7 @@ def test_grid_counts_memory_does_not_grow_with_the_series():
         cuts = state_cuts(np.random.default_rng(3).random(n), [0.2, 0.5, 0.7])
         tracemalloc.start()
         try:
-            list(lower_orders(*next(grid_block_counts(cuts, 3, 3, 2)), [1, 2]))
+            list(lower_orders(*next(grid_block_counts([cuts], n, 3, 3, 2)), [1, 2]))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,10 +330,10 @@ def test_grid_counts_peak_memory_is_bounded():
     # difference array.  Chunks of 2**14 states would pass this bound.
     k_max, grid = 8, 50
     cuts = state_cuts(np.random.default_rng(7).random(1 << 18), (np.arange(grid) + 0.5) / grid)
-    next(grid_block_counts(cuts, grid, grid, k_max))  # first-call allocations
+    next(grid_block_counts([cuts], len(cuts), grid, grid, k_max))  # first-call allocations
     tracemalloc.start()
     try:
-        next(grid_block_counts(cuts, grid, grid, k_max))
+        next(grid_block_counts([cuts], len(cuts), grid, grid, k_max))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,7 +362,7 @@ def test_grid_counts_in_pieces_of_any_lengths(states, thresholds, k_max, edges, 
     grid, lo = len(thresholds), min(split, len(thresholds) - 1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(counts_mod, "_WINDOW_CHUNK", chunk)
-        tables, _ = next(grid_block_counts(cuts, grid, grid, k_max))
+        tables, _ = next(grid_block_counts([cuts], len(cuts), grid, grid, k_max))
         for start, below in ((0, None), (lo, tables[lo - 1].copy() if lo else None)):
             got = grid_top_counts(iter(pieces), len(cuts), start, grid - start, k_max, below)
             want = grid_top_counts([cuts], len(cuts), start, grid - start, k_max, below)
@@ -373,10 +377,10 @@ def test_grid_counts_in_pieces_of_any_lengths(states, thresholds, k_max, edges, 
                          ids=["leaf-1", "leaf", "leaf+1", "2leaf+k_max"])
 def test_leaves_counted_as_they_are_cut_equal_the_held_and_per_threshold_counts(
         n, transient, k_max):
-    # A shared series' leaves, cut as recorded_chunks steps them and counted
-    # with only the carry between them, give grid_block_counts' tables and
-    # first symbols from the whole cuts array, and transition_counts' at
-    # each point, as integers.
+    # A shared series' leaves, cut as recorded_chunks steps them, give the
+    # same tables and first symbols counted as they come, in one block with
+    # only the carry between leaves, as held and replayed in blocks of 20
+    # points, and transition_counts' at each point, as integers.
     n = 2 * LEAF + k_max if n is None else n
     spec, noise, seed, points = MapSpec(), NoiseSpec(1e-3), 40 + transient, decision_points(50)
     sizes = []
@@ -386,12 +390,14 @@ def test_leaves_counted_as_they_are_cut_equal_the_held_and_per_threshold_counts(
             sizes.append(len(chunk))
             yield state_cuts(chunk[:, 0], points)
 
-    top, first = grid_top_counts(leaves(), n, 0, len(points), k_max)
+    top, first = next(grid_block_counts(leaves(), n, 50, 50, k_max))
     assert sizes == [min(LEAF, n - at) for at in range(0, n, LEAF)]
-    states = generate_trajectory(spec, noise, n, transient, seed).states
-    held_top, held_first = next(grid_block_counts(state_cuts(states, points), 50, 50, k_max))
+    held = list(grid_block_counts(leaves(), n, 50, 20, k_max))
+    assert [len(tables) for tables, _ in held] == [20, 20, 10]
+    held_top, held_first = map(np.concatenate, zip(*held))
     assert top.dtype == np.int64 and np.array_equal(top, held_top)
     assert first.shape == (50, k_max) and np.array_equal(first, held_first)
+    states = generate_trajectory(spec, noise, n, transient, seed).states
     for i, d in enumerate(points):
         seq = symbolize(states, PartitionSpec(d))
         assert np.array_equal(top[i], transition_counts(seq, k_max).table.ravel()), d
@@ -413,7 +419,8 @@ def per_point_counts(spec, noise, n, transient, seeds, ds, k_max):
 def assert_regenerated_counts_match(spec, noise, n, transient, points, k_max):
     seeds = range(11, 11 + points)
     ds = (np.arange(points) + 0.5) / points
-    top, first = sweep_mod._regenerated_counts(spec, noise, n, transient, seeds, ds, k_max)
+    chunks = recorded_chunks(spec, noise, n, transient, seeds)
+    top, first = series_counts(chunks, ds, k_max)
     want_top, want_first = per_point_counts(spec, noise, n, transient, seeds, ds, k_max)
     assert top.dtype == np.int64 and np.array_equal(top, want_top)
     assert first.shape == want_first.shape and np.array_equal(first, want_first)
@@ -452,19 +459,18 @@ def test_blocks_on_both_sides_of_the_lockstep_width_count_alike(below):
 # (k, series): codes of 16 bits fill uint16 at k = 15 and pass it at k = 16;
 # 256 series at k = 8 have offsets g << 9 past 2**16.
 @pytest.mark.parametrize(("k", "series"), [(15, 3), (16, 3), (8, 256)])
-def test_count_windows_equal_transition_counts(k, series):
+def test_series_counts_equal_transition_counts(k, series):
     # Series 0 reads all ones, so its windows take the largest code; chunks
-    # of 7, 93 and 100 states carry windows across their edges.
+    # of 7, 93 and 100 states carry windows across their edges, and the
+    # first chunk is shorter than the first k symbols.
     rng = np.random.default_rng(k)
     states = rng.random((200, series))
     thresholds = np.concatenate([[0.0], rng.random(series - 1)])
-    table = np.zeros((series, 2 << k), dtype=np.int64)
-    history = np.zeros((0, series), dtype=bool)
-    for chunk in np.split(states, [7, 100]):
-        symbols = count_windows(table, chunk, thresholds, history)
-        history = symbols[max(0, len(symbols) - k):]
+    table, first = series_counts(iter(np.split(states, [7, 100])), thresholds, k)
+    assert table.shape == (series, 2 << k) and table.dtype == np.int64
     assert table[0, -1] == len(states) - k
+    assert first.shape == (series, k)
     for g in range(series):
         seq = symbolize(states[:, g], PartitionSpec(thresholds[g]))
         assert np.array_equal(table[g], transition_counts(seq, k).table.ravel()), g
-
+        assert np.array_equal(first[g], seq.symbols[:k]), g

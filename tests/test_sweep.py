@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import chaosinfer
 import chaosinfer.dynamics as dynamics
 import chaosinfer.entropy as entropy
-from chaosinfer.cli import main, parse_config
+from chaosinfer.cli import _value_parser, main, parse_config
 from chaosinfer.dynamics import (
     LEAF,
     LOCKSTEP_MIN_POINTS,
@@ -438,6 +438,27 @@ def test_regenerated_block_memory_does_not_grow_with_n(monkeypatch):
         # small buffers from run to run.  Counting the regenerated series one
         # whole trajectory at a time would add about 50 bytes a state.
         assert peak(4 * n, grid) - peak(n, grid) <= 3 * n, grid
+
+
+def test_regenerated_sweep_frees_each_counting_block_before_counting_the_next():
+    # At k_max 8 a counting block holds 256 points, so grid 256 is one block,
+    # and grids 600 and 1000 are three and four.  Past the result, 344 bytes
+    # a point at eight orders, the peak stays that of one block and its
+    # scoring: holding the block before while the next is counted adds a
+    # block's tables, up to 1 MiB.
+    def peak(grid):
+        cfg = SweepConfig(n=2000, transient=0, grid=grid, k_max=8, regenerate_per_d=True)
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1] - grid * (8 * 40 + 24)
+        finally:
+            tracemalloc.stop()
+
+    peak(256)  # first-call allocations
+    one_block = peak(256)
+    for grid in (600, 1000):
+        assert peak(grid) - one_block <= 128 << 10, grid
 
 
 def shared_series_peak(cfg):
@@ -1459,6 +1480,17 @@ def test_every_field_is_set_alike_by_flag_and_by_both_file_keys(tmp_path, field)
         assert parse_config(["--config", str(path)]) == by_flag
 
 
+@pytest.mark.parametrize("field", dataclasses.fields(SweepConfig), ids=lambda f: f.name)
+def test_every_default_written_as_text_parses_to_a_value_of_its_field_type(field):
+    # Flags and config-file values are parsed by the field's annotation, the
+    # type _check_values checks, so each default written as command-line text
+    # parses back to itself, a detail path to the text, and is accepted.
+    value = _value_parser(field)(str(field.default))
+    assert value == (str(field.default) if field.default is None else field.default)
+    assert type(value) is (str if field.default is None else type(field.default))
+    dataclasses.replace(SweepConfig(), **{field.name: value})._check_values()
+
+
 def test_config_file_booleans(tmp_path):
     path = tmp_path / "sweep.cfg"
     for text, expected in (("yes", True), ("off", False)):
@@ -1793,18 +1825,18 @@ def test_a_scoring_failure_stops_the_run_and_keeps_earlier_files(monkeypatch, tm
     assert isinstance(info.value.__cause__, ValueError)
 
 
-def test_a_posterior_failure_names_its_counting_block(monkeypatch, tmp_path, capsys):
-    # k_max 8 counts 256 points a block, so grid 600 is three blocks, and
-    # the posterior over orders is taken once for each.  When the second
-    # raises, the run exits 2, names that block's first and last d, and
-    # replaces no file.
+def test_a_posterior_failure_names_its_scoring_slice(monkeypatch, tmp_path, capsys):
+    # k_max 8 counts 256 points a block and scores 128 a slice, so grid 600
+    # is five slices, and the posterior over orders is taken once for each.
+    # When the second raises, the run exits 2, names that slice's first and
+    # last d, and replaces no file.
     import chaosinfer.sweep as sweep_mod
 
-    real, blocks, failing = sweep_mod.posterior_over_orders, [], []
+    real, slices, failing = sweep_mod.posterior_over_orders, [], []
 
     def counted(log_evidences, log_priors):
-        blocks.append(len(log_evidences))
-        if len(blocks) in failing:
+        slices.append(len(log_evidences))
+        if len(slices) in failing:
             raise ValueError("forced failure")
         return real(log_evidences, log_priors)
 
@@ -1812,17 +1844,17 @@ def test_a_posterior_failure_names_its_counting_block(monkeypatch, tmp_path, cap
     out = tmp_path / "out.csv"
     argv = ["--n", "900", "--transient", "20", "--grid", "600", "--k-max", "8", "--out", str(out)]
     assert main(argv) == 0
-    assert blocks == [256, 256, 88]
+    assert slices == [128, 128, 128, 128, 88]
     written = out.read_bytes()
     capsys.readouterr()
-    blocks.clear()
+    slices.clear()
     failing.append(2)
     assert main(argv) == 2
-    assert blocks == [256, 256]
+    assert slices == [128, 128]
     ds = decision_points(600).tolist()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "forced failure" in err
-    assert f"d = {ds[256]!r} to {ds[511]!r}" in err
+    assert f"d = {ds[128]!r} to {ds[255]!r}" in err
     assert out.read_bytes() == written and os.listdir(tmp_path) == ["out.csv"]
 
 
